@@ -26,7 +26,7 @@ def parse_word(text):
         if not chunk:
             continue
         parts = chunk.replace("-", " ").split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise InputError(f"bad edge {chunk!r}; expected 'i j'")
         word.append((int(parts[0]), int(parts[1])))
     if not word:
@@ -35,7 +35,11 @@ def parse_word(text):
 
 
 def parse_perm(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+    """Point images like "2,1,3" -> (2, 1, 3)."""
+    parts = text.replace(",", " ").split()
+    if not all(p.isdecimal() for p in parts):
+        raise InputError(f"bad permutation {text!r}; expected images like '2,1,3'")
+    return tuple(int(x) for x in parts)
 
 
 def load_json(path):
@@ -108,15 +112,15 @@ def cmd_conf_normal_form(args):
 
 
 def cmd_conf_product(args):
-    lhs = confring.element_from_json(load_json(args.lhs))
-    rhs = confring.element_from_json(load_json(args.rhs))
+    lhs = confring.ConfElement.from_json(load_json(args.lhs))
+    rhs = confring.ConfElement.from_json(load_json(args.rhs))
     prod = lhs * rhs
     emit(args, prod.to_json(), text=str(prod))
     return 0
 
 
 def cmd_conf_act(args):
-    elem = confring.element_from_json(load_json(args.input))
+    elem = confring.ConfElement.from_json(load_json(args.input))
     out = confring.label_action(parse_perm(args.perm), elem)
     emit(args, out.to_json(), text=str(out))
     return 0
@@ -163,23 +167,23 @@ def cmd_equi_normal_form(args):
 
 
 def cmd_equi_product(args):
-    lhs = equiodd.element_from_json(load_json(args.lhs))
-    rhs = equiodd.element_from_json(load_json(args.rhs))
+    lhs = equiodd.EquiElement.from_json(load_json(args.lhs))
+    rhs = equiodd.EquiElement.from_json(load_json(args.rhs))
     prod = lhs * rhs
     emit(args, prod.to_json(), text=str(prod), dot=prod.to_dot())
     return 0
 
 
 def cmd_equi_restrict(args):
-    elem = equiodd.element_from_json(load_json(args.input))
+    elem = equiodd.EquiElement.from_json(load_json(args.input))
     out = equiodd.nonequivariant_restriction(elem)
     emit(args, out.to_json(), text=str(out))
     return 0
 
 
 def cmd_equi_act(args):
-    elem = equiodd.element_from_json(load_json(args.input))
-    out = equiodd.label_action_equi(parse_perm(args.perm), elem)
+    elem = equiodd.EquiElement.from_json(load_json(args.input))
+    out = confring.label_action(parse_perm(args.perm), elem)
     emit(args, out.to_json(), text=str(out), dot=out.to_dot())
     return 0
 
@@ -255,15 +259,15 @@ def cmd_ss_decalage(args):
 
 
 def cmd_ss_canonical(args):
-    data = load_json(args.input)
+    data = specseq.json_map(load_json(args.input), "a complex")
     try:
         out = specseq.canonical_filtration(
-            {int(k): v for k, v in data["degrees"].items()},
+            {int(k): v for k, v in specseq.json_map(data["degrees"], "degrees").items()},
             {int(k): [[rat(x) for x in row] for row in rows]
-             for k, rows in data.get("d", {}).items()},
+             for k, rows in specseq.json_map(data.get("d", {}), "d").items()},
             None if "phi" not in data else
             {int(k): [[rat(x) for x in row] for row in rows]
-             for k, rows in data["phi"].items()})
+             for k, rows in specseq.json_map(data["phi"], "phi").items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed complex: {exc}") from exc
     emit(args, out.to_json())
@@ -316,7 +320,7 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
-    elem = equiodd.element_from_json(load_json(args.input))
+    elem = equiodd.EquiElement.from_json(load_json(args.input))
     emit(args, elem.to_json(), text=elem.to_dot(), dot=elem.to_dot())
     return 0
 

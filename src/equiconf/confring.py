@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import partial
+from operator import attrgetter
 from itertools import combinations, product as iter_product
 
 from .errors import InputError
-from .exactalg import PolyRing, rat, rat_str
+from .exactalg import PolyRing, Polynomial, poly_from_json, rat
 
 Edge = tuple  # (i, j) with i < j
 
@@ -108,30 +110,63 @@ class EdgeMonomial:
         return ConfElement(self.points, self.dim, {self.edges: Q(self.sign)})
 
 
-class ConfElement:
-    """Q-linear combination of admissible edge monomials for Conf_k(R^n)."""
+class EdgeCombination:
+    """Sparse linear combination of admissible edge words.
 
-    __slots__ = ("points", "dim", "terms")
+    `terms` maps sorted edge tuples to nonzero coefficients: Fractions when
+    `ring` is None, Polynomials of `ring` otherwise. The coefficient ring
+    also selects the print format. Subclasses declare their header fields
+    (`FIELDS`, as (name, JSON converter) pairs, also the constructor's
+    leading arguments; every header has `points`), the ambient dimension
+    (an edge has degree ambient - 1), the print letter and the word reducer.
+    """
 
-    def __init__(self, points, dim, terms):
-        if points < 0:
+    __slots__ = ("terms",)
+    FIELDS = ()
+    letter = "x"
+    ring = None
+
+    def __init__(self, terms):
+        if self.points < 0:
             raise InputError("negative point count")
-        if dim < 2:
-            raise InputError("ambient dimension must be at least 2")
-        self.points = points
-        self.dim = dim
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __init_subclass__(cls):
+        # the header tuple, read at C speed: every result and check uses it
+        cls.header = property(attrgetter(*(name for name, _ in cls.FIELDS)))
+
+    def reducer(self):
+        """f(sorted edge word, coefficient) -> {admissible word: coefficient}."""
+        raise NotImplementedError
+
+    @property
+    def edge_degree(self):
+        return self.ambient - 1
+
+    def _new(self, terms):
+        return type(self)(*self.header, terms)
+
+    @staticmethod
+    def _accumulate(out, terms):
+        """Add {word: coefficient} into `out`, dropping zero sums."""
+        for e, c in terms.items():
+            prev = out.get(e)
+            total = c if prev is None else prev + c
+            if total:
+                out[e] = total
+            else:
+                out.pop(e, None)
 
     def _check(self, other):
-        if (self.points, self.dim) != (other.points, other.dim):
-            raise InputError("elements from different configuration rings")
+        if type(other) is not type(self) or self.header != other.header:
+            raise InputError("elements from different rings")
 
     def __eq__(self, other):
-        return isinstance(other, ConfElement) and self.points == other.points \
-            and self.dim == other.dim and self.terms == other.terms
+        return type(other) is type(self) and self.header == other.header \
+            and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.points, self.dim, tuple(sorted(self.terms.items()))))
+        return hash((self.header, tuple(sorted(self.terms.items()))))
 
     def is_zero(self):
         return not self.terms
@@ -139,46 +174,59 @@ class ConfElement:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Q(0)) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return ConfElement(self.points, self.dim, out)
+        self._accumulate(out, other.terms)
+        return self._new(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ConfElement(self.points, self.dim,
-                           {e: -c for e, c in self.terms.items()})
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def scale(self, c):
         c = rat(c)
-        return ConfElement(self.points, self.dim,
-                           {e: c * v for e, v in self.terms.items()})
+        return self._new({e: v * c for e, v in self.terms.items()})
+
+    def scale_poly(self, poly):
+        return self._new({e: p * poly for e, p in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, ConfElement):
+        if not isinstance(other, EdgeCombination):
             return self.scale(other)
         self._check(other)
+        reduce = self.reducer()
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                for e, c in reduce_word(self.points, self.dim, e1 + e2, c1 * c2).items():
-                    v = out.get(e, Q(0)) + c
-                    if v == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = v
-        return ConfElement(self.points, self.dim, out)
+                self._accumulate(out, reduce(e1 + e2, c1 * c2))
+        return self._new(out)
 
     __rmul__ = __mul__
 
+    def _from_words(self, words):
+        """Normal form of a sum of (raw index-pair word, coefficient) items."""
+        reduce = self.reducer()
+        out = {}
+        for word, c in words:
+            canonical = []
+            sign = 1
+            for i, j in word:
+                e, s = normalize_generator(self.points, i, j, self.ambient)
+                canonical.append(e)
+                sign *= s
+            self._accumulate(out, reduce(tuple(canonical), c * sign))
+        return self._new(out)
+
     def degree(self):
         """Degree when homogeneous; -1 for zero."""
-        degs = {(self.dim - 1) * len(e) for e in self.terms}
+        degs = set()
+        scalar = self.ring is None
+        for e, c in self.terms.items():
+            word_degree = self.edge_degree * len(e)
+            if scalar:
+                degs.add(word_degree)
+            else:
+                degs.update(word_degree + c.monomial_degree(exps) for exps in c.terms)
         if not degs:
             return -1
         if len(degs) > 1:
@@ -186,9 +234,15 @@ class ConfElement:
         return degs.pop()
 
     def homogeneous_part(self, d):
-        return ConfElement(self.points, self.dim,
-                           {e: c for e, c in self.terms.items()
-                            if (self.dim - 1) * len(e) == d})
+        out = {}
+        scalar = self.ring is None
+        for e, c in self.terms.items():
+            rest = d - self.edge_degree * len(e)
+            if scalar:
+                out[e] = c if rest == 0 else 0
+            else:
+                out[e] = c.homogeneous_part(rest)
+        return self._new(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -197,18 +251,25 @@ class ConfElement:
     def __str__(self):
         if not self.terms:
             return "0"
+        scalar = self.ring is None
         parts = []
         for edges, c in self.sorted_terms():
-            mono = "*".join(f"x{i}{j}" if i < 10 and j < 10 else f"x{i}_{j}"
-                            for i, j in edges)
+            mono = "*".join(f"{self.letter}{i}{j}" if i < 10 and j < 10
+                            else f"{self.letter}{i}_{j}" for i, j in edges)
+            coeff = str(c)
             if not mono:
-                parts.append(rat_str(c))
-            elif c == 1:
+                parts.append(f"({coeff})" if ("+" in coeff or " - " in coeff) else coeff)
+            elif coeff == "1":
                 parts.append(mono)
-            elif c == -1:
+            elif not scalar:
+                parts.append(f"({coeff})*{mono}")
+            elif coeff == "-1":
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{rat_str(c)}*{mono}")
+                parts.append(f"{coeff}*{mono}")
+        if not scalar:
+            return " + ".join(parts)
+        # rational coefficients fold their signs into the joins
         s = parts[0]
         for p in parts[1:]:
             s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -217,26 +278,82 @@ class ConfElement:
     __repr__ = __str__
 
     def to_json(self):
-        return {"points": self.points, "dim": self.dim,
-                "terms": [{"coeff": rat_str(c), "edges": [list(e) for e in edges]}
-                          for edges, c in self.sorted_terms()]}
+        scalar = self.ring is None
+        data = {name: getattr(self, name) for name, _ in self.FIELDS}
+        data["terms"] = [{"coeff": str(c) if scalar else c.to_json(),
+                          "edges": [list(e) for e in edges]}
+                         for edges, c in self.sorted_terms()]
+        return data
+
+    @classmethod
+    def from_json(cls, data):
+        """Parse `to_json` output; each term's edge word is put in normal form."""
+        try:
+            elem = cls(*(convert(data[name]) for name, convert in cls.FIELDS), {})
+            ring = elem.ring
+            words = []
+            for t in data["terms"]:
+                word = []
+                for pair in t["edges"]:
+                    if not isinstance(pair, list) or len(pair) != 2:
+                        raise InputError(f"edge {pair!r} is not a pair of point indices")
+                    word.append((int(pair[0]), int(pair[1])))
+                coeff = t["coeff"]
+                words.append((word, rat(coeff) if ring is None
+                              else poly_from_json(coeff, ring)))
+            return elem._from_words(words)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed {cls.__name__}: {exc}") from exc
+
+    def coordinates(self, keys):
+        """Coordinate vector of the element in a list of basis keys.
+
+        A key is an edge word for rational coefficients, and an (edge word,
+        exponent tuple) pair for polynomial ones.
+        """
+        index = {key: t for t, key in enumerate(keys)}
+        vec = [Q(0)] * len(keys)
+        if self.ring is None:
+            monomials = self.terms.items()
+        else:
+            monomials = [((edges, exps), v) for edges, c in self.terms.items()
+                         for exps, v in c.terms.items()]
+        for key, v in monomials:
+            if key not in index:
+                raise InputError("element does not lie in the span of the given basis")
+            vec[index[key]] = v
+        return vec
+
+    def from_coordinates(self, keys, vec):
+        """The element of this element's ring with the given coordinates."""
+        ring = self.ring
+        if ring is None:
+            return self._new(dict(zip(keys, vec)))
+        coeffs = {}
+        for (edges, exps), c in zip(keys, vec):
+            coeffs.setdefault(edges, {})[exps] = c
+        return self._new({e: Polynomial(ring, m) for e, m in coeffs.items()})
 
 
-def element_from_json(data):
-    try:
-        k, n = int(data["points"]), int(data["dim"])
-        terms = {}
-        for t in data["terms"]:
-            word = []
-            for pair in t["edges"]:
-                i, j = int(pair[0]), int(pair[1])
-                word.append((i, j))
-            coeff = rat(t["coeff"])
-            for e, c in normal_form(k, n, word, coeff).terms.items():
-                terms[e] = terms.get(e, Q(0)) + c
-        return ConfElement(k, n, terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed configuration element: {exc}") from exc
+class ConfElement(EdgeCombination):
+    """Q-linear combination of admissible edge monomials for Conf_k(R^n)."""
+
+    __slots__ = ("points", "dim")
+    FIELDS = (("points", int), ("dim", int))
+
+    def __init__(self, points, dim, terms):
+        if dim < 2:
+            raise InputError("ambient dimension must be at least 2")
+        self.points = points
+        self.dim = dim
+        super().__init__(terms)
+
+    @property
+    def ambient(self):
+        return self.dim
+
+    def reducer(self):
+        return partial(reduce_word, self.points, self.dim)
 
 
 def unit(k, n):
@@ -254,19 +371,7 @@ def generator(k, n, i, j):
 
 def normal_form(k, n, word, coeff=Q(1)):
     """Normal form of a raw product of generators, given as index pairs."""
-    if k < 0 or n < 2:
-        raise InputError("need k >= 0 and n >= 2")
-    sign = 1
-    canonical = []
-    for i, j in word:
-        e, s = normalize_generator(k, i, j, n)
-        canonical.append(e)
-        sign *= s
-    return ConfElement(k, n, reduce_word(k, n, canonical, rat(coeff) * sign))
-
-
-def product(a: ConfElement, b: ConfElement):
-    return a * b
+    return zero(k, n)._from_words([(word, rat(coeff))])
 
 
 def basis(k, n, degree):
@@ -321,41 +426,19 @@ def poincare_formula(k, n):
     return out
 
 
-def label_action(sigma, a: ConfElement):
+def label_action(sigma, a: EdgeCombination):
     """Ring automorphism induced by relabeling points by the permutation sigma.
 
-    `sigma` is a tuple/list of images: point i goes to sigma[i-1].
+    `sigma` is a tuple/list of images: point i goes to sigma[i-1]. Works on
+    every element type; the relabeled words are renormalized with their
+    orientation signs.
     """
     k = a.points
     sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(1, k + 1)):
+    if len(sigma) != k or sorted(sigma) != list(range(1, k + 1)):
         raise InputError("not a permutation of the point labels")
-    out = {}
-    for edges, c in a.terms.items():
-        word = []
-        sign = 1
-        for i, j in edges:
-            e, s = normalize_generator(k, sigma[i - 1], sigma[j - 1], a.dim)
-            word.append(e)
-            sign *= s
-        for e, v in reduce_word(k, a.dim, word, c * sign).items():
-            w = out.get(e, Q(0)) + v
-            if w == 0:
-                out.pop(e, None)
-            else:
-                out[e] = w
-    return ConfElement(k, a.dim, out)
-
-
-def coordinates(a: ConfElement, keys):
-    """Coordinate vector of a homogeneous element in the given basis keys."""
-    index = {key: t for t, key in enumerate(keys)}
-    vec = [Q(0)] * len(keys)
-    for e, c in a.terms.items():
-        if e not in index:
-            raise InputError("element does not lie in the span of the given basis")
-        vec[index[e]] = c
-    return vec
+    return a._from_words(([(sigma[i - 1], sigma[j - 1]) for i, j in edges], c)
+                         for edges, c in a.terms.items())
 
 
 def arnold_relation(k, n, a, b, c):

@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 from . import confring
 from .charclasses import GroupSpec, char_ring, torus_ring, weyl_action, weyl_group
 from .errors import CapacityError, InputError
-from .exactalg import Matrix, PolyRing, Polynomial, poly_from_json, rat
+from .exactalg import Matrix, PolyRing, rat
 
 PAGE_GROUPS = ("torus", "so", "o", "u")
 
@@ -52,10 +52,11 @@ def euler_image(group, n):
     return ring.gen(f"c{n}")
 
 
-class PageElement:
+class PageElement(confring.EdgeCombination):
     """Element of the page algebra: coefficient polynomials times x-monomials."""
 
-    __slots__ = ("group", "points", "halfdim", "terms")
+    __slots__ = ("group", "points", "halfdim")
+    FIELDS = (("group", str), ("points", int), ("halfdim", int))
 
     def __init__(self, group, points, halfdim, terms):
         if group not in ("torus", "so", "u"):
@@ -65,137 +66,25 @@ class PageElement:
         self.group = group
         self.points = points
         self.halfdim = halfdim
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
     @property
     def ambient(self):
         return 2 * self.halfdim
 
-    def _check(self, other):
-        if (self.group, self.points, self.halfdim) != \
-                (other.group, other.points, other.halfdim):
-            raise InputError("elements from different page algebras")
+    @property
+    def ring(self):
+        return page_ring(self.group, self.halfdim)
 
-    def __eq__(self, other):
-        return isinstance(other, PageElement) and self.group == other.group \
-            and self.points == other.points and self.halfdim == other.halfdim \
-            and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            total = out.get(e)
-            total = c if total is None else total + c
-            if total.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = total
-        return PageElement(self.group, self.points, self.halfdim, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PageElement(self.group, self.points, self.halfdim,
-                           {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c):
-        c = rat(c)
-        return PageElement(self.group, self.points, self.halfdim,
-                           {e: p.scale(c) for e, p in self.terms.items()})
-
-    def scale_poly(self, poly):
-        return PageElement(self.group, self.points, self.halfdim,
-                           {e: p * poly for e, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, PageElement):
-            return self.scale(other)
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                coeff = c1 * c2
-                for e, s in confring.reduce_word(
-                        self.points, self.ambient, e1 + e2).items():
-                    total = out.get(e)
-                    add = coeff.scale(s)
-                    total = add if total is None else total + add
-                    if total.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = total
-        return PageElement(self.group, self.points, self.halfdim, out)
-
-    __rmul__ = __mul__
-
-    def degree(self):
-        fiber = 2 * self.halfdim - 1
-        degs = set()
-        for e, c in self.terms.items():
-            for exps in c.terms:
-                degs.add(fiber * len(e) + c.monomial_degree(exps))
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise InputError("inhomogeneous element has no single degree")
-        return degs.pop()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: (len(t[0]), tuple(confring.edge_key(e) for e in t[0])))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for edges, c in self.sorted_terms():
-            mono = "*".join(f"x{i}{j}" if i < 10 and j < 10 else f"x{i}_{j}"
-                            for i, j in edges)
-            coeff = str(c)
-            if not mono:
-                parts.append(f"({coeff})" if ("+" in coeff or " - " in coeff) else coeff)
-            elif coeff == "1":
-                parts.append(mono)
-            else:
-                parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return {"group": self.group, "points": self.points,
-                "halfdim": self.halfdim, "coeff_ring": list(page_ring(self.group, self.halfdim).names),
-                "terms": [{"coeff": c.to_json(), "edges": [list(e) for e in edges]}
-                          for edges, c in self.sorted_terms()]}
+    def reducer(self):
+        ell, n = self.points, self.ambient
+        return lambda word, c: {e: c.scale(s) for e, s
+                                in confring.reduce_word(ell, n, word).items()}
 
 
-def page_element_from_json(data):
-    try:
-        group = str(data["group"])
-        ell, n = int(data["points"]), int(data["halfdim"])
-        ring = page_ring(group, n)
-        terms = {}
-        for t in data["terms"]:
-            coeff = poly_from_json(t["coeff"], ring)
-            sign = 1
-            edges = []
-            for pair in t["edges"]:
-                e, s = confring.normalize_generator(ell, int(pair[0]),
-                                                    int(pair[1]), 2 * n)
-                edges.append(e)
-                sign *= s
-            for e, s in confring.reduce_word(ell, 2 * n, edges).items():
-                add = coeff.scale(s * sign)
-                prev = terms.get(e)
-                terms[e] = add if prev is None else prev + add
-        return PageElement(group, ell, n, terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed page element: {exc}") from exc
+def zero(group, ell, n):
+    """The zero page element; the "o" page is the fixed part of the "so" page."""
+    return PageElement("so" if group == "o" else group, ell, n, {})
 
 
 def unit(group, ell, n):
@@ -210,20 +99,12 @@ def x_generator(group, ell, n, i, j):
 def d2n(a: PageElement):
     """The derivation with d(coefficients) = 0 and d(x_ij) = E, by Leibniz."""
     e_img = euler_image(a.group, a.halfdim)
-    out = unit(a.group, a.points, a.halfdim).scale(0)
     terms = {}
     for edges, c in a.terms.items():
+        c = c * e_img
         for t in range(len(edges)):
-            sign = -1 if t % 2 == 1 else 1
-            key = edges[:t] + edges[t + 1:]
-            add = (c * e_img).scale(sign)
-            prev = terms.get(key)
-            total = add if prev is None else prev + add
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-    return PageElement(a.group, a.points, a.halfdim, terms)
+            a._accumulate(terms, {edges[:t] + edges[t + 1:]: -c if t % 2 else c})
+    return a._new(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +144,14 @@ def page_dimension(group, ell, n, degree):
     return len(page_basis(group, ell, n, degree))
 
 
-def element_coordinates(a: PageElement, basis):
-    index = {key: t for t, key in enumerate(basis)}
-    vec = [Q(0)] * len(basis)
-    for edges, poly in a.terms.items():
-        for exps, c in poly.terms.items():
-            key = (edges, exps)
-            if key not in index:
-                raise InputError("element does not lie in the given degree")
-            vec[index[key]] = c
-    return vec
-
-
-def element_from_coordinates(group, ell, n, basis, vec):
-    ring = page_ring("so" if group == "o" else group, n)
-    terms = {}
-    for (edges, exps), c in zip(basis, vec):
-        if c == 0:
-            continue
-        prev = terms.get(edges, ring.zero())
-        terms[edges] = prev + ring.monomial(exps, c)
-    return PageElement("so" if group == "o" else group, ell, n, terms)
-
-
 def differential_matrix(group, ell, n, degree):
     """Matrix of d_2n from the degree slice to the next one."""
     src = page_basis(group, ell, n, degree)
     dst = page_basis(group, ell, n, degree + 1)
     cols = []
     for key in src:
-        elem = element_from_coordinates(group, ell, n, [key], [Q(1)])
-        img = d2n(elem)
-        cols.append(element_coordinates(img, dst))
+        img = d2n(zero(group, ell, n).from_coordinates([key], [Q(1)]))
+        cols.append(img.coordinates(dst))
     return Matrix.from_columns(cols, nrows=len(dst)), len(src), len(dst)
 
 
@@ -363,9 +220,8 @@ def kernel_K(ell, n, max_degree):
         kern = mat.kernel_basis()
         if kern:
             dims[d] = len(kern)
-            basis[d] = [confring.ConfElement(
-                ell, 2 * n, {src[t]: v[t] for t in range(len(src)) if v[t] != 0})
-                for v in kern]
+            basis[d] = [confring.zero(ell, 2 * n).from_coordinates(src, v)
+                        for v in kern]
     return KernelSummary(ell, n, max_degree, dims, basis)
 
 
@@ -413,12 +269,11 @@ def equivariant_cohomology_even(group, ell, n, max_degree):
     check_capacity(ell, n)
     if ell <= 1:
         # a point: the differential vanishes and the answer is all of H*(BG)
-        page_group = "so" if group == "o" else group
         dims, elements = {}, {}
         for d in range(max_degree + 1):
             items = []
             for key in page_basis(group, ell, n, d):
-                elem = element_from_coordinates(group, ell, n, [key], [Q(1)])
+                elem = zero(group, ell, n).from_coordinates([key], [Q(1)])
                 items.append((str(elem), elem))
             if items:
                 dims[d] = len(items)
@@ -579,18 +434,18 @@ def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
         return []
     rows = []
     for key in basis:
-        elem = element_from_coordinates("torus", ell, n, [key], [Q(1)])
+        elem = zero("torus", ell, n).from_coordinates([key], [Q(1)])
         total = elem.scale(0)
         for w in group:
             total = total + weyl_page_action(w, elem)
         total = total.scale(Q(1, len(group)))
         if total.is_zero():
             continue
-        rows.append(element_coordinates(total, basis))
+        rows.append(total.coordinates(basis))
     if not rows:
         return []
     red, pivots = Matrix(rows).rref()
-    return [element_from_coordinates("torus", ell, n, basis, red.rows[r])
+    return [zero("torus", ell, n).from_coordinates(basis, red.rows[r])
             for r in range(len(pivots))]
 
 
@@ -606,7 +461,7 @@ def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"
             ranks[d] = 0
             continue
         target = page_basis("torus", ell, n, d + 1)
-        cols = [element_coordinates(d2n(e), target) for e in elems]
+        cols = [d2n(e).coordinates(target) for e in elems]
         ranks[d] = Matrix.from_columns(cols, nrows=len(target)).rank()
     dims = {}
     for d in range(max_degree + 1):

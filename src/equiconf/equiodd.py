@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import partial
 from math import comb
 
 from . import confring
 from .charclasses import GroupSpec, WeylElement, torus_ring, weyl_action, weyl_group
 from .errors import InputError
-from .exactalg import Matrix, Polynomial, poly_from_json, rat
+from .exactalg import Matrix
 
 
 def qring(n):
@@ -107,123 +108,30 @@ class GraphMonomial:
                            {self.edges: ring.monomial(self.q_exps)})
 
 
-class EquiElement:
+class EquiElement(confring.EdgeCombination):
     """Normal-form element of the torus-equivariant configuration ring."""
 
-    __slots__ = ("points", "halfdim", "terms")
+    __slots__ = ("points", "halfdim")
+    FIELDS = (("points", int), ("halfdim", int))
+    letter = "y"
 
     def __init__(self, points, halfdim, terms):
-        if points < 0:
-            raise InputError("negative point count")
         if halfdim < 1:
             raise InputError("halfdim must be at least 1")
         self.points = points
         self.halfdim = halfdim
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
-    def _check(self, other):
-        if (self.points, self.halfdim) != (other.points, other.halfdim):
-            raise InputError("elements from different equivariant rings")
+    @property
+    def ambient(self):
+        return 2 * self.halfdim + 1
 
-    def __eq__(self, other):
-        return isinstance(other, EquiElement) and self.points == other.points \
-            and self.halfdim == other.halfdim and self.terms == other.terms
+    @property
+    def ring(self):
+        return qring(self.halfdim)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            total = out.get(e)
-            total = c if total is None else total + c
-            if total.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = total
-        return EquiElement(self.points, self.halfdim, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EquiElement(self.points, self.halfdim,
-                           {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c):
-        c = rat(c)
-        return EquiElement(self.points, self.halfdim,
-                           {e: p.scale(c) for e, p in self.terms.items()})
-
-    def scale_poly(self, poly):
-        return EquiElement(self.points, self.halfdim,
-                           {e: p * poly for e, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, EquiElement):
-            return self.scale(other)
-        self._check(other)
-        ell, n = self.points, self.halfdim
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                for e, c in reduce_graph(ell, n, e1 + e2, c1 * c2).items():
-                    total = out.get(e)
-                    total = c if total is None else total + c
-                    if total.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = total
-        return EquiElement(ell, n, out)
-
-    __rmul__ = __mul__
-
-    def homogeneous_part(self, d):
-        out = {}
-        for e, c in self.terms.items():
-            part = c.homogeneous_part(d - 2 * self.halfdim * len(e))
-            if not part.is_zero():
-                out[e] = part
-        return EquiElement(self.points, self.halfdim, out)
-
-    def degree(self):
-        degs = set()
-        for e, c in self.terms.items():
-            for exps in c.terms:
-                degs.add(2 * self.halfdim * len(e) + c.monomial_degree(exps))
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise InputError("inhomogeneous element has no single degree")
-        return degs.pop()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: (len(t[0]), tuple(confring.edge_key(e) for e in t[0])))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for edges, c in self.sorted_terms():
-            mono = "*".join(f"y{i}{j}" if i < 10 and j < 10 else f"y{i}_{j}"
-                            for i, j in edges)
-            coeff = str(c)
-            if not mono:
-                parts.append(f"({coeff})" if ("+" in coeff or " - " in coeff) else coeff)
-            elif coeff == "1":
-                parts.append(mono)
-            else:
-                parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return {"points": self.points, "halfdim": self.halfdim,
-                "terms": [{"coeff": c.to_json(), "edges": [list(e) for e in edges]}
-                          for edges, c in self.sorted_terms()]}
+    def reducer(self):
+        return partial(reduce_graph, self.points, self.halfdim)
 
     def to_dot(self):
         """One DOT graph per monomial; the coefficient is the graph label."""
@@ -239,26 +147,6 @@ class EquiElement:
         return "\n".join(blocks) if blocks else "graph zero {\n}"
 
 
-def element_from_json(data):
-    try:
-        ell, n = int(data["points"]), int(data["halfdim"])
-        ring = qring(n)
-        out = EquiElement(ell, n, {})
-        for t in data["terms"]:
-            coeff = poly_from_json(t["coeff"], ring)
-            edges = []
-            sign = 1
-            for pair in t["edges"]:
-                e, s = normalize_edge(ell, int(pair[0]), int(pair[1]))
-                edges.append(e)
-                sign *= s
-            out = out + EquiElement(
-                ell, n, reduce_graph(ell, n, edges, coeff.scale(sign)))
-        return out
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed equivariant element: {exc}") from exc
-
-
 def unit(ell, n):
     return EquiElement(ell, n, {(): qring(n).one()})
 
@@ -270,10 +158,6 @@ def zero(ell, n):
 def generator(ell, n, i, j):
     edge, sign = normalize_edge(ell, i, j)
     return EquiElement(ell, n, {(edge,): qring(n).const(sign)})
-
-
-def graph_product(a: EquiElement, b: EquiElement):
-    return a * b
 
 
 def torus_basis(ell, n, degree):
@@ -331,30 +215,6 @@ def weyl_action_equi(w: WeylElement, a: EquiElement):
     return EquiElement(a.points, a.halfdim, out)
 
 
-def element_coordinates(a: EquiElement, basis):
-    """Coordinates of a homogeneous element in a torus_basis list."""
-    index = {(m.edges, m.q_exps): t for t, m in enumerate(basis)}
-    vec = [Q(0)] * len(basis)
-    for edges, poly in a.terms.items():
-        for exps, c in poly.terms.items():
-            key = (edges, exps)
-            if key not in index:
-                raise InputError("element does not lie in the given degree")
-            vec[index[key]] = c
-    return vec
-
-
-def element_from_coordinates(ell, n, basis, vec):
-    ring = qring(n)
-    out = {}
-    for m, c in zip(basis, vec):
-        if c == 0:
-            continue
-        prev = out.get(m.edges, ring.zero())
-        out[m.edges] = prev + ring.monomial(m.q_exps, c)
-    return EquiElement(ell, n, out)
-
-
 def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
     """Echelonized basis of the Weyl-fixed subspace in one degree."""
     if spec.family not in ("so_odd", "o_odd"):
@@ -364,6 +224,7 @@ def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
     if not basis:
         return []
     group = weyl_group(spec, convention)
+    keys = [(mono.edges, mono.q_exps) for mono in basis]
     rows = []
     for mono in basis:
         elem = mono.as_element()
@@ -373,11 +234,11 @@ def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
         total = total.scale(Q(1, len(group)))
         if total.is_zero():
             continue
-        rows.append(element_coordinates(total, basis))
+        rows.append(total.coordinates(keys))
     if not rows:
         return []
     red, pivots = Matrix(rows).rref()
-    return [element_from_coordinates(ell, n, basis, red.rows[r])
+    return [zero(ell, n).from_coordinates(keys, red.rows[r])
             for r in range(len(pivots))]
 
 
@@ -433,25 +294,6 @@ def section_pullback(i, j, a: EquiElement):
             else:
                 coeff = coeff * top
         out = out + EquiElement(2, n, reduce_graph(2, n, key, coeff))
-    return out
-
-
-def label_action_equi(sigma, a: EquiElement):
-    """Relabel vertices by sigma; edges are antisymmetric, then renormalize."""
-    ell = a.points
-    sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(1, ell + 1)):
-        raise InputError("not a permutation of the point labels")
-    out = EquiElement(ell, a.halfdim, {})
-    for edges, c in a.terms.items():
-        word = []
-        sign = 1
-        for i, j in edges:
-            e, s = normalize_edge(ell, sigma[i - 1], sigma[j - 1])
-            word.append(e)
-            sign *= s
-        out = out + EquiElement(ell, a.halfdim,
-                                reduce_graph(ell, a.halfdim, word, c.scale(sign)))
     return out
 
 

@@ -9,10 +9,6 @@ class CapacityError(InputError):
     """Request exceeds the supported enumeration bounds."""
 
 
-class VerificationFailure(Exception):
-    """A consistency check found a mismatch (CLI exit code 1)."""
-
-
 class PurityViolation(Exception):
     """An automorphism eigenvalue falls outside the certified spectrum."""
 

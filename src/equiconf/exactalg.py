@@ -8,10 +8,9 @@ equal representations and every output is reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError, PurityViolation
+from .errors import InputError
 
 Q = Fraction
 
@@ -28,10 +27,6 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}") from exc
     raise InputError(f"not a rational: {x!r}")
-
-
-def rat_str(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +203,6 @@ class Matrix:
         return tuple(coeffs)
 
 
-def kernel_basis(m: Matrix):
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b):
-    return m.solve(b)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q (for characteristic polynomials)
 # represented as tuples of Fractions, lowest degree first
@@ -292,10 +279,6 @@ def zip_pad(p, q):
     return zip(p, q)
 
 
-def upoly_add(p, q):
-    return upoly_trim([a + b for a, b in zip_pad(p, q)])
-
-
 def upoly_eval_matrix(p, m: Matrix):
     out = Matrix.zero(m.nrows, m.ncols)
     power = Matrix.identity(m.nrows)
@@ -316,7 +299,7 @@ def upoly_str(p, var="t"):
         if c == 0:
             continue
         if e == 0:
-            term = rat_str(c)
+            term = str(c)
         else:
             base = var if e == 1 else f"{var}^{e}"
             if c == 1:
@@ -324,7 +307,7 @@ def upoly_str(p, var="t"):
             elif c == -1:
                 term = f"-{base}"
             else:
-                term = f"{rat_str(c)}*{base}"
+                term = f"{c}*{base}"
         parts.append(term)
     s = parts[0]
     for term in parts[1:]:
@@ -344,46 +327,6 @@ def strip_linear_factor(p, lam):
         p = quo
         k += 1
     return k, p
-
-
-def generalized_eigenspace_projectors(m: Matrix, eigenvalues):
-    """Projectors onto the generalized eigenspaces of the listed eigenvalues.
-
-    The characteristic polynomial must split over Q with every root among
-    `eigenvalues`; a root outside the list raises PurityViolation carrying the
-    leftover factor. A listed value that is not actually a root contributes
-    the zero projector.
-    """
-    eigenvalues = [rat(x) for x in eigenvalues]
-    if len(set(eigenvalues)) != len(eigenvalues):
-        raise InputError("repeated eigenvalue in projector request")
-    p = m.charpoly()
-    mults = {}
-    rest = p
-    for lam in eigenvalues:
-        k, rest = strip_linear_factor(rest, lam)
-        mults[lam] = k
-    if upoly_deg(rest) > 0:
-        raise PurityViolation(
-            f"eigenvalue outside the supplied list; factor {upoly_str(upoly_monic(rest))}",
-            factor=upoly_str(upoly_monic(rest)))
-    projectors = []
-    for lam in eigenvalues:
-        k = mults[lam]
-        if k == 0:
-            projectors.append(Matrix.zero(m.nrows, m.ncols))
-            continue
-        if k == m.nrows:
-            projectors.append(Matrix.identity(m.nrows))
-            continue
-        f_lam = (Q(1),)
-        for _ in range(k):
-            f_lam = upoly_mul(f_lam, (-lam, Q(1)))
-        g_lam, _ = upoly_divmod(p, f_lam)
-        _, u, _ = upoly_xgcd(g_lam, f_lam)  # u*g = 1 mod f
-        h = upoly_divmod(upoly_mul(u, g_lam), p)[1]
-        projectors.append(upoly_eval_matrix(h, m))
-    return projectors
 
 
 def eigen_projector(m: Matrix, lam):
@@ -454,10 +397,6 @@ def col_space(columns, dim=None):
         return Matrix.zero(dim, 0)
     basis_rows = [red.rows[i] for i in range(len(pivots))]
     return Matrix(basis_rows).transpose()
-
-
-def subspace_dim(s: Matrix):
-    return s.ncols
 
 
 def subspace_sum(a: Matrix, b: Matrix):
@@ -534,35 +473,6 @@ class Quotient:
         """Matrix (in quotient coordinates) of a map given on representatives."""
         cols = [self.coords(w) for w in images]
         return Matrix.from_columns(cols, nrows=self.dim)
-
-
-# ---------------------------------------------------------------------------
-# graded vector spaces
-
-
-@dataclass(frozen=True)
-class GradedVectorSpace:
-    """Per-degree dimensions with ordered basis labels."""
-
-    dims: dict
-    labels: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for d, dim in self.dims.items():
-            if dim < 0:
-                raise InputError("negative dimension")
-            labels = self.labels.get(d)
-            if labels is not None:
-                if len(labels) != dim:
-                    raise InputError("label count differs from dimension")
-                if len(set(labels)) != len(labels):
-                    raise InputError("duplicate labels in one degree")
-
-    def dim(self, d):
-        return self.dims.get(d, 0)
-
-    def dims_list(self, max_degree):
-        return [self.dim(d) for d in range(max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +587,9 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
@@ -776,13 +689,13 @@ class Polynomial:
                        for n, k in zip(self.ring.names, e) if k]
             mono = "*".join(factors)
             if not mono:
-                parts.append(rat_str(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{rat_str(c)}*{mono}")
+                parts.append(f"{c}*{mono}")
         s = parts[0]
         for p in parts[1:]:
             s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -792,11 +705,13 @@ class Polynomial:
 
     def to_json(self):
         return {"vars": list(self.ring.names),
-                "terms": [{"coeff": rat_str(c), "exps": list(e)}
+                "terms": [{"coeff": str(c), "exps": list(e)}
                           for e, c in self.sorted_terms()]}
 
 
 def poly_from_json(data, ring):
+    if not isinstance(data, dict):
+        raise InputError("a polynomial must be a JSON object")
     if tuple(data.get("vars", ())) != ring.names:
         raise InputError("polynomial variables do not match the expected ring")
     out = ring.zero()

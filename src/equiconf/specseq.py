@@ -31,7 +31,6 @@ from .exactalg import (
     col_space,
     eigen_projector,
     rat,
-    rat_str,
     strip_linear_factor,
     subspace_contains,
     subspace_intersection,
@@ -127,7 +126,7 @@ class FilteredComplex:
             if not (nxt * mat).is_zero():
                 raise InputError(f"d o d != 0 at degree {n}")
             levels = self.filtration.get(n)
-            if levels is None:
+            if not levels:
                 raise InputError(f"missing filtration at degree {n}")
             for t in range(len(levels) - 1):
                 if not subspace_leq(levels[t], levels[t + 1]):
@@ -143,6 +142,8 @@ class FilteredComplex:
                             f"differential does not preserve W_{t} at degree {n}")
             if self.phi is not None:
                 aut = self.aut(n)
+                if (aut.nrows, aut.ncols) != (self.dim(n), self.dim(n)):
+                    raise InputError(f"automorphism shape mismatch at degree {n}")
                 if aut.rank() != self.dim(n):
                     raise InputError(f"automorphism not invertible at degree {n}")
                 if not (self.diff(n) * aut == self.aut(n + 1) * self.diff(n)):
@@ -170,12 +171,12 @@ class FilteredComplex:
 
     def to_json(self):
         def mat_json(m):
-            return [[rat_str(x) for x in row] for row in m.rows]
+            return [[str(x) for x in row] for row in m.rows]
 
         data = {"degrees": {str(n): self.dim(n) for n in self.degrees()},
                 "d": {str(n): mat_json(self.diff(n)) for n in self.degrees()
                       if self.dim(n + 1)},
-                "filtration": {str(n): [[ [rat_str(x) for x in col]
+                "filtration": {str(n): [[ [str(x) for x in col]
                                           for col in lvl.columns()]
                                         for lvl in self.filtration[n]]
                                for n in self.degrees()}}
@@ -184,17 +185,25 @@ class FilteredComplex:
         return data
 
 
+def json_map(value, what):
+    """`value` if it is a JSON object, else an InputError naming `what`."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return value
+
+
 def complex_from_json(data, require_filtration=True):
+    data = json_map(data, "a filtered complex")
     try:
-        spaces = {int(k): int(v) for k, v in data["degrees"].items()}
+        spaces = {int(k): int(v) for k, v in json_map(data["degrees"], "degrees").items()}
         d = {}
-        for k, rows in data.get("d", {}).items():
+        for k, rows in json_map(data.get("d", {}), "d").items():
             n = int(k)
             tgt = spaces.get(n + 1, 0)
             d[n] = Matrix([[rat(x) for x in row] for row in rows]) if tgt else \
                 Matrix.zero(0, spaces.get(n, 0))
         filtration = {}
-        for k, levels in data.get("filtration", {}).items():
+        for k, levels in json_map(data.get("filtration", {}), "filtration").items():
             n = int(k)
             filtration[n] = [col_space([[rat(x) for x in col] for col in lvl],
                                        dim=spaces.get(n, 0))
@@ -202,7 +211,7 @@ def complex_from_json(data, require_filtration=True):
         phi = None
         if "phi" in data:
             phi = {int(k): Matrix([[rat(x) for x in row] for row in rows])
-                   for k, rows in data["phi"].items()}
+                   for k, rows in json_map(data["phi"], "phi").items()}
         if not filtration and require_filtration:
             raise InputError("input complex carries no filtration")
         if not filtration:
@@ -396,7 +405,7 @@ class PurityResult:
     def to_json(self):
         data = {"ok": self.ok, "inspected_page": self.inspected_page,
                 "records": [{"bidegree": list(spot),
-                             "weight": None if w is None else rat_str(w),
+                             "weight": None if w is None else str(w),
                              "dim": dim}
                             for spot, w, dim in self.records]}
         if self.violation is not None:
@@ -431,7 +440,7 @@ def purity_check(A: FilteredComplex, spec: WeightSpec, at_page=None):
             if quo.dim and violation is None:
                 violation = (spot, None,
                              f"nonzero space of dimension {quo.dim} at "
-                             f"non-integral weight {rat_str(w)}")
+                             f"non-integral weight {w}")
             continue
         records.append((spot, w, quo.dim))
         if violation is None:
@@ -459,7 +468,7 @@ class FormalityWitness:
 
     def to_json(self):
         def mat_json(m):
-            return [[rat_str(x) for x in row] for row in m.rows]
+            return [[str(x) for x in row] for row in m.rows]
 
         return {"verified": self.verified,
                 "transcript": [{"check": name, "pass": ok}
@@ -494,14 +503,7 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         dim = base.dim(n)
         if dim == 0:
             continue
-        z = col_space([list(v) for v in base.diff(n).kernel_basis()] or [], dim=dim)
-        if n > 0 and base.dim(n - 1):
-            b = col_space([base.diff(n - 1).matvec(c)
-                           for c in Matrix.identity(base.dim(n - 1)).columns()],
-                          dim=dim)
-        else:
-            b = Matrix.zero(dim, 0)
-        quo = Quotient(z, b)
+        z, quo = cohomology_quotient(base, n)
         if quo.dim == 0:
             continue
         w = spec.alpha * n
@@ -526,15 +528,7 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         lhs = base.aut(n) * inc
         rhs = inc * induced[n]
         transcript.append((f"phi-equivariance in degree {n}", lhs == rhs))
-        z = col_space([list(v) for v in base.diff(n).kernel_basis()] or [],
-                      dim=base.dim(n))
-        if n > 0 and base.dim(n - 1):
-            b = col_space([base.diff(n - 1).matvec(c)
-                           for c in Matrix.identity(base.dim(n - 1)).columns()],
-                          dim=base.dim(n))
-        else:
-            b = Matrix.zero(base.dim(n), 0)
-        quo = Quotient(z, b)
+        _, quo = cohomology_quotient(base, n)
         coords = Matrix.from_columns([quo.coords(c) for c in inc.columns()],
                                      nrows=quo.dim)
         transcript.append((f"induced isomorphism in degree {n}",
@@ -543,6 +537,18 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
     if not witness.verified:
         raise WitnessError("witness verification failed; see transcript")
     return witness
+
+
+def cohomology_quotient(A: FilteredComplex, n):
+    """(Z, Z/B) in degree n: the cycles and the cohomology with its coordinates."""
+    dim = A.dim(n)
+    z = col_space([list(v) for v in A.diff(n).kernel_basis()] or [], dim=dim)
+    if n > 0 and A.dim(n - 1):
+        b = col_space([A.diff(n - 1).matvec(c)
+                       for c in Matrix.identity(A.dim(n - 1)).columns()], dim=dim)
+    else:
+        b = Matrix.zero(dim, 0)
+    return z, Quotient(z, b)
 
 
 def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
@@ -597,9 +603,3 @@ def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
         cols.append(vec)
     return Matrix.from_columns(cols, nrows=dim)
 
-
-def hom_vanishing(phi_v: Matrix, phi_w: Matrix):
-    """(dim Hom, dim Ext1) over Q[phi]; zero for pure modules of distinct weight."""
-    from .exactalg import equivariant_hom_dims
-
-    return equivariant_hom_dims(phi_v, phi_w)

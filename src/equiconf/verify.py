@@ -532,8 +532,7 @@ def suite_even_page(seed=0):
         for ell in (2, 3):
             for degree in range(0, 9):
                 for key in equieven.page_basis(group, ell, 2, degree):
-                    elem = equieven.element_from_coordinates(
-                        group, ell, 2, [key], [Q(1)])
+                    elem = equieven.zero(group, ell, 2).from_coordinates([key], [Q(1)])
                     if not equieven.d2n(equieven.d2n(elem)).is_zero():
                         ok = False
     _check(checks, "d o d = 0 on degreewise bases", ok)
@@ -600,7 +599,7 @@ def suite_even_page(seed=0):
     for ell in (2, 3):
         for degree in range(0, 8):
             for key in equieven.page_basis("so", ell, 2, degree):
-                elem = equieven.element_from_coordinates("so", ell, 2, [key], [Q(1)])
+                elem = equieven.zero("so", ell, 2).from_coordinates([key], [Q(1)])
                 if equieven.torus_restriction_even(equieven.d2n(elem)) != \
                         equieven.d2n(equieven.torus_restriction_even(elem)):
                     ok = False

@@ -1,8 +1,10 @@
+import copy
 import json
+import random
 
 import pytest
 
-from equiconf import confring, equiodd, specseq
+from equiconf import confring, equieven, equiodd, specseq
 from equiconf.cli import main, parse_perm, parse_word
 from equiconf.errors import InputError
 
@@ -30,7 +32,7 @@ def test_conf_normal_form_json_round_trip(capsys, tmp_path):
     code, out = run(capsys, "conf", "normal-form", "--points", "3", "--dim", "3",
                     "--word", "1 3, 2 3", "--format", "json")
     assert code == 0
-    elem = confring.element_from_json(json.loads(out))
+    elem = confring.ConfElement.from_json(json.loads(out))
     assert elem == confring.normal_form(3, 3, [(1, 3), (2, 3)])
 
 
@@ -141,18 +143,116 @@ def test_verify_suite_exit_and_determinism(capsys):
 
 
 def test_input_errors_exit_2(capsys, tmp_path):
-    code = main(["conf", "normal-form", "--points", "3", "--dim", "3",
-                 "--word", "1 9"])
-    capsys.readouterr()
-    assert code == 2
+    def exit_code(*argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        return code
+
+    assert exit_code("conf", "normal-form", "--points", "3", "--dim", "3",
+                     "--word", "1 9") == 2
+    assert exit_code("conf", "normal-form", "--points", "3", "--dim", "3",
+                     "--word", "1 x") == 2
     missing = tmp_path / "missing.json"
-    code = main(["ss", "page", "--input", str(missing), "--page", "1"])
-    capsys.readouterr()
-    assert code == 2
-    code = main(["even", "kernel", "--points", "9", "--halfdim", "2",
-                 "--max-degree", "4"])
-    capsys.readouterr()
-    assert code == 2  # capacity error
+    assert exit_code("ss", "page", "--input", str(missing), "--page", "1") == 2
+    # capacity error
+    assert exit_code("even", "kernel", "--points", "9", "--halfdim", "2",
+                     "--max-degree", "4") == 2
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(confring.generator(3, 3, 1, 2).to_json()))
+    assert exit_code("conf", "act", "--perm", "a,1,3", "--input", str(conf)) == 2
+    for kind, elem in (("conf", confring.generator(3, 3, 1, 2)),
+                       ("equi", equiodd.generator(3, 1, 1, 2))):
+        data = elem.to_json()
+        data["terms"][0]["edges"] = [[1]]
+        path = tmp_path / f"{kind}-arity.json"
+        path.write_text(json.dumps(data))
+        assert exit_code(kind, "act", "--perm", "1,2,3", "--input", str(path)) == 2
+    # a 1x1 phi on a 2-dimensional degree is a shape error, not a rank defect
+    cx = tmp_path / "phi-shape.json"
+    cx.write_text(json.dumps({"degrees": {"0": 2}, "filtration": {"0": [[["1", "0"], ["0", "1"]]]},
+                              "phi": {"0": [["2"]]}}))
+    assert exit_code("ss", "page", "--input", str(cx), "--page", "1") == 2
+    with pytest.raises(InputError, match="shape"):
+        specseq.complex_from_json(json.loads(cx.read_text()))
+    # crashes the fuzz test below found: a non-object map, an empty filtration
+    for data in ({"degrees": "x"}, {"degrees": {"0": 1}, "filtration": {"0": []}}):
+        cx.write_text(json.dumps(data))
+        assert exit_code("ss", "decalage", "--input", str(cx)) == 2
+
+
+WRONG_VALUES = (None, True, 1.5, -1, 0, 7, "x", "1/0", "", [], {}, [1], {"a": 1})
+BAD_WORDS = ("1 x", "1", "1 2 3", "0 1", "9 1", "", ",", "a-b", "1 2, x", "1 1")
+BAD_PERMS = ("a,1,3", "1,1,3", "", "0,1,2", "3,2", "1.5,2,3", "-1,2,3", "4,2,1")
+
+
+def corrupt(rng, data):
+    """A copy of JSON data with one node dropped, retyped or resized."""
+    data = copy.deepcopy(data)
+    slots = []
+
+    def walk(node):
+        keys = list(node) if isinstance(node, dict) else \
+            range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            slots.append((node, key))
+            walk(node[key])
+
+    walk(data)
+    node, key = rng.choice(slots)
+    value = node[key]
+    action = rng.randrange(4)
+    if action == 0 and isinstance(node, dict):
+        del node[key]
+    elif action == 1 and isinstance(value, list) and value:
+        node[key] = value[:-1] if rng.random() < 0.5 else value + value[:1]
+    elif action == 2 and isinstance(value, (int, str)) and not isinstance(value, bool):
+        # out-of-range index or non-numeric string, never a larger size
+        node[key] = rng.choice((-1, 0, 7)) if isinstance(value, int) else "abc"
+    else:
+        node[key] = rng.choice(WRONG_VALUES)
+    return data
+
+
+def test_cli_fuzz_exits_0_or_2(capsys, tmp_path):
+    """Seeded corruptions of every input kind exit 0 or 2 and never raise."""
+    rng = random.Random(20260)
+    conf = [confring.normal_form(3, 3, [(1, 3), (2, 3)], "2/3").to_json(),
+            (confring.generator(4, 2, 1, 2) + confring.generator(4, 2, 3, 4)).to_json()]
+    equi = [(equiodd.generator(3, 1, 1, 2) * equiodd.generator(3, 1, 2, 3)).to_json(),
+            equiodd.unit(2, 2).scale_poly(equiodd.q_top(2)).to_json()]
+    cx = [equieven.as_filtered_complex("torus", 3, 1, 2, xi=2).to_json(),
+          equieven.as_filtered_complex("torus", 2, 1, 3).to_json()]
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    cases = []
+    for t in range(25):
+        cases.append(["conf", "normal-form", "--points", "3", "--dim", "3",
+                      "--word", rng.choice(BAD_WORDS), "--coeff", rng.choice(("1", "x", "1/0"))])
+        a = write(f"c{t}.json", corrupt(rng, rng.choice(conf)))
+        cases.append(["conf", "product", "--lhs", a, "--rhs", write(f"cc{t}.json", rng.choice(conf))])
+        cases.append(["conf", "act", "--perm", rng.choice(BAD_PERMS + ("2,1,3",)), "--input", a])
+        e = write(f"e{t}.json", corrupt(rng, rng.choice(equi)))
+        cases.append(["equi", "product", "--lhs", write(f"ee{t}.json", rng.choice(equi)), "--rhs", e])
+        cases.append(["equi", "act", "--perm", rng.choice(BAD_PERMS + ("2,1,3",)), "--input", e])
+        cases.append(["equi", "restrict", "--input", e])
+        cases.append(["render", "--input", e, "--format", rng.choice(("text", "dot", "json"))])
+        x = write(f"x{t}.json", corrupt(rng, rng.choice(cx)))
+        cases.append(["ss", "page", "--input", x, "--page", str(rng.randrange(3))])
+        cases.append(["ss", "decalage", "--input", x])
+    codes = set()
+    for argv in cases:
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 2), argv
+        codes.add(code)
+    assert codes == {0, 2}
+
 
 def test_unknown_flags_exit_2(capsys):
     assert main(["conf", "poincare", "--points", "3", "--dim", "3",
@@ -168,5 +268,5 @@ def test_json_outputs_reparse_structurally(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["dimension"] == 6
     for item in payload["basis"]:
-        elem = equiodd.element_from_json(item)
+        elem = equiodd.EquiElement.from_json(item)
         assert elem.to_json() == item

@@ -198,8 +198,8 @@ def test_label_action_rejects_non_bijections():
 
 def test_json_round_trip():
     a = confring.normal_form(3, 3, [(1, 3), (2, 3)], Q(3, 2))
-    assert confring.element_from_json(a.to_json()) == a
-    assert confring.element_from_json(confring.zero(2, 3).to_json()).is_zero()
+    assert confring.ConfElement.from_json(a.to_json()) == a
+    assert confring.ConfElement.from_json(confring.zero(2, 3).to_json()).is_zero()
 
 
 def test_degenerate_point_counts():

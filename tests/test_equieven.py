@@ -28,7 +28,7 @@ def test_d_squared_zero_on_bases():
         for ell in (2, 3, 4):
             for degree in range(0, 10):
                 for key in ev.page_basis(group, ell, 2, degree):
-                    elem = ev.element_from_coordinates(group, ell, 2, [key], [Q(1)])
+                    elem = ev.zero(group, ell, 2).from_coordinates([key], [Q(1)])
                     assert ev.d2n(ev.d2n(elem)).is_zero()
 
 
@@ -64,11 +64,10 @@ def test_kernel_examples():
     assert [str(b) for b in summary.basis[3]] == ["x12 - x23", "x13 - x23"]
     # same span as the alternative representatives {x12 - x13, x13 - x23}
     keys = confring.basis_keys(3, 4, 3)
-    span = Matrix([confring.coordinates(b, keys) for b in summary.basis[3]])
-    alt = Matrix([confring.coordinates(
-        confring.generator(3, 4, 1, 2) - confring.generator(3, 4, 1, 3), keys),
-        confring.coordinates(
-        confring.generator(3, 4, 1, 3) - confring.generator(3, 4, 2, 3), keys)])
+    span = Matrix([b.coordinates(keys) for b in summary.basis[3]])
+    alt = Matrix([
+        (confring.generator(3, 4, 1, 2) - confring.generator(3, 4, 1, 3)).coordinates(keys),
+        (confring.generator(3, 4, 1, 3) - confring.generator(3, 4, 2, 3)).coordinates(keys)])
     assert span.rref()[0] == alt.rref()[0]
     assert ev.kernel_K(1, 2, 8).dims == {0: 1}
 
@@ -182,7 +181,7 @@ def test_torus_restriction_intertwines_on_bases():
     for ell in (2, 3):
         for degree in range(0, 8):
             for key in ev.page_basis("so", ell, 2, degree):
-                elem = ev.element_from_coordinates("so", ell, 2, [key], [Q(1)])
+                elem = ev.zero("so", ell, 2).from_coordinates([key], [Q(1)])
                 assert ev.torus_restriction_even(ev.d2n(elem)) == \
                     ev.d2n(ev.torus_restriction_even(elem))
 
@@ -263,5 +262,5 @@ def test_page_element_json_round_trip():
     x12 = ev.x_generator("so", 3, 2, 1, 2)
     x13 = ev.x_generator("so", 3, 2, 1, 3)
     elem = (x12 * x13).scale_poly(ev.page_ring("so", 2).gen("p1"))
-    again = ev.page_element_from_json(elem.to_json())
+    again = ev.PageElement.from_json(elem.to_json())
     assert again == elem
