@@ -496,6 +496,14 @@ def main(argv=None):
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ValueError as exc:
+        # exact results can outgrow the interpreter's int/str digit limit,
+        # which stays as it is
+        if "integer string conversion" not in str(exc):
+            raise
+        sys.stderr.write(f"error: a number has more than {sys.get_int_max_str_digits()} "
+                         "digits, the interpreter's limit for integers written as text\n")
+        return 2
     except PurityViolation as exc:
         sys.stderr.write(f"purity violation: {exc}\n")
         return 1

@@ -117,8 +117,9 @@ class EdgeCombination:
     `ring` is None, Polynomials of `ring` otherwise. The coefficient ring
     also selects the print format. Subclasses declare their header fields
     (`FIELDS`, as (name, JSON converter) pairs, also the constructor's
-    leading arguments; every header has `points`), the ambient dimension
-    (an edge has degree ambient - 1), the print letter and the word reducer.
+    leading arguments; every header has `points`, and a polynomial ring has
+    `halfdim` generators), the ambient dimension (an edge has degree
+    ambient - 1), the print letter and the word reducer.
     """
 
     __slots__ = ("terms",)
@@ -290,9 +291,16 @@ class EdgeCombination:
         """Parse `to_json` output; each term's edge word is put in normal form."""
         try:
             elem = cls(*(convert(data[name]) for name, convert in cls.FIELDS), {})
-            ring = elem.ring
+            terms, ring = data["terms"], None
+            if cls.ring is not None and terms:
+                # a coefficient ring has `halfdim` generators: refuse other
+                # variable counts before building it, at a cost linear in
+                # the JSON rather than in the header
+                if any(len(t["coeff"]["vars"]) != elem.halfdim for t in terms):
+                    raise InputError("polynomial variables do not match the expected ring")
+                ring = elem.ring
             words = []
-            for t in data["terms"]:
+            for t in terms:
                 word = []
                 for pair in t["edges"]:
                     if not isinstance(pair, list) or len(pair) != 2:

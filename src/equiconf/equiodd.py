@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 
 from . import confring
@@ -40,8 +40,12 @@ def q_top(n):
     return out
 
 
+@lru_cache(maxsize=None)
 def p_top(n):
-    """p_n = (q_1 ... q_n)^2, the image of the top Pontryagin class."""
+    """p_n = (q_1 ... q_n)^2, the image of the top Pontryagin class.
+
+    Cached: every graph reduction needs it, and callers never mutate it.
+    """
     t = q_top(n)
     return t * t
 

@@ -1,9 +1,11 @@
 """Exact linear and polynomial algebra over Q.
 
-Everything runs on `fractions.Fraction`; no floating point anywhere. Matrices
-are dense and small, which is all the desk-scale computations here need.
+Everything runs on `fractions.Fraction`; no floating point anywhere. A
+`Matrix` keeps dense rows, but its eliminations, products and matrix-vector
+products work on sparse rows and skip the zeros that fill most matrices here.
 Subspaces are canonical reduced column-echelon spans, so equal subspaces have
-equal representations and every output is reproducible across runs.
+equal representations and every output is reproducible across runs. The tests
+check this kernel against `oracles.dense_rref`, a separate dense elimination.
 """
 
 from __future__ import annotations
@@ -32,47 +34,51 @@ def rat(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # matrices
 
+ZERO, ONE = Q(0), Q(1)
+
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable matrix of Fractions; `rows` is a dense tuple of row tuples."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(rat(x) for x in row) for row in rows)
-        self.rows = rows
-        self.nrows = len(rows)
-        if rows:
-            self.ncols = len(rows[0])
-            if any(len(r) != self.ncols for r in rows):
-                raise InputError("ragged matrix")
-        else:
-            self.ncols = 0 if ncols is None else ncols
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise InputError("ragged matrix")
+        self.rows, self.nrows = rows, len(rows)
+        self.ncols = len(rows[0]) if rows else (ncols or 0)
+
+    @classmethod
+    def _of(cls, rows, ncols):  # rows: equal-length tuples of Fractions, unchecked
+        m = object.__new__(cls)
+        m.rows, m.nrows = rows, len(rows)
+        m.ncols = len(rows[0]) if rows else ncols
+        return m
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(tuple((Q(0),) * ncols for _ in range(nrows)), ncols=ncols)
+        return cls._of(((ZERO,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)), ncols=n)
+        return cls._of(tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                             for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
         cols = [tuple(rat(x) for x in c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise InputError("ragged columns")
-        elif nrows is None:
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise InputError("ragged columns")
+        if not cols and nrows is None:
             raise InputError("from_columns with no columns needs nrows")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), ncols=len(cols))
+        return cls._of(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
 
     def column(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        return tuple(row[j] for row in self.rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows \
@@ -87,104 +93,81 @@ class Matrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("shape mismatch in matrix addition")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)), ncols=self.ncols)
+        return Matrix._of(tuple(tuple(a + b if a and b else a or b for a, b in zip(r1, r2))
+                                for r1, r2 in zip(self.rows, other.rows)), self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows), ncols=self.ncols)
+        return Matrix._of(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
 
     def scale(self, c):
         c = rat(c)
-        return Matrix(tuple(tuple(c * a for a in r) for r in self.rows), ncols=self.ncols)
+        return Matrix._of(tuple(tuple(c * a if a else a for a in r) for r in self.rows),
+                          self.ncols)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise InputError("shape mismatch in matrix product")
-            bt = other.transpose().rows
-            return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                                for row in self.rows), ncols=other.ncols)
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if self.ncols != other.nrows:
+            raise InputError("shape mismatch in matrix product")
+        cols = [self.matvec(c) for c in other.columns()]
+        return Matrix._of(tuple(zip(*cols)) if cols else ((),) * self.nrows, other.ncols)
 
     def matvec(self, v):
         if len(v) != self.ncols:
             raise InputError("shape mismatch in matrix-vector product")
-        v = [rat(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        nz = [(j, x) for j, x in enumerate(map(rat, v)) if x]
+        out = []
+        for row in self.rows:
+            terms = [row[j] * x for j, x in nz if row[j]]
+            out.append(sum(terms[1:], terms[0]) if terms else ZERO)
+        return tuple(out)
 
     def transpose(self):
-        return Matrix(tuple(tuple(self.rows[i][j] for i in range(self.nrows))
-                            for j in range(self.ncols)), ncols=self.nrows)
+        return Matrix._of(tuple(self.columns()), self.nrows)
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(any(row) for row in self.rows)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise InputError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Q(0))
+        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Matrix(tuple(tuple(row) for row in m), ncols=nc), tuple(pivots)
+        red, pivots = _reduce(_sparse(self.rows), range(self.ncols))
+        red += [{}] * (self.nrows - len(red))
+        return Matrix._of(_dense(red, self.ncols), self.ncols), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_reduce(_sparse(self.rows), range(self.ncols), full=False)[1])
 
     def kernel_basis(self):
         """Basis of ker(self), echelon-normalized (leading entries 1)."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        vecs = []
-        for f in free:
-            v = [Q(0)] * self.ncols
-            v[f] = Q(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            vecs.append(v)
-        if not vecs:
-            return []
-        # renormalize so each basis vector leads with 1 at a distinct column
-        canon, _ = Matrix(vecs).rref()
-        return [canon.rows[i] for i in range(len(vecs))]
+        return list(_dense(_kernel(_sparse(self.rows), self.ncols), self.ncols))
 
     def solve(self, b):
         """Some x with self*x = b, or None when the system is inconsistent."""
-        if len(b) != self.nrows:
-            raise InputError("shape mismatch in solve")
-        b = [rat(x) for x in b]
-        aug = Matrix(tuple(tuple(self.rows[i]) + (b[i],) for i in range(self.nrows)),
-                     ncols=self.ncols + 1)
-        red, pivots = aug.rref()
+        red, pivots = _reduce(self._augmented(b), range(self.ncols + 1))
         if self.ncols in pivots:
             return None
-        x = [Q(0)] * self.ncols
-        for r, p in enumerate(pivots):
-            x[p] = red.rows[r][self.ncols]
+        x = [ZERO] * self.ncols
+        for r, p in zip(red, pivots):
+            x[p] = r.get(self.ncols, ZERO)
         return tuple(x)
+
+    def _augmented(self, b):
+        """Sparse rows of [self | b]."""
+        if len(b) != self.nrows:
+            raise InputError("shape mismatch in solve")
+        rows = _sparse(self.rows)
+        for r, x in zip(rows, map(rat, b)):
+            if x:
+                r[self.ncols] = x
+        return rows
 
     def charpoly(self):
         """Characteristic polynomial det(tI - self), coefficients low to high."""
@@ -201,6 +184,64 @@ class Matrix:
             coeffs[n - k] = c
             m = m + Matrix.identity(n).scale(c)
         return tuple(coeffs)
+
+
+def _sparse(rows):
+    """Rows as {column: Fraction} dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(rows, ncols):
+    return tuple(tuple(r.get(j, ZERO) for j in range(ncols)) for r in rows)
+
+
+def _reduce(rows, order, full=True):
+    """Echelon form of sparse rows (consumed), pivoting over `order`.
+
+    A pivot is the shortest row holding its column, scaled only if its lead
+    is not 1, and subtracted only from the rows holding that column. `full`
+    also clears it from earlier pivot rows (reduced form; ranks need only
+    the pivots). Returns the pivot rows and their columns, in pivot order.
+    """
+    done, pivots = [], []
+    for c in order:
+        if not rows:
+            break
+        p = min((r for r in rows if c in r), key=len, default=None)
+        if p is None:
+            continue
+        rows = [r for r in rows if r and r is not p]
+        lead = p.pop(c)
+        if lead != 1:
+            p = {j: x / lead for j, x in p.items()}
+        for r in rows + done if full else rows:
+            if c in r:
+                f = -r.pop(c)
+                for j, x in p.items():
+                    r[j] = y = r[j] + f * x if j in r else f * x
+                    if not y:
+                        del r[j]
+        p[c] = ONE
+        done.append(p)
+        pivots.append(c)
+    return done, pivots
+
+
+def _kernel(rows, ncols):
+    """Reduced echelon basis of the kernel of sparse rows, as sparse vectors:
+    pivoting right to left leaves each free column f the kernel vector
+    e_f - sum_p red_p[f] e_p, whose other entries lie right of f."""
+    red, pivots = _reduce(rows, range(ncols - 1, -1, -1))
+    pivset = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f not in pivset:
+            v = {f: ONE}
+            for r, p in zip(red, pivots):
+                if f in r:
+                    v[p] = -r[f]
+            out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +410,7 @@ def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
             for c in range(nv):
                 row[a * nv + c] -= phi_v.rows[c][b]
             rows.append(row)
-    syl = Matrix(rows, ncols=nw * nv)
-    r = syl.rank()
+    r = Matrix._of(tuple(map(tuple, rows)), nw * nv).rank()
     return nw * nv - r, nw * nv - r
 
 
@@ -378,25 +418,23 @@ def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
 # subspaces as canonical column spans
 
 
+def _columns_of(vecs, dim):
+    """The matrix whose columns are the sparse vectors `vecs` of Q^dim."""
+    return Matrix._of(tuple(tuple(v.get(i, ZERO) for v in vecs) for i in range(dim)), len(vecs))
+
+
 def col_space(columns, dim=None):
     """Canonical basis matrix (reduced column echelon) of a column span."""
     if isinstance(columns, Matrix):
-        mat = columns
-        dim = mat.nrows
-        cols = mat.columns()
-    else:
-        cols = [tuple(rat(x) for x in c) for c in columns]
-        if cols:
-            dim = len(cols[0])
-        elif dim is None:
-            raise InputError("empty span needs an ambient dimension")
-    if not cols:
-        return Matrix.zero(dim, 0)
-    red, pivots = Matrix(cols).rref()
-    if not pivots:
-        return Matrix.zero(dim, 0)
-    basis_rows = [red.rows[i] for i in range(len(pivots))]
-    return Matrix(basis_rows).transpose()
+        dim, columns = columns.nrows, columns.columns()
+    cols = [tuple(rat(x) for x in c) for c in columns]
+    if cols:
+        dim = len(cols[0])
+        if any(len(c) != dim for c in cols):
+            raise InputError("ragged matrix")
+    elif dim is None:
+        raise InputError("empty span needs an ambient dimension")
+    return _columns_of(_reduce(_sparse(cols), range(dim))[0], dim)
 
 
 def subspace_sum(a: Matrix, b: Matrix):
@@ -410,32 +448,31 @@ def subspace_intersection(a: Matrix, b: Matrix):
         raise InputError("ambient dimension mismatch")
     if a.ncols == 0 or b.ncols == 0:
         return Matrix.zero(a.nrows, 0)
-    # kernel of [A | -B] gives pairs (x, y) with Ax = By
-    stacked = Matrix(tuple(tuple(a.rows[i]) + tuple(-x for x in b.rows[i])
-                           for i in range(a.nrows)), ncols=a.ncols + b.ncols)
-    vecs = stacked.kernel_basis()
-    cols = [a.matvec(v[:a.ncols]) for v in vecs]
-    return col_space(cols, dim=a.nrows)
+    # Zassenhaus: reduce the rows (x | x) for x in A and (y | 0) for y in B;
+    # the reduced rows whose left half vanishes are (0 | basis of A cap B)
+    dim = a.nrows
+    rows = [r | {dim + i: x for i, x in r.items()} for r in _sparse(a.columns())]
+    red, pivots = _reduce(rows + _sparse(b.columns()), range(2 * dim))
+    return _columns_of([{i - dim: x for i, x in r.items()}
+                        for r, p in zip(red, pivots) if p >= dim], dim)
 
 
 def subspace_preimage(d: Matrix, s: Matrix):
     """Canonical basis of {x : d*x in span(s)} inside the source of d."""
     if d.nrows != s.nrows:
         raise InputError("ambient dimension mismatch")
-    if s.ncols == 0:
-        return col_space(
-            [list(v) for v in d.kernel_basis()] or [], dim=d.ncols)
-    stacked = Matrix(tuple(tuple(d.rows[i]) + tuple(-x for x in s.rows[i])
-                           for i in range(d.nrows)), ncols=d.ncols + s.ncols)
-    vecs = stacked.kernel_basis()
-    cols = [v[:d.ncols] for v in vecs]
-    return col_space(cols, dim=d.ncols)
+    # pairs (x, y) with d x = s y; the reduced kernel vectors that lead
+    # inside x restrict to the reduced basis of the preimage
+    n = d.ncols
+    rows = [r | {n + k: -y for k, y in t.items()}
+            for r, t in zip(_sparse(d.rows), _sparse(s.rows))]
+    return _columns_of([v for v in _kernel(rows, n + s.ncols) if min(v) < n], n)
 
 
 def subspace_contains(s: Matrix, v):
     if s.ncols == 0:
         return all(rat(x) == 0 for x in v)
-    return s.solve(v) is not None
+    return s.ncols not in _reduce(s._augmented(v), range(s.ncols + 1), full=False)[1]
 
 
 def subspace_leq(a: Matrix, b: Matrix):
@@ -452,15 +489,15 @@ class Quotient:
             raise InputError("ambient dimension mismatch")
         self.ambient = z.nrows
         self.sub = d
-        reps = []
-        current = d
-        for c in z.columns():
-            if not subspace_contains(current, c):
-                reps.append(c)
-                current = col_space(list(current.columns()) + [c], dim=z.nrows)
-        self.reps = Matrix.from_columns(reps, nrows=z.nrows)
-        self.dim = len(reps)
-        self._solver = Matrix.from_columns(list(d.columns()) + reps, nrows=z.nrows)
+        # a column of z is a representative when it is outside the span of d
+        # and the columns before it: a pivot column of [d | z]
+        pivots = _reduce(_sparse(r + t for r, t in zip(d.rows, z.rows)),
+                         range(d.ncols + z.ncols), full=False)[1]
+        picked = [p - d.ncols for p in pivots if p >= d.ncols]
+        self.dim = len(picked)
+        self.reps = Matrix._of(tuple(tuple(r[t] for t in picked) for r in z.rows), self.dim)
+        self._solver = Matrix._of(tuple(r + t for r, t in zip(d.rows, self.reps.rows)),
+                                  d.ncols + self.dim)
 
     def coords(self, v):
         """Coordinates of the class of v in the representative basis."""

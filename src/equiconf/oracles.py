@@ -4,6 +4,11 @@ These reductions never touch the rewrite engines; they realize each ring as
 (free graded-commutative algebra) / (span of relation multiples) degree by
 degree and solve linear systems. The verify suites and the test suite use
 them to cross-check the normal forms and all dimension counts.
+
+The linear systems go through `dense_rref`, plain Gauss-Jordan elimination
+on dense Fraction rows. It shares no code with the sparse kernel behind
+`exactalg.Matrix`, so it is also the reference the tests check that kernel
+against.
 """
 
 from __future__ import annotations
@@ -12,8 +17,44 @@ from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError
-from .exactalg import Matrix, PolyRing
+from .exactalg import PolyRing
 from . import confring
+
+
+def dense_rref(rows, ncols):
+    """Reduced row echelon form of dense Fraction rows: (rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    nr, nc = len(m), ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return [tuple(row) for row in m], tuple(pivots)
+
+
+def dense_solve(cols, b):
+    """Some x with sum_t x[t] * cols[t] = b (free unknowns 0), or None."""
+    red, pivots = dense_rref([tuple(c[i] for c in cols) + (b[i],)
+                              for i in range(len(b))], len(cols) + 1)
+    if len(cols) in pivots:
+        return None
+    x = [Q(0)] * len(cols)
+    for r, p in enumerate(pivots):
+        x[p] = red[r][len(cols)]
+    return tuple(x)
 
 
 def all_edges(k):
@@ -92,8 +133,7 @@ def quotient_dimension(k, n, degree):
     cols = relation_span_columns(k, n, m, index)
     if not cols:
         return len(fb)
-    rank = Matrix.from_columns(cols, nrows=len(fb)).rank()
-    return len(fb) - rank
+    return len(fb) - len(dense_rref(cols, len(fb))[1])
 
 
 def reduce_word(k, n, word):
@@ -122,8 +162,7 @@ def reduce_word(k, n, word):
         col[index[keys]] = Q(1)
         adm_cols.append(col)
     rel_cols = relation_span_columns(k, n, m, index)
-    system = Matrix.from_columns(adm_cols + rel_cols, nrows=len(fb))
-    sol = system.solve(target)
+    sol = dense_solve(adm_cols + rel_cols, target)
     if sol is None:
         raise InputError("ideal-span oracle: inconsistent system")
     return {keys: sol[t] for t, keys in enumerate(admissible) if sol[t] != 0}
@@ -209,8 +248,7 @@ def graph_quotient_dimension(ell, n, degree):
     cols = graph_relation_span(ell, n, degree, index)
     if not cols:
         return len(fb)
-    rank = Matrix.from_columns(cols, nrows=len(fb)).rank()
-    return len(fb) - rank
+    return len(fb) - len(dense_rref(cols, len(fb))[1])
 
 
 def graph_reduce(ell, n, factors, admissible):
@@ -240,8 +278,7 @@ def graph_reduce(ell, n, factors, admissible):
         col[index[(tuple(yv), tuple(qexps))]] = Q(1)
         adm_cols.append(col)
     rel_cols = graph_relation_span(ell, n, degree, index)
-    system = Matrix.from_columns(adm_cols + rel_cols, nrows=len(fb))
-    sol = system.solve(target)
+    sol = dense_solve(adm_cols + rel_cols, target)
     if sol is None:
         raise InputError("graph ideal-span oracle: inconsistent system")
     return {pair: sol[t] for t, pair in enumerate(admissible) if sol[t] != 0}

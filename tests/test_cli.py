@@ -154,6 +154,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
                      "--word", "1 9") == 2
     assert exit_code("conf", "normal-form", "--points", "3", "--dim", "3",
                      "--word", "1 x") == 2
+    # a coefficient past the interpreter's 4300-digit limit for printing
+    huge = ("conf", "normal-form", "--points", "3", "--dim", "3", "--word", "1 2",
+            "--coeff", "1e5000")
+    assert exit_code(*huge) == 2
+    main(list(huge))
+    assert "4300 digits" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
     assert exit_code("ss", "page", "--input", str(missing), "--page", "1") == 2
     # capacity error

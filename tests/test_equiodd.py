@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -329,3 +330,17 @@ def test_input_errors():
         equiodd.generator(2, 1, 1, 2) * equiodd.generator(2, 2, 1, 2)
     with pytest.raises(InputError):
         confring.label_action((1, 1), equiodd.generator(2, 1, 1, 2))
+
+
+def test_from_json_refuses_a_huge_halfdim_before_building_its_ring(monkeypatch):
+    data = equiodd.generator(3, 1, 1, 2).to_json()
+    data["halfdim"] = 10 ** 9
+
+    def refuse(n):
+        raise AssertionError(f"a ring with {n} generators was built")
+
+    monkeypatch.setattr(equiodd, "qring", refuse)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="variables"):
+        equiodd.EquiElement.from_json(data)
+    assert time.perf_counter() - start < 0.5

@@ -23,6 +23,7 @@ from equiconf.exactalg import (
     upoly_monic,
     upoly_str,
 )
+from equiconf.oracles import dense_rref, dense_solve
 
 
 def rand_matrix(rng, nrows, ncols, span=4):
@@ -78,6 +79,156 @@ def test_solve_found_solutions_are_exact():
         sol = m.solve(b)
         assert sol is not None
         assert m.matvec(sol) == b
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against the dense elimination of `oracles`
+
+
+def battery(seed, count=80):
+    """Seeded matrices: 0/+-1 entries at 3-40 % fill, dense non-unit
+    rationals, duplicated and zero rows, and the empty and zero shapes."""
+    rng = random.Random(seed)
+    out = [Matrix.zero(0, 3), Matrix.zero(3, 0), Matrix.zero(0, 0),
+           Matrix.zero(3, 4), Matrix([[0, 0], [0, 0], [0, 0]])]
+    for t in range(count):
+        if t % 2:
+            nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+            fill = rng.choice((0.03, 0.1, 0.25, 0.4))
+            rows = [[Q(rng.choice((-1, 1))) if rng.random() < fill else Q(0)
+                     for _ in range(nc)] for _ in range(nr)]
+        else:
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(nc)]
+                    for _ in range(nr)]
+        if rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [Q(0)] * nc)
+        out.append(Matrix(rows))
+    return out
+
+
+def dense_matvec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in m.rows)
+
+
+def dense_kernel(m):
+    """The kernel by dense elimination, renormalized by a second one."""
+    red, pivots = dense_rref(m.rows, m.ncols)
+    vecs = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [Q(0)] * m.ncols
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        vecs.append(v)
+    return dense_rref(vecs, m.ncols)[0]
+
+
+def dense_span(cols, dim):
+    """Columns of the reduced column-echelon basis of a span."""
+    red, pivots = dense_rref(cols, dim)
+    return red[:len(pivots)]
+
+
+def dense_intersection(a, b):
+    stacked = Matrix([ra + tuple(-x for x in rb) for ra, rb in zip(a.rows, b.rows)],
+                     ncols=a.ncols + b.ncols)
+    return dense_span([dense_matvec(a, v[:a.ncols]) for v in dense_kernel(stacked)],
+                      a.nrows)
+
+
+def dense_preimage(d, s):
+    stacked = Matrix([rd + tuple(-x for x in rs) for rd, rs in zip(d.rows, s.rows)],
+                     ncols=d.ncols + s.ncols)
+    return dense_span([v[:d.ncols] for v in dense_kernel(stacked)], d.ncols)
+
+
+def only_fractions(*values):
+    """Every number in nested tuples, lists and matrices is a Fraction."""
+    for v in values:
+        if isinstance(v, Matrix):
+            v = v.rows
+        if isinstance(v, (tuple, list)):
+            if not only_fractions(*v):
+                return False
+        elif type(v) is not Q:
+            return False
+    return True
+
+
+def test_kernel_matches_dense_oracle():
+    rng = random.Random(21)
+    for m in battery(21):
+        red, pivots = m.rref()
+        ref, ref_pivots = dense_rref(m.rows, m.ncols)
+        assert (red.rows, red.nrows, red.ncols) == (tuple(ref), m.nrows, m.ncols)
+        assert pivots == ref_pivots
+        assert m.rank() == len(pivots)
+        kernel = m.kernel_basis()
+        assert kernel == dense_kernel(m)
+        assert m.rank() + len(kernel) == m.ncols
+        assert all(m.matvec(v) == (Q(0),) * m.nrows for v in kernel)
+        x = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
+        for b in (m.matvec(x), [Q(rng.randint(-2, 2)) for _ in range(m.nrows)]):
+            sol = m.solve(b)
+            assert sol == dense_solve(m.columns(), b)
+            assert sol is None or m.matvec(sol) == tuple(b)
+        assert m.matvec(x) == dense_matvec(m, x)
+        assert only_fractions(red, kernel, m.solve(m.matvec(x)), m.matvec(x),
+                              m * m.transpose(), m.transpose() * m)
+
+
+def test_subspaces_match_dense_oracle():
+    rng = random.Random(22)
+    mats = battery(22)
+    for m in mats:
+        dim = m.nrows
+        a = col_space(m)
+        assert a.columns() == dense_span(m.columns(), dim)
+        others = [o for o in mats if o.nrows == dim]
+        for o in rng.sample(others, min(2, len(others))):
+            b = col_space(o)
+            for x, y in ((a, b), (m, o)):  # canonical and raw spanning sets
+                cap = subspace_intersection(x, y)
+                total = subspace_sum(x, y)
+                assert cap.nrows == total.nrows == dim
+                assert cap.columns() == dense_intersection(x, y)
+                assert total.columns() == dense_span(x.columns() + y.columns(), dim)
+                assert total.ncols + cap.ncols == a.ncols + b.ncols
+                assert subspace_leq(cap, a) and subspace_leq(cap, b)
+                assert only_fractions(cap, total)
+            for s in (b, o, Matrix.zero(dim, 0)):
+                for d in (m, o):
+                    pre = subspace_preimage(d, s)
+                    assert pre.nrows == d.ncols
+                    assert pre.columns() == dense_preimage(d, s)
+                    assert all(subspace_contains(s, d.matvec(c)) for c in pre.columns())
+                    assert only_fractions(pre)
+
+
+def test_quotient_coordinates_match_dense_oracle():
+    rng = random.Random(23)
+    mats = battery(23)
+    for m in mats:
+        z = col_space(m)
+        others = [o for o in mats if o.nrows == m.nrows]
+        d = subspace_intersection(z, col_space(rng.choice(others)))
+        for total in (z, m):  # canonical, and raw with dependent columns
+            q = Quotient(total, d)
+            span, reps = list(d.columns()), []
+            for c in total.columns():
+                if dense_solve(span, c) is None:
+                    reps.append(c)
+                    span.append(c)
+            assert q.reps.columns() == reps and q.dim == len(reps)
+            for _ in range(3):
+                coeffs = [Q(rng.randint(-3, 3)) for _ in range(total.ncols)]
+                v = dense_matvec(total, coeffs)
+                ref = dense_solve(list(d.columns()) + reps, v)
+                assert q.coords(v) == ref[d.ncols:]
+                assert only_fractions(q.reps, q.coords(v))
 
 
 def test_charpoly_diagonal():
