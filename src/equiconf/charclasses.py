@@ -7,6 +7,13 @@ variables. Two conventions for the special-orthogonal subgroups are exposed:
 "paper" (an extra sign(sigma) factor in the constraint). Both are index-2
 subgroups; "standard" is the default and is the one under which the torus
 invariants reproduce the classical rings of Pontryagin/Euler classes.
+
+A Weyl element sends a monomial basis key to a signed key, so every
+Weyl-fixed basis (`invariant_basis`, `equiodd.fixed_point_basis`,
+`equieven.weyl_fixed_page_basis`) is read off as signed orbit sums by
+`fixed_rows`, without polynomial arithmetic or elimination. The slow route
+that averages each basis element over the group is
+`oracles.averaged_fixed_basis`, the tests' reference.
 """
 
 from __future__ import annotations
@@ -17,10 +24,13 @@ from functools import lru_cache
 from itertools import permutations, product as iter_product
 
 from .errors import CapacityError, InputError
-from .exactalg import Matrix, PolyRing, Polynomial, elementary_symmetric
+from .exactalg import PolyRing, Polynomial, elementary_symmetric
 
 FAMILIES = ("torus", "so_odd", "o_odd", "so_even", "o_even", "u")
 RANK_BOUND = 5
+# the most points an element, an element JSON or a CLI --points may name: a
+# DOT rendering writes one line per point
+POINT_BOUND = 64
 CONVENTIONS = ("standard", "paper")
 
 
@@ -181,39 +191,43 @@ def weyl_action(w: WeylElement, f: Polynomial):
     return Polynomial(ring, out)
 
 
-def reynolds(spec: GroupSpec, f: Polynomial, convention="standard"):
-    """Group average of f over the Weyl group (exact)."""
-    group = weyl_group(spec, convention)
-    total = f.ring.zero()
-    for w in group:
-        total = total + weyl_action(w, f)
-    return total.scale(Q(1, len(group)))
+def fixed_rows(group, keys, odd_sign=None):
+    """Reduced echelon basis of the group-fixed span of monomial keys.
+
+    A key is (edge word, exponent tuple). An element w sends it to the same
+    word with the exponents permuted by sigma and the sign prod eps_i^e_i,
+    times odd_sign(w) on an odd-length word. The group average of a key is
+    therefore its signed orbit sum, or zero when two elements send it to one
+    image with opposite signs. Orbits have disjoint supports, so the nonzero
+    sums, scaled to lead 1 at their first key, are already the reduced
+    echelon basis. Returns one {key: Fraction(+-1)} row per nonzero orbit sum,
+    ordered by first key.
+    """
+    acts = [(sorted(range(len(w.sigma)), key=w.sigma.__getitem__),
+             [i for i, e in enumerate(w.eps) if e == -1],
+             1 if odd_sign is None else odd_sign(w)) for w in group]
+    seen, rows = set(), []
+    for key in keys:
+        if key in seen:
+            continue
+        edges, exps = key
+        orbit, vanishes = {}, False
+        for inverse, flips, odd_factor in acts:
+            sign = (odd_factor if len(edges) % 2 else 1) * (-1) ** sum(exps[i] for i in flips)
+            image = (edges, tuple(exps[i] for i in inverse))
+            vanishes |= orbit.setdefault(image, sign) != sign
+        seen.update(orbit)
+        if not vanishes:
+            rows.append({k: Q(s) for k, s in orbit.items()})
+    return rows
 
 
 def invariant_basis(spec: GroupSpec, degree, convention="standard"):
     """Echelonized basis of the degree-d Weyl invariants of Q[q_1..q_n]."""
     ring = torus_ring(spec.rank)
-    exps = ring.exponents_of_degree(degree)
-    if not exps:
-        return []
-    index = {e: t for t, e in enumerate(exps)}
-    rows = []
-    for e in exps:
-        avg = reynolds(spec, ring.monomial(e), convention)
-        if avg.is_zero():
-            continue
-        row = [Q(0)] * len(exps)
-        for ee, c in avg.terms.items():
-            row[index[ee]] = c
-        rows.append(row)
-    if not rows:
-        return []
-    red, pivots = Matrix(rows).rref()
-    out = []
-    for r in range(len(pivots)):
-        terms = {exps[j]: red.rows[r][j] for j in range(len(exps)) if red.rows[r][j] != 0}
-        out.append(Polynomial(ring, terms))
-    return out
+    keys = [((), e) for e in ring.exponents_of_degree(degree)]
+    return [Polynomial(ring, {exps: c for (_, exps), c in row.items()})
+            for row in fixed_rows(weyl_group(spec, convention), keys)]
 
 
 def invariant_dimension(spec: GroupSpec, degree, convention="standard"):

@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction as Q
+from functools import lru_cache
 
 from . import confring, equieven, equiodd, specseq, verify
-from .charclasses import GroupSpec
-from .errors import InputError, PurityViolation, WitnessError
+from .charclasses import POINT_BOUND, GroupSpec
+from .errors import CapacityError, InputError, PurityViolation, WitnessError
 from .exactalg import rat
 
 
@@ -335,7 +335,9 @@ def add_common(p, output=True):
         p.add_argument("--output", metavar="FILE")
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser; built once per process, since parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="equiconf",
         description="Exact equivariant cohomology of configuration spaces "
@@ -492,6 +494,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "points", 0) > POINT_BOUND:
+            raise CapacityError(f"{args.points} points exceed the bound {POINT_BOUND}")
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,7 +19,8 @@ from functools import partial
 from operator import attrgetter
 from itertools import combinations, product as iter_product
 
-from .errors import InputError
+from .charclasses import POINT_BOUND
+from .errors import CapacityError, InputError
 from .exactalg import PolyRing, Polynomial, poly_from_json, rat
 
 Edge = tuple  # (i, j) with i < j
@@ -130,6 +131,8 @@ class EdgeCombination:
     def __init__(self, terms):
         if self.points < 0:
             raise InputError("negative point count")
+        if self.points > POINT_BOUND:
+            raise CapacityError(f"{self.points} points exceed the bound {POINT_BOUND}")
         self.terms = {e: c for e, c in terms.items() if c}
 
     def __init_subclass__(cls):
@@ -339,7 +342,8 @@ class EdgeCombination:
             return self._new(dict(zip(keys, vec)))
         coeffs = {}
         for (edges, exps), c in zip(keys, vec):
-            coeffs.setdefault(edges, {})[exps] = c
+            if c:
+                coeffs.setdefault(edges, {})[exps] = c
         return self._new({e: Polynomial(ring, m) for e, m in coeffs.items()})
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from . import confring
-from .charclasses import GroupSpec, char_ring, torus_ring, weyl_action, weyl_group
+from .charclasses import GroupSpec, WeylElement, char_ring, fixed_rows, torus_ring, weyl_group
 from .errors import CapacityError, InputError
 from .exactalg import Matrix, PolyRing, rat
 
@@ -410,43 +410,14 @@ def torus_restriction_even(a: PageElement):
                        {e: c.substitute(ring, images) for e, c in a.terms.items()})
 
 
-def weyl_page_action(w, a: PageElement):
-    """Weyl action on the torus page: coefficients twist, x picks up det."""
-    if a.group != "torus":
-        raise InputError("the Weyl action is computed on the torus page")
-    sign = w.eps_product()
-    out = {}
-    for edges, c in a.terms.items():
-        poly = weyl_action(w, c)
-        if sign == -1 and len(edges) % 2 == 1:
-            poly = -poly
-        out[edges] = poly
-    return PageElement("torus", a.points, a.halfdim, out)
-
-
 def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
-    """Echelonized basis of the W(G(2n))-fixed torus page in one degree."""
+    """Echelonized basis of the W(G(2n))-fixed torus page in one degree; W
+    twists the coefficients and scales each x by det = prod eps."""
     if family not in ("so_even", "o_even"):
         raise InputError("fixed pages are computed for so_even or o_even")
     group = weyl_group(GroupSpec(family, n), convention)
-    basis = page_basis("torus", ell, n, degree)
-    if not basis:
-        return []
-    rows = []
-    for key in basis:
-        elem = zero("torus", ell, n).from_coordinates([key], [Q(1)])
-        total = elem.scale(0)
-        for w in group:
-            total = total + weyl_page_action(w, elem)
-        total = total.scale(Q(1, len(group)))
-        if total.is_zero():
-            continue
-        rows.append(total.coordinates(basis))
-    if not rows:
-        return []
-    red, pivots = Matrix(rows).rref()
-    return [zero("torus", ell, n).from_coordinates(basis, red.rows[r])
-            for r in range(len(pivots))]
+    rows = fixed_rows(group, page_basis("torus", ell, n, degree), WeylElement.eps_product)
+    return [zero("torus", ell, n).from_coordinates(row, row.values()) for row in rows]
 
 
 def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"):

@@ -22,9 +22,8 @@ from functools import lru_cache, partial
 from math import comb
 
 from . import confring
-from .charclasses import GroupSpec, WeylElement, torus_ring, weyl_action, weyl_group
+from .charclasses import GroupSpec, WeylElement, fixed_rows, torus_ring, weyl_action, weyl_group
 from .errors import InputError
-from .exactalg import Matrix
 
 
 def qring(n):
@@ -223,27 +222,10 @@ def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
     """Echelonized basis of the Weyl-fixed subspace in one degree."""
     if spec.family not in ("so_odd", "o_odd"):
         raise InputError("fixed points are computed for so_odd or o_odd only")
-    n = spec.rank
-    basis = torus_basis(ell, n, degree)
-    if not basis:
-        return []
-    group = weyl_group(spec, convention)
-    keys = [(mono.edges, mono.q_exps) for mono in basis]
-    rows = []
-    for mono in basis:
-        elem = mono.as_element()
-        total = zero(ell, n)
-        for w in group:
-            total = total + weyl_action_equi(w, elem)
-        total = total.scale(Q(1, len(group)))
-        if total.is_zero():
-            continue
-        rows.append(total.coordinates(keys))
-    if not rows:
-        return []
-    red, pivots = Matrix(rows).rref()
-    return [zero(ell, n).from_coordinates(keys, red.rows[r])
-            for r in range(len(pivots))]
+    keys = [(mono.edges, mono.q_exps) for mono in torus_basis(ell, spec.rank, degree)]
+    rows = fixed_rows(weyl_group(spec, convention), keys,
+                      lambda w: w.eta * w.eps_product())
+    return [zero(ell, spec.rank).from_coordinates(row, row.values()) for row in rows]
 
 
 def fixed_point_dimension(spec: GroupSpec, ell, degree, convention="standard"):

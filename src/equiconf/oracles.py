@@ -5,6 +5,9 @@ These reductions never touch the rewrite engines; they realize each ring as
 degree and solve linear systems. The verify suites and the test suite use
 them to cross-check the normal forms and all dimension counts.
 
+The Weyl-fixed bases are also rebuilt here the slow way, by averaging each
+basis element over the group through the polynomial ring maps.
+
 The linear systems go through `dense_rref`, plain Gauss-Jordan elimination
 on dense Fraction rows. It shares no code with the sparse kernel behind
 `exactalg.Matrix`, so it is also the reference the tests check that kernel
@@ -16,9 +19,10 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement
 
+from .charclasses import weyl_action
 from .errors import InputError
 from .exactalg import PolyRing
-from . import confring
+from . import confring, equieven
 
 
 def dense_rref(rows, ncols):
@@ -282,3 +286,34 @@ def graph_reduce(ell, n, factors, admissible):
     if sol is None:
         raise InputError("graph ideal-span oracle: inconsistent system")
     return {pair: sol[t] for t, pair in enumerate(admissible) if sol[t] != 0}
+
+
+# ---------------------------------------------------------------------------
+# Weyl-fixed bases by group averaging
+
+
+def weyl_page_action(w, a):
+    """Weyl action on the torus page: coefficients twist, x picks up det."""
+    sign = w.eps_product()
+    return equieven.PageElement("torus", a.points, a.halfdim, {
+        edges: weyl_action(w, c).scale(sign if len(edges) % 2 else 1)
+        for edges, c in a.terms.items()})
+
+
+def averaged_fixed_basis(group, basis, act):
+    """Reduced echelon basis of the span of the group averages of `basis`.
+
+    `basis` lists the monomials of one degree, as elements with polynomial
+    coefficients, and `act(w, x)` is the ring map of w.
+    """
+    keys = [(edges, exps) for x in basis for edges, c in x.terms.items() for exps in c.terms]
+    rows = []
+    for x in basis:
+        total = x.scale(0)
+        for w in group:
+            total = total + act(w, x)
+        row = total.scale(Q(1, len(group))).coordinates(keys)
+        if any(row):
+            rows.append(row)
+    red, pivots = dense_rref(rows, len(keys))
+    return [basis[0].from_coordinates(keys, row) for row in red[:len(pivots)]]

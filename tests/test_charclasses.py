@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from equiconf import charclasses as cc
+from equiconf import charclasses as cc, equieven, equiodd, oracles
 from equiconf.errors import CapacityError, InputError
 
 
@@ -171,3 +171,55 @@ def test_json_round_trips():
     w = cc.WeylElement((2, 1), (1, -1), 1)
     data = w.to_json()
     assert data == {"sigma": [2, 1], "eps": [1, -1], "eta": 1}
+
+
+def _check_fixed_basis(group, basis, act, got):
+    """`got` equals the averaging oracle, is fixed, and has the mean-trace dimension."""
+    assert got == oracles.averaged_fixed_basis(group, basis, act)
+    for b in got:
+        assert all(act(w, b) == b for w in group)
+    # the trace of w on a monomial basis sums its diagonal coefficients
+    trace = 0
+    for x in basis:
+        ((edges, c),) = x.terms.items()
+        (exps,) = c.terms
+        for w in group:
+            image = act(w, x).terms.get(edges)
+            trace += image.coefficient(exps) if image else 0
+    assert Q(trace, len(group)) == len(got)
+
+
+def test_fixed_bases_match_the_averaging_oracle():
+    # invariants of Q[q] are checked as coefficients of the empty graph
+    for family in cc.FAMILIES:
+        for rank in (1, 2, 3):
+            spec = cc.GroupSpec(family, rank)
+            ring = cc.torus_ring(rank)
+            for convention in cc.CONVENTIONS:
+                group = cc.weyl_group(spec, convention)
+                for degree in range(11):
+                    basis = [equiodd.EquiElement(0, rank, {(): ring.monomial(e)})
+                             for e in ring.exponents_of_degree(degree)]
+                    got = [equiodd.EquiElement(0, rank, {(): f})
+                           for f in cc.invariant_basis(spec, degree, convention)]
+                    _check_fixed_basis(group, basis, equiodd.weyl_action_equi, got)
+                    if family not in ("so_odd", "o_odd", "so_even", "o_even"):
+                        continue
+                    for ell in (2, 3, 4):
+                        if family.endswith("odd"):
+                            basis = [m.as_element()
+                                     for m in equiodd.torus_basis(ell, rank, degree)]
+                            got = equiodd.fixed_point_basis(spec, ell, degree, convention)
+                            act = equiodd.weyl_action_equi
+                        else:
+                            unit = equieven.zero("torus", ell, rank)
+                            basis = [unit.from_coordinates([key], [Q(1)]) for key
+                                     in equieven.page_basis("torus", ell, rank, degree)]
+                            got = equieven.weyl_fixed_page_basis(family, ell, rank, degree,
+                                                                 convention)
+                            act = oracles.weyl_page_action
+                        _check_fixed_basis(group, basis, act, got)
+
+    # a degree the sign check empties: x12 is SO(4)-fixed, but O(4) holds det = -1
+    assert equieven.weyl_fixed_page_basis("so_even", 2, 2, 3) != []
+    assert equieven.weyl_fixed_page_basis("o_even", 2, 2, 3) == []

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from equiconf import confring, equieven, equiodd, specseq
+from equiconf.charclasses import POINT_BOUND
 from equiconf.cli import main, parse_perm, parse_word
 from equiconf.errors import InputError
 
@@ -175,6 +176,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
         path = tmp_path / f"{kind}-arity.json"
         path.write_text(json.dumps(data))
         assert exit_code(kind, "act", "--perm", "1,2,3", "--input", str(path)) == 2
+    # point counts past POINT_BOUND: a DOT rendering writes one line per point
+    big = equiodd.generator(3, 1, 1, 2).to_json()
+    big["points"] = 1000000
+    path = tmp_path / "many-points.json"
+    path.write_text(json.dumps(big))
+    for argv in (("render", "--input", str(path)),
+                 ("equi", "normal-form", "--points", str(POINT_BOUND + 1), "--halfdim", "1",
+                  "--word", "1 2")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        assert f"bound {POINT_BOUND}" in capsys.readouterr().err
+    # and what the CLI writes at the bound reads back
+    assert exit_code("equi", "normal-form", "--points", str(POINT_BOUND), "--halfdim", "1",
+                     "--word", "1 2", "--format", "json", "--output", str(path)) == 0
+    assert exit_code("render", "--input", str(path)) == 0
     # a 1x1 phi on a 2-dimensional degree is a shape error, not a rank defect
     cx = tmp_path / "phi-shape.json"
     cx.write_text(json.dumps({"degrees": {"0": 2}, "filtration": {"0": [[["1", "0"], ["0", "1"]]]},
