@@ -26,7 +26,7 @@ print("  ideal-span oracle gives:", oracles.oracle_element(3, 3, [(1, 3), (2, 3)
 print()
 print("Poincare polynomials factor as prod_j (1 + j t^(n-1)):")
 for k in (3, 4, 5):
-    print(f"  Conf_{k}(R^3):", confring.poincare_polynomial(k, 3))
+    print(f"  Conf_{k}(R^3):", oracles.poincare_polynomial(k, 3))
 
 print()
 print("relabeling points is a ring automorphism:")

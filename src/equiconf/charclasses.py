@@ -31,6 +31,9 @@ RANK_BOUND = 5
 # the most points an element, an element JSON or a CLI --points may name: a
 # DOT rendering writes one line per point
 POINT_BOUND = 64
+# the most monomials `conf basis` lists, one line each: a basis has up to
+# (points - 1)! monomials, so it is sized from the closed form first
+BASIS_BOUND = 100_000
 CONVENTIONS = ("standard", "paper")
 
 

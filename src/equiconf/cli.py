@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from . import confring, equieven, equiodd, specseq, verify
-from .charclasses import POINT_BOUND, GroupSpec
+from .charclasses import BASIS_BOUND, POINT_BOUND, GroupSpec
 from .errors import CapacityError, InputError, PurityViolation, WitnessError
 from .exactalg import rat
 
@@ -88,13 +88,17 @@ def group_spec_from_flag(group, halfdim, odd):
 
 
 def cmd_conf_poincare(args):
-    poly = confring.poincare_polynomial(args.points, args.dim)
+    poly = confring.poincare_formula(args.points, args.dim)
     emit(args, {"points": args.points, "dim": args.dim,
                 "poincare": str(poly)}, text=str(poly))
     return 0
 
 
 def cmd_conf_basis(args):
+    size = confring.poincare_formula(args.points, args.dim).coefficient((args.degree,))
+    if size > BASIS_BOUND:
+        raise CapacityError(f"the degree {args.degree} basis has {size} monomials, "
+                            f"more than the bound {BASIS_BOUND}")
     monos = confring.basis(args.points, args.dim, args.degree)
     payload = {"points": args.points, "dim": args.dim, "degree": args.degree,
                "dimension": len(monos),

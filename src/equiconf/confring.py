@@ -316,14 +316,14 @@ class EdgeCombination:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed {cls.__name__}: {exc}") from exc
 
-    def coordinates(self, keys):
-        """Coordinate vector of the element in a list of basis keys.
+    def coordinates(self, index):
+        """Sparse coordinates {position: coefficient} of the element in a
+        basis, given as the map `index` from each basis key to its position.
 
         A key is an edge word for rational coefficients, and an (edge word,
         exponent tuple) pair for polynomial ones.
         """
-        index = {key: t for t, key in enumerate(keys)}
-        vec = [Q(0)] * len(keys)
+        vec = {}
         if self.ring is None:
             monomials = self.terms.items()
         else:
@@ -386,10 +386,14 @@ def normal_form(k, n, word, coeff=Q(1)):
     return zero(k, n)._from_words([(word, rat(coeff))])
 
 
-def basis(k, n, degree):
-    """Admissible monomials of the given degree, in lexicographic order."""
+def check_args(k, n, degree=0):
     if k < 0 or n < 2 or degree < 0:
         raise InputError("need k >= 0, n >= 2, degree >= 0")
+
+
+def basis(k, n, degree):
+    """Admissible monomials of the given degree, in lexicographic order."""
+    check_args(k, n, degree)
     if degree == 0:
         return [EdgeMonomial(k, n, ())]
     if degree % (n - 1) != 0:
@@ -418,19 +422,11 @@ def top_degree(k, n):
     return max(k - 1, 0) * (n - 1)
 
 
-def poincare_polynomial(k, n):
-    """Sum over degrees of dim H^d(Conf_k(R^n)) t^d, by basis enumeration."""
-    ring = PolyRing([("t", 1)])
-    out = ring.zero()
-    for d in range(top_degree(k, n) + 1):
-        c = dimension(k, n, d)
-        if c:
-            out = out + ring.monomial((d,), c)
-    return out
-
-
 def poincare_formula(k, n):
-    """The closed-form product over j of (1 + j t^(n-1)), for cross-checks."""
+    """The Poincare polynomial of Conf_k(R^n) in closed form: the product over
+    j < k of (1 + j t^(n-1)) (Arnold 1969, F. Cohen 1976). The basis has k!
+    monomials; `oracles.poincare_polynomial` counts them as a cross-check."""
+    check_args(k, n)
     ring = PolyRing([("t", 1)])
     out = ring.one()
     for j in range(1, k):

@@ -148,10 +148,9 @@ def differential_matrix(group, ell, n, degree):
     """Matrix of d_2n from the degree slice to the next one."""
     src = page_basis(group, ell, n, degree)
     dst = page_basis(group, ell, n, degree + 1)
-    cols = []
-    for key in src:
-        img = d2n(zero(group, ell, n).from_coordinates([key], [Q(1)]))
-        cols.append(img.coordinates(dst))
+    index = {key: t for t, key in enumerate(dst)}
+    cols = [d2n(zero(group, ell, n).from_coordinates([key], [Q(1)])).coordinates(index)
+            for key in src]
     return Matrix.from_columns(cols, nrows=len(dst)), len(src), len(dst)
 
 
@@ -209,19 +208,19 @@ def kernel_K(ell, n, max_degree):
         dst_index = {k: t for t, k in enumerate(dst)}
         cols = []
         for key in src:
-            vec = [Q(0)] * len(dst)
+            vec = {}
             for t in range(len(key)):
                 sign = -1 if t % 2 == 1 else 1
                 for kk, c in confring.reduce_word(
                         ell, 2 * n, key[:t] + key[t + 1:], Q(sign)).items():
-                    vec[dst_index[kk]] += c
+                    vec[dst_index[kk]] = vec.get(dst_index[kk], Q(0)) + c
             cols.append(vec)
-        mat = Matrix.from_columns(cols, nrows=len(dst))
-        kern = mat.kernel_basis()
-        if kern:
-            dims[d] = len(kern)
-            basis[d] = [confring.zero(ell, 2 * n).from_coordinates(src, v)
-                        for v in kern]
+        kern = Matrix.from_columns(cols, nrows=len(dst)).kernel_basis()
+        if kern.ncols:
+            dims[d] = kern.ncols
+            basis[d] = [confring.zero(ell, 2 * n).from_coordinates([src[p] for p in v],
+                                                                    v.values())
+                        for v in kern.sparse_columns()]
     return KernelSummary(ell, n, max_degree, dims, basis)
 
 
@@ -369,16 +368,9 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     for d, basis in bases.items():
         if not basis:
             continue
-        levels = []
-        for i in range(top_level + 1):
-            cols = []
-            for t, (edges, exps) in enumerate(basis):
-                if fiber * len(edges) <= i:
-                    col = [Q(0)] * len(basis)
-                    col[t] = Q(1)
-                    cols.append(col)
-            levels.append(Matrix.from_columns(cols, nrows=len(basis)))
-        filtration[d] = levels
+        filtration[d] = [Matrix.from_columns([{t: Q(1)} for t, (edges, _) in enumerate(basis)
+                                              if fiber * len(edges) <= i], nrows=len(basis))
+                         for i in range(top_level + 1)]
     phi = None
     if xi is not None:
         xi = rat(xi)
@@ -386,14 +378,9 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
         for d, basis in bases.items():
             if not basis:
                 continue
-            diag = []
-            for t, (edges, exps) in enumerate(basis):
-                w = len(edges)
-                coeff_deg = d - fiber * w
-                row = [Q(0)] * len(basis)
-                row[t] = xi ** (coeff_deg + 2 * n * w)
-                diag.append(row)
-            phi[d] = Matrix(diag)
+            # a monomial of word length w has coefficient degree d - fiber * w
+            phi[d] = Matrix([{t: xi ** (d - fiber * len(edges) + 2 * n * len(edges))}
+                             for t, (edges, _) in enumerate(basis)], ncols=len(basis))
     return FilteredComplex(spaces, dmats, filtration, phi)
 
 
@@ -432,7 +419,8 @@ def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"
             ranks[d] = 0
             continue
         target = page_basis("torus", ell, n, d + 1)
-        cols = [d2n(e).coordinates(target) for e in elems]
+        index = {key: t for t, key in enumerate(target)}
+        cols = [d2n(e).coordinates(index) for e in elems]
         ranks[d] = Matrix.from_columns(cols, nrows=len(target)).rank()
     dims = {}
     for d in range(max_degree + 1):

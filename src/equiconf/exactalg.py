@@ -1,11 +1,14 @@
 """Exact linear and polynomial algebra over Q.
 
 Everything runs on `fractions.Fraction`; no floating point anywhere. A
-`Matrix` keeps dense rows, but its eliminations, products and matrix-vector
-products work on sparse rows and skip the zeros that fill most matrices here.
-Subspaces are canonical reduced column-echelon spans, so equal subspaces have
-equal representations and every output is reproducible across runs. The tests
-check this kernel against `oracles.dense_rref`, a separate dense elimination.
+`Matrix` stores sparse rows, one `{column: Fraction}` dict of the nonzero
+entries of each row, and no zeros. Eliminations, products and the subspace
+operations work on these rows directly and skip the zeros that fill most
+matrices here. The dense `rows`, `columns()` and `column(j)` are derived,
+read-only views for printing, JSON and tests. Subspaces are canonical reduced
+column-echelon spans, so equal subspaces have equal representations and every
+output is reproducible across runs. The tests check this kernel against
+`oracles.dense_rref`, a separate dense elimination.
 """
 
 from __future__ import annotations
@@ -37,55 +40,95 @@ def rat(x) -> Fraction:
 ZERO, ONE = Q(0), Q(1)
 
 
-class Matrix:
-    """Immutable matrix of Fractions; `rows` is a dense tuple of row tuples."""
+def _entries(v, n, what):
+    """The nonzero entries {index: Fraction} of a vector of length n, given
+    as a dense sequence or as an {index: value} dict; InputError(what) if
+    it does not fit."""
+    if isinstance(v, dict):
+        out = {i: x for i, x in zip(v, map(rat, v.values())) if x}
+        if out and not (0 <= min(out) and max(out) < n):
+            raise InputError(what)
+        return out
+    v = tuple(map(rat, v))
+    if len(v) != n:
+        raise InputError(what)
+    return {i: x for i, x in enumerate(v) if x}
 
-    __slots__ = ("rows", "nrows", "ncols")
+
+def _transpose(rows, n):
+    """Sparse rows of the transpose of a matrix with sparse rows `rows` and
+    n columns, in O(nnz + n) (Gustavson's permuted transposition)."""
+    out = [{} for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            out[j][i] = x
+    return out
+
+
+class Matrix:
+    """Immutable matrix over Q. `sparse_rows[i]` maps each column of a
+    nonzero entry of row i to that entry; these dicts are never mutated."""
+
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(rat(x) for x in row) for row in rows)
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise InputError("ragged matrix")
-        self.rows, self.nrows = rows, len(rows)
-        self.ncols = len(rows[0]) if rows else (ncols or 0)
+        """Rows are dense sequences or {column: value} dicts. `ncols`
+        defaults to the length of the first row; dict rows need it."""
+        rows = list(rows)
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        self.sparse_rows = tuple(_entries(r, ncols, "ragged matrix") for r in rows)
+        self.nrows, self.ncols = len(rows), ncols
 
     @classmethod
-    def _of(cls, rows, ncols):  # rows: equal-length tuples of Fractions, unchecked
+    def _of(cls, rows, ncols):  # rows: sparse rows without zeros, unchecked
         m = object.__new__(cls)
-        m.rows, m.nrows = rows, len(rows)
-        m.ncols = len(rows[0]) if rows else ncols
+        m.sparse_rows = rows if type(rows) is tuple else tuple(rows)
+        m.nrows, m.ncols = len(m.sparse_rows), ncols
         return m
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls._of(((ZERO,) * ncols,) * nrows, ncols)
+        return cls._of(({},) * nrows, ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls._of(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                             for i in range(n)), n)
+        return cls._of(({i: ONE} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
-        cols = [tuple(rat(x) for x in c) for c in cols]
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise InputError("ragged columns")
-        if not cols and nrows is None:
-            raise InputError("from_columns with no columns needs nrows")
-        return cls._of(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
+        """The matrix with the given columns: dense, or {row: value} dicts."""
+        cols = list(cols)
+        if nrows is None:
+            if not cols:
+                raise InputError("from_columns with no columns needs nrows")
+            nrows = len(cols[0])
+        return cls._of(_transpose([_entries(c, nrows, "ragged columns") for c in cols],
+                                  nrows), len(cols))
+
+    def sparse_columns(self):
+        """New {row: value} dicts of the nonzero entries of each column."""
+        return _transpose(self.sparse_rows, self.ncols)
+
+    @property
+    def rows(self):
+        """Dense view: a tuple of row tuples."""
+        cols = range(self.ncols)
+        return tuple(tuple(r.get(j, ZERO) for j in cols) for r in self.sparse_rows)
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        return tuple(r.get(j, ZERO) for r in self.sparse_rows)
 
     def columns(self):
-        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
+        return list(zip(*self.rows)) if self.nrows else [()] * self.ncols
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows \
+        return isinstance(other, Matrix) and self.sparse_rows == other.sparse_rows \
             and self.nrows == other.nrows and self.ncols == other.ncols
 
     def __hash__(self):
-        return hash((self.rows, self.nrows, self.ncols))
+        return hash((tuple(frozenset(r.items()) for r in self.sparse_rows),
+                     self.nrows, self.ncols))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -93,81 +136,83 @@ class Matrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("shape mismatch in matrix addition")
-        return Matrix._of(tuple(tuple(a + b if a and b else a or b for a, b in zip(r1, r2))
-                                for r1, r2 in zip(self.rows, other.rows)), self.ncols)
+        out = []
+        for r, s in zip(self.sparse_rows, other.sparse_rows):
+            if r and s:
+                r = dict(r)
+                for j, x in s.items():
+                    y = r.pop(j, ZERO) + x
+                    if y:
+                        r[j] = y
+                out.append(r)
+            else:
+                out.append(r or s)
+        return Matrix._of(out, self.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._of(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
+        return Matrix._of(({j: -x for j, x in r.items()} for r in self.sparse_rows), self.ncols)
 
     def scale(self, c):
         c = rat(c)
-        return Matrix._of(tuple(tuple(c * a if a else a for a in r) for r in self.rows),
+        if not c:
+            return Matrix.zero(self.nrows, self.ncols)
+        return Matrix._of(({j: c * x for j, x in r.items()} for r in self.sparse_rows),
                           self.ncols)
 
     def __mul__(self, other):
+        """Row-wise sparse product: row i of the result sums x * (row k of
+        other) over the entries x at (i, k) of self."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.ncols != other.nrows:
             raise InputError("shape mismatch in matrix product")
-        cols = [self.matvec(c) for c in other.columns()]
-        return Matrix._of(tuple(zip(*cols)) if cols else ((),) * self.nrows, other.ncols)
+        rows = other.sparse_rows
+        out = []
+        for r in self.sparse_rows:
+            acc = {}
+            for k, x in r.items():
+                for j, y in rows[k].items():
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append({j: z for j, z in acc.items() if z})
+        return Matrix._of(out, other.ncols)
 
     def matvec(self, v):
-        if len(v) != self.ncols:
-            raise InputError("shape mismatch in matrix-vector product")
-        nz = [(j, x) for j, x in enumerate(map(rat, v)) if x]
-        out = []
-        for row in self.rows:
-            terms = [row[j] * x for j, x in nz if row[j]]
-            out.append(sum(terms[1:], terms[0]) if terms else ZERO)
-        return tuple(out)
-
-    def transpose(self):
-        return Matrix._of(tuple(self.columns()), self.nrows)
+        v = _entries(v, self.ncols, "shape mismatch in matrix-vector product")
+        return tuple(sum((x * v[j] for j, x in r.items() if j in v), ZERO)
+                     for r in self.sparse_rows)
 
     def is_zero(self):
-        return not any(any(row) for row in self.rows)
+        return not any(self.sparse_rows)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise InputError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
-    def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        red, pivots = _reduce(_sparse(self.rows), range(self.ncols))
-        red += [{}] * (self.nrows - len(red))
-        return Matrix._of(_dense(red, self.ncols), self.ncols), tuple(pivots)
+        return sum((r.get(i, ZERO) for i, r in enumerate(self.sparse_rows)), ZERO)
 
     def rank(self):
-        return len(_reduce(_sparse(self.rows), range(self.ncols), full=False)[1])
+        return len(_reduce([dict(r) for r in self.sparse_rows], range(self.ncols),
+                           full=False)[1])
 
     def kernel_basis(self):
-        """Basis of ker(self), echelon-normalized (leading entries 1)."""
-        return list(_dense(_kernel(_sparse(self.rows), self.ncols), self.ncols))
+        """Canonical basis matrix of ker(self), like `col_space`'s."""
+        vecs = _kernel([dict(r) for r in self.sparse_rows], self.ncols)
+        return Matrix._of(_transpose(vecs, self.ncols), len(vecs))
 
     def solve(self, b):
         """Some x with self*x = b, or None when the system is inconsistent."""
-        red, pivots = _reduce(self._augmented(b), range(self.ncols + 1))
-        if self.ncols in pivots:
+        b = _entries(b, self.nrows, "shape mismatch in solve")
+        n = self.ncols
+        red, pivots = _reduce([r | {n: b[i]} if i in b else dict(r)
+                               for i, r in enumerate(self.sparse_rows)], range(n + 1))
+        if n in pivots:
             return None
-        x = [ZERO] * self.ncols
+        x = [ZERO] * n
         for r, p in zip(red, pivots):
-            x[p] = r.get(self.ncols, ZERO)
+            x[p] = r.get(n, ZERO)
         return tuple(x)
-
-    def _augmented(self, b):
-        """Sparse rows of [self | b]."""
-        if len(b) != self.nrows:
-            raise InputError("shape mismatch in solve")
-        rows = _sparse(self.rows)
-        for r, x in zip(rows, map(rat, b)):
-            if x:
-                r[self.ncols] = x
-        return rows
 
     def charpoly(self):
         """Characteristic polynomial det(tI - self), coefficients low to high."""
@@ -184,15 +229,6 @@ class Matrix:
             coeffs[n - k] = c
             m = m + Matrix.identity(n).scale(c)
         return tuple(coeffs)
-
-
-def _sparse(rows):
-    """Rows as {column: Fraction} dicts of their nonzero entries."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-def _dense(rows, ncols):
-    return tuple(tuple(r.get(j, ZERO) for j in range(ncols)) for r in rows)
 
 
 def _reduce(rows, order, full=True):
@@ -256,22 +292,6 @@ def upoly_trim(p):
     return tuple(p)
 
 
-def upoly_deg(p):
-    return len(p) - 1
-
-
-def upoly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return upoly_trim(out)
-
-
 def upoly_divmod(p, q):
     p, q = list(upoly_trim(p)), upoly_trim(q)
     if not q:
@@ -294,40 +314,6 @@ def upoly_monic(p):
         return p
     lead = p[-1]
     return tuple(x / lead for x in p)
-
-
-def upoly_xgcd(p, q):
-    """Extended gcd: returns (g, s, t) monic with s*p + t*q = g."""
-    r0, r1 = upoly_trim(p), upoly_trim(q)
-    s0, s1 = (Q(1),), ()
-    t0, t1 = (), (Q(1),)
-    while r1:
-        quo, rem = upoly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, upoly_trim([a - b for a, b in zip_pad(s0, upoly_mul(quo, s1))])
-        t0, t1 = t1, upoly_trim([a - b for a, b in zip_pad(t0, upoly_mul(quo, t1))])
-    if not r0:
-        return (), (), ()
-    lead = r0[-1]
-    return (tuple(x / lead for x in r0), tuple(x / lead for x in s0),
-            tuple(x / lead for x in t0))
-
-
-def zip_pad(p, q):
-    n = max(len(p), len(q))
-    p = tuple(p) + (Q(0),) * (n - len(p))
-    q = tuple(q) + (Q(0),) * (n - len(q))
-    return zip(p, q)
-
-
-def upoly_eval_matrix(p, m: Matrix):
-    out = Matrix.zero(m.nrows, m.ncols)
-    power = Matrix.identity(m.nrows)
-    for c in p:
-        if c != 0:
-            out = out + power.scale(c)
-        power = power * m
-    return out
 
 
 def upoly_str(p, var="t"):
@@ -361,7 +347,7 @@ def strip_linear_factor(p, lam):
     lam = rat(lam)
     k = 0
     lin = (-lam, Q(1))
-    while upoly_deg(p) >= 1:
+    while len(p) > 1:
         quo, rem = upoly_divmod(p, lin)
         if rem:
             break
@@ -371,25 +357,21 @@ def strip_linear_factor(p, lam):
 
 
 def eigen_projector(m: Matrix, lam):
-    """Projector onto the generalized lam-eigenspace of m.
+    """Projector onto the generalized lam-eigenspace of m, along the sum of
+    the other generalized eigenspaces (the zero matrix when lam is not an
+    eigenvalue).
 
-    Splits the characteristic polynomial as (t - lam)^k * g with g(lam) != 0;
-    no factorization of g is needed. Returns the zero matrix when lam is not
-    an eigenvalue.
+    With N = (m - lam)^k for any k >= dim, Q^dim = ker N + im N (Fitting), and
+    the projector sends each vector to its ker N part in that splitting.
     """
     lam = rat(lam)
-    p = m.charpoly()
-    k, g = strip_linear_factor(p, lam)
-    if k == 0:
-        return Matrix.zero(m.nrows, m.ncols)
-    if len(g) == 1:
-        return Matrix.identity(m.nrows)
-    f_lam = (Q(1),)
-    for _ in range(k):
-        f_lam = upoly_mul(f_lam, (-lam, Q(1)))
-    _, u, _ = upoly_xgcd(g, f_lam)  # u*g = 1 mod (t-lam)^k
-    h = upoly_divmod(upoly_mul(u, g), p)[1]
-    return upoly_eval_matrix(h, m)
+    n = m.nrows
+    power, k = m - Matrix.identity(n).scale(lam), 1
+    while k < n:
+        power, k = power * power, 2 * k
+    ker = power.kernel_basis()
+    return ker * Quotient(ker, col_space(power)).matrix_of(Matrix.identity(n))
+
 
 
 def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
@@ -401,16 +383,18 @@ def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
     nv, nw = phi_v.nrows, phi_w.nrows
     if phi_v.ncols != nv or phi_w.ncols != nw:
         raise InputError("automorphism matrices must be square")
+    v_cols = phi_v.sparse_columns()
     rows = []
     for a in range(nw):
         for b in range(nv):
-            row = [Q(0)] * (nw * nv)
-            for c in range(nw):
-                row[c * nv + b] += phi_w.rows[a][c]
-            for c in range(nv):
-                row[a * nv + c] -= phi_v.rows[c][b]
+            # row (a, b) of the operator; X[c, d] is unknown c * nv + d
+            row = {c * nv + b: x for c, x in phi_w.sparse_rows[a].items()}
+            for c, x in v_cols[b].items():
+                y = row.pop(a * nv + c, ZERO) - x
+                if y:
+                    row[a * nv + c] = y
             rows.append(row)
-    r = Matrix._of(tuple(map(tuple, rows)), nw * nv).rank()
+    r = Matrix._of(rows, nw * nv).rank()
     return nw * nv - r, nw * nv - r
 
 
@@ -418,29 +402,37 @@ def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
 # subspaces as canonical column spans
 
 
-def _columns_of(vecs, dim):
-    """The matrix whose columns are the sparse vectors `vecs` of Q^dim."""
-    return Matrix._of(tuple(tuple(v.get(i, ZERO) for v in vecs) for i in range(dim)), len(vecs))
+def _span(vecs, dim):
+    """Canonical basis matrix of the span of sparse vectors (consumed) of Q^dim."""
+    red = _reduce(vecs, range(dim))[0]
+    return Matrix._of(_transpose(red, dim), len(red))
+
+
+def _beside(a: Matrix, b: Matrix):
+    """New sparse rows of the block matrix [a | b]."""
+    n = a.ncols
+    return [r | {n + j: x for j, x in t.items()} for r, t in zip(a.sparse_rows, b.sparse_rows)]
 
 
 def col_space(columns, dim=None):
-    """Canonical basis matrix (reduced column echelon) of a column span."""
+    """Canonical basis matrix (reduced column echelon) of the span of the
+    columns of a Matrix, or of a list of vectors of Q^dim: dense, or
+    {index: value} dicts. `dim` defaults to the length of the first one."""
     if isinstance(columns, Matrix):
-        dim, columns = columns.nrows, columns.columns()
-    cols = [tuple(rat(x) for x in c) for c in columns]
-    if cols:
-        dim = len(cols[0])
-        if any(len(c) != dim for c in cols):
-            raise InputError("ragged matrix")
-    elif dim is None:
-        raise InputError("empty span needs an ambient dimension")
-    return _columns_of(_reduce(_sparse(cols), range(dim))[0], dim)
+        return _span(columns.sparse_columns(), columns.nrows)
+    columns = list(columns)
+    if dim is None:
+        if not columns:
+            raise InputError("empty span needs an ambient dimension")
+        dim = len(columns[0])
+    return _span([_entries(c, dim, f"a vector of the span does not lie in Q^{dim}")
+                  for c in columns], dim)
 
 
 def subspace_sum(a: Matrix, b: Matrix):
     if a.nrows != b.nrows:
         raise InputError("ambient dimension mismatch")
-    return col_space(a.columns() + b.columns(), dim=a.nrows)
+    return _span(a.sparse_columns() + b.sparse_columns(), a.nrows)
 
 
 def subspace_intersection(a: Matrix, b: Matrix):
@@ -451,65 +443,75 @@ def subspace_intersection(a: Matrix, b: Matrix):
     # Zassenhaus: reduce the rows (x | x) for x in A and (y | 0) for y in B;
     # the reduced rows whose left half vanishes are (0 | basis of A cap B)
     dim = a.nrows
-    rows = [r | {dim + i: x for i, x in r.items()} for r in _sparse(a.columns())]
-    red, pivots = _reduce(rows + _sparse(b.columns()), range(2 * dim))
-    return _columns_of([{i - dim: x for i, x in r.items()}
-                        for r, p in zip(red, pivots) if p >= dim], dim)
+    rows = [r | {dim + i: x for i, x in r.items()} for r in a.sparse_columns()]
+    red, pivots = _reduce(rows + b.sparse_columns(), range(2 * dim))
+    cap = [{i - dim: x for i, x in r.items()} for r, p in zip(red, pivots) if p >= dim]
+    return Matrix._of(_transpose(cap, dim), len(cap))
 
 
 def subspace_preimage(d: Matrix, s: Matrix):
     """Canonical basis of {x : d*x in span(s)} inside the source of d."""
     if d.nrows != s.nrows:
         raise InputError("ambient dimension mismatch")
-    # pairs (x, y) with d x = s y; the reduced kernel vectors that lead
+    # pairs (x, y) with d x + s y = 0; the reduced kernel vectors that lead
     # inside x restrict to the reduced basis of the preimage
     n = d.ncols
-    rows = [r | {n + k: -y for k, y in t.items()}
-            for r, t in zip(_sparse(d.rows), _sparse(s.rows))]
-    return _columns_of([v for v in _kernel(rows, n + s.ncols) if min(v) < n], n)
-
-
-def subspace_contains(s: Matrix, v):
-    if s.ncols == 0:
-        return all(rat(x) == 0 for x in v)
-    return s.ncols not in _reduce(s._augmented(v), range(s.ncols + 1), full=False)[1]
+    pre = [{i: x for i, x in v.items() if i < n}
+           for v in _kernel(_beside(d, s), n + s.ncols) if min(v) < n]
+    return Matrix._of(_transpose(pre, n), len(pre))
 
 
 def subspace_leq(a: Matrix, b: Matrix):
-    return all(subspace_contains(b, c) for c in a.columns())
+    """Whether span(a) lies in span(b). b is reduced once; a column v of a
+    lies in span(b) iff it equals the sum of v[p] * (reduced row of pivot p)
+    over the pivots p of b."""
+    if a.nrows != b.nrows:
+        raise InputError("ambient dimension mismatch")
+    red, pivots = _reduce(b.sparse_columns(), range(b.nrows))
+    table = dict(zip(pivots, red))
+    for v in a.sparse_columns():
+        w = {}
+        for p, x in v.items():
+            for j, y in table.get(p, {}).items():
+                w[j] = w[j] + x * y if j in w else x * y
+        if {j: z for j, z in w.items() if z} != v:
+            return False
+    return True
 
 
 class Quotient:
     """Coordinates on span(Z)/span(D) with canonical representatives."""
 
-    __slots__ = ("ambient", "sub", "reps", "dim", "_solver")
+    __slots__ = ("sub", "reps", "dim", "_solver")
 
     def __init__(self, z: Matrix, d: Matrix):
         if z.nrows != d.nrows:
             raise InputError("ambient dimension mismatch")
-        self.ambient = z.nrows
         self.sub = d
         # a column of z is a representative when it is outside the span of d
         # and the columns before it: a pivot column of [d | z]
-        pivots = _reduce(_sparse(r + t for r, t in zip(d.rows, z.rows)),
-                         range(d.ncols + z.ncols), full=False)[1]
-        picked = [p - d.ncols for p in pivots if p >= d.ncols]
+        pivots = _reduce(_beside(d, z), range(d.ncols + z.ncols), full=False)[1]
+        picked = {p - d.ncols: k for k, p in enumerate(p for p in pivots if p >= d.ncols)}
         self.dim = len(picked)
-        self.reps = Matrix._of(tuple(tuple(r[t] for t in picked) for r in z.rows), self.dim)
-        self._solver = Matrix._of(tuple(r + t for r, t in zip(d.rows, self.reps.rows)),
-                                  d.ncols + self.dim)
+        self.reps = Matrix._of(({picked[t]: x for t, x in r.items() if t in picked}
+                                for r in z.sparse_rows), self.dim)
+        self._solver = Matrix._of(_beside(d, self.reps), d.ncols + self.dim)
 
-    def coords(self, v):
-        """Coordinates of the class of v in the representative basis."""
-        sol = self._solver.solve(v)
-        if sol is None:
+    def matrix_of(self, images: Matrix):
+        """Quotient coordinates of the classes of the columns of `images`
+        (e.g. a map given on the representatives), by one elimination of
+        [D | reps | images]."""
+        s = self._solver
+        if images.nrows != s.nrows:
+            raise InputError("ambient dimension mismatch")
+        red, pivots = _reduce(_beside(s, images), range(s.ncols + images.ncols))
+        if pivots and pivots[-1] >= s.ncols:
             raise InputError("vector not in the total space of the quotient")
-        return tuple(sol[self.sub.ncols:])
-
-    def matrix_of(self, images):
-        """Matrix (in quotient coordinates) of a map given on representatives."""
-        cols = [self.coords(w) for w in images]
-        return Matrix.from_columns(cols, nrows=self.dim)
+        # the representatives are pivots of [D | reps]; the image part of
+        # their reduced rows holds the coordinates
+        by_pivot = dict(zip(pivots, red))
+        return Matrix._of(({k - s.ncols: x for k, x in by_pivot[p].items() if k >= s.ncols}
+                           for p in range(self.sub.ncols, s.ncols)), images.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +534,6 @@ class PolyRing:
         self.degrees = tuple(d for _, d in gens)
         self._index = {n: i for i, n in enumerate(names)}
 
-    @property
-    def ngens(self):
-        return len(self.names)
-
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names \
             and self.degrees == other.degrees
@@ -557,12 +555,12 @@ class PolyRing:
         c = rat(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.ngens: c})
+        return Polynomial(self, {(0,) * len(self.names): c})
 
     def gen(self, name):
         if name not in self._index:
             raise InputError(f"unknown generator {name!r}")
-        exps = [0] * self.ngens
+        exps = [0] * len(self.names)
         exps[self._index[name]] = 1
         return Polynomial(self, {tuple(exps): Q(1)})
 
@@ -571,7 +569,7 @@ class PolyRing:
 
     def monomial(self, exps, coeff=1):
         exps = tuple(int(e) for e in exps)
-        if len(exps) != self.ngens or any(e < 0 for e in exps):
+        if len(exps) != len(self.names) or any(e < 0 for e in exps):
             raise InputError("bad exponent vector")
         coeff = rat(coeff)
         return Polynomial(self, {exps: coeff} if coeff != 0 else {})
@@ -583,7 +581,7 @@ class PolyRing:
         out = []
 
         def rec(i, rem, acc):
-            if i == self.ngens:
+            if i == len(self.names):
                 if rem == 0:
                     out.append(tuple(acc))
                 return
@@ -593,9 +591,6 @@ class PolyRing:
 
         rec(0, d, [])
         return out
-
-    def monomials_of_degree(self, d):
-        return [self.monomial(e) for e in self.exponents_of_degree(d)]
 
     def dim_of_degree(self, d):
         return len(self.exponents_of_degree(d))

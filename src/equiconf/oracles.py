@@ -288,6 +288,19 @@ def graph_reduce(ell, n, factors, admissible):
     return {pair: sol[t] for t, pair in enumerate(admissible) if sol[t] != 0}
 
 
+def poincare_polynomial(k, n):
+    """Sum over degrees of dim H^d(Conf_k(R^n)) t^d, by enumerating the
+    admissible basis (k! monomials): the cross-check of
+    `confring.poincare_formula`."""
+    ring = PolyRing([("t", 1)])
+    out = ring.zero()
+    for d in range(confring.top_degree(k, n) + 1):
+        c = confring.dimension(k, n, d)
+        if c:
+            out = out + ring.monomial((d,), c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Weyl-fixed bases by group averaging
 
@@ -307,13 +320,14 @@ def averaged_fixed_basis(group, basis, act):
     coefficients, and `act(w, x)` is the ring map of w.
     """
     keys = [(edges, exps) for x in basis for edges, c in x.terms.items() for exps in c.terms]
+    index = {key: t for t, key in enumerate(keys)}
     rows = []
     for x in basis:
         total = x.scale(0)
         for w in group:
             total = total + act(w, x)
-        row = total.scale(Q(1, len(group))).coordinates(keys)
-        if any(row):
-            rows.append(row)
+        coords = total.scale(Q(1, len(group))).coordinates(index)
+        if coords:
+            rows.append([coords.get(t, Q(0)) for t in range(len(keys))])
     red, pivots = dense_rref(rows, len(keys))
     return [basis[0].from_coordinates(keys, row) for row in red[:len(pivots)]]

@@ -32,7 +32,6 @@ from .exactalg import (
     eigen_projector,
     rat,
     strip_linear_factor,
-    subspace_contains,
     subspace_intersection,
     subspace_leq,
     subspace_preimage,
@@ -134,12 +133,8 @@ class FilteredComplex:
             if levels[-1].ncols != self.dim(n):
                 raise InputError(f"filtration not exhaustive at degree {n}")
             for t, lvl in enumerate(levels):
-                img_cols = [self.diff(n).matvec(c) for c in lvl.columns()]
-                tgt = self.W(n + 1, t)
-                for c in img_cols:
-                    if not subspace_contains(tgt, c):
-                        raise InputError(
-                            f"differential does not preserve W_{t} at degree {n}")
+                if not subspace_leq(mat * lvl, self.W(n + 1, t)):
+                    raise InputError(f"differential does not preserve W_{t} at degree {n}")
             if self.phi is not None:
                 aut = self.aut(n)
                 if (aut.nrows, aut.ncols) != (self.dim(n), self.dim(n)):
@@ -149,10 +144,8 @@ class FilteredComplex:
                 if not (self.diff(n) * aut == self.aut(n + 1) * self.diff(n)):
                     raise InputError(f"automorphism does not commute with d at {n}")
                 for t, lvl in enumerate(levels):
-                    for c in lvl.columns():
-                        if not subspace_contains(lvl, aut.matvec(c)):
-                            raise InputError(
-                                f"automorphism does not preserve W_{t} at degree {n}")
+                    if not subspace_leq(aut * lvl, lvl):
+                        raise InputError(f"automorphism does not preserve W_{t} at degree {n}")
         return True
 
     # -- cohomology of the underlying complex --------------------------------
@@ -233,8 +226,7 @@ def canonical_filtration(spaces, d, phi=None):
     top = max(spaces, default=0)
     filtration = {}
     for n in spaces:
-        kernel = col_space([list(v) for v in probe.diff(n).kernel_basis()] or [],
-                           dim=spaces[n])
+        kernel = probe.diff(n).kernel_basis()
         levels = []
         for i in range(top + 1):
             if n < i:
@@ -320,9 +312,7 @@ def page(A: FilteredComplex, r):
             term1 = Z(r - 1, i - 1, n) if r >= 1 else A.W(n, i - 1)
             if n - 1 in A.spaces:
                 src = Z(r - 1, i + r - 1, n - 1) if r >= 1 else A.W(n - 1, i + r - 1)
-                img = col_space([A.diff(n - 1).matvec(c) for c in src.columns()],
-                                dim=A.dim(n))
-                term2 = subspace_intersection(img, A.W(n, i))
+                term2 = subspace_intersection(col_space(A.diff(n - 1) * src), A.W(n, i))
             else:
                 term2 = Matrix.zero(A.dim(n), 0)
             quo = Quotient(z, subspace_sum(term1, term2))
@@ -331,11 +321,9 @@ def page(A: FilteredComplex, r):
     for (i, n), quo in spots.items():
         target = spots.get((i - r, n + 1))
         if target is not None:
-            images = [A.diff(n).matvec(c) for c in quo.reps.columns()]
-            diffs[(i, n)] = target.matrix_of(images)
+            diffs[(i, n)] = target.matrix_of(A.diff(n) * quo.reps)
         if phis is not None:
-            phis[(i, n)] = quo.matrix_of(
-                [A.aut(n).matvec(c) for c in quo.reps.columns()])
+            phis[(i, n)] = quo.matrix_of(A.aut(n) * quo.reps)
     return SpectralPage(r, spots, diffs, phis)
 
 
@@ -511,10 +499,8 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         phi_n = base.aut(n)
         # restrict to the generalized lam-eigenspace; equivariance forces it
         proj = eigen_projector(phi_n, lam)
-        gen_space = col_space([proj.matvec(c)
-                               for c in Matrix.identity(dim).columns()], dim=dim)
-        z_lam = subspace_intersection(z, gen_space)
-        phi_bar = quo.matrix_of([phi_n.matvec(c) for c in quo.reps.columns()])
+        z_lam = subspace_intersection(z, col_space(proj))
+        phi_bar = quo.matrix_of(phi_n * quo.reps)
         section = solve_equivariant_section(z_lam, quo, phi_n, phi_bar)
         if section is None:
             raise WitnessError(
@@ -529,10 +515,8 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         rhs = inc * induced[n]
         transcript.append((f"phi-equivariance in degree {n}", lhs == rhs))
         _, quo = cohomology_quotient(base, n)
-        coords = Matrix.from_columns([quo.coords(c) for c in inc.columns()],
-                                     nrows=quo.dim)
         transcript.append((f"induced isomorphism in degree {n}",
-                           coords == Matrix.identity(quo.dim)))
+                           quo.matrix_of(inc) == Matrix.identity(quo.dim)))
     witness = FormalityWitness(inclusions, induced, tuple(transcript))
     if not witness.verified:
         raise WitnessError("witness verification failed; see transcript")
@@ -542,12 +526,8 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
 def cohomology_quotient(A: FilteredComplex, n):
     """(Z, Z/B) in degree n: the cycles and the cohomology with its coordinates."""
     dim = A.dim(n)
-    z = col_space([list(v) for v in A.diff(n).kernel_basis()] or [], dim=dim)
-    if n > 0 and A.dim(n - 1):
-        b = col_space([A.diff(n - 1).matvec(c)
-                       for c in Matrix.identity(A.dim(n - 1)).columns()], dim=dim)
-    else:
-        b = Matrix.zero(dim, 0)
+    z = A.diff(n).kernel_basis()
+    b = col_space(A.diff(n - 1)) if n > 0 and A.dim(n - 1) else Matrix.zero(dim, 0)
     return z, Quotient(z, b)
 
 
@@ -563,43 +543,22 @@ def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
     zc = z_lam.ncols
     if zc == 0:
         return None
-    dim = z_lam.nrows
-    unknowns = zc * h  # X[c, k] laid out as c * h + k
-    rows = []
-    rhs = []
-    coord_cols = [quo.coords(c) for c in z_lam.columns()]
+    # unknown X[c, k] is c * h + k; first coords(S) = id, then phi S = S phi_bar
+    coords = quo.matrix_of(z_lam).sparse_rows
+    rows = [{c * h + k: x for c, x in coords[t].items()} for k in range(h) for t in range(h)]
+    rhs = [Q(1) if t == k else Q(0) for k in range(h) for t in range(h)]
+    phi_z = (phi_n * z_lam).sparse_rows
+    bar_cols = phi_bar.sparse_columns()
     for k in range(h):
-        for t in range(h):
-            row = [Q(0)] * unknowns
-            for c in range(zc):
-                row[c * h + k] = coord_cols[c][t]
-            rows.append(row)
-            rhs.append(Q(1) if t == k else Q(0))
-    phi_z = [phi_n.matvec(c) for c in z_lam.columns()]
-    for k in range(h):
-        for a in range(dim):
-            # (phi S)_{a,k} - (S phi_bar)_{a,k} = 0
-            row = [Q(0)] * unknowns
-            for c in range(zc):
-                row[c * h + k] += phi_z[c][a]
-            for t in range(h):
-                coeff = phi_bar.rows[t][k]
-                if coeff != 0:
-                    for c in range(zc):
-                        row[c * h + t] -= coeff * z_lam.rows[a][c]
+        for a, z_row in enumerate(z_lam.sparse_rows):
+            row = {c * h + k: x for c, x in phi_z[a].items()}
+            for t, coeff in bar_cols[k].items():
+                for c, x in z_row.items():
+                    row[c * h + t] = row.get(c * h + t, Q(0)) - coeff * x
             rows.append(row)
             rhs.append(Q(0))
-    sol = Matrix(rows, ncols=unknowns).solve(rhs)
+    sol = Matrix(rows, ncols=zc * h).solve(rhs)
     if sol is None:
         return None
-    cols = []
-    for k in range(h):
-        vec = [Q(0)] * dim
-        for c in range(zc):
-            x = sol[c * h + k]
-            if x:
-                col = z_lam.column(c)
-                vec = [v + x * cc for v, cc in zip(vec, col)]
-        cols.append(vec)
-    return Matrix.from_columns(cols, nrows=dim)
+    return z_lam * Matrix([sol[c * h:(c + 1) * h] for c in range(zc)])
 

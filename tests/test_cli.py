@@ -5,7 +5,7 @@ import random
 import pytest
 
 from equiconf import confring, equieven, equiodd, specseq
-from equiconf.charclasses import POINT_BOUND
+from equiconf.charclasses import BASIS_BOUND, POINT_BOUND
 from equiconf.cli import main, parse_perm, parse_word
 from equiconf.errors import InputError
 
@@ -191,6 +191,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert exit_code("equi", "normal-form", "--points", str(POINT_BOUND), "--halfdim", "1",
                      "--word", "1 2", "--format", "json", "--output", str(path)) == 0
     assert exit_code("render", "--input", str(path)) == 0
+    # `conf basis` reads its size off the closed form before it enumerates
+    # (11! monomials here), and `conf poincare` prints the closed form
+    too_many = ("conf", "basis", "--points", "12", "--dim", "3", "--degree", "22")
+    assert exit_code(*too_many) == 2
+    main(list(too_many))
+    assert f"bound {BASIS_BOUND}" in capsys.readouterr().err
+    assert exit_code("conf", "basis", "--points", "7", "--dim", "3", "--degree", "12") == 0
+    assert exit_code("conf", "poincare", "--points", str(POINT_BOUND), "--dim", "3") == 0
+    assert exit_code("conf", "poincare", "--points", "3", "--dim", "1") == 2
     # a 1x1 phi on a 2-dimensional degree is a shape error, not a rank defect
     cx = tmp_path / "phi-shape.json"
     cx.write_text(json.dumps({"degrees": {"0": 2}, "filtration": {"0": [[["1", "0"], ["0", "1"]]]},

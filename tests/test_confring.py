@@ -60,15 +60,16 @@ def test_basis_small_cases():
 
 
 def test_poincare_polynomials():
-    assert str(confring.poincare_polynomial(2, 5)) == "1 + t^4"
-    assert str(confring.poincare_polynomial(3, 3)) == "1 + 3*t^2 + 2*t^4"
-    assert str(confring.poincare_polynomial(4, 2)) == "1 + 6*t + 11*t^2 + 6*t^3"
+    for poincare in (confring.poincare_formula, oracles.poincare_polynomial):
+        assert str(poincare(2, 5)) == "1 + t^4"
+        assert str(poincare(3, 3)) == "1 + 3*t^2 + 2*t^4"
+        assert str(poincare(4, 2)) == "1 + 6*t + 11*t^2 + 6*t^3"
 
 
 def test_poincare_matches_product_formula():
     for k in range(2, 7):
         for n in range(2, 6):
-            assert confring.poincare_polynomial(k, n) == confring.poincare_formula(k, n)
+            assert oracles.poincare_polynomial(k, n) == confring.poincare_formula(k, n)
 
 
 def test_dimensions_match_ideal_span_oracle():
@@ -205,4 +206,6 @@ def test_json_round_trip():
 def test_degenerate_point_counts():
     assert confring.dimension(0, 3, 0) == 1
     assert confring.dimension(1, 3, 0) == 1
-    assert str(confring.poincare_polynomial(1, 3)) == "1"
+    for k in (0, 1):
+        assert str(confring.poincare_formula(k, 3)) == "1"
+        assert str(oracles.poincare_polynomial(k, 3)) == "1"

@@ -191,6 +191,7 @@ def test_so_fixed_points_match_y_p_span():
         for degree in range(0, maxdeg + 1, 2):
             fixed = equiodd.fixed_point_basis(spec, ell, degree)
             basis = [(m.edges, m.q_exps) for m in equiodd.torus_basis(ell, n, degree)]
+            index = {key: t for t, key in enumerate(basis)}
             span_rows = []
             m = 0
             while 2 * n * m <= degree:
@@ -200,13 +201,13 @@ def test_so_fixed_points_match_y_p_span():
                         for u, e in enumerate(pexp, start=1):
                             coeff = coeff * images[f"p{u}"] ** e
                         elem = equiodd.EquiElement(ell, n, {g.edges: coeff})
-                        span_rows.append(elem.coordinates(basis))
+                        span_rows.append(elem.coordinates(index))
                 m += 1
-            span_dim = Matrix(span_rows).rank() if span_rows else 0
+            span_dim = Matrix(span_rows, ncols=len(basis)).rank()
             assert span_dim == len(fixed), (ell, n, degree)
             if fixed:
-                fixed_rows = [e.coordinates(basis) for e in fixed]
-                both = Matrix(span_rows + fixed_rows).rank()
+                fixed_rows = [e.coordinates(index) for e in fixed]
+                both = Matrix(span_rows + fixed_rows, ncols=len(basis)).rank()
                 assert both == span_dim  # containment in both directions
 
 

@@ -15,7 +15,6 @@ from equiconf.exactalg import (
     poly_from_json,
     rat,
     strip_linear_factor,
-    subspace_contains,
     subspace_intersection,
     subspace_leq,
     subspace_preimage,
@@ -42,16 +41,16 @@ def test_rat_parsing():
 
 
 def test_kernel_identity_is_trivial():
-    assert Matrix.identity(2).kernel_basis() == []
+    assert Matrix.identity(2).kernel_basis().columns() == []
 
 
 def test_kernel_zero_map():
-    vecs = Matrix.zero(2, 3).kernel_basis()
+    vecs = Matrix.zero(2, 3).kernel_basis().columns()
     assert vecs == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_kernel_rank_one():
-    vecs = Matrix([[1, 1], [1, 1]]).kernel_basis()
+    vecs = Matrix([[1, 1], [1, 1]]).kernel_basis().columns()
     assert vecs == [(1, -1)]
 
 
@@ -67,7 +66,7 @@ def test_rank_nullity_randomized():
     rng = random.Random(7)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert m.rank() + len(m.kernel_basis()) == m.ncols
+        assert m.rank() + m.kernel_basis().ncols == m.ncols
 
 
 def test_solve_found_solutions_are_exact():
@@ -132,6 +131,36 @@ def dense_span(cols, dim):
     return red[:len(pivots)]
 
 
+def dense_leq(a, b):
+    """span(a) <= span(b) by ranks: rank [b | a] == rank b."""
+    return len(dense_rref(b.columns() + a.columns(), b.nrows)[1]) == \
+        len(dense_rref(b.columns(), b.nrows)[1])
+
+
+def dense_product(a, b):
+    return tuple(tuple(sum((row[k] * b.rows[k][j] for k in range(a.ncols)), Q(0))
+                       for j in range(b.ncols)) for row in a.rows)
+
+
+def dense_det(rows):
+    a, det = [list(r) for r in rows], Q(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return Q(0)
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def stores_no_zeros(*mats):
+    return all(x for m in mats for r in m.sparse_rows for x in r.values())
+
+
 def dense_intersection(a, b):
     stacked = Matrix([ra + tuple(-x for x in rb) for ra, rb in zip(a.rows, b.rows)],
                      ncols=a.ncols + b.ncols)
@@ -161,28 +190,62 @@ def only_fractions(*values):
 def test_kernel_matches_dense_oracle():
     rng = random.Random(21)
     for m in battery(21):
-        red, pivots = m.rref()
+        # the row space reaches the elimination through `col_space`
+        red = col_space(list(m.rows), dim=m.ncols)
         ref, ref_pivots = dense_rref(m.rows, m.ncols)
-        assert (red.rows, red.nrows, red.ncols) == (tuple(ref), m.nrows, m.ncols)
-        assert pivots == ref_pivots
-        assert m.rank() == len(pivots)
+        assert red.columns() == ref[:len(ref_pivots)]
+        assert tuple(min(c) for c in red.sparse_columns()) == ref_pivots
+        assert m.rank() == len(ref_pivots)
         kernel = m.kernel_basis()
-        assert kernel == dense_kernel(m)
-        assert m.rank() + len(kernel) == m.ncols
-        assert all(m.matvec(v) == (Q(0),) * m.nrows for v in kernel)
+        assert kernel.columns() == dense_kernel(m)
+        assert m.rank() + kernel.ncols == m.ncols
+        assert (m * kernel).is_zero() and kernel.nrows == m.ncols
         x = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.ncols)]
         for b in (m.matvec(x), [Q(rng.randint(-2, 2)) for _ in range(m.nrows)]):
             sol = m.solve(b)
             assert sol == dense_solve(m.columns(), b)
             assert sol is None or m.matvec(sol) == tuple(b)
         assert m.matvec(x) == dense_matvec(m, x)
-        assert only_fractions(red, kernel, m.solve(m.matvec(x)), m.matvec(x),
-                              m * m.transpose(), m.transpose() * m)
+        # arithmetic against dense references computed from `.rows`
+        mt = Matrix.from_columns(list(m.rows), nrows=m.ncols)
+        o = Matrix([[Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m.ncols)]
+                    for _ in range(m.nrows)], ncols=m.ncols)
+        c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+        dense = {"+": tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(m.rows, o.rows)),
+                 "-": tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(m.rows, o.rows)),
+                 "neg": tuple(tuple(-a for a in r) for r in m.rows),
+                 "scale": tuple(tuple(c * a for a in r) for r in m.rows),
+                 "m mt": dense_product(m, mt), "mt m": dense_product(mt, m)}
+        got = {"+": m + o, "-": m - o, "neg": -m, "scale": m.scale(c),
+               "m mt": m * mt, "mt m": mt * m}
+        assert {k: v.rows for k, v in got.items()} == dense
+        square = got["m mt"]
+        assert square.trace() == sum((square.rows[i][i] for i in range(m.nrows)), Q(0))
+        p = square.charpoly()
+        assert len(p) == m.nrows + 1 and p[-1] == 1
+        for t in range(m.nrows + 1):  # p(t) = det(tI - M) at nrows + 1 points
+            assert sum((a * t ** k for k, a in enumerate(p)), Q(0)) == dense_det(
+                [[(t if i == j else 0) - y for j, y in enumerate(row)]
+                 for i, row in enumerate(square.rows)])
+        # no stored zeros: cancelling results equal and hash like the zero matrix
+        zero = Matrix.zero(m.nrows, m.ncols)
+        for z in (m - m, m + (-m), m.scale(0), m * Matrix.zero(m.ncols, m.ncols)):
+            assert z == zero and hash(z) == hash(zero) and z.is_zero()
+        assert stores_no_zeros(red, kernel, mt, o, *got.values())
+        # every way of building the same matrix compares and hashes equal
+        rebuilt = Matrix.from_columns(m.columns(), nrows=m.nrows)
+        for twin in (Matrix(m.rows, ncols=m.ncols), rebuilt, -(-m),
+                     Matrix.identity(m.nrows) * m, m * Matrix.identity(m.ncols)):
+            assert twin == m and hash(twin) == hash(m)
+        assert rebuilt * mt == square and hash(rebuilt * mt) == hash(square)
+        assert only_fractions(red, kernel, m.solve(m.matvec(x)), m.matvec(x), p,
+                              *got.values())
 
 
 def test_subspaces_match_dense_oracle():
     rng = random.Random(22)
     mats = battery(22)
+    outcomes = []
     for m in mats:
         dim = m.nrows
         a = col_space(m)
@@ -198,14 +261,23 @@ def test_subspaces_match_dense_oracle():
                 assert total.columns() == dense_span(x.columns() + y.columns(), dim)
                 assert total.ncols + cap.ncols == a.ncols + b.ncols
                 assert subspace_leq(cap, a) and subspace_leq(cap, b)
+                for s, t in ((x, y), (y, x), (total, x), (x, total)):
+                    outcomes.append(subspace_leq(s, t))
+                    assert outcomes[-1] == dense_leq(s, t)
                 assert only_fractions(cap, total)
             for s in (b, o, Matrix.zero(dim, 0)):
                 for d in (m, o):
                     pre = subspace_preimage(d, s)
                     assert pre.nrows == d.ncols
                     assert pre.columns() == dense_preimage(d, s)
-                    assert all(subspace_contains(s, d.matvec(c)) for c in pre.columns())
+                    assert subspace_leq(d * pre, s)
                     assert only_fractions(pre)
+        # single columns, inside and outside the span
+        for c in m.columns():
+            one = Matrix.from_columns([c], nrows=dim)
+            outcomes.append(subspace_leq(one, b))
+            assert outcomes[-1] == dense_leq(one, b)
+    assert set(outcomes) == {True, False}
 
 
 def test_quotient_coordinates_match_dense_oracle():
@@ -223,12 +295,18 @@ def test_quotient_coordinates_match_dense_oracle():
                     reps.append(c)
                     span.append(c)
             assert q.reps.columns() == reps and q.dim == len(reps)
-            for _ in range(3):
-                coeffs = [Q(rng.randint(-3, 3)) for _ in range(total.ncols)]
-                v = dense_matvec(total, coeffs)
-                ref = dense_solve(list(d.columns()) + reps, v)
-                assert q.coords(v) == ref[d.ncols:]
-                assert only_fractions(q.reps, q.coords(v))
+            vs = [dense_matvec(total, [Q(rng.randint(-3, 3)) for _ in range(total.ncols)])
+                  for _ in range(3)]
+            coords = q.matrix_of(Matrix.from_columns(vs, nrows=m.nrows))
+            assert coords.nrows == q.dim and coords.ncols == 3
+            for v, got in zip(vs, coords.columns()):
+                assert got == dense_solve(list(d.columns()) + reps, v)[d.ncols:]
+            assert only_fractions(q.reps, coords)
+            outside = [c for c in Matrix.identity(m.nrows).columns()
+                       if dense_solve(list(d.columns()) + reps, c) is None]
+            if outside:
+                with pytest.raises(InputError):
+                    q.matrix_of(Matrix.from_columns(vs + outside[:1], nrows=m.nrows))
 
 
 def test_charpoly_diagonal():
@@ -307,8 +385,8 @@ def test_subspace_operations():
     tot = subspace_sum(a, b)
     assert tot.ncols == 3
     assert subspace_leq(a, tot)
-    assert subspace_contains(a, [2, -5, 0])
-    assert not subspace_contains(a, [0, 0, 1])
+    assert subspace_leq(Matrix.from_columns([[2, -5, 0]]), a)
+    assert not subspace_leq(Matrix.from_columns([[0, 0, 1]]), a)
 
 
 def test_subspace_preimage():
@@ -325,7 +403,7 @@ def test_quotient_coordinates():
     d = col_space([[1, 0, 0]], dim=3)
     q = Quotient(z, d)
     assert q.dim == 1
-    assert q.coords([5, 7, 0]) == (7,)
+    assert q.matrix_of(Matrix.from_columns([[5, 7, 0]])).columns() == [(7,)]
 
 
 def test_eigen_projector_without_full_splitting():

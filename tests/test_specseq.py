@@ -33,6 +33,57 @@ def test_validation_rejects_bad_data():
                            {0: [Matrix.identity(1)], 1: [Matrix.identity(1)]})
 
 
+E1, E2 = [1, 0], [0, 1]
+ID1, ID2 = Matrix.identity(1), Matrix.identity(2)
+SWAP = Matrix([[0, 1], [1, 0]])
+
+
+def span(*cols, dim=2):
+    return col_space(list(cols), dim=dim)
+
+
+# one malformed complex per `FilteredComplex.validate` message, plus complexes
+# with two defects, where the message of the check that runs first must win
+MALFORMED = [
+    ("shape", ({0: 1, 1: 1}, {0: Matrix([[1, 0]])}, {0: [ID1], 1: [ID1]}, None),
+     "differential shape mismatch at degree 0"),
+    ("d_squared", ({0: 1, 1: 1, 2: 1}, {0: ID1, 1: ID1}, {0: [ID1], 1: [ID1], 2: [ID1]},
+                   None),
+     "d o d != 0 at degree 0"),
+    ("missing", ({0: 1}, {}, {}, None), "missing filtration at degree 0"),
+    ("nested", ({0: 2}, {}, {0: [span(E1), span(E2), ID2]}, None),
+     "filtration not nested at degree 0"),
+    ("exhaustive", ({0: 2}, {}, {0: [span(), span(E1)]}, None),
+     "filtration not exhaustive at degree 0"),
+    ("d_preserves", ({0: 1, 1: 1}, {0: ID1},
+                     {0: [span(dim=1), ID1, ID1], 1: [span(dim=1), span(dim=1), ID1]}, None),
+     "differential does not preserve W_1 at degree 0"),
+    ("aut_shape", ({0: 1}, {}, {0: [ID1]}, {0: Matrix([[1, 0]])}),
+     "automorphism shape mismatch at degree 0"),
+    ("aut_invertible", ({0: 1}, {}, {0: [ID1]}, {0: Matrix([[0]])}),
+     "automorphism not invertible at degree 0"),
+    ("aut_commutes", ({0: 1, 1: 1}, {0: ID1}, {0: [ID1], 1: [ID1]},
+                      {0: Matrix([[2]]), 1: Matrix([[3]])}),
+     "automorphism does not commute with d at 0"),
+    ("aut_preserves", ({0: 2}, {}, {0: [span(), span(E1), ID2]}, {0: SWAP}),
+     "automorphism does not preserve W_1 at degree 0"),
+    ("nested_before_exhaustive", ({0: 2}, {}, {0: [span(E2), span(E1)]}, None),
+     "filtration not nested at degree 0"),
+    ("d_before_aut", ({0: 1, 1: 1}, {0: ID1}, {0: [ID1, ID1], 1: [span(dim=1), ID1]},
+                      {0: Matrix([[0]]), 1: ID1}),
+     "differential does not preserve W_0 at degree 0"),
+]
+
+
+@pytest.mark.parametrize("args,message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_validate_messages(args, message):
+    spaces, d, filtration, phi = args
+    with pytest.raises(InputError) as info:
+        ss.FilteredComplex(spaces, d, filtration, phi)
+    assert str(info.value) == message
+
+
 def test_canonical_filtration_golden_cases():
     # zero differential: tau_i A^n = A^n for n <= i, else 0
     tau = ss.canonical_filtration({0: 1, 2: 1}, {})
