@@ -31,6 +31,9 @@ RANK_BOUND = 5
 # the most points an element, an element JSON or a CLI --points may name: a
 # DOT rendering writes one line per point
 POINT_BOUND = 64
+# the most torus generators a CLI --halfdim may name: monomial enumeration
+# recurses once per generator
+HALFDIM_BOUND = 64
 # the most monomials `conf basis` lists, one line each: a basis has up to
 # (points - 1)! monomials, so it is sized from the closed form first
 BASIS_BOUND = 100_000
@@ -47,16 +50,6 @@ class GroupSpec:
             raise InputError(f"unknown family {self.family!r}")
         if self.rank < 1:
             raise InputError("rank must be at least 1")
-
-    def to_json(self):
-        return {"family": self.family, "rank": self.rank}
-
-
-def group_from_json(data):
-    try:
-        return GroupSpec(str(data["family"]), int(data["rank"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed group spec: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -106,9 +99,6 @@ class WeylElement:
         for e in self.eps:
             out *= e
         return out
-
-    def to_json(self):
-        return {"sigma": list(self.sigma), "eps": list(self.eps), "eta": self.eta}
 
 
 def weyl_identity(rank):

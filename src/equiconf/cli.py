@@ -1,8 +1,10 @@
 """Command-line front end: every computation behind one `equiconf` binary.
 
-Subcommand tree: conf | equi | even | ss | verify | render. All numeric
-output is exact rationals; identical argv (and seed) produce byte-identical
-output. Exit codes: 0 success, 1 verification failure, 2 input error.
+Subcommand tree: conf | equi | even | ss | verify | render, declared in one
+table in `build_parser`: each command once, with its handler and its flags.
+All numeric output is exact rationals; identical argv (and seed) produce
+byte-identical output. Exit codes: 0 success, 1 verification failure, 2 input
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from functools import lru_cache
 
 from . import confring, equieven, equiodd, specseq, verify
-from .charclasses import BASIS_BOUND, POINT_BOUND, GroupSpec
+from .charclasses import BASIS_BOUND, CONVENTIONS, HALFDIM_BOUND, POINT_BOUND, GroupSpec
 from .errors import CapacityError, InputError, PurityViolation, WitnessError
 from .exactalg import rat
 
@@ -53,34 +55,30 @@ def load_json(path):
 
 
 def emit(args, payload, text=None, dot=None):
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "dot":
+    """Write `payload` as JSON, `text` (JSON if None) or `dot()` (a callable,
+    where the result has a DOT rendering) to stdout or the --output file."""
+    if args.format == "dot":
         if dot is None:
             raise InputError("this command has no DOT rendering")
-        out = dot if dot.endswith("\n") else dot + "\n"
+        out = dot()
+        out = out if out.endswith("\n") else out + "\n"
+    elif args.format == "json" or text is None:
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        out = (text if text is not None
-               else json.dumps(payload, indent=2, sort_keys=True)) + "\n"
-    target = getattr(args, "output", None)
-    if target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
+        out = text + "\n"
+    if not args.output:
         sys.stdout.write(out)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}") from exc
 
 
-def group_spec_from_flag(group, halfdim, odd):
-    if group == "torus":
-        return GroupSpec("torus", halfdim)
-    if group == "so":
-        return GroupSpec("so_odd" if odd else "so_even", halfdim)
-    if group == "o":
-        return GroupSpec("o_odd" if odd else "o_even", halfdim)
-    if group == "u":
-        return GroupSpec("u", halfdim)
-    raise InputError(f"unknown group {group!r}")
+def emit_element(args, elem):
+    """An element as JSON, text or, for graph elements, DOT."""
+    emit(args, elem.to_json(), text=str(elem), dot=getattr(elem, "to_dot", None))
 
 
 # ---------------------------------------------------------------------------
@@ -110,44 +108,47 @@ def cmd_conf_basis(args):
 
 def cmd_conf_normal_form(args):
     word = parse_word(args.word)
-    elem = confring.normal_form(args.points, args.dim, word, rat(args.coeff))
-    emit(args, elem.to_json(), text=str(elem))
+    emit_element(args, confring.normal_form(args.points, args.dim, word, rat(args.coeff)))
     return 0
 
 
-def cmd_conf_product(args):
-    lhs = confring.ConfElement.from_json(load_json(args.lhs))
-    rhs = confring.ConfElement.from_json(load_json(args.rhs))
-    prod = lhs * rhs
-    emit(args, prod.to_json(), text=str(prod))
+# ---------------------------------------------------------------------------
+# conf and equi: products and label actions of element files
+
+ELEMENTS = {"conf": confring.ConfElement, "equi": equiodd.EquiElement}
+
+
+def cmd_product(args):
+    element = ELEMENTS[args.command]
+    lhs = element.from_json(load_json(args.lhs))
+    rhs = element.from_json(load_json(args.rhs))
+    emit_element(args, lhs * rhs)
     return 0
 
 
-def cmd_conf_act(args):
-    elem = confring.ConfElement.from_json(load_json(args.input))
-    out = confring.label_action(parse_perm(args.perm), elem)
-    emit(args, out.to_json(), text=str(out))
+def cmd_act(args):
+    elem = ELEMENTS[args.command].from_json(load_json(args.input))
+    emit_element(args, confring.label_action(parse_perm(args.perm), elem))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # equi (odd-dimensional equivariant ring)
 
+ODD_GROUPS = {"so": "so_odd", "o": "o_odd"}
+
 
 def cmd_equi_hilbert(args):
-    dims = []
+    degrees = range(args.max_degree + 1)
     if args.group == "torus":
-        for d in range(args.max_degree + 1):
-            dims.append(equiodd.torus_dimension(args.points, args.halfdim, d))
+        dims = [equiodd.torus_dimension(args.points, args.halfdim, d) for d in degrees]
     else:
-        spec = group_spec_from_flag(args.group, args.halfdim, odd=True)
-        for d in range(args.max_degree + 1):
-            dims.append(equiodd.fixed_point_dimension(
-                spec, args.points, d, args.weyl_convention))
+        spec = GroupSpec(ODD_GROUPS[args.group], args.halfdim)
+        dims = [equiodd.fixed_point_dimension(spec, args.points, d, args.weyl_convention)
+                for d in degrees]
     payload = {"points": args.points, "halfdim": args.halfdim,
                "group": args.group, "dims": dims}
-    text = " ".join(str(x) for x in dims)
-    emit(args, payload, text=text)
+    emit(args, payload, text=" ".join(str(x) for x in dims))
     return 0
 
 
@@ -166,29 +167,13 @@ def cmd_equi_normal_form(args):
     elem = equiodd.unit(args.points, args.halfdim)
     for i, j in word:
         elem = elem * equiodd.generator(args.points, args.halfdim, i, j)
-    emit(args, elem.to_json(), text=str(elem), dot=elem.to_dot())
-    return 0
-
-
-def cmd_equi_product(args):
-    lhs = equiodd.EquiElement.from_json(load_json(args.lhs))
-    rhs = equiodd.EquiElement.from_json(load_json(args.rhs))
-    prod = lhs * rhs
-    emit(args, prod.to_json(), text=str(prod), dot=prod.to_dot())
+    emit_element(args, elem)
     return 0
 
 
 def cmd_equi_restrict(args):
     elem = equiodd.EquiElement.from_json(load_json(args.input))
-    out = equiodd.nonequivariant_restriction(elem)
-    emit(args, out.to_json(), text=str(out))
-    return 0
-
-
-def cmd_equi_act(args):
-    elem = equiodd.EquiElement.from_json(load_json(args.input))
-    out = confring.label_action(parse_perm(args.perm), elem)
-    emit(args, out.to_json(), text=str(out), dot=out.to_dot())
+    emit_element(args, equiodd.nonequivariant_restriction(elem))
     return 0
 
 
@@ -257,8 +242,7 @@ def cmd_ss_page(args):
 
 def cmd_ss_decalage(args):
     complex_ = specseq.complex_from_json(load_json(args.input))
-    out = specseq.decalage(complex_)
-    emit(args, out.to_json())
+    emit(args, specseq.decalage(complex_).to_json())
     return 0
 
 
@@ -299,13 +283,9 @@ def cmd_ss_witness(args):
     spec = specseq.WeightSpec(rat(args.xi), rat(args.alpha), 0)
     try:
         witness = specseq.formality_witness(complex_, spec)
-    except PurityViolation as exc:
-        emit(args, {"ok": False, "reason": str(exc)},
-             text=f"refused: {exc}")
-        return 1
-    except WitnessError as exc:
-        emit(args, {"ok": False, "reason": str(exc)},
-             text=f"no witness: {exc}")
+    except (PurityViolation, WitnessError) as exc:
+        refusal = "refused" if isinstance(exc, PurityViolation) else "no witness"
+        emit(args, {"ok": False, "reason": str(exc)}, text=f"{refusal}: {exc}")
         return 1
     text = "\n".join(f"{name}: {'ok' if passed else 'FAIL'}"
                      for name, passed in witness.transcript)
@@ -325,169 +305,90 @@ def cmd_verify(args):
 
 def cmd_render(args):
     elem = equiodd.EquiElement.from_json(load_json(args.input))
-    emit(args, elem.to_json(), text=elem.to_dot(), dot=elem.to_dot())
+    emit(args, elem.to_json(), text=elem.to_dot(), dot=elem.to_dot)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-
-def add_common(p, output=True):
-    p.add_argument("--format", choices=("json", "text", "dot"), default="text")
-    if output:
-        p.add_argument("--output", metavar="FILE")
+NEEDED = {"required": True}
+NEEDED_INT = {"type": int, "required": True}
+POINTS = ("--points", NEEDED_INT)
+DIM = ("--dim", NEEDED_INT)
+HALFDIM = ("--halfdim", NEEDED_INT)
+DEGREE = ("--degree", NEEDED_INT)
+MAX_DEGREE = ("--max-degree", NEEDED_INT)
+PAGE = ("--page", NEEDED_INT)
+INPUT = ("--input", NEEDED)
+OPERANDS = (("--lhs", NEEDED), ("--rhs", NEEDED))
+WEIGHT = (("--xi", NEEDED), ("--alpha", NEEDED))
+EVEN_GROUP = ("--group", {"choices": ("so", "o", "u"), "required": True})
+# every command takes these, after its own flags
+COMMON = (("--format", {"choices": ("json", "text", "dot"), "default": "text"}),
+          ("--output", {"metavar": "FILE"}))
+HELP = {"conf": "non-equivariant configuration rings",
+        "equi": "odd-dimensional equivariant rings",
+        "even": "even-dimensional page models",
+        "ss": "filtered complexes and spectral pages",
+        "verify": "invariant batteries and golden examples",
+        "render": "DOT rendering of graph elements"}
 
 
 @lru_cache(maxsize=1)
 def build_parser():
-    """The argument parser; built once per process, since parsing never mutates it."""
+    """The argument parser; built once per process, since parsing never mutates it.
+
+    One entry per command: its path, its handler and its own flags. The
+    handlers are looked up here, when the parser is built.
+    """
+    commands = (
+        ("conf poincare", cmd_conf_poincare, (POINTS, DIM)),
+        ("conf basis", cmd_conf_basis, (POINTS, DIM, DEGREE)),
+        ("conf normal-form", cmd_conf_normal_form,
+         (POINTS, DIM, ("--word", {"required": True, "help": "e.g. '1 3, 2 3' for x13*x23"}),
+          ("--coeff", {"default": "1"}))),
+        ("conf product", cmd_product, OPERANDS),
+        ("conf act", cmd_act, (("--perm", {"required": True, "help": "e.g. '2,1,3'"}), INPUT)),
+        ("equi hilbert", cmd_equi_hilbert,
+         (POINTS, HALFDIM, ("--group", {"choices": ("torus", "so", "o"), "default": "torus"}),
+          MAX_DEGREE, ("--weyl-convention", {"choices": CONVENTIONS, "default": "standard"}))),
+        ("equi basis", cmd_equi_basis, (POINTS, HALFDIM, DEGREE)),
+        ("equi normal-form", cmd_equi_normal_form, (POINTS, HALFDIM, ("--word", NEEDED))),
+        ("equi product", cmd_product, OPERANDS),
+        ("equi restrict", cmd_equi_restrict, (INPUT,)),
+        ("equi act", cmd_act, (("--perm", NEEDED), INPUT)),
+        ("even kernel", cmd_even_kernel, (POINTS, HALFDIM, MAX_DEGREE)),
+        ("even hilbert", cmd_even_hilbert, (EVEN_GROUP, POINTS, HALFDIM, MAX_DEGREE)),
+        ("even verify-page", cmd_even_verify_page, (EVEN_GROUP, POINTS, HALFDIM, MAX_DEGREE)),
+        ("even complex", cmd_even_complex,
+         (("--group", {"choices": ("torus", "so", "u"), "required": True}), POINTS, HALFDIM,
+          MAX_DEGREE, ("--xi", {"help": "rational P/Q; attach phi"}))),
+        ("ss page", cmd_ss_page, (INPUT, PAGE)),
+        ("ss decalage", cmd_ss_decalage, (INPUT,)),
+        ("ss canonical", cmd_ss_canonical, (INPUT,)),
+        ("ss purity", cmd_ss_purity,
+         (INPUT, *WEIGHT, PAGE, ("--at-page", {"type": int}))),
+        ("ss witness", cmd_ss_witness, (INPUT, *WEIGHT)),
+        ("verify", cmd_verify, (("--suite", {"required": True, "choices": verify.SUITE_NAMES}),
+                                ("--seed", {"type": int, "default": 0}))),
+        ("render", cmd_render, (INPUT,)),
+    )
     parser = argparse.ArgumentParser(
         prog="equiconf",
         description="Exact equivariant cohomology of configuration spaces "
                     "and a filtered-complex spectral-sequence kernel.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    conf = sub.add_parser("conf", help="non-equivariant configuration rings")
-    conf_sub = conf.add_subparsers(dest="subcommand", required=True)
-    p = conf_sub.add_parser("poincare")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_conf_poincare)
-    p = conf_sub.add_parser("basis")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_conf_basis)
-    p = conf_sub.add_parser("normal-form")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--word", required=True, help="e.g. '1 3, 2 3' for x13*x23")
-    p.add_argument("--coeff", default="1")
-    add_common(p)
-    p.set_defaults(func=cmd_conf_normal_form)
-    p = conf_sub.add_parser("product")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_conf_product)
-    p = conf_sub.add_parser("act")
-    p.add_argument("--perm", required=True, help="e.g. '2,1,3'")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_conf_act)
-
-    equi = sub.add_parser("equi", help="odd-dimensional equivariant rings")
-    equi_sub = equi.add_subparsers(dest="subcommand", required=True)
-    p = equi_sub.add_parser("hilbert")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--group", choices=("torus", "so", "o"), default="torus")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--weyl-convention", choices=("standard", "paper"),
-                   default="standard")
-    add_common(p)
-    p.set_defaults(func=cmd_equi_hilbert)
-    p = equi_sub.add_parser("basis")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_equi_basis)
-    p = equi_sub.add_parser("normal-form")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--word", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_equi_normal_form)
-    p = equi_sub.add_parser("product")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_equi_product)
-    p = equi_sub.add_parser("restrict")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_equi_restrict)
-    p = equi_sub.add_parser("act")
-    p.add_argument("--perm", required=True)
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_equi_act)
-
-    even = sub.add_parser("even", help="even-dimensional page models")
-    even_sub = even.add_subparsers(dest="subcommand", required=True)
-    p = even_sub.add_parser("kernel")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_even_kernel)
-    p = even_sub.add_parser("hilbert")
-    p.add_argument("--group", choices=("so", "o", "u"), required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_even_hilbert)
-    p = even_sub.add_parser("verify-page")
-    p.add_argument("--group", choices=("so", "o", "u"), required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_even_verify_page)
-    p = even_sub.add_parser("complex")
-    p.add_argument("--group", choices=("torus", "so", "u"), required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--halfdim", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--xi", default=None, help="rational P/Q; attach phi")
-    add_common(p)
-    p.set_defaults(func=cmd_even_complex)
-
-    ss = sub.add_parser("ss", help="filtered complexes and spectral pages")
-    ss_sub = ss.add_subparsers(dest="subcommand", required=True)
-    p = ss_sub.add_parser("page")
-    p.add_argument("--input", required=True)
-    p.add_argument("--page", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_ss_page)
-    p = ss_sub.add_parser("decalage")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_ss_decalage)
-    p = ss_sub.add_parser("canonical")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_ss_canonical)
-    p = ss_sub.add_parser("purity")
-    p.add_argument("--input", required=True)
-    p.add_argument("--xi", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--page", type=int, required=True)
-    p.add_argument("--at-page", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_ss_purity)
-    p = ss_sub.add_parser("witness")
-    p.add_argument("--input", required=True)
-    p.add_argument("--xi", required=True)
-    p.add_argument("--alpha", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_ss_witness)
-
-    p = sub.add_parser("verify", help="invariant batteries and golden examples")
-    p.add_argument("--suite", required=True, choices=verify.SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("render", help="DOT rendering of graph elements")
-    p.add_argument("--input", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_render)
+    groups = {}
+    for path, func, flags in commands:
+        group, _, name = path.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=HELP[group]).add_subparsers(
+                dest="subcommand", required=True)
+        leaf = groups[group].add_parser(name) if group else sub.add_parser(name, help=HELP[name])
+        for flag, options in flags + COMMON:
+            leaf.add_argument(flag, **options)
+        leaf.set_defaults(func=func)
     return parser
 
 
@@ -500,6 +401,8 @@ def main(argv=None):
     try:
         if getattr(args, "points", 0) > POINT_BOUND:
             raise CapacityError(f"{args.points} points exceed the bound {POINT_BOUND}")
+        if getattr(args, "halfdim", 0) > HALFDIM_BOUND:
+            raise CapacityError(f"halfdim {args.halfdim} exceeds the bound {HALFDIM_BOUND}")
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,8 +26,6 @@ from .charclasses import GroupSpec, WeylElement, char_ring, fixed_rows, torus_ri
 from .errors import CapacityError, InputError
 from .exactalg import Matrix, PolyRing, rat
 
-PAGE_GROUPS = ("torus", "so", "o", "u")
-
 
 def page_ring(group, n):
     if group == "torus":

@@ -244,45 +244,6 @@ def nonequivariant_restriction(a: EquiElement):
     return confring.ConfElement(ell, 2 * n + 1, terms)
 
 
-def projection_pullback(i, j, a: EquiElement, ell):
-    """Pullback along the projection keeping points i < j of 1..ell."""
-    if not (1 <= i < j <= ell):
-        raise InputError("need 1 <= i < j <= ell")
-    if a.points != 2:
-        raise InputError("projection pullback expects a 2-point element")
-    out = {}
-    for edges, c in a.terms.items():
-        key = tuple((i, j) for _ in edges)  # at most one edge on 2 points
-        out[key] = out.get(key, qring(a.halfdim).zero()) + c
-    return EquiElement(ell, a.halfdim, out)
-
-
-def section_pullback(i, j, a: EquiElement):
-    """Pullback along the section of the projection onto points {i, j} of 1..3.
-
-    The section adds the forgotten third point far away; both edges into it
-    map to q_1...q_n, and the retained edge maps to the 2-point generator.
-    """
-    if a.points != 3:
-        raise InputError("section pullback expects a 3-point element")
-    if not (1 <= i < j <= 3):
-        raise InputError("need 1 <= i < j <= 3")
-    n = a.halfdim
-    top = q_top(n)
-    kept = (i, j)
-    out = EquiElement(2, n, {})
-    for edges, c in a.terms.items():
-        key = []
-        coeff = c
-        for e in edges:
-            if e == kept:
-                key.append((1, 2))
-            else:
-                coeff = coeff * top
-        out = out + EquiElement(2, n, reduce_graph(2, n, key, coeff))
-    return out
-
-
 def modified_arnold(ell, n, i, j, k):
     """y_ij y_jk - y_jk y_ik - y_ik y_ij + p_n, which must reduce to zero."""
     yij = generator(ell, n, i, j)

@@ -41,10 +41,13 @@ from .exactalg import (
 )
 
 
+NO_SPACE = (Matrix.zero(0, 0),) * 2  # the empty and full span of a zero space
+
+
 class FilteredComplex:
     """Explicit filtered cochain complex, canonicalized degree by degree."""
 
-    __slots__ = ("spaces", "d", "filtration", "phi", "top_level")
+    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "_ends")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): int(dim) for n, dim in spaces.items() if dim}
@@ -76,6 +79,10 @@ class FilteredComplex:
                     self.phi[n] = mat
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
+        # the empty and the full span of each degree, which W returns off the
+        # ends of the filtration
+        self._ends = {n: (Matrix.zero(dim, 0), Matrix.identity(dim))
+                      for n, dim in self.spaces.items()}
         if validate:
             self.validate()
 
@@ -106,12 +113,12 @@ class FilteredComplex:
 
     def W(self, n, i):
         """The canonical basis matrix of W_i A^n (empty/full off the ends)."""
-        dim = self.dim(n)
-        if dim == 0 or i < 0:
-            return Matrix.zero(dim, 0)
+        empty, full = self._ends.get(n, NO_SPACE)
+        if i < 0:
+            return empty
         levels = self.filtration.get(n)
         if levels is None or i >= len(levels):
-            return Matrix.identity(dim)
+            return full
         return levels[i]
 
     # -- validation ---------------------------------------------------------

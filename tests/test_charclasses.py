@@ -165,14 +165,6 @@ def test_torus_invariants_under_eta():
                 cc.invariant_dimension(cc.GroupSpec("o_odd", rank), degree)
 
 
-def test_json_round_trips():
-    spec = cc.GroupSpec("so_odd", 2)
-    assert cc.group_from_json(spec.to_json()) == spec
-    w = cc.WeylElement((2, 1), (1, -1), 1)
-    data = w.to_json()
-    assert data == {"sigma": [2, 1], "eps": [1, -1], "eta": 1}
-
-
 def _check_fixed_basis(group, basis, act, got):
     """`got` equals the averaging oracle, is fixed, and has the mean-trace dimension."""
     assert got == oracles.averaged_fixed_basis(group, basis, act)

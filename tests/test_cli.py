@@ -5,7 +5,7 @@ import random
 import pytest
 
 from equiconf import confring, equieven, equiodd, specseq
-from equiconf.charclasses import BASIS_BOUND, POINT_BOUND
+from equiconf.charclasses import BASIS_BOUND, HALFDIM_BOUND, POINT_BOUND
 from equiconf.cli import main, parse_perm, parse_word
 from equiconf.errors import InputError
 
@@ -163,6 +163,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "4300 digits" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
     assert exit_code("ss", "page", "--input", str(missing), "--page", "1") == 2
+    # an unwritable --output: a missing directory, or a directory
+    for target in (tmp_path / "no-such-dir" / "x", tmp_path):
+        argv = ("conf", "poincare", "--points", "3", "--dim", "3", "--output", str(target))
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        assert f"cannot write {target}" in capsys.readouterr().err
     # capacity error
     assert exit_code("even", "kernel", "--points", "9", "--halfdim", "2",
                      "--max-degree", "4") == 2
@@ -191,6 +197,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert exit_code("equi", "normal-form", "--points", str(POINT_BOUND), "--halfdim", "1",
                      "--word", "1 2", "--format", "json", "--output", str(path)) == 0
     assert exit_code("render", "--input", str(path)) == 0
+    # a --halfdim past HALFDIM_BOUND: monomial enumeration recurses per generator
+    for argv in (("equi", "hilbert", "--points", "3", "--halfdim", "2000", "--max-degree", "2"),
+                 ("equi", "basis", "--points", "3", "--halfdim", "5000", "--degree", "2"),
+                 ("even", "complex", "--group", "torus", "--points", "2", "--halfdim", "2000",
+                  "--max-degree", "2"),
+                 ("even", "kernel", "--points", "2", "--halfdim", str(HALFDIM_BOUND + 1),
+                  "--max-degree", "2")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        assert f"bound {HALFDIM_BOUND}" in capsys.readouterr().err
+    assert exit_code("equi", "hilbert", "--points", "3", "--halfdim", str(HALFDIM_BOUND),
+                     "--max-degree", "6") == 0
     # `conf basis` reads its size off the closed form before it enumerates
     # (11! monomials here), and `conf poincare` prints the closed form
     too_many = ("conf", "basis", "--points", "12", "--dim", "3", "--degree", "22")

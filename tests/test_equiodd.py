@@ -266,26 +266,6 @@ def test_restriction_is_ring_map_and_kills_modified_arnold():
     assert equiodd.nonequivariant_restriction(rel).is_zero()
 
 
-def test_projection_pullback():
-    y = equiodd.generator(2, 1, 1, 2)
-    assert equiodd.projection_pullback(1, 3, y, 3) == equiodd.generator(3, 1, 1, 3)
-    q1 = equiodd.unit(2, 1).scale_poly(equiodd.qring(1).gen("q1"))
-    assert equiodd.projection_pullback(1, 3, q1, 3) == \
-        equiodd.unit(3, 1).scale_poly(equiodd.qring(1).gen("q1"))
-    # the squared generator maps to p_n
-    assert equiodd.projection_pullback(1, 3, y * y, 3) == \
-        equiodd.unit(3, 1).scale_poly(equiodd.p_top(1))
-
-
-def test_section_pullback():
-    y12 = equiodd.generator(3, 1, 1, 2)
-    y13 = equiodd.generator(3, 1, 1, 3)
-    assert equiodd.section_pullback(1, 2, y12) == equiodd.generator(2, 1, 1, 2)
-    assert equiodd.section_pullback(1, 2, y13) == \
-        equiodd.unit(2, 1).scale_poly(equiodd.q_top(1))
-    assert equiodd.section_pullback(1, 2, equiodd.modified_arnold(3, 1, 1, 2, 3)).is_zero()
-
-
 def test_label_action_examples():
     y = equiodd.generator(2, 1, 1, 2)
     assert confring.label_action((2, 1), y) == -y

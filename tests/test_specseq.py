@@ -96,6 +96,14 @@ def test_canonical_filtration_golden_cases():
     assert tau.W(0, 1).ncols == 1
 
 
+def test_W_off_the_ends_is_the_empty_or_full_span():
+    A = ss.canonical_filtration({0: 2, 2: 1}, {})
+    for n, dim in ((0, 2), (1, 0), (2, 1), (5, 0)):
+        assert A.W(n, -1) == Matrix.zero(dim, 0)
+        assert A.W(n, 9) == Matrix.identity(dim)
+        assert A.W(n, 9) is A.W(n, 10)  # built once per degree
+
+
 def test_page_of_trivial_filtration():
     # single-jump filtration: E0 concentrated in one column, E1 = cohomology
     A = ss.FilteredComplex(
