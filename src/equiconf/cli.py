@@ -76,6 +76,14 @@ def emit(args, payload, text=None, dot=None):
         raise InputError(f"cannot write {args.output}: {exc}") from exc
 
 
+def check_basis_size(size, degree):
+    """Refuse a basis that the closed form sizes past BASIS_BOUND, before it
+    is enumerated."""
+    if size > BASIS_BOUND:
+        raise CapacityError(f"the degree {degree} basis has {size} monomials, "
+                            f"more than the bound {BASIS_BOUND}")
+
+
 def emit_element(args, elem):
     """An element as JSON, text or, for graph elements, DOT."""
     emit(args, elem.to_json(), text=str(elem), dot=getattr(elem, "to_dot", None))
@@ -93,10 +101,9 @@ def cmd_conf_poincare(args):
 
 
 def cmd_conf_basis(args):
-    size = confring.poincare_formula(args.points, args.dim).coefficient((args.degree,))
-    if size > BASIS_BOUND:
-        raise CapacityError(f"the degree {args.degree} basis has {size} monomials, "
-                            f"more than the bound {BASIS_BOUND}")
+    check_basis_size(
+        confring.poincare_formula(args.points, args.dim).coefficient((args.degree,)),
+        args.degree)
     monos = confring.basis(args.points, args.dim, args.degree)
     payload = {"points": args.points, "dim": args.dim, "degree": args.degree,
                "dimension": len(monos),
@@ -138,7 +145,18 @@ def cmd_act(args):
 ODD_GROUPS = {"so": "so_odd", "o": "o_odd"}
 
 
+def check_torus_basis_size(args, degree):
+    """Size the torus basis of a degree by its Leray-Hirsch count; arguments
+    that `equiodd.torus_basis` refuses are left to it."""
+    if args.points >= 0 and args.halfdim >= 1 and degree >= 0:
+        check_basis_size(
+            equiodd.leray_hirsch_dimension(args.points, args.halfdim, degree), degree)
+
+
 def cmd_equi_hilbert(args):
+    # the counts vanish in odd degrees and never decrease over the even ones,
+    # so the top even degree has the largest basis
+    check_torus_basis_size(args, args.max_degree - args.max_degree % 2)
     degrees = range(args.max_degree + 1)
     if args.group == "torus":
         dims = [equiodd.torus_dimension(args.points, args.halfdim, d) for d in degrees]
@@ -153,6 +171,7 @@ def cmd_equi_hilbert(args):
 
 
 def cmd_equi_basis(args):
+    check_torus_basis_size(args, args.degree)
     monos = equiodd.torus_basis(args.points, args.halfdim, args.degree)
     payload = {"points": args.points, "halfdim": args.halfdim,
                "degree": args.degree, "dimension": len(monos),
@@ -248,16 +267,8 @@ def cmd_ss_decalage(args):
 
 def cmd_ss_canonical(args):
     data = specseq.json_map(load_json(args.input), "a complex")
-    try:
-        out = specseq.canonical_filtration(
-            {int(k): v for k, v in specseq.json_map(data["degrees"], "degrees").items()},
-            {int(k): [[rat(x) for x in row] for row in rows]
-             for k, rows in specseq.json_map(data.get("d", {}), "d").items()},
-            None if "phi" not in data else
-            {int(k): [[rat(x) for x in row] for row in rows]
-             for k, rows in specseq.json_map(data["phi"], "phi").items()})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed complex: {exc}") from exc
+    with specseq.reading("complex"):
+        out = specseq.canonical_filtration(*specseq.read_complex(data))
     emit(args, out.to_json())
     return 0
 

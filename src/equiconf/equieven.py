@@ -149,21 +149,19 @@ def differential_matrix(group, ell, n, degree):
     index = {key: t for t, key in enumerate(dst)}
     cols = [d2n(zero(group, ell, n).from_coordinates([key], [Q(1)])).coordinates(index)
             for key in src]
-    return Matrix.from_columns(cols, nrows=len(dst)), len(src), len(dst)
+    return Matrix.from_columns(cols, nrows=len(dst))
 
 
 def page_cohomology_dims(group, ell, n, max_degree):
     """Degreewise dimension of H(page, d_2n), computed by kernel/image ranks."""
     check_capacity(ell, n)
     dims = {}
-    mats = {}
-    for d in range(max_degree + 2):
-        mats[d], _, _ = differential_matrix(group, ell, n, d)
+    img = 0  # rank of d_2n into the degree
     for d in range(max_degree + 1):
-        src = page_dimension(group, ell, n, d)
-        ker = src - mats[d].rank()
-        img = mats[d - 1].rank() if d > 0 else 0
-        dims[d] = ker - img
+        mat = differential_matrix(group, ell, n, d)
+        rank = mat.rank()
+        dims[d] = mat.ncols - rank - img
+        img = rank
     return dims
 
 
@@ -359,7 +357,7 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     dmats = {}
     for d in range(max_degree):
         if spaces.get(d) and spaces.get(d + 1):
-            dmats[d], _, _ = differential_matrix(group, ell, n, d)
+            dmats[d] = differential_matrix(group, ell, n, d)
     top_level = fiber * max(ell - 1, 0)
     filtration = {}
     ring = page_ring(group, n)

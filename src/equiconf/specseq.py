@@ -21,8 +21,10 @@ inherited by subquotients, so passing early implies passing at the target).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache, partial
 
 from .errors import InputError, PurityViolation, WitnessError
 from .exactalg import (
@@ -159,12 +161,13 @@ class FilteredComplex:
 
     def cohomology_dims(self):
         out = {}
+        img = 0  # rank of d_(n-1)
         for n in range(self.max_degree() + 1):
-            ker = self.dim(n) - self.diff(n).rank()
-            img = self.diff(n - 1).rank() if n > 0 else 0
-            h = ker - img
+            rank = self.diff(n).rank()
+            h = self.dim(n) - rank - img
             if h:
                 out[n] = h
+            img = rank
         return out
 
     # -- serialization -------------------------------------------------------
@@ -192,33 +195,46 @@ def json_map(value, what):
     return value
 
 
-def complex_from_json(data, require_filtration=True):
-    data = json_map(data, "a filtered complex")
+@contextmanager
+def reading(what):
+    """Report a KeyError, TypeError or ValueError (InputError included) raised
+    while reading JSON as an InputError: malformed `what`."""
     try:
-        spaces = {int(k): int(v) for k, v in json_map(data["degrees"], "degrees").items()}
-        d = {}
-        for k, rows in json_map(data.get("d", {}), "d").items():
-            n = int(k)
-            tgt = spaces.get(n + 1, 0)
-            d[n] = Matrix([[rat(x) for x in row] for row in rows]) if tgt else \
-                Matrix.zero(0, spaces.get(n, 0))
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+
+
+def read_complex(data):
+    """(spaces, d, phi) of a complex in the JSON of `to_json`, phi None where
+    it has none; call it inside `reading`."""
+    spaces = {int(k): int(v) for k, v in json_map(data["degrees"], "degrees").items()}
+    d = {}
+    for k, rows in json_map(data.get("d", {}), "d").items():
+        n = int(k)
+        tgt = spaces.get(n + 1, 0)
+        d[n] = Matrix([[rat(x) for x in row] for row in rows]) if tgt else \
+            Matrix.zero(0, spaces.get(n, 0))
+    phi = None
+    if "phi" in data:
+        phi = {int(k): Matrix([[rat(x) for x in row] for row in rows])
+               for k, rows in json_map(data["phi"], "phi").items()}
+    return spaces, d, phi
+
+
+def complex_from_json(data):
+    data = json_map(data, "a filtered complex")
+    with reading("filtered complex"):
+        spaces, d, phi = read_complex(data)
         filtration = {}
         for k, levels in json_map(data.get("filtration", {}), "filtration").items():
             n = int(k)
             filtration[n] = [col_space([[rat(x) for x in col] for col in lvl],
                                        dim=spaces.get(n, 0))
                              for lvl in levels]
-        phi = None
-        if "phi" in data:
-            phi = {int(k): Matrix([[rat(x) for x in row] for row in rows])
-                   for k, rows in json_map(data["phi"], "phi").items()}
-        if not filtration and require_filtration:
-            raise InputError("input complex carries no filtration")
         if not filtration:
-            return canonical_filtration(spaces, d, phi)
+            raise InputError("input complex carries no filtration")
         return FilteredComplex(spaces, d, filtration, phi)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed filtered complex: {exc}") from exc
 
 
 def canonical_filtration(spaces, d, phi=None):
@@ -293,21 +309,19 @@ class SpectralPage:
         return mat
 
 
+def cycles(A: FilteredComplex, r, i, n):
+    """Z_r(i, n) = W_i A^n cap d^(-1)(W_(i-r) A^(n+1))."""
+    return subspace_intersection(A.W(n, i),
+                                 subspace_preimage(A.diff(n), A.W(n + 1, i - r)))
+
+
 def page(A: FilteredComplex, r):
     """The r-th page of the spectral sequence of the filtered complex."""
     if r < 0:
         raise InputError("page index must be non-negative")
     # spots with i above the top filtration level vanish: W_i = W_{i-1} there
     top_i = A.top_level
-    z_cache = {}
-
-    def Z(rr, i, n):
-        key = (rr, i, n)
-        if key not in z_cache:
-            z_cache[key] = subspace_intersection(
-                A.W(n, i), subspace_preimage(A.diff(n), A.W(n + 1, i - rr)))
-        return z_cache[key]
-
+    Z = cache(partial(cycles, A))
     spots = {}
     diffs = {}
     phis = {} if A.phi is not None else None
@@ -319,7 +333,9 @@ def page(A: FilteredComplex, r):
             term1 = Z(r - 1, i - 1, n) if r >= 1 else A.W(n, i - 1)
             if n - 1 in A.spaces:
                 src = Z(r - 1, i + r - 1, n - 1) if r >= 1 else A.W(n - 1, i + r - 1)
-                term2 = subspace_intersection(col_space(A.diff(n - 1) * src), A.W(n, i))
+                # d src lies in W_i A^n already: src is W_(i-1) at r = 0 and
+                # lies in d^(-1) W_i past it
+                term2 = A.diff(n - 1) * src
             else:
                 term2 = Matrix.zero(A.dim(n), 0)
             quo = Quotient(z, subspace_sum(term1, term2))
@@ -347,16 +363,11 @@ def page_cohomology_dims(pg: SpectralPage):
 
 
 def decalage(A: FilteredComplex):
-    """Deligne's decalage: Dec W_i A^n = W_(i-n) A^n cap d^(-1) W_(i-n-1)."""
+    """Deligne's decalage: Dec W_i A^n = W_(i-n) A^n cap d^(-1) W_(i-n-1),
+    which is Z_1(i - n, n)."""
     new_top = A.top_level + max(A.max_degree(), 0) + 1
-    filtration = {}
-    for n in A.degrees():
-        levels = []
-        for i in range(new_top + 1):
-            levels.append(subspace_intersection(
-                A.W(n, i - n),
-                subspace_preimage(A.diff(n), A.W(n + 1, i - n - 1))))
-        filtration[n] = levels
+    filtration = {n: [cycles(A, 1, i - n, n) for i in range(new_top + 1)]
+                  for n in A.degrees()}
     return FilteredComplex(A.spaces, A.d, filtration,
                            None if A.phi is None else dict(A.phi))
 

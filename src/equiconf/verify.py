@@ -4,6 +4,14 @@ Each suite returns a SuiteReport listing every check with a pass flag and,
 on failure, the mismatching values. The CLI exposes them under `verify
 --suite NAME --seed N`; the acceptance tests drive the same functions, so
 the command line and the test suite certify identical facts.
+
+The randomized batteries draw seeded complexes of three families: filtered
+complexes (`random_filtered_complex`), complexes whose cohomology is pure
+(`random_pure_complex`) and staircase complexes pure at every early page
+(`random_staircase_complex`). Each family only draws its split standard
+form, its filtration levels and its eigenvalues; one split-model core,
+`_split_model`, moves that form by random filtration-true shears into d,
+phi and the filtration.
 """
 
 from __future__ import annotations
@@ -75,30 +83,11 @@ def _check(checks, name, passed, **details):
 # random complex generators (exact, seed-deterministic)
 
 
-def _random_shear_pair(rng, dim, levels, count):
-    """(g, g_inverse) as products of filtration-compatible shears."""
-    g = Matrix.identity(dim)
-    shears = []
-    for _ in range(count):
-        a = rng.randrange(dim)
-        b = rng.randrange(dim)
-        if a == b or levels[a] > levels[b]:
-            continue
-        c = Q(rng.randint(-2, 2))
-        if c == 0:
-            continue
-        shears.append((a, b, c))
-    for a, b, c in shears:
-        shear = [[Q(1) if i == j else Q(0) for j in range(dim)] for i in range(dim)]
-        shear[a][b] = c
-        g = Matrix(shear) * g
-    # g = S_k ... S_1, so the inverse multiplies the negated shears forward
-    ginv = Matrix.identity(dim)
-    for a, b, c in shears:
-        shear = [[Q(1) if i == j else Q(0) for j in range(dim)] for i in range(dim)]
-        shear[a][b] = -c
-        ginv = ginv * Matrix(shear)
-    return g, ginv
+# sizes of the random complexes: (total dimension budget, top degree)
+FILTERED_SIZE, PURE_SIZE, STAIRCASE_SIZE = (10, 3), (8, 4), (8, 3)
+MAX_LEVEL = 3     # top filtration level of random_filtered_complex
+EXTRA_LEVELS = 1  # levels of random_staircase_complex above the page r
+SAMPLES = 50      # random complexes per randomized decalage/purity check
 
 
 def _random_shape(rng, max_total_dim, max_degree):
@@ -124,18 +113,51 @@ def _random_shape(rng, max_total_dim, max_degree):
     return dims, ranks
 
 
-def _standard_differential(dims, ranks, n):
-    """Map the trailing coimage coordinates onto the leading image ones."""
-    rows = dims.get(n + 1, 0)
-    cols = dims.get(n, 0)
-    mat = [[Q(0)] * cols for _ in range(rows)]
-    for t in range(ranks.get(n, 0)):
-        mat[t][cols - ranks[n] + t] = Q(1)
-    return Matrix(mat, ncols=cols) if rows else Matrix.zero(0, cols)
+def _split_model(rng, dims, ranks, levels, top, eigenvalues):
+    """(d, phi, filtration) of a split model moved by random shears.
+
+    In the standard form d maps the trailing ranks[n] coordinates of degree n
+    onto the leading ones of degree n + 1, coordinate t of degree n lies in
+    filtration level levels[n][t] <= top, and phi is diagonal with entries
+    eigenvalues[n] (no phi when None). Each degree is then moved by
+    g = S_k ... S_1 for 2 * dim random shears S = 1 + c E_ab with
+    levels[n][a] <= levels[n][b], which keep every level in place.
+    """
+    gs, ginvs = {}, {}
+    for n, dim in dims.items():
+        g = [[Q(1) if i == j else Q(0) for j in range(dim)] for i in range(dim)]
+        ginv = [row[:] for row in g]
+        for _ in range(2 * dim):
+            a = rng.randrange(dim)
+            b = rng.randrange(dim)
+            if a == b or levels[n][a] > levels[n][b]:
+                continue
+            c = Q(rng.randint(-2, 2))
+            if c:
+                # g <- S g adds c * row b to row a; g^-1 <- g^-1 S^-1 subtracts
+                # c * column a from column b
+                g[a] = [x + c * y for x, y in zip(g[a], g[b])]
+                for row in ginv:
+                    row[b] -= c * row[a]
+        gs[n], ginvs[n] = g, ginv
+    d, filtration = {}, {}
+    phi = None if eigenvalues is None else {}
+    for n, dim in dims.items():
+        g, ginv = gs[n], ginvs[n]
+        if n + 1 in dims:
+            rank = ranks[n]
+            d[n] = Matrix([row[:rank] for row in gs[n + 1]], ncols=rank) \
+                * Matrix(ginv[dim - rank:], ncols=dim)
+        if phi is not None:
+            phi[n] = Matrix([[x * lam for x, lam in zip(row, eigenvalues[n])]
+                             for row in g]) * Matrix(ginv)
+        filtration[n] = [col_space([col for col, lv in zip(zip(*g), levels[n]) if lv <= i],
+                                   dim=dim)
+                         for i in range(top + 1)]
+    return d, phi, filtration
 
 
-def random_filtered_complex(rng, max_total_dim=10, max_degree=3, max_level=3,
-                            strict=False):
+def random_filtered_complex(rng, strict=False):
     """A random filtered complex: split model, then filtration-true shears.
 
     With strict=True every acyclic pair drops at least one filtration level,
@@ -143,44 +165,20 @@ def random_filtered_complex(rng, max_total_dim=10, max_degree=3, max_level=3,
     that is the class on which the decalage comparison is an isomorphism
     already on the zeroth page (in general it is only a quasi-isomorphism).
     """
-    dims, ranks = _random_shape(rng, max_total_dim, max_degree)
-    levels = {}
-    for n in sorted(dims):
-        here = dims[n]
-        lv = [0] * here
-        for t in range(here):
-            lv[t] = rng.randint(0, max_level)
-        levels[n] = lv
+    dims, ranks = _random_shape(rng, *FILTERED_SIZE)
+    levels = {n: [rng.randint(0, MAX_LEVEL) for _ in range(dim)]
+              for n, dim in dims.items()}
     # pairs must not increase level along d
     gap = 1 if strict else 0
-    for n in sorted(dims):
-        for t in range(ranks.get(n, 0)):
-            src = dims[n] - ranks[n] + t
-            dst = t
-            if n + 1 in levels:
-                lf = rng.randint(0, max_level - gap)
-                levels[n + 1][dst] = lf
-                levels[n][src] = rng.randint(lf + gap, max_level)
-    gs = {}
-    ginvs = {}
     for n, dim in dims.items():
-        gs[n], ginvs[n] = _random_shear_pair(rng, dim, levels[n], 2 * dim)
-    d = {}
-    for n in dims:
-        if dims.get(n + 1, 0):
-            d[n] = gs[n + 1] * _standard_differential(dims, ranks, n) * ginvs[n]
-    filtration = {}
-    for n, dim in dims.items():
-        lvls = []
-        for i in range(max_level + 1):
-            cols = [gs[n].column(t) for t in range(dim) if levels[n][t] <= i]
-            lvls.append(col_space(cols, dim=dim))
-        filtration[n] = lvls
+        for t in range(ranks[n]):
+            levels[n + 1][t] = lf = rng.randint(0, MAX_LEVEL - gap)
+            levels[n][dim - ranks[n] + t] = rng.randint(lf + gap, MAX_LEVEL)
+    d, _, filtration = _split_model(rng, dims, ranks, levels, MAX_LEVEL, None)
     return specseq.FilteredComplex(dims, d, filtration)
 
 
-def random_pure_complex(rng, xi, alpha, max_total_dim=8, max_degree=4,
-                        impure=False):
+def random_pure_complex(rng, xi, alpha, impure=False):
     """A complex with phi whose cohomology is pure of weight alpha*n.
 
     Returns (complex with canonical filtration, cohomology dims, spoiled
@@ -189,61 +187,44 @@ def random_pure_complex(rng, xi, alpha, max_total_dim=8, max_degree=4,
     """
     xi = Q(xi)
     alpha = Q(alpha)
-    dims, ranks = _random_shape(rng, max_total_dim, max_degree)
     pool = [Q(2), Q(3), Q(5), Q(7), xi ** 2, Q(1, 2)]
-    phi_std = {}
-    h_dims = {}
-    for n in sorted(dims):
-        here = dims[n]
-        diag = [Q(1)] * here
-        h = here - ranks.get(n, 0) - ranks.get(n - 1, 0)
-        # free coordinates sit between the image and coimage blocks
-        start = ranks.get(n - 1, 0)
-        for t in range(h):
-            diag[start + t] = xi ** int(alpha * n) \
-                if (alpha * n).denominator == 1 else pool[rng.randrange(4)]
-        h_dims[n] = h
-        phi_std[n] = diag
-    # pairs share an eigenvalue so that phi commutes with d
-    for n in sorted(dims):
-        for t in range(ranks.get(n, 0)):
-            lam = pool[rng.randrange(len(pool))]
-            phi_std[n][dims[n] - ranks[n] + t] = lam
-            phi_std[n + 1][t] = lam
-    spoiled = None
-    if impure:
-        candidates = [n for n in sorted(dims)
-                      if h_dims.get(n, 0) and (alpha * n).denominator == 1]
-        if not candidates:
-            return random_pure_complex(rng, xi, alpha, max_total_dim,
-                                       max_degree, impure)
-        n = rng.choice(candidates)
-        start = ranks.get(n - 1, 0)
-        phi_std[n][start] = phi_std[n][start] * 3
-        spoiled = (-n, 2 * n)
-    # degrees whose weight is non-integral must have no cohomology
-    for n in sorted(dims):
-        if (alpha * n).denominator != 1 and h_dims.get(n, 0):
-            return random_pure_complex(rng, xi, alpha, max_total_dim,
-                                       max_degree, impure)
-    gs = {}
-    ginvs = {}
-    for n, dim in dims.items():
-        gs[n], ginvs[n] = _random_shear_pair(rng, dim, [0] * dim, 2 * dim)
-    d = {}
-    phi = {}
-    for n, dim in dims.items():
-        if dims.get(n + 1, 0):
-            d[n] = gs[n + 1] * _standard_differential(dims, ranks, n) * ginvs[n]
-        diag = Matrix([[phi_std[n][i] if i == j else Q(0) for j in range(dim)]
-                       for i in range(dim)])
-        phi[n] = gs[n] * diag * ginvs[n]
+    while True:
+        dims, ranks = _random_shape(rng, *PURE_SIZE)
+        eigenvalues = {}
+        h_dims = {}
+        for n, dim in dims.items():
+            diag = [Q(1)] * dim
+            # free coordinates sit between the image and coimage blocks
+            start = ranks.get(n - 1, 0)
+            h_dims[n] = dim - ranks[n] - start
+            for t in range(h_dims[n]):
+                diag[start + t] = xi ** int(alpha * n) \
+                    if (alpha * n).denominator == 1 else pool[rng.randrange(4)]
+            eigenvalues[n] = diag
+        # pairs share an eigenvalue so that phi commutes with d
+        for n, dim in dims.items():
+            for t in range(ranks[n]):
+                eigenvalues[n][dim - ranks[n] + t] = eigenvalues[n + 1][t] = \
+                    pool[rng.randrange(len(pool))]
+        spoiled = None
+        if impure:
+            candidates = [n for n, h in h_dims.items()
+                          if h and (alpha * n).denominator == 1]
+            if not candidates:
+                continue
+            n = rng.choice(candidates)
+            eigenvalues[n][ranks.get(n - 1, 0)] *= 3
+            spoiled = (-n, 2 * n)
+        # degrees whose weight is non-integral must have no cohomology
+        if all((alpha * n).denominator == 1 for n, h in h_dims.items() if h):
+            break
+    d, phi, _ = _split_model(rng, dims, ranks, {n: [0] * dim for n, dim in dims.items()},
+                             0, eigenvalues)
     complex_ = canonical_filtration(dims, d, phi)
     return complex_, {n: h for n, h in h_dims.items() if h}, spoiled
 
 
-def random_staircase_complex(rng, xi, alpha, r, max_total_dim=8, max_degree=3,
-                             extra_levels=1):
+def random_staircase_complex(rng, xi, alpha, r):
     """A filtered complex pure for the target-page weight at every early page.
 
     Acyclic pairs either stay at one level (killed on the first page) or drop
@@ -255,52 +236,28 @@ def random_staircase_complex(rng, xi, alpha, r, max_total_dim=8, max_degree=3,
     alpha = Q(alpha)
     if alpha.denominator != 1:
         raise InputError("the staircase generator wants an integer slope")
-    dims, ranks = _random_shape(rng, max_total_dim, max_degree)
-    max_level = r + extra_levels
+    dims, ranks = _random_shape(rng, *STAIRCASE_SIZE)
+    top = r + EXTRA_LEVELS
     pool = [Q(2), Q(3), Q(5), Q(7)]
-    levels = {n: [0] * dims[n] for n in dims}
-    phi_std = {n: [Q(1)] * dims[n] for n in dims}
-    for n in sorted(dims):
-        start = ranks.get(n - 1, 0)
-        h = dims[n] - ranks.get(n, 0) - start
-        for t in range(h):
-            i = rng.randint(0, max_level)
-            levels[n][start + t] = i
-            phi_std[n][start + t] = xi ** int(alpha * (i + n * r))
-    for n in sorted(dims):
-        for t in range(ranks.get(n, 0)):
-            src = dims[n] - ranks[n] + t
-            dst = t
+    levels = {n: [0] * dim for n, dim in dims.items()}
+    eigenvalues = {n: [Q(1)] * dim for n, dim in dims.items()}
+    for n, dim in dims.items():
+        for t in range(ranks.get(n - 1, 0), dim - ranks[n]):
+            levels[n][t] = i = rng.randint(0, top)
+            eigenvalues[n][t] = xi ** int(alpha * (i + n * r))
+    for n, dim in dims.items():
+        for t in range(ranks[n]):
             if rng.random() < 0.5:
-                lf = rng.randint(0, max_level)
-                le = lf
+                lf = le = rng.randint(0, top)
                 lam = pool[rng.randrange(len(pool))]
             else:
-                lf = rng.randint(0, max_level - r)
+                lf = rng.randint(0, top - r)
                 le = lf + r
                 lam = xi ** int(alpha * (lf + (n + 1) * r))
-            levels[n][src] = le
-            levels[n + 1][dst] = lf
-            phi_std[n][src] = lam
-            phi_std[n + 1][dst] = lam
-    gs = {}
-    ginvs = {}
-    for n, dim in dims.items():
-        gs[n], ginvs[n] = _random_shear_pair(rng, dim, levels[n], 2 * dim)
-    d = {}
-    phi = {}
-    filtration = {}
-    for n, dim in dims.items():
-        if dims.get(n + 1, 0):
-            d[n] = gs[n + 1] * _standard_differential(dims, ranks, n) * ginvs[n]
-        diag = Matrix([[phi_std[n][i] if i == j else Q(0) for j in range(dim)]
-                       for i in range(dim)])
-        phi[n] = gs[n] * diag * ginvs[n]
-        lvls = []
-        for i in range(max_level + 1):
-            cols = [gs[n].column(t) for t in range(dim) if levels[n][t] <= i]
-            lvls.append(col_space(cols, dim=dim))
-        filtration[n] = lvls
+            src = dim - ranks[n] + t
+            levels[n][src], levels[n + 1][t] = le, lf
+            eigenvalues[n][src] = eigenvalues[n + 1][t] = lam
+    d, phi, filtration = _split_model(rng, dims, ranks, levels, top, eigenvalues)
     return specseq.FilteredComplex(dims, d, filtration, phi)
 
 
@@ -607,12 +564,12 @@ def suite_even_page(seed=0):
     return SuiteReport("even-page", seed, tuple(checks))
 
 
-def suite_decalage(seed=0, samples=50):
+def suite_decalage(seed=0):
     rng = random.Random(seed)
     checks = []
     ok0 = True
     bad = {}
-    for t in range(samples):
+    for t in range(SAMPLES):
         A = random_filtered_complex(rng, strict=True)
         D = specseq.decalage(A)
         e0d, e1a = specseq.page(D, 0), specseq.page(A, 1)
@@ -623,13 +580,13 @@ def suite_decalage(seed=0, samples=50):
                 bad = {"sample": t, "spot": str((i, n)),
                        "decalage": e0d.dim(i, n), "original": e1a.dim(i - n, n)}
     _check(checks, f"dim E0(Dec A) = dim E1(A) after reindexing "
-                   f"({samples} strict samples)", ok0, **bad)
+                   f"({SAMPLES} strict samples)", ok0, **bad)
     ok1 = True
     quasi_ok = True
     stable_ok = True
     einf_ok = True
     bad = {}
-    for t in range(samples):
+    for t in range(SAMPLES):
         A = random_filtered_complex(rng)
         D = specseq.decalage(A)
         e1d, e2a = specseq.page(D, 1), specseq.page(A, 2)
@@ -693,14 +650,14 @@ def suite_decalage(seed=0, samples=50):
     return SuiteReport("decalage", seed, tuple(checks))
 
 
-def suite_purity(seed=0, samples=50):
+def suite_purity(seed=0):
     rng = random.Random(seed)
     checks = []
     xi = Q(3)
     witness_ok = True
     bad = {}
     alphas = [Q(1), Q(2), Q(1, 2)]
-    for t in range(samples):
+    for t in range(SAMPLES):
         alpha = alphas[t % len(alphas)]
         A, h_dims, _ = random_pure_complex(rng, xi, alpha)
         spec = WeightSpec(xi, alpha, 0)
@@ -721,7 +678,7 @@ def suite_purity(seed=0, samples=50):
         if {n: m.ncols for n, m in witness.inclusions.items()} != h_dims:
             witness_ok = False
             bad = {"sample": t, "stage": "ranks"}
-    _check(checks, f"formality witnesses on {samples} random pure complexes",
+    _check(checks, f"formality witnesses on {SAMPLES} random pure complexes",
            witness_ok, **bad)
     impure_ok = True
     bad = {}

@@ -133,6 +133,34 @@ def test_ss_witness_and_failures(capsys, tmp_path):
     assert code == 1
 
 
+def test_ss_canonical(capsys, tmp_path):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({
+        "degrees": {"0": 1, "1": 2, "2": 1},
+        "d": {"0": [["1"], ["0"]], "1": [["0", "2"]]},
+        "phi": {"0": [["3"]], "1": [["3", "0"], ["0", "9"]], "2": [["9"]]}}))
+    want = {"d": {"0": [["1"], ["0"]], "1": [["0", "2"]]},
+            "degrees": {"0": 1, "1": 2, "2": 1},
+            "filtration": {"0": [[], [["1"]], [["1"]]],
+                           "1": [[], [["1", "0"]], [["1", "0"], ["0", "1"]]],
+                           "2": [[], [], [["1"]]]},
+            "phi": {"0": [["3"]], "1": [["3", "0"], ["0", "9"]], "2": [["9"]]}}
+    # the command has no text rendering: both formats print the JSON
+    for fmt in ("text", "json"):
+        assert run(capsys, "ss", "canonical", "--input", str(path), "--format", fmt) == \
+            (0, json.dumps(want, indent=2, sort_keys=True) + "\n")
+    # an acyclic pair: tau_0 is ker d = 0 in degree 0
+    path.write_text(json.dumps({"degrees": {"0": 1, "1": 1}, "d": {"0": [["1"]]}}))
+    code, out = run(capsys, "ss", "canonical", "--input", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["filtration"]["0"] == [[], [["1"]]]
+    for d in ({"0": [["x"]]}, [["1"]]):
+        path.write_text(json.dumps({"degrees": {"0": 1, "1": 1}, "d": d}))
+        assert main(["ss", "canonical", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_verify_suite_exit_and_determinism(capsys):
     code, out1 = run(capsys, "verify", "--suite", "arnold", "--seed", "7",
                      "--format", "json")
@@ -216,6 +244,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
     main(list(too_many))
     assert f"bound {BASIS_BOUND}" in capsys.readouterr().err
     assert exit_code("conf", "basis", "--points", "7", "--dim", "3", "--degree", "12") == 0
+    # so do `equi basis` and `equi hilbert`, by the Leray-Hirsch series
+    # (8.2e18 monomials in the degree 40 basis here)
+    for argv in (("equi", "basis", "--points", "3", "--halfdim", "64", "--degree", "40"),
+                 ("equi", "hilbert", "--points", "3", "--halfdim", "64", "--max-degree", "30"),
+                 ("equi", "hilbert", "--points", "3", "--halfdim", "64", "--max-degree", "9")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        assert f"bound {BASIS_BOUND}" in capsys.readouterr().err
+    assert exit_code("equi", "basis", "--points", "3", "--halfdim", "64", "--degree", "4") == 0
     assert exit_code("conf", "poincare", "--points", str(POINT_BOUND), "--dim", "3") == 0
     assert exit_code("conf", "poincare", "--points", "3", "--dim", "1") == 2
     # a 1x1 phi on a 2-dimensional degree is a shape error, not a rank defect

@@ -365,9 +365,3 @@ def test_filtered_complex_json_round_trip():
     assert again.phi is not None
     for n in B.degrees():
         assert again.aut(n) == B.aut(n)
-
-
-def test_complex_from_json_without_filtration_uses_canonical():
-    data = {"degrees": {"0": 1, "1": 1}, "d": {"0": [["1"]]}}
-    A = ss.complex_from_json(data, require_filtration=False)
-    assert A.W(0, 0).ncols == 0

@@ -1,4 +1,16 @@
+"""The verify suites and the seeded random complex generators.
+
+The generator golden pins every complex the three generators draw for seeds
+0-4, so a change to how they consume the random stream shows up here.
+Regenerate it (only when the generators are meant to change) with
+`PYTHONPATH=src python tests/test_verify.py --write`.
+"""
+
 import json
+import random
+import sys
+from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +44,42 @@ def test_report_text_contains_one_line_per_check():
 
 
 def test_random_generators_are_reproducible():
-    import random
-
     a = verify.random_filtered_complex(random.Random(5))
     b = verify.random_filtered_complex(random.Random(5))
     assert a.spaces == b.spaces
     for n in a.degrees():
         assert a.diff(n) == b.diff(n)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "random_complexes.json"
+
+
+def generated():
+    """{name: JSON of the complex} for seeds 0-4, each from a fresh stream."""
+    out = {}
+    for seed in range(5):
+        for strict in (False, True):
+            A = verify.random_filtered_complex(random.Random(seed), strict=strict)
+            out[f"filtered seed={seed} strict={strict}"] = A.to_json()
+        for alpha in (Q(1), Q(1, 2)):
+            for impure in (False, True):
+                A, h_dims, spoiled = verify.random_pure_complex(
+                    random.Random(seed), Q(3), alpha, impure=impure)
+                out[f"pure seed={seed} alpha={alpha} impure={impure}"] = {
+                    "complex": A.to_json(),
+                    "h_dims": {str(n): h for n, h in sorted(h_dims.items())},
+                    "spoiled": None if spoiled is None else list(spoiled)}
+        for r in (1, 2):
+            A = verify.random_staircase_complex(random.Random(seed), Q(3), Q(1), r)
+            out[f"staircase seed={seed} r={r}"] = A.to_json()
+    return out
+
+
+def test_random_generators_match_golden():
+    assert generated() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                          for k, v in generated().items())
+                      + "\n}\n", encoding="utf-8")
