@@ -34,6 +34,9 @@ POINT_BOUND = 64
 # the most torus generators a CLI --halfdim may name: monomial enumeration
 # recurses once per generator
 HALFDIM_BOUND = 64
+# the highest degree a CLI --degree or --max-degree may name: the model
+# commands enumerate every degree up to it
+DEGREE_BOUND = 64
 # the most monomials `conf basis` lists, one line each: a basis has up to
 # (points - 1)! monomials, so it is sized from the closed form first
 BASIS_BOUND = 100_000

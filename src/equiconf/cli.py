@@ -15,7 +15,14 @@ import sys
 from functools import lru_cache
 
 from . import confring, equieven, equiodd, specseq, verify
-from .charclasses import BASIS_BOUND, CONVENTIONS, HALFDIM_BOUND, POINT_BOUND, GroupSpec
+from .charclasses import (
+    BASIS_BOUND,
+    CONVENTIONS,
+    DEGREE_BOUND,
+    HALFDIM_BOUND,
+    POINT_BOUND,
+    GroupSpec,
+)
 from .errors import CapacityError, InputError, PurityViolation, WitnessError
 from .exactalg import rat
 
@@ -414,6 +421,9 @@ def main(argv=None):
             raise CapacityError(f"{args.points} points exceed the bound {POINT_BOUND}")
         if getattr(args, "halfdim", 0) > HALFDIM_BOUND:
             raise CapacityError(f"halfdim {args.halfdim} exceeds the bound {HALFDIM_BOUND}")
+        degree = max(getattr(args, "degree", 0), getattr(args, "max_degree", 0))
+        if degree > DEGREE_BOUND:
+            raise CapacityError(f"degree {degree} exceeds the bound {DEGREE_BOUND}")
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

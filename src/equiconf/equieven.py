@@ -142,10 +142,13 @@ def page_dimension(group, ell, n, degree):
     return len(page_basis(group, ell, n, degree))
 
 
-def differential_matrix(group, ell, n, degree):
-    """Matrix of d_2n from the degree slice to the next one."""
-    src = page_basis(group, ell, n, degree)
-    dst = page_basis(group, ell, n, degree + 1)
+def differential_matrix(group, ell, n, degree, src=None, dst=None):
+    """Matrix of d_2n from the degree slice to the next one; `src` and `dst`
+    are the page bases of the two degrees, enumerated here when not given."""
+    if src is None:
+        src = page_basis(group, ell, n, degree)
+    if dst is None:
+        dst = page_basis(group, ell, n, degree + 1)
     index = {key: t for t, key in enumerate(dst)}
     cols = [d2n(zero(group, ell, n).from_coordinates([key], [Q(1)])).coordinates(index)
             for key in src]
@@ -157,11 +160,13 @@ def page_cohomology_dims(group, ell, n, max_degree):
     check_capacity(ell, n)
     dims = {}
     img = 0  # rank of d_2n into the degree
+    src = page_basis(group, ell, n, 0)
     for d in range(max_degree + 1):
-        mat = differential_matrix(group, ell, n, d)
+        dst = page_basis(group, ell, n, d + 1)
+        mat = differential_matrix(group, ell, n, d, src, dst)
         rank = mat.rank()
         dims[d] = mat.ncols - rank - img
-        img = rank
+        img, src = rank, dst
     return dims
 
 
@@ -357,7 +362,7 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     dmats = {}
     for d in range(max_degree):
         if spaces.get(d) and spaces.get(d + 1):
-            dmats[d] = differential_matrix(group, ell, n, d)
+            dmats[d] = differential_matrix(group, ell, n, d, bases[d], bases[d + 1])
     top_level = fiber * max(ell - 1, 0)
     filtration = {}
     ring = page_ring(group, n)

@@ -429,12 +429,6 @@ def col_space(columns, dim=None):
                   for c in columns], dim)
 
 
-def subspace_sum(a: Matrix, b: Matrix):
-    if a.nrows != b.nrows:
-        raise InputError("ambient dimension mismatch")
-    return _span(a.sparse_columns() + b.sparse_columns(), a.nrows)
-
-
 def subspace_intersection(a: Matrix, b: Matrix):
     if a.nrows != b.nrows:
         raise InputError("ambient dimension mismatch")
@@ -449,34 +443,71 @@ def subspace_intersection(a: Matrix, b: Matrix):
     return Matrix._of(_transpose(cap, dim), len(cap))
 
 
-def subspace_preimage(d: Matrix, s: Matrix):
-    """Canonical basis of {x : d*x in span(s)} inside the source of d."""
-    if d.nrows != s.nrows:
-        raise InputError("ambient dimension mismatch")
-    # pairs (x, y) with d x + s y = 0; the reduced kernel vectors that lead
-    # inside x restrict to the reduced basis of the preimage
-    n = d.ncols
-    pre = [{i: x for i, x in v.items() if i < n}
-           for v in _kernel(_beside(d, s), n + s.ncols) if min(v) < n]
-    return Matrix._of(_transpose(pre, n), len(pre))
+def flag_basis(spans):
+    """A basis adapted to a flag of nested spans: (t, vector) for each column
+    of spans[t] that leads (has its first entry) where no earlier span leads,
+    ordered by t and then by that index. Spans in echelon form, as canonical
+    spans are, need no elimination; others are made canonical first."""
+    out, seen = [], set()
+    for t, span in enumerate(spans):
+        if span.ncols > len(out):
+            cols = span.sparse_columns()
+            if len({min(v) for v in cols if v}) < len(cols):
+                cols = col_space(span).sparse_columns()
+            new = sorted((min(v), v) for v in cols if min(v) not in seen)
+            seen.update(p for p, _ in new)
+            out += [(t, v) for _, v in new]
+    return out
+
+
+def combine(cols, v):
+    """The sum of x * cols[j] over the entries x at j of the sparse vector v,
+    for sparse vectors cols[j]."""
+    out = {}
+    for j, x in v.items():
+        if x == 1:
+            for i, y in cols[j].items():
+                out[i] = out[i] + y if i in out else y
+        else:
+            for i, y in cols[j].items():
+                out[i] = out[i] + x * y if i in out else x * y
+    return {i: z for i, z in out.items() if z}
+
+
+def eliminate(w, pick, table):
+    """Triangular elimination of the sparse vector w (consumed): while the
+    index p = pick(w) has an entry table[p] = (key, v), v nonzero at p,
+    subtract the multiple c of v that clears w[p]. Returns what is left of w
+    and the multiple c taken for each key."""
+    used = {}
+    while w:
+        p = pick(w)
+        if p not in table:
+            break
+        key, v = table[p]
+        c = used[key] = w[p] if v[p] == 1 else w[p] / v[p]
+        if len(v) == 1:
+            del w[p]
+            continue
+        for j, x in v.items():
+            if j not in w:
+                w[j] = -c * x
+            elif y := w[j] - c * x:
+                w[j] = y
+            else:
+                del w[j]
+    return w, used
 
 
 def subspace_leq(a: Matrix, b: Matrix):
-    """Whether span(a) lies in span(b). b is reduced once; a column v of a
-    lies in span(b) iff it equals the sum of v[p] * (reduced row of pivot p)
-    over the pivots p of b."""
+    """Whether span(a) lies in span(b). b is reduced once; a column of a lies
+    in span(b) iff eliminating it against the reduced rows of b, each at its
+    pivot (its first entry), leaves nothing."""
     if a.nrows != b.nrows:
         raise InputError("ambient dimension mismatch")
     red, pivots = _reduce(b.sparse_columns(), range(b.nrows))
-    table = dict(zip(pivots, red))
-    for v in a.sparse_columns():
-        w = {}
-        for p, x in v.items():
-            for j, y in table.get(p, {}).items():
-                w[j] = w[j] + x * y if j in w else x * y
-        if {j: z for j, z in w.items() if z} != v:
-            return False
-    return True
+    table = {p: (p, row) for p, row in zip(pivots, red)}
+    return not any(eliminate(v, min, table)[0] for v in a.sparse_columns())
 
 
 class Quotient:

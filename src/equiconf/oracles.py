@@ -8,6 +8,11 @@ them to cross-check the normal forms and all dimension counts.
 The Weyl-fixed bases are also rebuilt here the slow way, by averaging each
 basis element over the group through the polynomial ring maps.
 
+Spectral pages and decalage are rebuilt straight from the cycle/boundary
+subquotients, one `Quotient` per spot, as the reference for the barcode
+basis that `specseq` reads them off. These use the subspace operations of
+`exactalg`, but none of the barcode code.
+
 The linear systems go through `dense_rref`, plain Gauss-Jordan elimination
 on dense Fraction rows. It shares no code with the sparse kernel behind
 `exactalg.Matrix`, so it is also the reference the tests check that kernel
@@ -17,11 +22,13 @@ against.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement
 
 from .charclasses import weyl_action
 from .errors import InputError
-from .exactalg import PolyRing
+from .exactalg import Matrix, PolyRing, Quotient, col_space, subspace_intersection
+from .specseq import FilteredComplex, SpectralPage
 from . import confring, equieven
 
 
@@ -331,3 +338,81 @@ def averaged_fixed_basis(group, basis, act):
             rows.append([coords.get(t, Q(0)) for t in range(len(keys))])
     red, pivots = dense_rref(rows, len(keys))
     return [basis[0].from_coordinates(keys, row) for row in red[:len(pivots)]]
+
+
+# ---------------------------------------------------------------------------
+# spectral pages from the subquotient formula
+
+
+def subspace_sum(a: Matrix, b: Matrix):
+    """Canonical basis of span(a) + span(b)."""
+    if a.nrows != b.nrows:
+        raise InputError("ambient dimension mismatch")
+    return col_space(a.sparse_columns() + b.sparse_columns(), dim=a.nrows)
+
+
+def subspace_preimage(d: Matrix, s: Matrix):
+    """Canonical basis of {x : d*x in span(s)} inside the source of d."""
+    if d.nrows != s.nrows:
+        raise InputError("ambient dimension mismatch")
+    # pairs (x, y) with d x + s y = 0; the reduced kernel vectors that lead
+    # inside x restrict to the reduced basis of the preimage
+    n = d.ncols
+    both = Matrix([r | {n + j: x for j, x in t.items()}
+                   for r, t in zip(d.sparse_rows, s.sparse_rows)], ncols=n + s.ncols)
+    return Matrix.from_columns([{i: x for i, x in v.items() if i < n}
+                                for v in both.kernel_basis().sparse_columns() if min(v) < n],
+                               nrows=n)
+
+
+def cycles(A, r, i, n):
+    """Z_r(i, n) = W_i A^n cap d^(-1)(W_(i-r) A^(n+1))."""
+    return subspace_intersection(A.W(n, i),
+                                 subspace_preimage(A.diff(n), A.W(n + 1, i - r)))
+
+
+def subquotient_page(A, r):
+    """The r-th page as the subquotients
+
+        E_r(i, n) = Z_r(i, n) / (Z_(r-1)(i-1, n) + d Z_(r-1)(i+r-1, n-1)),
+
+    one `Quotient` per spot; the reference for `specseq.page`."""
+    if r < 0:
+        raise InputError("page index must be non-negative")
+    Z = cache(partial(cycles, A))
+    spots = {}
+    diffs = {}
+    phis = {} if A.phi is not None else None
+    for n in A.degrees():
+        for i in range(A.top_level + 1):
+            z = Z(r, i, n)
+            if z.ncols == 0:
+                continue
+            term1 = Z(r - 1, i - 1, n) if r >= 1 else A.W(n, i - 1)
+            if n - 1 in A.spaces:
+                src = Z(r - 1, i + r - 1, n - 1) if r >= 1 else A.W(n - 1, i + r - 1)
+                # d src lies in W_i A^n already: src is W_(i-1) at r = 0 and
+                # lies in d^(-1) W_i past it
+                term2 = A.diff(n - 1) * src
+            else:
+                term2 = Matrix.zero(A.dim(n), 0)
+            quo = Quotient(z, subspace_sum(term1, term2))
+            if quo.dim:
+                spots[(i, n)] = quo
+    for (i, n), quo in spots.items():
+        target = spots.get((i - r, n + 1))
+        if target is not None:
+            diffs[(i, n)] = target.matrix_of(A.diff(n) * quo.reps)
+        if phis is not None:
+            phis[(i, n)] = quo.matrix_of(A.aut(n) * quo.reps)
+    return SpectralPage(r, spots, diffs, phis)
+
+
+def subquotient_decalage(A):
+    """Dec W_i A^n = Z_1(i - n, n), each level by `cycles`; the reference for
+    `specseq.decalage`."""
+    new_top = A.top_level + max(A.max_degree(), 0) + 1
+    filtration = {n: [cycles(A, 1, i - n, n) for i in range(new_top + 1)]
+                  for n in A.degrees()}
+    return FilteredComplex(A.spaces, A.d, filtration,
+                           None if A.phi is None else dict(A.phi))

@@ -2,15 +2,19 @@
 
 A FilteredComplex is a finite-dimensional non-negatively graded cochain
 complex with an increasing exhaustive filtration (W_{-1} = 0) and an optional
-automorphism phi commuting with everything. Pages are computed from the
-standard cycle/boundary subquotients
+automorphism phi commuting with everything. Its pages are the standard
+cycle/boundary subquotients
 
     Z_r(i, n) = W_i A^n  cap  d^{-1}(W_{i-r} A^{n+1})
     E_r(i, n) = Z_r(i, n) / (Z_{r-1}(i-1, n) + d Z_{r-1}(i+r-1, n-1))
 
-with d_r induced by d, mapping (i, n) to (i - r, n + 1). Spots are keyed by
-(filtration index i, total degree n); the displayed bidegree is (-i, j) with
-j = n + i, so that page r here is page r+1 in Leray-Serre numbering.
+with d_r induced by d, mapping (i, n) to (i - r, n + 1). They are read off
+one barcode basis per degree (a persistence reduction of d), in which each
+Z_r, each boundary term and each spot is spanned by basis elements;
+`oracles.subquotient_page` builds the subquotients themselves as the
+cross-check. Spots are keyed by (filtration index i, total degree n); the
+displayed bidegree is (-i, j) with j = n + i, so page r here is page r+1 in
+Leray-Serre numbering.
 
 Purity is checked against the weight alpha*((1-r)i + jr) = alpha*(i + n*r):
 at a spot with integral weight w, the only eigenvalue of phi may be xi^w; at
@@ -21,29 +25,35 @@ inherited by subquotients, so passing early implies passing at the target).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cache, partial
 
 from .errors import InputError, PurityViolation, WitnessError
 from .exactalg import (
+    ONE,
     Matrix,
     Quotient,
     col_space,
+    combine,
     eigen_projector,
+    eliminate,
+    flag_basis,
     rat,
     strip_linear_factor,
     subspace_intersection,
     subspace_leq,
-    subspace_preimage,
-    subspace_sum,
     upoly_monic,
     upoly_str,
 )
 
 
 NO_SPACE = (Matrix.zero(0, 0),) * 2  # the empty and full span of a zero space
+
+
+def _matrix(mat):
+    return mat if isinstance(mat, Matrix) else Matrix(mat)
 
 
 class FilteredComplex:
@@ -55,30 +65,15 @@ class FilteredComplex:
         self.spaces = {int(n): int(dim) for n, dim in spaces.items() if dim}
         if any(n < 0 for n in self.spaces):
             raise InputError("degrees must be non-negative")
-        self.d = {}
-        for n, mat in d.items():
-            n = int(n)
-            if not isinstance(mat, Matrix):
-                mat = Matrix(mat)
-            if mat.nrows or mat.ncols:
-                self.d[n] = mat
-        self.filtration = {}
-        for n, levels in filtration.items():
-            n = int(n)
-            if self.dim(n) == 0:
-                continue
-            self.filtration[n] = tuple(
-                lvl if isinstance(lvl, Matrix) else col_space(lvl, dim=self.dim(n))
-                for lvl in levels)
-        self.phi = None
-        if phi is not None:
-            self.phi = {}
-            for n, mat in phi.items():
-                n = int(n)
-                if not isinstance(mat, Matrix):
-                    mat = Matrix(mat)
-                if self.dim(n):
-                    self.phi[n] = mat
+        d = ((int(n), _matrix(mat)) for n, mat in d.items())
+        self.d = {n: mat for n, mat in d if mat.nrows or mat.ncols}
+        self.filtration = {
+            n: tuple(lvl if isinstance(lvl, Matrix) else col_space(lvl, dim=self.dim(n))
+                     for lvl in levels)
+            for n, levels in ((int(k), v) for k, v in filtration.items()) if self.dim(n)}
+        self.phi = None if phi is None else {
+            n: mat for n, mat in ((int(n), _matrix(mat)) for n, mat in phi.items())
+            if self.dim(n)}
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
         # the empty and the full span of each degree, which W returns off the
@@ -173,19 +168,18 @@ class FilteredComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        def mat_json(m):
-            return [[str(x) for x in row] for row in m.rows]
-
         data = {"degrees": {str(n): self.dim(n) for n in self.degrees()},
-                "d": {str(n): mat_json(self.diff(n)) for n in self.degrees()
+                "d": {str(n): _mat_json(self.diff(n)) for n in self.degrees()
                       if self.dim(n + 1)},
-                "filtration": {str(n): [[ [str(x) for x in col]
-                                          for col in lvl.columns()]
-                                        for lvl in self.filtration[n]]
-                               for n in self.degrees()}}
+                "filtration": {str(n): [[[str(x) for x in col] for col in lvl.columns()]
+                                        for lvl in self.filtration[n]] for n in self.degrees()}}
         if self.phi is not None:
-            data["phi"] = {str(n): mat_json(self.aut(n)) for n in self.degrees()}
+            data["phi"] = {str(n): _mat_json(self.aut(n)) for n in self.degrees()}
         return data
+
+
+def _mat_json(m):
+    return [[str(x) for x in row] for row in m.rows]
 
 
 def json_map(value, what):
@@ -240,25 +234,15 @@ def complex_from_json(data):
 def canonical_filtration(spaces, d, phi=None):
     """Truncation filtration: tau_i is A below degree i, ker d at i, 0 above."""
     spaces = {int(n): int(v) for n, v in spaces.items() if v}
-    d = {int(n): (m if isinstance(m, Matrix) else Matrix(m)) for n, m in d.items()}
+    d = {int(n): _matrix(m) for n, m in d.items()}
     probe = FilteredComplex(spaces, d, {n: (Matrix.identity(spaces[n]),)
                                         for n in spaces}, phi, validate=False)
     for n in spaces:
         if not (probe.diff(n + 1) * probe.diff(n)).is_zero():
             raise InputError(f"d o d != 0 at degree {n}")
-    top = max(spaces, default=0)
-    filtration = {}
-    for n in spaces:
-        kernel = probe.diff(n).kernel_basis()
-        levels = []
-        for i in range(top + 1):
-            if n < i:
-                levels.append(Matrix.identity(spaces[n]))
-            elif n == i:
-                levels.append(kernel)
-            else:
-                levels.append(Matrix.zero(spaces[n], 0))
-        filtration[n] = levels
+    filtration = {n: [Matrix.identity(dim) if n < i else probe.diff(n).kernel_basis()
+                      if n == i else Matrix.zero(dim, 0) for i in range(max(spaces) + 1)]
+                  for n, dim in spaces.items()}
     return FilteredComplex(spaces, d, filtration, phi)
 
 
@@ -266,23 +250,25 @@ def canonical_filtration(spaces, d, phi=None):
 # pages
 
 
+# a live spot of a page: its dimension and its representatives, as columns
+Spot = namedtuple("Spot", "dim reps")
+
+
+@dataclass(frozen=True)
 class SpectralPage:
-    """One page: spot quotients, induced differentials and automorphisms."""
+    """One page: spots, induced differentials and automorphisms."""
 
-    __slots__ = ("r", "spots", "differentials", "phi")
-
-    def __init__(self, r, spots, differentials, phi):
-        self.r = r
-        self.spots = spots                  # (i, n) -> Quotient
-        self.differentials = differentials  # (i, n) -> Matrix to (i-r, n+1)
-        self.phi = phi                      # (i, n) -> Matrix, if present
+    r: int
+    spots: dict          # (i, n) -> Spot, live spots only
+    differentials: dict  # (i, n) -> Matrix to (i-r, n+1)
+    phi: dict            # (i, n) -> Matrix, or None without an automorphism
 
     def dim(self, i, n):
         spot = self.spots.get((i, n))
         return spot.dim if spot else 0
 
     def dims(self):
-        return {key: spot.dim for key, spot in self.spots.items() if spot.dim}
+        return {key: spot.dim for key, spot in self.spots.items()}
 
     def display_dims(self):
         """{(-i, j): dim} in the paper's bidegree convention (j = n + i)."""
@@ -295,79 +281,115 @@ class SpectralPage:
         return out
 
     def differential(self, i, n):
-        mat = self.differentials.get((i, n))
-        if mat is None:
-            return Matrix.zero(self.dim(i - self.r, n + 1), self.dim(i, n))
-        return mat
+        return self.differentials.get((i, n)) or \
+            Matrix.zero(self.dim(i - self.r, n + 1), self.dim(i, n))
 
     def aut(self, i, n):
         if self.phi is None:
             raise InputError("page carries no automorphism")
-        mat = self.phi.get((i, n))
-        if mat is None:
-            return Matrix.identity(self.dim(i, n))
-        return mat
+        return self.phi.get((i, n)) or Matrix.identity(self.dim(i, n))
 
 
-def cycles(A: FilteredComplex, r, i, n):
-    """Z_r(i, n) = W_i A^n cap d^(-1)(W_(i-r) A^(n+1))."""
-    return subspace_intersection(A.W(n, i),
-                                 subspace_preimage(A.diff(n), A.W(n + 1, i - r)))
+def _barcode(A: FilteredComplex):
+    """{n: (level, basis, lead, cols, low, gap)}, the barcode basis of each
+    degree n by one persistence reduction of d in filtration order.
+
+    Position k runs over the adapted basis `basis`, where basis[k] has level
+    level[k] and `lead` maps its first index to (k, basis[k]). cols[k] is
+    barcode element k in the adapted basis; d sends it to element low[k] of
+    degree n + 1 when k is a source, else to 0. `gap` holds the level drop
+    of each pair at both its ends."""
+    adapted = {}
+    for n in A.degrees():
+        flag = flag_basis(A.filtration[n])
+        adapted[n] = ([t for t, _ in flag], [v for _, v in flag],
+                      {min(v): (k, v) for k, (_, v) in enumerate(flag)})
+    bars, cleared = {}, {}
+    for n, (level, basis, lead) in adapted.items():
+        nxt, dcols = adapted.get(n + 1), A.diff(n).sparse_columns()
+        cols, low, gap, table, targets = [], {}, {}, {}, {}
+        for k, b in enumerate(basis):
+            if k in cleared:  # d x for a source x of degree n - 1: a cycle
+                gap[k], col = cleared[k]
+                cols.append(col)
+                continue
+            # d b in the adapted basis of degree n + 1, beside the entry ~k
+            # (negative) for b; clear its last entry while an earlier column
+            # ends there
+            w = eliminate(combine(dcols, b), min, nxt[2])[1] if nxt else {}
+            w[~k] = ONE
+            w = eliminate(w, max, table)[0]
+            cols.append({~j: x for j, x in w.items() if j < 0})
+            if (end := max(w)) >= 0:
+                table[end] = k, w
+                low[k], gap[k] = end, level[k] - nxt[0][end]
+                targets[end] = gap[k], {j: x for j, x in w.items() if j >= 0}
+        bars[n] = level, basis, lead, cols, low, gap
+        cleared = targets
+    return bars
 
 
 def page(A: FilteredComplex, r):
-    """The r-th page of the spectral sequence of the filtered complex."""
+    """The r-th page of the spectral sequence of the filtered complex.
+
+    Spot (i, n) is spanned by the level-i barcode elements of degree n that
+    are in no pair or in one that drops at least r levels; d_r sends the
+    source of each pair that drops exactly r levels to its target.
+    """
     if r < 0:
         raise InputError("page index must be non-negative")
-    # spots with i above the top filtration level vanish: W_i = W_{i-1} there
-    top_i = A.top_level
-    Z = cache(partial(cycles, A))
-    spots = {}
-    diffs = {}
-    phis = {} if A.phi is not None else None
-    for n in A.degrees():
-        for i in range(top_i + 1):
-            z = Z(r, i, n)
-            if z.ncols == 0:
-                continue
-            term1 = Z(r - 1, i - 1, n) if r >= 1 else A.W(n, i - 1)
-            if n - 1 in A.spaces:
-                src = Z(r - 1, i + r - 1, n - 1) if r >= 1 else A.W(n - 1, i + r - 1)
-                # d src lies in W_i A^n already: src is W_(i-1) at r = 0 and
-                # lies in d^(-1) W_i past it
-                term2 = A.diff(n - 1) * src
-            else:
-                term2 = Matrix.zero(A.dim(n), 0)
-            quo = Quotient(z, subspace_sum(term1, term2))
-            if quo.dim:
-                spots[(i, n)] = quo
-    for (i, n), quo in spots.items():
-        target = spots.get((i - r, n + 1))
-        if target is not None:
-            diffs[(i, n)] = target.matrix_of(A.diff(n) * quo.reps)
-        if phis is not None:
-            phis[(i, n)] = quo.matrix_of(A.aut(n) * quo.reps)
+    bars = _barcode(A)
+    live = {n: {} for n in bars}
+    for n, (level, *_, gap) in bars.items():
+        for k, t in enumerate(level):
+            if gap.get(k, r) >= r:
+                live[n].setdefault(t, []).append(k)
+    spots, diffs, phis = {}, {}, None if A.phi is None else {}
+    for n, (level, basis, lead, cols, low, gap) in bars.items():
+        if phis is not None:  # phi to barcode coordinates: two triangular solves
+            aut, upper = A.aut(n).sparse_columns(), {k: (k, c) for k, c in enumerate(cols)}
+        for i, ks in live[n].items():
+            vecs = [combine(basis, cols[k]) for k in ks]
+            spots[(i, n)] = Spot(len(ks), Matrix.from_columns(vecs, nrows=A.dim(n)))
+            if (target := live.get(n + 1, {}).get(i - r)) is not None:
+                row = {k: t for t, k in enumerate(target)}
+                diffs[(i, n)] = Matrix.from_columns(
+                    [{row[low[k]]: ONE} if k in low and gap[k] == r else {} for k in ks],
+                    nrows=len(target))
+            if phis is not None:
+                row = {k: t for t, k in enumerate(ks)}
+                images = (eliminate(eliminate(combine(aut, v), min, lead)[1], max, upper)[1]
+                          for v in vecs)
+                phis[(i, n)] = Matrix.from_columns(
+                    [{row[k]: c for k, c in x.items() if k in row} for x in images],
+                    nrows=len(ks))
     return SpectralPage(r, spots, diffs, phis)
 
 
 def page_cohomology_dims(pg: SpectralPage):
     """Dimension of H(E_r, d_r) at each spot; equals the next page's table."""
-    out = {}
     ranks = {key: mat.rank() for key, mat in pg.differentials.items()}
-    for (i, n), quo in pg.spots.items():
-        ker = quo.dim - ranks.get((i, n), 0)
-        img = ranks.get((i + pg.r, n - 1), 0)
-        if ker - img:
-            out[(i, n)] = ker - img
-    return out
+    out = {(i, n): spot.dim - ranks.get((i, n), 0) - ranks.get((i + pg.r, n - 1), 0)
+           for (i, n), spot in pg.spots.items()}
+    return {key: h for key, h in out.items() if h}
 
 
 def decalage(A: FilteredComplex):
     """Deligne's decalage: Dec W_i A^n = W_(i-n) A^n cap d^(-1) W_(i-n-1),
-    which is Z_1(i - n, n)."""
+    which is Z_1(i - n, n), the span of the barcode elements of level at most
+    i - n whose differential has level at most i - n - 1."""
     new_top = A.top_level + max(A.max_degree(), 0) + 1
-    filtration = {n: [cycles(A, 1, i - n, n) for i in range(new_top + 1)]
-                  for n in A.degrees()}
+    filtration = {}
+    for n, (level, basis, _, cols, low, gap) in _barcode(A).items():
+        # an element enters Z_1(j, n) at its level, or one level later when
+        # it is the source of a pair that drops no level
+        enter = [t + (k in low and gap[k] == 0) for k, t in enumerate(level)]
+        vecs = [combine(basis, col) for col in cols]
+        levels = filtration[n] = []
+        for i in range(new_top + 1):
+            chosen = [v for v, e in zip(vecs, enter) if e <= i - n]
+            same = levels and len(chosen) == levels[-1].ncols
+            levels.append(levels[-1] if same else col_space(chosen, dim=A.dim(n)))
     return FilteredComplex(A.spaces, A.d, filtration,
                            None if A.phi is None else dict(A.phi))
 
@@ -410,10 +432,8 @@ class PurityResult:
 
     def to_json(self):
         data = {"ok": self.ok, "inspected_page": self.inspected_page,
-                "records": [{"bidegree": list(spot),
-                             "weight": None if w is None else str(w),
-                             "dim": dim}
-                            for spot, w, dim in self.records]}
+                "records": [{"bidegree": list(spot), "weight": None if w is None else str(w),
+                             "dim": dim} for spot, w, dim in self.records]}
         if self.violation is not None:
             spot, factor, message = self.violation
             data["violation"] = {"bidegree": list(spot), "factor": factor,
@@ -438,17 +458,17 @@ def purity_check(A: FilteredComplex, spec: WeightSpec, at_page=None):
     records = []
     violation = None
     for (i, n) in sorted(pg.spots, key=lambda t: (t[1], t[0])):
-        quo = pg.spots[(i, n)]
+        dim = pg.dim(i, n)
         w = spec.weight(i, n)
         spot = (-i, n + i)
         if w.denominator != 1:
-            records.append((spot, None, quo.dim))
-            if quo.dim and violation is None:
+            records.append((spot, None, dim))
+            if dim and violation is None:
                 violation = (spot, None,
-                             f"nonzero space of dimension {quo.dim} at "
+                             f"nonzero space of dimension {dim} at "
                              f"non-integral weight {w}")
             continue
-        records.append((spot, w, quo.dim))
+        records.append((spot, w, dim))
         if violation is None:
             lam = spec.xi ** int(w)
             charpoly = pg.aut(i, n).charpoly()
@@ -473,15 +493,10 @@ class FormalityWitness:
         return all(ok for _, ok in self.transcript)
 
     def to_json(self):
-        def mat_json(m):
-            return [[str(x) for x in row] for row in m.rows]
-
         return {"verified": self.verified,
-                "transcript": [{"check": name, "pass": ok}
-                               for name, ok in self.transcript],
-                "inclusions": {str(n): mat_json(m)
-                               for n, m in sorted(self.inclusions.items())},
-                "cohomology_automorphism": {str(n): mat_json(m)
+                "transcript": [{"check": name, "pass": ok} for name, ok in self.transcript],
+                "inclusions": {str(n): _mat_json(m) for n, m in sorted(self.inclusions.items())},
+                "cohomology_automorphism": {str(n): _mat_json(m)
                                             for n, m in sorted(self.induced.items())}}
 
 
@@ -502,22 +517,17 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         raise PurityViolation(
             f"purity fails at bidegree {check.violation[0]}: {check.violation[2]}",
             spot=check.violation[0], factor=check.violation[1])
-    inclusions = {}
-    induced = {}
-    transcript = []
-    for n in range(base.max_degree() + 1):
-        dim = base.dim(n)
-        if dim == 0:
-            continue
-        z, quo = cohomology_quotient(base, n)
+    inclusions, induced, quotients, transcript = {}, {}, {}, []
+    for n in base.degrees():
+        # the cycles and the cohomology with its coordinates
+        z = base.diff(n).kernel_basis()
+        quo = quotients[n] = Quotient(z, col_space(base.diff(n - 1)))
         if quo.dim == 0:
             continue
-        w = spec.alpha * n
-        lam = spec.xi ** int(w)
+        lam = spec.xi ** int(spec.alpha * n)
         phi_n = base.aut(n)
         # restrict to the generalized lam-eigenspace; equivariance forces it
-        proj = eigen_projector(phi_n, lam)
-        z_lam = subspace_intersection(z, col_space(proj))
+        z_lam = subspace_intersection(z, col_space(eigen_projector(phi_n, lam)))
         phi_bar = quo.matrix_of(phi_n * quo.reps)
         section = solve_equivariant_section(z_lam, quo, phi_n, phi_bar)
         if section is None:
@@ -527,26 +537,15 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         inclusions[n] = section
         induced[n] = phi_bar
     for n, inc in sorted(inclusions.items()):
-        d_img = base.diff(n) * inc
-        transcript.append((f"chain map in degree {n}", d_img.is_zero()))
-        lhs = base.aut(n) * inc
-        rhs = inc * induced[n]
-        transcript.append((f"phi-equivariance in degree {n}", lhs == rhs))
-        _, quo = cohomology_quotient(base, n)
-        transcript.append((f"induced isomorphism in degree {n}",
-                           quo.matrix_of(inc) == Matrix.identity(quo.dim)))
+        transcript += [(f"chain map in degree {n}", (base.diff(n) * inc).is_zero()),
+                       (f"phi-equivariance in degree {n}",
+                        base.aut(n) * inc == inc * induced[n]),
+                       (f"induced isomorphism in degree {n}",
+                        quotients[n].matrix_of(inc) == Matrix.identity(inc.ncols))]
     witness = FormalityWitness(inclusions, induced, tuple(transcript))
     if not witness.verified:
         raise WitnessError("witness verification failed; see transcript")
     return witness
-
-
-def cohomology_quotient(A: FilteredComplex, n):
-    """(Z, Z/B) in degree n: the cycles and the cohomology with its coordinates."""
-    dim = A.dim(n)
-    z = A.diff(n).kernel_basis()
-    b = col_space(A.diff(n - 1)) if n > 0 and A.dim(n - 1) else Matrix.zero(dim, 0)
-    return z, Quotient(z, b)
 
 
 def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
@@ -557,8 +556,7 @@ def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
     in X, so existence reduces to one exact solve. Returns None when the
     system is inconsistent (no strict equivariant section exists).
     """
-    h = quo.dim
-    zc = z_lam.ncols
+    h, zc = quo.dim, z_lam.ncols
     if zc == 0:
         return None
     # unknown X[c, k] is c * h + k; first coords(S) = id, then phi S = S phi_bar

@@ -1,11 +1,12 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 
 from equiconf import confring, equieven, equiodd, specseq
-from equiconf.charclasses import BASIS_BOUND, HALFDIM_BOUND, POINT_BOUND
+from equiconf.charclasses import BASIS_BOUND, DEGREE_BOUND, HALFDIM_BOUND, POINT_BOUND
 from equiconf.cli import main, parse_perm, parse_word
 from equiconf.errors import InputError
 
@@ -133,6 +134,29 @@ def test_ss_witness_and_failures(capsys, tmp_path):
     assert code == 1
 
 
+def test_ss_page_far_past_the_stable_page(capsys, tmp_path):
+    # pages past the top filtration level + 1 all equal the stable page, and
+    # reading one must not walk the pages up to it
+    cx = tmp_path / "torus.json"
+    assert main(["even", "complex", "--group", "torus", "--points", "2", "--halfdim", "2",
+                 "--max-degree", "6", "--xi", "2", "--format", "json",
+                 "--output", str(cx)]) == 0
+    top = specseq.complex_from_json(json.loads(cx.read_text())).top_level
+    code, stable = run(capsys, "ss", "page", "--input", str(cx), "--page", str(top + 1),
+                       "--format", "json")
+    assert code == 0
+    start = time.perf_counter()
+    code, far = run(capsys, "ss", "page", "--input", str(cx), "--page", "1000000",
+                    "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    stable, far = json.loads(stable), json.loads(far)
+    assert far.pop("page") == 1000000 and stable.pop("page") == top + 1
+    assert far == stable and far["dims"]
+    assert main(["ss", "page", "--input", str(cx), "--page", "-1"]) == 2
+    assert capsys.readouterr().err == "error: page index must be non-negative\n"
+
+
 def test_ss_canonical(capsys, tmp_path):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({
@@ -253,6 +277,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
         main(list(argv))
         assert f"bound {BASIS_BOUND}" in capsys.readouterr().err
     assert exit_code("equi", "basis", "--points", "3", "--halfdim", "64", "--degree", "4") == 0
+    # a --max-degree or --degree past DEGREE_BOUND: the model commands walk
+    # every degree up to it, however small each one is
+    for argv in (("equi", "hilbert", "--points", "3", "--halfdim", "1", "--max-degree", "100000"),
+                 ("even", "hilbert", "--group", "so", "--points", "2", "--halfdim", "1",
+                  "--max-degree", "100000"),
+                 ("even", "complex", "--group", "torus", "--points", "2", "--halfdim", "1",
+                  "--max-degree", "100000"),
+                 ("equi", "basis", "--points", "3", "--halfdim", "1",
+                  "--degree", str(DEGREE_BOUND + 1))):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"bound {DEGREE_BOUND}" in err
+    assert exit_code("equi", "hilbert", "--points", "3", "--halfdim", "1",
+                     "--max-degree", str(DEGREE_BOUND)) == 0
     assert exit_code("conf", "poincare", "--points", str(POINT_BOUND), "--dim", "3") == 0
     assert exit_code("conf", "poincare", "--points", "3", "--dim", "1") == 2
     # a 1x1 phi on a 2-dimensional degree is a shape error, not a rank defect

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
@@ -115,6 +117,31 @@ def test_verify_page_cohomology_matches_models():
 def test_verify_page_cohomology_five_points():
     for group in ("so", "o", "u"):
         assert ev.verify_page_cohomology(group, 5, 2, 12).passed
+
+
+def test_page_bases_are_enumerated_once_per_degree(monkeypatch):
+    calls = []
+    basis = ev.page_basis
+
+    def counted(group, ell, n, degree):
+        calls.append(degree)
+        return basis(group, ell, n, degree)
+
+    monkeypatch.setattr(ev, "page_basis", counted)
+    A = ev.as_filtered_complex("torus", 4, 2, 12, xi=2)
+    assert sorted(calls) == list(range(13))
+    # the complex is unchanged: d, filtration and phi hash as they did when
+    # `differential_matrix` enumerated both of its bases itself
+    text = json.dumps(A.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == \
+        "26898b9e8c89340ab795a343379a787f847db06595b9a91dc914eeb6acfb933c"
+    calls.clear()
+    dims = ev.page_cohomology_dims("so", 4, 2, 12)
+    assert sorted(calls) == list(range(14))
+    assert [dims[d] for d in range(13)] == [1, 0, 0, 5, 1, 0, 6, 5, 1, 0, 6, 5, 1]
+    # without the bases, `differential_matrix` enumerates them itself
+    for d in range(12):
+        assert ev.differential_matrix("torus", 4, 2, d) == A.diff(d)
 
 
 def test_u_model_filtered_complex_golden():

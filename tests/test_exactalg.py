@@ -17,12 +17,10 @@ from equiconf.exactalg import (
     strip_linear_factor,
     subspace_intersection,
     subspace_leq,
-    subspace_preimage,
-    subspace_sum,
     upoly_monic,
     upoly_str,
 )
-from equiconf.oracles import dense_rref, dense_solve
+from equiconf.oracles import dense_rref, dense_solve, subspace_preimage, subspace_sum
 
 
 def rand_matrix(rng, nrows, ncols, span=4):

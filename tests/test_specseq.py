@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from equiconf import equieven, oracles
 from equiconf import specseq as ss
 from equiconf import verify
 from equiconf.errors import InputError, PurityViolation, WitnessError
@@ -365,3 +366,70 @@ def test_filtered_complex_json_round_trip():
     assert again.phi is not None
     for n in B.degrees():
         assert again.aut(n) == B.aut(n)
+
+
+# the even page models of the benchmark's `pages` workload:
+# (group, points, halfdim, max_degree)
+PAGE_MODELS = (
+    ("torus", 2, 2, 4), ("torus", 3, 2, 4), ("torus", 2, 3, 4),
+    ("so", 2, 2, 4), ("so", 2, 2, 8), ("so", 2, 3, 8), ("so", 3, 2, 6), ("so", 3, 3, 4),
+    ("u", 2, 2, 6), ("u", 2, 3, 4), ("u", 3, 2, 4), ("u", 3, 3, 4),
+)
+
+
+def assert_pages_match_oracle(A, pages):
+    """`page` and `decalage` against the subquotient formulas of `oracles`:
+    equal dims, d_r ranks and phi charpolys per spot; representatives that
+    span the oracle's cycles modulo its boundaries; phi_r d_r = d_r phi_r."""
+    for r in pages:
+        new, old = ss.page(A, r), oracles.subquotient_page(A, r)
+        assert new.r == r and new.dims() == old.dims()
+        assert set(new.spots) == set(old.spots)
+        for (i, n), spot in new.spots.items():
+            quo = old.spots[(i, n)]
+            assert new.differential(i, n).rank() == old.differential(i, n).rank()
+            z = oracles.cycles(A, r, i, n)
+            assert spot.reps.nrows == A.dim(n) and spot.reps.ncols == spot.dim
+            assert col_space(spot.reps.sparse_columns() + quo.sub.sparse_columns(),
+                             dim=A.dim(n)) == col_space(z)
+            if A.phi is not None:
+                assert new.aut(i, n).charpoly() == old.aut(i, n).charpoly()
+                if (i - r, n + 1) in new.spots:
+                    d_r = new.differential(i, n)
+                    assert new.aut(i - r, n + 1) * d_r == d_r * new.aut(i, n)
+    assert ss.decalage(A).to_json() == oracles.subquotient_decalage(A).to_json()
+
+
+def test_pages_match_the_subquotient_oracle():
+    rng = random.Random(91)
+    for group, ell, n, top in PAGE_MODELS:
+        A = equieven.as_filtered_complex(group, ell, n, top, xi=rng.choice((2, 3, -2)))
+        assert_pages_match_oracle(A, range(A.top_level + 3))
+    for t in range(50):
+        xi = rng.choice((Q(2), Q(3), Q(-2)))
+        complexes = (
+            verify.random_filtered_complex(rng, strict=t % 2 == 0),
+            verify.random_pure_complex(rng, xi, (Q(1), Q(2), Q(1, 2))[t % 3],
+                                       impure=t % 4 == 1)[0],
+            verify.random_staircase_complex(rng, xi, Q(1), 1 + t % 3))
+        for A in complexes:
+            assert_pages_match_oracle(A, range(A.top_level + 3))
+
+
+def test_large_torus_pages_match_the_subquotient_oracle():
+    # max dim 51, ten filtration levels
+    A = equieven.as_filtered_complex("torus", 4, 2, 12, xi=2)
+    assert A.top_level == 9 and max(A.spaces.values()) == 51
+    assert_pages_match_oracle(A, range(6))
+
+
+def test_pages_of_raw_level_spans_match_the_subquotient_oracle():
+    # levels given as spanning Matrices that are not canonical: a scaled
+    # line, and a full level whose columns lead at the same index
+    line, full = Matrix.from_columns([[2, 2]]), Matrix.from_columns([[1, 1], [1, 0]])
+    A = ss.FilteredComplex({0: 2, 1: 2}, {0: Matrix([[1, 1], [0, 0]])},
+                           {0: [line, full], 1: [Matrix.from_columns([[3, 0]]), full]},
+                           {0: Matrix([[2, 0], [0, 2]]), 1: Matrix([[2, 0], [0, 5]])})
+    assert_pages_match_oracle(A, range(4))
+    assert ss.page(A, 0).differential(0, 0) == Matrix([[1]])
+    assert ss.page(A, 1).dims() == {(1, 0): 1, (1, 1): 1}
