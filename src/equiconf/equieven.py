@@ -142,13 +142,9 @@ def page_dimension(group, ell, n, degree):
     return len(page_basis(group, ell, n, degree))
 
 
-def differential_matrix(group, ell, n, degree, src=None, dst=None):
+def differential_matrix(group, ell, n, degree, src, dst):
     """Matrix of d_2n from the degree slice to the next one; `src` and `dst`
-    are the page bases of the two degrees, enumerated here when not given."""
-    if src is None:
-        src = page_basis(group, ell, n, degree)
-    if dst is None:
-        dst = page_basis(group, ell, n, degree + 1)
+    are the page bases of the two degrees."""
     index = {key: t for t, key in enumerate(dst)}
     cols = [d2n(zero(group, ell, n).from_coordinates([key], [Q(1)])).coordinates(index)
             for key in src]

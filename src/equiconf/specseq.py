@@ -52,10 +52,6 @@ from .exactalg import (
 NO_SPACE = (Matrix.zero(0, 0),) * 2  # the empty and full span of a zero space
 
 
-def _matrix(mat):
-    return mat if isinstance(mat, Matrix) else Matrix(mat)
-
-
 class FilteredComplex:
     """Explicit filtered cochain complex, canonicalized degree by degree."""
 
@@ -65,15 +61,30 @@ class FilteredComplex:
         self.spaces = {int(n): int(dim) for n, dim in spaces.items() if dim}
         if any(n < 0 for n in self.spaces):
             raise InputError("degrees must be non-negative")
-        d = ((int(n), _matrix(mat)) for n, mat in d.items())
-        self.d = {n: mat for n, mat in d if mat.nrows or mat.ncols}
-        self.filtration = {
-            n: tuple(lvl if isinstance(lvl, Matrix) else col_space(lvl, dim=self.dim(n))
-                     for lvl in levels)
-            for n, levels in ((int(k), v) for k, v in filtration.items()) if self.dim(n)}
-        self.phi = None if phi is None else {
-            n: mat for n, mat in ((int(n), _matrix(mat)) for n, mat in phi.items())
-            if self.dim(n)}
+        self.d = {}
+        for n, mat in d.items():
+            n = int(n)
+            if not isinstance(mat, Matrix):
+                mat = Matrix(mat)
+            if mat.nrows or mat.ncols:
+                self.d[n] = mat
+        self.filtration = {}
+        for n, levels in filtration.items():
+            n = int(n)
+            if self.dim(n) == 0:
+                continue
+            self.filtration[n] = tuple(
+                lvl if isinstance(lvl, Matrix) else col_space(lvl, dim=self.dim(n))
+                for lvl in levels)
+        self.phi = None
+        if phi is not None:
+            self.phi = {}
+            for n, mat in phi.items():
+                n = int(n)
+                if not isinstance(mat, Matrix):
+                    mat = Matrix(mat)
+                if self.dim(n):
+                    self.phi[n] = mat
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
         # the empty and the full span of each degree, which W returns off the
@@ -168,18 +179,19 @@ class FilteredComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
+        def mat_json(m):
+            return [[str(x) for x in row] for row in m.rows]
+
         data = {"degrees": {str(n): self.dim(n) for n in self.degrees()},
-                "d": {str(n): _mat_json(self.diff(n)) for n in self.degrees()
+                "d": {str(n): mat_json(self.diff(n)) for n in self.degrees()
                       if self.dim(n + 1)},
-                "filtration": {str(n): [[[str(x) for x in col] for col in lvl.columns()]
-                                        for lvl in self.filtration[n]] for n in self.degrees()}}
+                "filtration": {str(n): [[ [str(x) for x in col]
+                                          for col in lvl.columns()]
+                                        for lvl in self.filtration[n]]
+                               for n in self.degrees()}}
         if self.phi is not None:
-            data["phi"] = {str(n): _mat_json(self.aut(n)) for n in self.degrees()}
+            data["phi"] = {str(n): mat_json(self.aut(n)) for n in self.degrees()}
         return data
-
-
-def _mat_json(m):
-    return [[str(x) for x in row] for row in m.rows]
 
 
 def json_map(value, what):
@@ -234,15 +246,25 @@ def complex_from_json(data):
 def canonical_filtration(spaces, d, phi=None):
     """Truncation filtration: tau_i is A below degree i, ker d at i, 0 above."""
     spaces = {int(n): int(v) for n, v in spaces.items() if v}
-    d = {int(n): _matrix(m) for n, m in d.items()}
+    d = {int(n): (m if isinstance(m, Matrix) else Matrix(m)) for n, m in d.items()}
     probe = FilteredComplex(spaces, d, {n: (Matrix.identity(spaces[n]),)
                                         for n in spaces}, phi, validate=False)
     for n in spaces:
         if not (probe.diff(n + 1) * probe.diff(n)).is_zero():
             raise InputError(f"d o d != 0 at degree {n}")
-    filtration = {n: [Matrix.identity(dim) if n < i else probe.diff(n).kernel_basis()
-                      if n == i else Matrix.zero(dim, 0) for i in range(max(spaces) + 1)]
-                  for n, dim in spaces.items()}
+    top = max(spaces, default=0)
+    filtration = {}
+    for n in spaces:
+        kernel = probe.diff(n).kernel_basis()
+        levels = []
+        for i in range(top + 1):
+            if n < i:
+                levels.append(Matrix.identity(spaces[n]))
+            elif n == i:
+                levels.append(kernel)
+            else:
+                levels.append(Matrix.zero(spaces[n], 0))
+        filtration[n] = levels
     return FilteredComplex(spaces, d, filtration, phi)
 
 
@@ -254,14 +276,16 @@ def canonical_filtration(spaces, d, phi=None):
 Spot = namedtuple("Spot", "dim reps")
 
 
-@dataclass(frozen=True)
 class SpectralPage:
     """One page: spots, induced differentials and automorphisms."""
 
-    r: int
-    spots: dict          # (i, n) -> Spot, live spots only
-    differentials: dict  # (i, n) -> Matrix to (i-r, n+1)
-    phi: dict            # (i, n) -> Matrix, or None without an automorphism
+    __slots__ = ("r", "spots", "differentials", "phi")
+
+    def __init__(self, r, spots, differentials, phi):
+        self.r = r
+        self.spots = spots                  # (i, n) -> Spot, live spots only
+        self.differentials = differentials  # (i, n) -> Matrix to (i-r, n+1)
+        self.phi = phi                      # (i, n) -> Matrix, if present
 
     def dim(self, i, n):
         spot = self.spots.get((i, n))
@@ -281,13 +305,18 @@ class SpectralPage:
         return out
 
     def differential(self, i, n):
-        return self.differentials.get((i, n)) or \
-            Matrix.zero(self.dim(i - self.r, n + 1), self.dim(i, n))
+        mat = self.differentials.get((i, n))
+        if mat is None:
+            return Matrix.zero(self.dim(i - self.r, n + 1), self.dim(i, n))
+        return mat
 
     def aut(self, i, n):
         if self.phi is None:
             raise InputError("page carries no automorphism")
-        return self.phi.get((i, n)) or Matrix.identity(self.dim(i, n))
+        mat = self.phi.get((i, n))
+        if mat is None:
+            return Matrix.identity(self.dim(i, n))
+        return mat
 
 
 def _barcode(A: FilteredComplex):
@@ -368,10 +397,14 @@ def page(A: FilteredComplex, r):
 
 def page_cohomology_dims(pg: SpectralPage):
     """Dimension of H(E_r, d_r) at each spot; equals the next page's table."""
+    out = {}
     ranks = {key: mat.rank() for key, mat in pg.differentials.items()}
-    out = {(i, n): spot.dim - ranks.get((i, n), 0) - ranks.get((i + pg.r, n - 1), 0)
-           for (i, n), spot in pg.spots.items()}
-    return {key: h for key, h in out.items() if h}
+    for (i, n), spot in pg.spots.items():
+        ker = spot.dim - ranks.get((i, n), 0)
+        img = ranks.get((i + pg.r, n - 1), 0)
+        if ker - img:
+            out[(i, n)] = ker - img
+    return out
 
 
 def decalage(A: FilteredComplex):
@@ -432,8 +465,10 @@ class PurityResult:
 
     def to_json(self):
         data = {"ok": self.ok, "inspected_page": self.inspected_page,
-                "records": [{"bidegree": list(spot), "weight": None if w is None else str(w),
-                             "dim": dim} for spot, w, dim in self.records]}
+                "records": [{"bidegree": list(spot),
+                             "weight": None if w is None else str(w),
+                             "dim": dim}
+                            for spot, w, dim in self.records]}
         if self.violation is not None:
             spot, factor, message = self.violation
             data["violation"] = {"bidegree": list(spot), "factor": factor,
@@ -493,10 +528,15 @@ class FormalityWitness:
         return all(ok for _, ok in self.transcript)
 
     def to_json(self):
+        def mat_json(m):
+            return [[str(x) for x in row] for row in m.rows]
+
         return {"verified": self.verified,
-                "transcript": [{"check": name, "pass": ok} for name, ok in self.transcript],
-                "inclusions": {str(n): _mat_json(m) for n, m in sorted(self.inclusions.items())},
-                "cohomology_automorphism": {str(n): _mat_json(m)
+                "transcript": [{"check": name, "pass": ok}
+                               for name, ok in self.transcript],
+                "inclusions": {str(n): mat_json(m)
+                               for n, m in sorted(self.inclusions.items())},
+                "cohomology_automorphism": {str(n): mat_json(m)
                                             for n, m in sorted(self.induced.items())}}
 
 
@@ -517,17 +557,22 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         raise PurityViolation(
             f"purity fails at bidegree {check.violation[0]}: {check.violation[2]}",
             spot=check.violation[0], factor=check.violation[1])
-    inclusions, induced, quotients, transcript = {}, {}, {}, []
-    for n in base.degrees():
-        # the cycles and the cohomology with its coordinates
-        z = base.diff(n).kernel_basis()
-        quo = quotients[n] = Quotient(z, col_space(base.diff(n - 1)))
+    inclusions = {}
+    induced = {}
+    transcript = []
+    for n in range(base.max_degree() + 1):
+        dim = base.dim(n)
+        if dim == 0:
+            continue
+        z, quo = cohomology_quotient(base, n)
         if quo.dim == 0:
             continue
-        lam = spec.xi ** int(spec.alpha * n)
+        w = spec.alpha * n
+        lam = spec.xi ** int(w)
         phi_n = base.aut(n)
         # restrict to the generalized lam-eigenspace; equivariance forces it
-        z_lam = subspace_intersection(z, col_space(eigen_projector(phi_n, lam)))
+        proj = eigen_projector(phi_n, lam)
+        z_lam = subspace_intersection(z, col_space(proj))
         phi_bar = quo.matrix_of(phi_n * quo.reps)
         section = solve_equivariant_section(z_lam, quo, phi_n, phi_bar)
         if section is None:
@@ -537,15 +582,26 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         inclusions[n] = section
         induced[n] = phi_bar
     for n, inc in sorted(inclusions.items()):
-        transcript += [(f"chain map in degree {n}", (base.diff(n) * inc).is_zero()),
-                       (f"phi-equivariance in degree {n}",
-                        base.aut(n) * inc == inc * induced[n]),
-                       (f"induced isomorphism in degree {n}",
-                        quotients[n].matrix_of(inc) == Matrix.identity(inc.ncols))]
+        d_img = base.diff(n) * inc
+        transcript.append((f"chain map in degree {n}", d_img.is_zero()))
+        lhs = base.aut(n) * inc
+        rhs = inc * induced[n]
+        transcript.append((f"phi-equivariance in degree {n}", lhs == rhs))
+        _, quo = cohomology_quotient(base, n)
+        transcript.append((f"induced isomorphism in degree {n}",
+                           quo.matrix_of(inc) == Matrix.identity(quo.dim)))
     witness = FormalityWitness(inclusions, induced, tuple(transcript))
     if not witness.verified:
         raise WitnessError("witness verification failed; see transcript")
     return witness
+
+
+def cohomology_quotient(A: FilteredComplex, n):
+    """(Z, Z/B) in degree n: the cycles and the cohomology with its coordinates."""
+    dim = A.dim(n)
+    z = A.diff(n).kernel_basis()
+    b = col_space(A.diff(n - 1)) if n > 0 and A.dim(n - 1) else Matrix.zero(dim, 0)
+    return z, Quotient(z, b)
 
 
 def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
@@ -556,7 +612,8 @@ def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
     in X, so existence reduces to one exact solve. Returns None when the
     system is inconsistent (no strict equivariant section exists).
     """
-    h, zc = quo.dim, z_lam.ncols
+    h = quo.dim
+    zc = z_lam.ncols
     if zc == 0:
         return None
     # unknown X[c, k] is c * h + k; first coords(S) = id, then phi S = S phi_bar
