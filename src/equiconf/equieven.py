@@ -397,28 +397,35 @@ def torus_restriction_even(a: PageElement):
 def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
     """Echelonized basis of the W(G(2n))-fixed torus page in one degree; W
     twists the coefficients and scales each x by det = prod eps."""
+    return _fixed_elements(family, ell, n, page_basis("torus", ell, n, degree), convention)
+
+
+def _fixed_elements(family, ell, n, basis, convention):
+    """The fixed basis of `weyl_fixed_page_basis` in the degree of the torus
+    page basis `basis`."""
     if family not in ("so_even", "o_even"):
         raise InputError("fixed pages are computed for so_even or o_even")
     group = weyl_group(GroupSpec(family, n), convention)
-    rows = fixed_rows(group, page_basis("torus", ell, n, degree), WeylElement.eps_product)
+    rows = fixed_rows(group, basis, WeylElement.eps_product)
     return [zero("torus", ell, n).from_coordinates(row, row.values()) for row in rows]
 
 
 def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"):
     """H(W-fixed torus page, d_2n) dimensions, degree by degree."""
     check_capacity(ell, n)
-    fixed = {d: weyl_fixed_page_basis(family, ell, n, d, convention)
-             for d in range(max_degree + 2)}
+    bases, fixed = [], []  # the torus page basis of each degree, and its fixed part
+    for d in range(max_degree + 2):
+        bases.append(page_basis("torus", ell, n, d))
+        fixed.append(_fixed_elements(family, ell, n, bases[d], convention))
     ranks = {}
     for d in range(max_degree + 1):
         elems = fixed[d]
         if not elems:
             ranks[d] = 0
             continue
-        target = page_basis("torus", ell, n, d + 1)
-        index = {key: t for t, key in enumerate(target)}
+        index = {key: t for t, key in enumerate(bases[d + 1])}
         cols = [d2n(e).coordinates(index) for e in elems]
-        ranks[d] = Matrix.from_columns(cols, nrows=len(target)).rank()
+        ranks[d] = Matrix.from_columns(cols, nrows=len(bases[d + 1])).rank()
     dims = {}
     for d in range(max_degree + 1):
         ker = len(fixed[d]) - ranks[d]

@@ -443,21 +443,40 @@ def subspace_intersection(a: Matrix, b: Matrix):
     return Matrix._of(_transpose(cap, dim), len(cap))
 
 
+def canonical_span(m: Matrix):
+    """m itself when it is already the canonical basis of its span (reduced
+    column echelon form), else `col_space(m)`. The check reads each sparse
+    row once: column c leads at a row {c: 1}, the columns lead in order, and
+    no other row holds a column that has not led yet."""
+    seen = 0  # the columns that have led so far
+    for r in m.sparse_rows:
+        if seen in r:
+            if len(r) > 1 or r[seen] != 1:
+                return col_space(m)
+            seen += 1
+        elif r and max(r) >= seen:
+            return col_space(m)
+    return m if seen == m.ncols else col_space(m)
+
+
 def flag_basis(spans):
-    """A basis adapted to a flag of nested spans: (t, vector) for each column
-    of spans[t] that leads (has its first entry) where no earlier span leads,
-    ordered by t and then by that index. Spans in echelon form, as canonical
-    spans are, need no elimination; others are made canonical first."""
-    out, seen = [], set()
+    """(level, basis, lead): the basis adapted to a flag of nested canonical
+    spans. basis[k] is a column of spans[level[k]] that leads (has its first
+    entry) where no earlier span leads, in the order of level and then of
+    that index, and lead maps the index to (k, basis[k]). The elements of
+    level at most t are a basis of spans[t] with distinct leads, so a vector
+    lies in spans[t] exactly when its triangular expansion at the leads,
+    `eliminate(v, min, lead)`, leaves nothing and uses only elements of
+    level at most t. No elimination is needed to build it."""
+    level, basis, lead = [], [], {}
     for t, span in enumerate(spans):
-        if span.ncols > len(out):
-            cols = span.sparse_columns()
-            if len({min(v) for v in cols if v}) < len(cols):
-                cols = col_space(span).sparse_columns()
-            new = sorted((min(v), v) for v in cols if min(v) not in seen)
-            seen.update(p for p, _ in new)
-            out += [(t, v) for _, v in new]
-    return out
+        if span.ncols > len(basis):
+            for v in span.sparse_columns():
+                if (p := min(v)) not in lead:
+                    lead[p] = len(basis), v
+                    level.append(t)
+                    basis.append(v)
+    return level, basis, lead
 
 
 def combine(cols, v):
@@ -497,17 +516,6 @@ def eliminate(w, pick, table):
             else:
                 del w[j]
     return w, used
-
-
-def subspace_leq(a: Matrix, b: Matrix):
-    """Whether span(a) lies in span(b). b is reduced once; a column of a lies
-    in span(b) iff eliminating it against the reduced rows of b, each at its
-    pivot (its first entry), leaves nothing."""
-    if a.nrows != b.nrows:
-        raise InputError("ambient dimension mismatch")
-    red, pivots = _reduce(b.sparse_columns(), range(b.nrows))
-    table = {p: (p, row) for p, row in zip(pivots, red)}
-    return not any(eliminate(v, min, table)[0] for v in a.sparse_columns())
 
 
 class Quotient:

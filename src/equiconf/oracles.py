@@ -10,8 +10,10 @@ basis element over the group through the polynomial ring maps.
 
 Spectral pages and decalage are rebuilt straight from the cycle/boundary
 subquotients, one `Quotient` per spot, as the reference for the barcode
-basis that `specseq` reads them off. These use the subspace operations of
-`exactalg`, but none of the barcode code.
+basis that `specseq` reads them off, and a filtered complex is validated one
+filtration level at a time, as the reference for `FilteredComplex.validate`.
+These use the subspace operations of `exactalg`, but none of the barcode or
+adapted-basis code.
 
 The linear systems go through `dense_rref`, plain Gauss-Jordan elimination
 on dense Fraction rows. It shares no code with the sparse kernel behind
@@ -351,6 +353,14 @@ def subspace_sum(a: Matrix, b: Matrix):
     return col_space(a.sparse_columns() + b.sparse_columns(), dim=a.nrows)
 
 
+def subspace_leq(a: Matrix, b: Matrix):
+    """Whether span(a) lies in span(b): adding the columns of a to those of b
+    leaves the canonical span of b as it is."""
+    if a.nrows != b.nrows:
+        raise InputError("ambient dimension mismatch")
+    return subspace_sum(a, b) == col_space(b)
+
+
 def subspace_preimage(d: Matrix, s: Matrix):
     """Canonical basis of {x : d*x in span(s)} inside the source of d."""
     if d.nrows != s.nrows:
@@ -416,3 +426,38 @@ def subquotient_decalage(A):
                   for n in A.degrees()}
     return FilteredComplex(A.spaces, A.d, filtration,
                            None if A.phi is None else dict(A.phi))
+
+
+def validate_by_levels(A):
+    """`FilteredComplex.validate` one level at a time: every check of
+    nestedness, of d and of phi preserving the filtration is a `subspace_leq`
+    per level; the reference for the adapted-basis checks."""
+    for n in A.spaces:
+        mat = A.diff(n)
+        if (mat.nrows, mat.ncols) != (A.dim(n + 1), A.dim(n)):
+            raise InputError(f"differential shape mismatch at degree {n}")
+        if not (A.diff(n + 1) * mat).is_zero():
+            raise InputError(f"d o d != 0 at degree {n}")
+        levels = A.filtration.get(n)
+        if not levels:
+            raise InputError(f"missing filtration at degree {n}")
+        for t in range(len(levels) - 1):
+            if not subspace_leq(levels[t], levels[t + 1]):
+                raise InputError(f"filtration not nested at degree {n}")
+        if levels[-1].ncols != A.dim(n):
+            raise InputError(f"filtration not exhaustive at degree {n}")
+        for t, lvl in enumerate(levels):
+            if not subspace_leq(mat * lvl, A.W(n + 1, t)):
+                raise InputError(f"differential does not preserve W_{t} at degree {n}")
+        if A.phi is not None:
+            aut = A.aut(n)
+            if (aut.nrows, aut.ncols) != (A.dim(n), A.dim(n)):
+                raise InputError(f"automorphism shape mismatch at degree {n}")
+            if aut.rank() != A.dim(n):
+                raise InputError(f"automorphism not invertible at degree {n}")
+            if not (A.diff(n) * aut == A.aut(n + 1) * A.diff(n)):
+                raise InputError(f"automorphism does not commute with d at {n}")
+            for t, lvl in enumerate(levels):
+                if not subspace_leq(aut * lvl, lvl):
+                    raise InputError(f"automorphism does not preserve W_{t} at degree {n}")
+    return True

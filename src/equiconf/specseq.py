@@ -35,6 +35,7 @@ from .exactalg import (
     ONE,
     Matrix,
     Quotient,
+    canonical_span,
     col_space,
     combine,
     eigen_projector,
@@ -43,7 +44,6 @@ from .exactalg import (
     rat,
     strip_linear_factor,
     subspace_intersection,
-    subspace_leq,
     upoly_monic,
     upoly_str,
 )
@@ -53,7 +53,8 @@ NO_SPACE = (Matrix.zero(0, 0),) * 2  # the empty and full span of a zero space
 
 
 class FilteredComplex:
-    """Explicit filtered cochain complex, canonicalized degree by degree."""
+    """Explicit filtered cochain complex, canonicalized degree by degree:
+    each filtration level is kept as the canonical basis of its span."""
 
     __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "_ends")
 
@@ -73,9 +74,7 @@ class FilteredComplex:
             n = int(n)
             if self.dim(n) == 0:
                 continue
-            self.filtration[n] = tuple(
-                lvl if isinstance(lvl, Matrix) else col_space(lvl, dim=self.dim(n))
-                for lvl in levels)
+            self.filtration[n] = tuple(self._level(n, lvl) for lvl in levels)
         self.phi = None
         if phi is not None:
             self.phi = {}
@@ -93,6 +92,15 @@ class FilteredComplex:
                       for n, dim in self.spaces.items()}
         if validate:
             self.validate()
+
+    def _level(self, n, lvl):
+        """The canonical basis of a level of degree n: a Matrix whose columns
+        span it, or its vectors."""
+        if not isinstance(lvl, Matrix):
+            return col_space(lvl, dim=self.dim(n))
+        if lvl.nrows != self.dim(n):
+            raise InputError(f"filtration level shape mismatch at degree {n}")
+        return canonical_span(lvl)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -132,6 +140,21 @@ class FilteredComplex:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        """Check the complex degree by degree and raise an InputError that
+        names the first failure: shapes, d o d = 0, a nested and exhaustive
+        filtration that d preserves, then an invertible phi that commutes with
+        d and preserves the filtration.
+
+        The filtration checks read one adapted basis per degree
+        (`flag_basis`): a vector lies in W_t exactly when its triangular
+        expansion at the leads of that basis uses only elements of level at
+        most t. So d preserves every W_t when no basis element of degree n is
+        sent to a higher level of degree n + 1, and the first W_t it fails
+        is the lowest level of an element that is; phi likewise within
+        degree n. Nestedness and exhaustiveness are read off the canonical
+        levels, which are in echelon form already."""
+        flags = {n: flag_basis(levels) if _nested(levels) else None
+                 for n, levels in self.filtration.items()}
         for n in self.spaces:
             mat = self.diff(n)
             if (mat.nrows, mat.ncols) != (self.dim(n + 1), self.dim(n)):
@@ -142,14 +165,16 @@ class FilteredComplex:
             levels = self.filtration.get(n)
             if not levels:
                 raise InputError(f"missing filtration at degree {n}")
-            for t in range(len(levels) - 1):
-                if not subspace_leq(levels[t], levels[t + 1]):
-                    raise InputError(f"filtration not nested at degree {n}")
+            if flags[n] is None:
+                raise InputError(f"filtration not nested at degree {n}")
             if levels[-1].ncols != self.dim(n):
                 raise InputError(f"filtration not exhaustive at degree {n}")
-            for t, lvl in enumerate(levels):
-                if not subspace_leq(mat * lvl, self.W(n + 1, t)):
-                    raise InputError(f"differential does not preserve W_{t} at degree {n}")
+            level, basis, _ = flags[n]
+            dcols = mat.sparse_columns()
+            t = _escape([combine(dcols, b) for b in basis], level,
+                        self.filtration.get(n + 1, ())[:len(levels)], flags.get(n + 1))
+            if t is not None:
+                raise InputError(f"differential does not preserve W_{t} at degree {n}")
             if self.phi is not None:
                 aut = self.aut(n)
                 if (aut.nrows, aut.ncols) != (self.dim(n), self.dim(n)):
@@ -158,9 +183,10 @@ class FilteredComplex:
                     raise InputError(f"automorphism not invertible at degree {n}")
                 if not (self.diff(n) * aut == self.aut(n + 1) * self.diff(n)):
                     raise InputError(f"automorphism does not commute with d at {n}")
-                for t, lvl in enumerate(levels):
-                    if not subspace_leq(aut * lvl, lvl):
-                        raise InputError(f"automorphism does not preserve W_{t} at degree {n}")
+                cols = aut.sparse_columns()
+                t = _escape([combine(cols, b) for b in basis], level, levels, flags[n])
+                if t is not None:
+                    raise InputError(f"automorphism does not preserve W_{t} at degree {n}")
         return True
 
     # -- cohomology of the underlying complex --------------------------------
@@ -192,6 +218,42 @@ class FilteredComplex:
         if self.phi is not None:
             data["phi"] = {str(n): mat_json(self.aut(n)) for n in self.degrees()}
         return data
+
+
+def _nested(levels):
+    """Whether each canonical span of `levels` lies in the next one."""
+    for lo, hi in zip(levels, levels[1:]):
+        if lo.ncols >= hi.ncols:
+            if lo != hi:  # canonical spans of one dimension are nested only when equal
+                return False
+        elif lo.ncols:
+            lead = flag_basis((hi,))[2]
+            if any(eliminate(v, min, lead)[0] for v in lo.sparse_columns()):
+                return False
+    return True
+
+
+def _escape(images, level, levels, flag):
+    """The least t at which an image images[k] with level[k] <= t lies
+    outside W_t, where W_t is levels[t] and the whole space past the last
+    level, or None. `flag` is the `flag_basis` of nested levels, or None."""
+    if not levels:
+        return None
+    if flag is not None:
+        target, _, lead = flag
+        for k, v in enumerate(images):
+            rest, used = eliminate(v, min, lead)
+            # the least t with v in W_t; past the last level W_t is everything
+            if (len(levels) if rest else max(map(target.__getitem__, used), default=-1)) \
+                    > level[k]:
+                return level[k]
+        return None
+    # levels that are not nested: one membership test per level
+    for t, span in enumerate(levels):
+        lead = flag_basis((span,))[2]
+        if any(eliminate(dict(v), min, lead)[0] for v, s in zip(images, level) if s <= t):
+            return t
+    return None
 
 
 def json_map(value, what):
@@ -328,11 +390,7 @@ def _barcode(A: FilteredComplex):
     barcode element k in the adapted basis; d sends it to element low[k] of
     degree n + 1 when k is a source, else to 0. `gap` holds the level drop
     of each pair at both its ends."""
-    adapted = {}
-    for n in A.degrees():
-        flag = flag_basis(A.filtration[n])
-        adapted[n] = ([t for t, _ in flag], [v for _, v in flag],
-                      {min(v): (k, v) for k, (_, v) in enumerate(flag)})
+    adapted = {n: flag_basis(A.filtration[n]) for n in A.degrees()}
     bars, cleared = {}, {}
     for n, (level, basis, lead) in adapted.items():
         nxt, dcols = adapted.get(n + 1), A.diff(n).sparse_columns()

@@ -139,6 +139,13 @@ def test_page_bases_are_enumerated_once_per_degree(monkeypatch):
     dims = ev.page_cohomology_dims("so", 4, 2, 12)
     assert sorted(calls) == list(range(14))
     assert [dims[d] for d in range(13)] == [1, 0, 0, 5, 1, 0, 6, 5, 1, 0, 6, 5, 1]
+    # the Weyl-fixed torus page: one torus basis per degree, up to the
+    # target of the top d_2n, and the dimensions of the SO/O models
+    for family, group in (("so_even", "so"), ("o_even", "o")):
+        calls.clear()
+        fixed = ev.fixed_page_cohomology_dims(family, 4, 2, 12)
+        assert sorted(calls) == list(range(14))
+        assert fixed == ev.page_cohomology_dims(group, 4, 2, 12)
 
 
 def test_u_model_filtered_complex_golden():

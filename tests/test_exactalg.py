@@ -8,6 +8,7 @@ from equiconf.exactalg import (
     Matrix,
     PolyRing,
     Quotient,
+    canonical_span,
     col_space,
     eigen_projector,
     elementary_symmetric,
@@ -16,11 +17,16 @@ from equiconf.exactalg import (
     rat,
     strip_linear_factor,
     subspace_intersection,
-    subspace_leq,
     upoly_monic,
     upoly_str,
 )
-from equiconf.oracles import dense_rref, dense_solve, subspace_preimage, subspace_sum
+from equiconf.oracles import (
+    dense_rref,
+    dense_solve,
+    subspace_leq,
+    subspace_preimage,
+    subspace_sum,
+)
 
 
 def rand_matrix(rng, nrows, ncols, span=4):
@@ -248,6 +254,7 @@ def test_subspaces_match_dense_oracle():
         dim = m.nrows
         a = col_space(m)
         assert a.columns() == dense_span(m.columns(), dim)
+        assert canonical_span(m) == a and canonical_span(a) is a
         others = [o for o in mats if o.nrows == dim]
         for o in rng.sample(others, min(2, len(others))):
             b = col_space(o)

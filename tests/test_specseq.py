@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 
@@ -6,6 +7,7 @@ import pytest
 from equiconf import equieven, oracles
 from equiconf import specseq as ss
 from equiconf import verify
+from equiconf.cli import main
 from equiconf.errors import InputError, PurityViolation, WitnessError
 from equiconf.exactalg import Matrix, col_space, equivariant_hom_dims
 
@@ -85,6 +87,20 @@ def test_validate_messages(args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("args,message", [case[1:] for case in MALFORMED
+                                          if case[0] != "missing"],
+                         ids=[case[0] for case in MALFORMED if case[0] != "missing"])
+def test_malformed_complex_files_exit_2(args, message, capsys, tmp_path):
+    # each case as a complex file (JSON cannot leave a degree's filtration
+    # out: a file with none is refused before validation) through the CLI:
+    # exit 2, the one-line message on stderr, nothing on stdout
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(ss.FilteredComplex(*args, validate=False).to_json()))
+    for command in (["page", "--page", "1"], ["decalage"]):
+        assert main(["ss", *command, "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed filtered complex: {message}\n")
+
+
 def test_canonical_filtration_golden_cases():
     # zero differential: tau_i A^n = A^n for n <= i, else 0
     tau = ss.canonical_filtration({0: 1, 2: 1}, {})
@@ -103,6 +119,17 @@ def test_W_off_the_ends_is_the_empty_or_full_span():
         assert A.W(n, -1) == Matrix.zero(dim, 0)
         assert A.W(n, 9) == Matrix.identity(dim)
         assert A.W(n, 9) is A.W(n, 10)  # built once per degree
+
+
+def test_matrix_levels_are_canonicalized():
+    A = ss.FilteredComplex({0: 2}, {}, {0: [Matrix([[1], [1]]), Matrix([[1, 0], [1, 1]])]})
+    assert A.W(0, 0) == Matrix([[1], [1]])
+    assert A.W(0, 1) == ID2
+    # a level already in reduced column echelon form is kept as it is
+    units = Matrix.from_columns([{0: 1}, {2: 1}], nrows=3)
+    assert ss.FilteredComplex({0: 3}, {}, {0: [units, Matrix.identity(3)]}).W(0, 0) is units
+    with pytest.raises(InputError, match="^filtration level shape mismatch at degree 0$"):
+        ss.FilteredComplex({0: 2}, {}, {0: [Matrix.identity(3)]}, validate=False)
 
 
 def test_page_of_trivial_filtration():
@@ -433,3 +460,81 @@ def test_pages_of_raw_level_spans_match_the_subquotient_oracle():
     assert_pages_match_oracle(A, range(4))
     assert ss.page(A, 0).differential(0, 0) == Matrix([[1]])
     assert ss.page(A, 1).dims() == {(1, 0): 1, (1, 1): 1}
+
+
+def outcome(check, A):
+    """True when `check` accepts A, else the message of its InputError."""
+    try:
+        return check(A)
+    except InputError as exc:
+        return str(exc)
+
+
+def perturbed(m, rng):
+    """m with one seeded entry changed by a nonzero integer."""
+    rows = [dict(r) for r in m.sparse_rows]
+    i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
+    rows[i][j] = rows[i].get(j, 0) + rng.choice((-2, -1, 1, 2))
+    return Matrix(rows, ncols=m.ncols)
+
+
+def mutated(A, rng, defects):
+    """A copy of A, built without validation, with `defects` seeded defects:
+    a column dropped from a level, two levels swapped, one entry of d or phi
+    perturbed, or phi made singular."""
+    d, phi = dict(A.d), None if A.phi is None else {n: A.aut(n) for n in A.degrees()}
+    filtration = {n: list(levels) for n, levels in A.filtration.items()}
+    for _ in range(defects):
+        kinds = ["drop", "swap"] + ["d"] * bool(d) + ["phi", "singular"] * bool(phi)
+        kind, n = rng.choice(kinds), rng.choice(A.degrees())
+        levels = filtration[n]
+        if kind == "drop":
+            t = rng.choice([t for t, lvl in enumerate(levels) if lvl.ncols] or [0])
+            cols = levels[t].sparse_columns()
+            if cols:
+                del cols[rng.randrange(len(cols))]
+            levels[t] = Matrix.from_columns(cols, nrows=A.dim(n))
+        elif kind == "swap":
+            s, t = rng.randrange(len(levels)), rng.randrange(len(levels))
+            levels[s], levels[t] = levels[t], levels[s]
+        elif kind == "d":
+            n = rng.choice(sorted(d))
+            d[n] = perturbed(d[n], rng)
+        elif kind == "phi":
+            phi[n] = perturbed(phi[n], rng)
+        else:  # the images of two basis vectors made equal
+            cols = phi[n].sparse_columns()
+            cols[rng.randrange(len(cols))] = cols[rng.randrange(len(cols))]
+            phi[n] = Matrix.from_columns(cols, nrows=A.dim(n))
+    return ss.FilteredComplex(A.spaces, d, filtration, phi, validate=False)
+
+
+def test_validate_matches_the_level_by_level_oracle():
+    # the adapted-basis checks of `validate` against one `subspace_leq` per
+    # level: the same verdict and the same message, on valid complexes and
+    # on seeded mutations of them with one or two defects
+    rng = random.Random(57)
+    bases = []
+    for group, ell, n, top in PAGE_MODELS:
+        A = equieven.as_filtered_complex(group, ell, n, top, xi=rng.choice((2, 3, -2)))
+        bases += [A, ss.decalage(A)]
+    for t in range(20):
+        xi = rng.choice((Q(2), Q(3), Q(-2)))
+        bases += [verify.random_filtered_complex(rng, strict=t % 2 == 0),
+                  verify.random_pure_complex(rng, xi, (Q(1), Q(2), Q(1, 2))[t % 3])[0],
+                  verify.random_staircase_complex(rng, xi, Q(1), 1 + t % 3)]
+    cases = [ss.FilteredComplex(*args, validate=False) for _, args, _ in MALFORMED]
+    # degree 1 has more levels than degree 0, and they are not nested: d is
+    # checked only against the levels that degree 0 has
+    cases.append(ss.FilteredComplex({0: 1, 1: 1}, {0: ID1},
+                                    {0: [ID1], 1: [ID1, span(dim=1), ID1]}, validate=False))
+    for A in bases:
+        cases += [A] + [mutated(A, rng, 1 + k % 2) for k in range(4)]
+    seen = set()
+    for B in cases:
+        got = outcome(ss.FilteredComplex.validate, B)
+        assert got == outcome(oracles.validate_by_levels, B)
+        seen.add(got if got is True else got.split(" at ")[0].split(" W_")[0])
+    # every check accepts or rejects some case
+    assert seen == {True} | {message.split(" at ")[0].split(" W_")[0]
+                             for *_, message in MALFORMED}
