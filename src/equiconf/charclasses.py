@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product as iter_product
+from operator import itemgetter
 
 from .errors import CapacityError, InputError
 from .exactalg import PolyRing, Polynomial, elementary_symmetric
@@ -41,6 +42,7 @@ DEGREE_BOUND = 64
 # (points - 1)! monomials, so it is sized from the closed form first
 BASIS_BOUND = 100_000
 CONVENTIONS = ("standard", "paper")
+ONE, MINUS_ONE = Q(1), Q(-1)
 
 
 @dataclass(frozen=True)
@@ -198,23 +200,35 @@ def fixed_rows(group, keys, odd_sign=None):
     sums, scaled to lead 1 at their first key, are already the reduced
     echelon basis. Returns one {key: Fraction(+-1)} row per nonzero orbit sum,
     ordered by first key.
+
+    The sign is a parity: bit i of a key's mask is the parity of e_i, and
+    bit n that of the word length; bit i of w's mask is set where eps_i = -1,
+    and bit n where odd_sign(w) = -1. The sign is -1 exactly when the two
+    masks share an odd number of bits. The image is an `itemgetter` of the
+    exponents.
     """
-    acts = [(sorted(range(len(w.sigma)), key=w.sigma.__getitem__),
-             [i for i, e in enumerate(w.eps) if e == -1],
-             1 if odd_sign is None else odd_sign(w)) for w in group]
+    n = len(group[0].sigma)
+    acts = []  # (image of the exponents, mask) per group element
+    for w in group:
+        flips = sum(1 << i for i, e in enumerate(w.eps) if e == -1)
+        if odd_sign is not None and odd_sign(w) == -1:
+            flips |= 1 << n
+        # rank 1 has only the identity permutation, and itemgetter(0) gives no tuple
+        inverse = sorted(range(n), key=w.sigma.__getitem__)
+        acts.append((itemgetter(*inverse) if n > 1 else tuple, flips))
     seen, rows = set(), []
     for key in keys:
         if key in seen:
             continue
         edges, exps = key
+        parity = (len(edges) % 2) << n | sum((e & 1) << i for i, e in enumerate(exps))
         orbit, vanishes = {}, False
-        for inverse, flips, odd_factor in acts:
-            sign = (odd_factor if len(edges) % 2 else 1) * (-1) ** sum(exps[i] for i in flips)
-            image = (edges, tuple(exps[i] for i in inverse))
-            vanishes |= orbit.setdefault(image, sign) != sign
+        for image, flips in acts:
+            bit = (flips & parity).bit_count() & 1
+            vanishes |= orbit.setdefault((edges, image(exps)), bit) != bit
         seen.update(orbit)
         if not vanishes:
-            rows.append({k: Q(s) for k, s in orbit.items()})
+            rows.append({k: MINUS_ONE if bit else ONE for k, bit in orbit.items()})
     return rows
 
 

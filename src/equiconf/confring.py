@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import partial
 from operator import attrgetter
-from itertools import combinations, product as iter_product
 
 from .charclasses import POINT_BOUND
 from .errors import CapacityError, InputError
@@ -45,25 +44,30 @@ def koszul_sort(edges, n):
     sign = 1
     odd_degree = n % 2 == 0  # generators have degree n-1
     for i in range(1, len(edges)):
+        # insertion sort: shift the larger edges before b up by one each
+        b = edges[i]
+        key = (b[1], b[0])
         j = i
-        while j > 0 and edge_key(edges[j - 1]) > edge_key(edges[j]):
-            edges[j - 1], edges[j] = edges[j], edges[j - 1]
+        while j > 0 and (edges[j - 1][1], edges[j - 1][0]) > key:
+            edges[j] = edges[j - 1]
             if odd_degree:
                 sign = -sign
             j -= 1
+        edges[j] = b
     return sign, tuple(edges)
 
 
-def reduce_word(k, n, word, coeff=Q(1), rng=None):
-    """Normal-form terms of a single word of canonical edges.
+def word_counts(k, n, word, rng=None):
+    """Normal form of a single word of canonical edges, with integer
+    multiplicities: a dict mapping admissible sorted edge tuples to nonzero
+    ints. Every rewrite has coefficients +-1, so no fraction is needed.
 
-    Returns a dict mapping admissible sorted edge tuples to coefficients.
     When `rng` is given, the redex processed at each step is chosen at
     random instead of leftmost; the result must not depend on this choice
     (confluence), which the verification suites exercise.
     """
     out = {}
-    stack = [(tuple(word), rat(coeff))]
+    stack = [(tuple(word), 1)]
     while stack:
         edges, c = stack.pop()
         sign, edges = koszul_sort(edges, n)
@@ -80,11 +84,11 @@ def reduce_word(k, n, word, coeff=Q(1), rng=None):
         if dead:
             continue
         if not redexes:
-            v = out.get(edges, Q(0)) + c
-            if v == 0:
-                out.pop(edges, None)
-            else:
+            v = out.get(edges, 0) + c
+            if v:
                 out[edges] = v
+            else:
+                out.pop(edges, None)
             continue
         t = redexes[0] if rng is None else rng.choice(redexes)
         (i, j), (kk, j2) = edges[t], edges[t + 1]
@@ -93,6 +97,16 @@ def reduce_word(k, n, word, coeff=Q(1), rng=None):
         stack.append((head + ((i, kk), (kk, j)) + tail, c))
         stack.append((head + ((i, kk), (i, j)) + tail, -c))
     return out
+
+
+def reduce_word(k, n, word, coeff=Q(1), rng=None):
+    """Normal-form terms of coeff times a single word of canonical edges:
+    a dict mapping admissible sorted edge tuples to Fraction coefficients,
+    the `word_counts` (with the same `rng`) scaled by coeff."""
+    coeff = rat(coeff)
+    if not coeff:
+        return {}
+    return {e: coeff * c for e, c in word_counts(k, n, word, rng).items()}
 
 
 @dataclass(frozen=True)
@@ -391,31 +405,30 @@ def check_args(k, n, degree=0):
         raise InputError("need k >= 0, n >= 2, degree >= 0")
 
 
-def basis(k, n, degree):
-    """Admissible monomials of the given degree, in lexicographic order."""
+def basis_keys(k, n, degree):
+    """The admissible edge words of the given degree, sorted by (max, min)
+    edge by edge: each word is extended by every edge whose maximum exceeds
+    its last one and leaves room for the edges still to come, so the words
+    come out in order."""
     check_args(k, n, degree)
-    if degree == 0:
-        return [EdgeMonomial(k, n, ())]
     if degree % (n - 1) != 0:
         return []
     m = degree // (n - 1)
-    if m > max(k - 1, 0):
-        return []
-    out = []
-    for maxima in combinations(range(2, k + 1), m):
-        for mins in iter_product(*[range(1, j) for j in maxima]):
-            edges = tuple((i, j) for i, j in zip(mins, maxima))
-            out.append(EdgeMonomial(k, n, edges))
-    out.sort(key=lambda mono: tuple(edge_key(e) for e in mono.edges))
-    return out
+    words = [()]
+    for s in range(m):
+        top = k - (m - 1 - s)
+        words = [w + ((i, j),) for w in words
+                 for j in range(w[-1][1] + 1 if w else 2, top + 1) for i in range(1, j)]
+    return words
 
 
-def basis_keys(k, n, degree):
-    return [mono.edges for mono in basis(k, n, degree)]
+def basis(k, n, degree):
+    """Admissible monomials of the given degree, in lexicographic order."""
+    return [EdgeMonomial(k, n, edges) for edges in basis_keys(k, n, degree)]
 
 
 def dimension(k, n, degree):
-    return len(basis(k, n, degree))
+    return len(basis_keys(k, n, degree))
 
 
 def top_degree(k, n):

@@ -14,17 +14,25 @@ the kernel of the differential restricted to the configuration column; the
 equivariant cohomology models are  Q[p_1..p_{n-1}] (x) K  for SO(2n),
 Q[p_1..p_{n-1}] (x) K^{C2}  for O(2n) (even word length), and
 Q[c_1..c_{n-1}] (x) K  for U(n).
+
+E is a monomial for every group, so d(g (x) m) = dg (x) mE for an edge word
+g and a coefficient monomial m, where dg is the edge-removal derivation
+`boundary` with integer multiplicities. Every matrix of d_2n (`kernel_K`,
+`differential_matrix`, `fixed_page_cohomology_dims`) is built from these
+integer columns, shifting the coefficient exponents by E's; `d2n` and
+`PageElement` are the element algebra, and `oracles` builds the matrices
+through them as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
+from operator import add
 
 from . import confring
 from .charclasses import GroupSpec, WeylElement, char_ring, fixed_rows, torus_ring, weyl_group
 from .errors import CapacityError, InputError
-from .exactalg import Matrix, PolyRing, rat
+from .exactalg import ONE, Matrix, PolyRing, combine, rat
 
 
 def page_ring(group, n):
@@ -77,7 +85,7 @@ class PageElement(confring.EdgeCombination):
     def reducer(self):
         ell, n = self.points, self.ambient
         return lambda word, c: {e: c.scale(s) for e, s
-                                in confring.reduce_word(ell, n, word).items()}
+                                in confring.word_counts(ell, n, word).items()}
 
 
 def zero(group, ell, n):
@@ -142,13 +150,41 @@ def page_dimension(group, ell, n, degree):
     return len(page_basis(group, ell, n, degree))
 
 
+def boundary(ell, ambient, edges):
+    """The edge-removal derivation on a word of canonical edges: the normal
+    form of the sum over t of (-1)^t times the word without its t-th edge,
+    as {admissible word: nonzero int}."""
+    out = {}
+    for t in range(len(edges)):
+        for word, c in confring.word_counts(ell, ambient, edges[:t] + edges[t + 1:]).items():
+            v = out.get(word, 0) + (-c if t % 2 else c)
+            if v:
+                out[word] = v
+            else:
+                out.pop(word, None)
+    return out
+
+
+def _monomial_columns(group, ell, n, src, dst):
+    """d_2n of each page basis key of `src` as {position in `dst`: int}:
+    d(g (x) m) = dg (x) mE, with E's exponents added to m's. The boundary
+    of each edge word is worked out once per call."""
+    (shift,) = euler_image(group, n).terms
+    index = {key: t for t, key in enumerate(dst)}
+    boundaries = {}
+    cols = []
+    for edges, exps in src:
+        if edges not in boundaries:
+            boundaries[edges] = boundary(ell, 2 * n, edges)
+        target = tuple(map(add, exps, shift))
+        cols.append({index[word, target]: c for word, c in boundaries[edges].items()})
+    return cols
+
+
 def differential_matrix(group, ell, n, degree, src, dst):
     """Matrix of d_2n from the degree slice to the next one; `src` and `dst`
     are the page bases of the two degrees."""
-    index = {key: t for t, key in enumerate(dst)}
-    cols = [d2n(zero(group, ell, n).from_coordinates([key], [Q(1)])).coordinates(index)
-            for key in src]
-    return Matrix.from_columns(cols, nrows=len(dst))
+    return Matrix.from_columns(_monomial_columns(group, ell, n, src, dst), nrows=len(dst))
 
 
 def page_cohomology_dims(group, ell, n, max_degree):
@@ -197,21 +233,12 @@ def kernel_K(ell, n, max_degree):
             continue
         if d % fiber != 0:
             continue
-        m = d // fiber
         src = confring.basis_keys(ell, 2 * n, d)
         if not src:
             continue
-        dst = confring.basis_keys(ell, 2 * n, d - fiber)
-        dst_index = {k: t for t, k in enumerate(dst)}
-        cols = []
-        for key in src:
-            vec = {}
-            for t in range(len(key)):
-                sign = -1 if t % 2 == 1 else 1
-                for kk, c in confring.reduce_word(
-                        ell, 2 * n, key[:t] + key[t + 1:], Q(sign)).items():
-                    vec[dst_index[kk]] = vec.get(dst_index[kk], Q(0)) + c
-            cols.append(vec)
+        dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - fiber))}
+        cols = [{dst[word]: c for word, c in boundary(ell, 2 * n, key).items()}
+                for key in src]
         kern = Matrix.from_columns(cols, nrows=len(dst)).kernel_basis()
         if kern.ncols:
             dims[d] = kern.ncols
@@ -269,7 +296,7 @@ def equivariant_cohomology_even(group, ell, n, max_degree):
         for d in range(max_degree + 1):
             items = []
             for key in page_basis(group, ell, n, d):
-                elem = zero(group, ell, n).from_coordinates([key], [Q(1)])
+                elem = zero(group, ell, n).from_coordinates([key], [ONE])
                 items.append((str(elem), elem))
             if items:
                 dims[d] = len(items)
@@ -280,6 +307,11 @@ def equivariant_cohomology_even(group, ell, n, max_degree):
         summary = kernel_even_part(summary)
     sub = model_coefficient_ring(group, n)
     ring = page_ring(group, n)
+    images = {name: ring.gen(name) for name in sub.names}
+    # the labelled coefficient monomials of each degree, in the page ring
+    coeffs = [[(str(sub.monomial(exps)) if any(exps) else "1",
+                sub.monomial(exps).substitute(ring, images))
+               for exps in sub.exponents_of_degree(cd)] for cd in range(max_degree + 1)]
     dims = {}
     elements = {}
     page_group = "so" if group == "o" else group
@@ -289,10 +321,7 @@ def equivariant_cohomology_even(group, ell, n, max_degree):
             kd = d - cd
             if kd not in summary.dims:
                 continue
-            for exps in sub.exponents_of_degree(cd):
-                coeff_label = str(sub.monomial(exps)) if any(exps) else "1"
-                images = {name: ring.gen(name) for name in sub.names}
-                coeff = sub.monomial(exps).substitute(ring, images)
+            for coeff_label, coeff in coeffs[cd]:
                 for t, kelem in enumerate(summary.basis[kd]):
                     label = f"{coeff_label} * K{kd}[{t}]"
                     embedded = PageElement(
@@ -365,8 +394,8 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     for d, basis in bases.items():
         if not basis:
             continue
-        filtration[d] = [Matrix.from_columns([{t: Q(1)} for t, (edges, _) in enumerate(basis)
-                                              if fiber * len(edges) <= i], nrows=len(basis))
+        filtration[d] = [Matrix._of_columns([{t: ONE} for t, (edges, _) in enumerate(basis)
+                                             if fiber * len(edges) <= i], len(basis))
                          for i in range(top_level + 1)]
     phi = None
     if xi is not None:
@@ -397,38 +426,29 @@ def torus_restriction_even(a: PageElement):
 def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
     """Echelonized basis of the W(G(2n))-fixed torus page in one degree; W
     twists the coefficients and scales each x by det = prod eps."""
-    return _fixed_elements(family, ell, n, page_basis("torus", ell, n, degree), convention)
-
-
-def _fixed_elements(family, ell, n, basis, convention):
-    """The fixed basis of `weyl_fixed_page_basis` in the degree of the torus
-    page basis `basis`."""
-    if family not in ("so_even", "o_even"):
-        raise InputError("fixed pages are computed for so_even or o_even")
-    group = weyl_group(GroupSpec(family, n), convention)
-    rows = fixed_rows(group, basis, WeylElement.eps_product)
+    rows = _fixed_rows(family, n, page_basis("torus", ell, n, degree), convention)
     return [zero("torus", ell, n).from_coordinates(row, row.values()) for row in rows]
 
 
+def _fixed_rows(family, n, basis, convention):
+    """The `fixed_rows` of the torus page basis `basis` of one degree."""
+    if family not in ("so_even", "o_even"):
+        raise InputError("fixed pages are computed for so_even or o_even")
+    return fixed_rows(weyl_group(GroupSpec(family, n), convention), basis,
+                      WeylElement.eps_product)
+
+
 def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"):
-    """H(W-fixed torus page, d_2n) dimensions, degree by degree."""
+    """H(W-fixed torus page, d_2n) dimensions, degree by degree: d_2n of a
+    fixed row is the same combination of the monomial columns."""
     check_capacity(ell, n)
-    bases, fixed = [], []  # the torus page basis of each degree, and its fixed part
-    for d in range(max_degree + 2):
-        bases.append(page_basis("torus", ell, n, d))
-        fixed.append(_fixed_elements(family, ell, n, bases[d], convention))
-    ranks = {}
+    bases = [page_basis("torus", ell, n, d) for d in range(max_degree + 2)]
+    sizes, ranks = [], [0]  # the fixed dimension, and the rank of d_2n into, each degree
     for d in range(max_degree + 1):
-        elems = fixed[d]
-        if not elems:
-            ranks[d] = 0
-            continue
-        index = {key: t for t, key in enumerate(bases[d + 1])}
-        cols = [d2n(e).coordinates(index) for e in elems]
-        ranks[d] = Matrix.from_columns(cols, nrows=len(bases[d + 1])).rank()
-    dims = {}
-    for d in range(max_degree + 1):
-        ker = len(fixed[d]) - ranks[d]
-        img = ranks[d - 1] if d > 0 else 0
-        dims[d] = ker - img
-    return dims
+        rows = _fixed_rows(family, n, bases[d], convention)
+        position = {key: t for t, key in enumerate(bases[d])}
+        cols = _monomial_columns("torus", ell, n, bases[d], bases[d + 1])
+        image = [combine(cols, {position[key]: c for key, c in row.items()}) for row in rows]
+        sizes.append(len(rows))
+        ranks.append(Matrix.from_columns(image, nrows=len(bases[d + 1])).rank())
+    return {d: sizes[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}

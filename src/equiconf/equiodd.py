@@ -172,11 +172,11 @@ def torus_basis(ell, n, degree):
     m = 0
     while 2 * n * m <= degree and m <= max(ell - 1, 0):
         rest = degree - 2 * n * m
-        graphs = confring.basis(ell, 2 * n + 1, 2 * n * m)
+        graphs = confring.basis_keys(ell, 2 * n + 1, 2 * n * m)
         qexps = ring.exponents_of_degree(rest)
-        for g in graphs:
+        for edges in graphs:
             for e in qexps:
-                out.append(GraphMonomial(ell, n, g.edges, e))
+                out.append(GraphMonomial(ell, n, edges, e))
         m += 1
     return out
 

@@ -88,6 +88,10 @@ class Matrix:
         return m
 
     @classmethod
+    def _of_columns(cls, cols, nrows):  # cols: sparse columns without zeros, unchecked
+        return cls._of(_transpose(cols, nrows), len(cols))
+
+    @classmethod
     def zero(cls, nrows, ncols):
         return cls._of(({},) * nrows, ncols)
 

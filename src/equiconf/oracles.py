@@ -5,8 +5,11 @@ These reductions never touch the rewrite engines; they realize each ring as
 degree and solve linear systems. The verify suites and the test suite use
 them to cross-check the normal forms and all dimension counts.
 
-The Weyl-fixed bases are also rebuilt here the slow way, by averaging each
-basis element over the group through the polynomial ring maps.
+The matrices of the page differential d_2n are rebuilt here through the
+element algebra (`d2n` on `PageElement`s), as the reference for the integer
+monomial columns of `equieven`. The Weyl-fixed bases are also rebuilt here
+the slow way, by averaging each basis element over the group through the
+polynomial ring maps.
 
 Spectral pages and decalage are rebuilt straight from the cycle/boundary
 subquotients, one `Quotient` per spot, as the reference for the barcode
@@ -308,6 +311,19 @@ def poincare_polynomial(k, n):
         if c:
             out = out + ring.monomial((d,), c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# page differentials through the element algebra
+
+
+def differential_matrix_by_elements(group, ell, n, degree, src, dst):
+    """`equieven.differential_matrix` column by column: d2n of the page
+    element of each basis key of `src`, in the coordinates of `dst`."""
+    index = {key: t for t, key in enumerate(dst)}
+    cols = [equieven.d2n(equieven.zero(group, ell, n).from_coordinates([key], [Q(1)]))
+            .coordinates(index) for key in src]
+    return Matrix.from_columns(cols, nrows=len(dst))
 
 
 # ---------------------------------------------------------------------------

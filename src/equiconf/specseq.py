@@ -437,19 +437,19 @@ def page(A: FilteredComplex, r):
             aut, upper = A.aut(n).sparse_columns(), {k: (k, c) for k, c in enumerate(cols)}
         for i, ks in live[n].items():
             vecs = [combine(basis, cols[k]) for k in ks]
-            spots[(i, n)] = Spot(len(ks), Matrix.from_columns(vecs, nrows=A.dim(n)))
+            spots[(i, n)] = Spot(len(ks), Matrix._of_columns(vecs, A.dim(n)))
             if (target := live.get(n + 1, {}).get(i - r)) is not None:
                 row = {k: t for t, k in enumerate(target)}
-                diffs[(i, n)] = Matrix.from_columns(
+                diffs[(i, n)] = Matrix._of_columns(
                     [{row[low[k]]: ONE} if k in low and gap[k] == r else {} for k in ks],
-                    nrows=len(target))
+                    len(target))
             if phis is not None:
                 row = {k: t for t, k in enumerate(ks)}
                 images = (eliminate(eliminate(combine(aut, v), min, lead)[1], max, upper)[1]
                           for v in vecs)
-                phis[(i, n)] = Matrix.from_columns(
+                phis[(i, n)] = Matrix._of_columns(
                     [{row[k]: c for k, c in x.items() if k in row} for x in images],
-                    nrows=len(ks))
+                    len(ks))
     return SpectralPage(r, spots, diffs, phis)
 
 

@@ -143,6 +143,37 @@ def test_confluence_random_rewrite_order():
                 assert reference == shuffled
 
 
+def test_reduce_word_matches_the_ideal_span_oracle():
+    # `reduce_word` scales the integer `word_counts`; with any redex order
+    # and coefficient it must equal the oracle's normal form times the
+    # coefficient, with Fraction values, and nothing for a zero coefficient
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(150):
+        k, n = rng.randint(2, 5), rng.randint(2, 5)
+        # the dense oracle grows steeply with the word length at k = 5
+        length = rng.randint(0, 4 if k < 5 else 2)
+        word = [tuple(rng.sample(range(1, k + 1), 2)) for _ in range(length)]
+        canonical, sign = [], 1
+        for i, j in word:
+            edge, s = confring.normalize_generator(k, i, j, n)
+            canonical.append(edge)
+            sign *= s
+        counts = confring.word_counts(k, n, canonical)
+        assert all(type(c) is int and c for c in counts.values())
+        assert confring.word_counts(k, n, canonical, rng=rng) == counts
+        want = oracles.reduce_word(k, n, word)
+        for coeff in (Q(0), Q(1), Q(-1), Q(3, 5)):
+            redex = rng if rng.random() < 0.5 else None
+            got = confring.reduce_word(k, n, canonical, coeff * sign, redex)
+            assert got == {e: coeff * c for e, c in want.items() if coeff}
+            assert all(type(c) is Q for c in got.values())
+            if not coeff:
+                assert got == {}
+        seen.add(len(want))
+    assert {0, 1, 2} <= seen
+
+
 def test_label_action_parity():
     # x_12 -> x_21 = (-1)^n x_12 under the transposition
     swap = (2, 1)

@@ -2,10 +2,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from equiconf import confring, equieven as ev
+from equiconf import confring, equieven as ev, oracles
 from equiconf.errors import CapacityError, InputError
 from equiconf.exactalg import Matrix, col_space
 
@@ -297,3 +298,64 @@ def test_page_element_json_round_trip():
     elem = (x12 * x13).scale_poly(ev.page_ring("so", 2).gen("p1"))
     again = ev.PageElement.from_json(elem.to_json())
     assert again == elem
+
+
+MODELS_GOLDEN = Path(__file__).parent / "golden" / "equivariant_models.txt"
+
+
+def model_lines():
+    """One line per model element: group, l, n, degree, label and element."""
+    lines = []
+    for group in ("so", "o", "u"):
+        for ell in (2, 3, 4):
+            for n in (1, 2, 3):
+                model = ev.equivariant_cohomology_even(group, ell, n, 10)
+                for d, items in sorted(model.elements.items()):
+                    lines += [f"{group} l={ell} n={n} d={d}: {label} = {elem}"
+                              for label, elem in items]
+    return "\n".join(lines) + "\n"
+
+
+def test_model_elements_match_golden():
+    # the labels and elements the verify suites read, for so/o/u at l = 2-4,
+    # n = 1-3 and every degree up to 10
+    assert model_lines() == MODELS_GOLDEN.read_text()
+
+
+def test_differential_matrix_matches_the_element_oracle():
+    # the integer monomial columns against d2n on page elements, for every
+    # group, l <= 5, n <= 3 and degree <= 12
+    nonzero = set()
+    for group in ("torus", "so", "o", "u"):
+        for ell in range(6):
+            for n in (1, 2, 3):
+                bases = [ev.page_basis(group, ell, n, d) for d in range(14)]
+                for d in range(13):
+                    got = ev.differential_matrix(group, ell, n, d, bases[d], bases[d + 1])
+                    assert got == oracles.differential_matrix_by_elements(
+                        group, ell, n, d, bases[d], bases[d + 1])
+                    assert all(type(x) is Q for r in got.sparse_rows for x in r.values())
+                    if not got.is_zero():
+                        nonzero.add(group)
+    assert nonzero == {"torus", "so", "o", "u"}
+
+
+def fixed_page_dims_by_elements(family, ell, n, max_degree, convention):
+    """H(W-fixed torus page, d_2n) by d2n on the fixed page elements."""
+    fixed = [ev.weyl_fixed_page_basis(family, ell, n, d, convention)
+             for d in range(max_degree + 1)]
+    ranks = [0]
+    for d, elems in enumerate(fixed):
+        index = {key: t for t, key in enumerate(ev.page_basis("torus", ell, n, d + 1))}
+        cols = [ev.d2n(e).coordinates(index) for e in elems]
+        ranks.append(Matrix.from_columns(cols, nrows=len(index)).rank() if cols else 0)
+    return {d: len(fixed[d]) - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}
+
+
+def test_fixed_page_cohomology_matches_the_element_route():
+    for family in ("so_even", "o_even"):
+        for convention in ("standard", "paper"):
+            for ell in range(6):
+                for n in (1, 2, 3):
+                    assert ev.fixed_page_cohomology_dims(family, ell, n, 8, convention) == \
+                        fixed_page_dims_by_elements(family, ell, n, 8, convention)
