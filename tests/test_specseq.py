@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -538,3 +540,70 @@ def test_validate_matches_the_level_by_level_oracle():
     # every check accepts or rejects some case
     assert seen == {True} | {message.split(" at ")[0].split(" W_")[0]
                              for *_, message in MALFORMED}
+
+
+# ---------------------------------------------------------------------------
+# formality witnesses against a committed golden
+
+
+WITNESS_GOLDEN = Path(__file__).resolve().parent / "golden" / "witnesses.json"
+
+
+def obstructed(degree, size, xi=Q(3)):
+    """A canonical complex whose automorphism on A^degree is one Jordan block
+    of the given size, e_j -> lam e_j + e_(j+1), with d A^(degree-1) the
+    last basis vector: the block ties the boundaries to the cohomology, so
+    no equivariant section exists. A^0 carries a class of its own when
+    degree > 1."""
+    lam = xi ** degree
+    jordan = Matrix([[lam if i == j else int(i == j + 1) for j in range(size)]
+                     for i in range(size)])
+    spaces = {degree - 1: 1, degree: size}
+    phi = {degree - 1: Matrix([[lam]]), degree: jordan}
+    if degree > 1:
+        spaces[0], phi[0] = 1, ID1
+    return ss.canonical_filtration(spaces, {degree - 1: Matrix([[0]] * (size - 1) + [[1]])},
+                                   phi)
+
+
+def witness_cases():
+    """(name, complex, spec): seeded pure complexes (xi = 3, seeds 0-4, 20
+    each per slope), seeded impure ones, and the Jordan obstructions."""
+    xi = Q(3)
+    for alpha in (Q(1), Q(2), Q(1, 2)):
+        for seed in range(5):
+            rng = random.Random(seed)
+            for t in range(20):
+                A, _, _ = verify.random_pure_complex(rng, xi, alpha)
+                yield f"pure alpha={alpha} seed={seed} draw={t}", A, ss.WeightSpec(xi, alpha, 0)
+    for seed in range(5):
+        rng = random.Random(seed)
+        for t in range(4):
+            A, _, _ = verify.random_pure_complex(rng, xi, Q(1), impure=True)
+            yield f"impure seed={seed} draw={t}", A, ss.WeightSpec(xi, Q(1), 0)
+    for degree in (1, 2):
+        for size in (2, 3):
+            yield (f"jordan degree={degree} size={size}", obstructed(degree, size, xi),
+                   ss.WeightSpec(xi, Q(1), 0))
+
+
+def witness_json(route, A, spec):
+    """The JSON of route(A, spec), or the type and message of its refusal."""
+    try:
+        return route(A, spec).to_json()
+    except (PurityViolation, WitnessError) as exc:
+        return {"refused": type(exc).__name__, "message": str(exc)}
+
+
+def witness_golden_text(route):
+    return "{\n" + ",\n".join(f"{json.dumps(name)}: {json.dumps(witness_json(route, A, spec))}"
+                               for name, A, spec in witness_cases()) + "\n}\n"
+
+
+def test_witnesses_match_golden():
+    assert witness_golden_text(ss.formality_witness) == \
+        WITNESS_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    WITNESS_GOLDEN.write_text(witness_golden_text(ss.formality_witness), encoding="utf-8")
