@@ -118,9 +118,6 @@ class EdgeMonomial:
     edges: tuple
     sign: int = 1
 
-    def degree(self):
-        return (self.dim - 1) * len(self.edges)
-
     def as_element(self):
         return ConfElement(self.points, self.dim, {self.edges: Q(self.sign)})
 
@@ -156,10 +153,6 @@ class EdgeCombination:
     def reducer(self):
         """f(sorted edge word, coefficient) -> {admissible word: coefficient}."""
         raise NotImplementedError
-
-    @property
-    def edge_degree(self):
-        return self.ambient - 1
 
     def _new(self, terms):
         return type(self)(*self.header, terms)
@@ -233,33 +226,6 @@ class EdgeCombination:
                 canonical.append(e)
                 sign *= s
             self._accumulate(out, reduce(tuple(canonical), c * sign))
-        return self._new(out)
-
-    def degree(self):
-        """Degree when homogeneous; -1 for zero."""
-        degs = set()
-        scalar = self.ring is None
-        for e, c in self.terms.items():
-            word_degree = self.edge_degree * len(e)
-            if scalar:
-                degs.add(word_degree)
-            else:
-                degs.update(word_degree + c.monomial_degree(exps) for exps in c.terms)
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise InputError("inhomogeneous element has no single degree")
-        return degs.pop()
-
-    def homogeneous_part(self, d):
-        out = {}
-        scalar = self.ring is None
-        for e, c in self.terms.items():
-            rest = d - self.edge_degree * len(e)
-            if scalar:
-                out[e] = c if rest == 0 else 0
-            else:
-                out[e] = c.homogeneous_part(rest)
         return self._new(out)
 
     def sorted_terms(self):

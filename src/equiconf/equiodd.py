@@ -102,9 +102,6 @@ class GraphMonomial:
     edges: tuple
     q_exps: tuple
 
-    def degree(self):
-        return 2 * self.halfdim * len(self.edges) + 2 * sum(self.q_exps)
-
     def as_element(self):
         ring = qring(self.halfdim)
         return EquiElement(self.points, self.halfdim,

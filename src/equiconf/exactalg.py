@@ -4,8 +4,8 @@ Everything runs on `fractions.Fraction`; no floating point anywhere. A
 `Matrix` stores sparse rows, one `{column: Fraction}` dict of the nonzero
 entries of each row, and no zeros. Eliminations, products and the subspace
 operations work on these rows directly and skip the zeros that fill most
-matrices here. The dense `rows`, `columns()` and `column(j)` are derived,
-read-only views for printing, JSON and tests. Subspaces are canonical reduced
+matrices here. The dense `rows` and `columns()` are derived, read-only
+views for printing, JSON and tests. Subspaces are canonical reduced
 column-echelon spans, so equal subspaces have equal representations and every
 output is reproducible across runs. The tests check this kernel against
 `oracles.dense_rref`, a separate dense elimination.
@@ -120,9 +120,6 @@ class Matrix:
         cols = range(self.ncols)
         return tuple(tuple(r.get(j, ZERO) for j in cols) for r in self.sparse_rows)
 
-    def column(self, j):
-        return tuple(r.get(j, ZERO) for r in self.sparse_rows)
-
     def columns(self):
         return list(zip(*self.rows)) if self.nrows else [()] * self.ncols
 
@@ -182,11 +179,6 @@ class Matrix:
                     acc[j] = acc[j] + x * y if j in acc else x * y
             out.append({j: z for j, z in acc.items() if z})
         return Matrix._of(out, other.ncols)
-
-    def matvec(self, v):
-        v = _entries(v, self.ncols, "shape mismatch in matrix-vector product")
-        return tuple(sum((x * v[j] for j, x in r.items() if j in v), ZERO)
-                     for r in self.sparse_rows)
 
     def is_zero(self):
         return not any(self.sparse_rows)
@@ -360,30 +352,9 @@ def strip_linear_factor(p, lam):
     return k, p
 
 
-def eigen_projector(m: Matrix, lam):
-    """Projector onto the generalized lam-eigenspace of m, along the sum of
-    the other generalized eigenspaces (the zero matrix when lam is not an
-    eigenvalue).
-
-    With N = (m - lam)^k for any k >= dim, Q^dim = ker N + im N (Fitting), and
-    the projector sends each vector to its ker N part in that splitting.
-    """
-    lam = rat(lam)
-    n = m.nrows
-    power, k = m - Matrix.identity(n).scale(lam), 1
-    while k < n:
-        power, k = power * power, 2 * k
-    ker = power.kernel_basis()
-    return ker * Quotient(ker, col_space(power)).matrix_of(Matrix.identity(n))
-
-
-
-def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
-    """(dim Hom, dim Ext1) of (V, phi_v) -> (W, phi_w) over Q[phi].
-
-    Both come from the Sylvester operator X -> phi_w X - X phi_v on the space
-    of linear maps V -> W: Hom is its kernel, Ext1 its cokernel.
-    """
+def sylvester(phi_w: Matrix, phi_v: Matrix):
+    """The Sylvester operator X -> phi_w X - X phi_v on the linear maps
+    X: V -> W, as a matrix whose unknown c * dim V + d is the entry X[c, d]."""
     nv, nw = phi_v.nrows, phi_w.nrows
     if phi_v.ncols != nv or phi_w.ncols != nw:
         raise InputError("automorphism matrices must be square")
@@ -391,15 +362,22 @@ def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
     rows = []
     for a in range(nw):
         for b in range(nv):
-            # row (a, b) of the operator; X[c, d] is unknown c * nv + d
+            # row (a, b): phi_w[a, c] at X[c, b], minus phi_v[c, b] at X[a, c]
             row = {c * nv + b: x for c, x in phi_w.sparse_rows[a].items()}
             for c, x in v_cols[b].items():
                 y = row.pop(a * nv + c, ZERO) - x
                 if y:
                     row[a * nv + c] = y
             rows.append(row)
-    r = Matrix._of(rows, nw * nv).rank()
-    return nw * nv - r, nw * nv - r
+    return Matrix._of(rows, nw * nv)
+
+
+def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
+    """(dim Hom, dim Ext1) of (V, phi_v) -> (W, phi_w) over Q[phi]: the
+    kernel and the cokernel of `sylvester(phi_w, phi_v)`."""
+    op = sylvester(phi_w, phi_v)
+    dim = op.ncols - op.rank()
+    return dim, dim
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +409,6 @@ def col_space(columns, dim=None):
         dim = len(columns[0])
     return _span([_entries(c, dim, f"a vector of the span does not lie in Q^{dim}")
                   for c in columns], dim)
-
-
-def subspace_intersection(a: Matrix, b: Matrix):
-    if a.nrows != b.nrows:
-        raise InputError("ambient dimension mismatch")
-    if a.ncols == 0 or b.ncols == 0:
-        return Matrix.zero(a.nrows, 0)
-    # Zassenhaus: reduce the rows (x | x) for x in A and (y | 0) for y in B;
-    # the reduced rows whose left half vanishes are (0 | basis of A cap B)
-    dim = a.nrows
-    rows = [r | {dim + i: x for i, x in r.items()} for r in a.sparse_columns()]
-    red, pivots = _reduce(rows + b.sparse_columns(), range(2 * dim))
-    cap = [{i - dim: x for i, x in r.items()} for r, p in zip(red, pivots) if p >= dim]
-    return Matrix._of(_transpose(cap, dim), len(cap))
 
 
 def canonical_span(m: Matrix):
@@ -719,20 +683,6 @@ class Polynomial:
 
     def monomial_degree(self, exps):
         return sum(e * d for e, d in zip(exps, self.ring.degrees))
-
-    def degree(self):
-        """Top graded degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.monomial_degree(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {self.monomial_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, d):
-        return Polynomial(self.ring, {e: c for e, c in self.terms.items()
-                                      if self.monomial_degree(e) == d})
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Q(0))

@@ -16,7 +16,10 @@ subquotients, one `Quotient` per spot, as the reference for the barcode
 basis that `specseq` reads them off, and a filtered complex is validated one
 filtration level at a time, as the reference for `FilteredComplex.validate`.
 These use the subspace operations of `exactalg`, but none of the barcode or
-adapted-basis code.
+adapted-basis code. The formality witness is rebuilt inside the generalized
+eigenspaces of the cycles, by a projector, an intersection and one Kronecker
+solve per degree, as the reference for the Sylvester solve on the barcode;
+it shares only the purity check and the transcript with `specseq`.
 
 The linear systems go through `dense_rref`, plain Gauss-Jordan elimination
 on dense Fraction rows. It shares no code with the sparse kernel behind
@@ -31,9 +34,10 @@ from functools import cache, partial
 from itertools import combinations, combinations_with_replacement
 
 from .charclasses import weyl_action
-from .errors import InputError
-from .exactalg import Matrix, PolyRing, Quotient, col_space, subspace_intersection
-from .specseq import FilteredComplex, SpectralPage
+from .errors import InputError, PurityViolation, WitnessError
+from .exactalg import Matrix, PolyRing, Quotient, _reduce, _transpose, col_space, rat
+from .specseq import (FilteredComplex, SpectralPage, WeightSpec, canonical_filtration,
+                      certified_witness, cohomology_quotient, purity_check)
 from . import confring, equieven
 
 
@@ -362,6 +366,20 @@ def averaged_fixed_basis(group, basis, act):
 # spectral pages from the subquotient formula
 
 
+def subspace_intersection(a: Matrix, b: Matrix):
+    if a.nrows != b.nrows:
+        raise InputError("ambient dimension mismatch")
+    if a.ncols == 0 or b.ncols == 0:
+        return Matrix.zero(a.nrows, 0)
+    # Zassenhaus: reduce the rows (x | x) for x in A and (y | 0) for y in B;
+    # the reduced rows whose left half vanishes are (0 | basis of A cap B)
+    dim = a.nrows
+    rows = [r | {dim + i: x for i, x in r.items()} for r in a.sparse_columns()]
+    red, pivots = _reduce(rows + b.sparse_columns(), range(2 * dim))
+    cap = [{i - dim: x for i, x in r.items()} for r, p in zip(red, pivots) if p >= dim]
+    return Matrix._of(_transpose(cap, dim), len(cap))
+
+
 def subspace_sum(a: Matrix, b: Matrix):
     """Canonical basis of span(a) + span(b)."""
     if a.nrows != b.nrows:
@@ -477,3 +495,95 @@ def validate_by_levels(A):
                 if not subspace_leq(aut * lvl, lvl):
                     raise InputError(f"automorphism does not preserve W_{t} at degree {n}")
     return True
+
+
+# ---------------------------------------------------------------------------
+# formality witnesses inside the generalized eigenspaces
+
+
+def witness_by_eigenspaces(A, spec):
+    """`specseq.formality_witness` by one Kronecker solve per degree inside
+    the generalized lam-eigenspace of the cycles, with Z, B and H rebuilt by
+    `cohomology_quotient`; the reference for the barcode route. Where
+    Hom_phi(H^n, B^n) != 0 the two may pick different sections."""
+    if A.phi is None:
+        raise InputError("formality witness needs an automorphism")
+    base = canonical_filtration(A.spaces, A.d, A.phi)
+    check = purity_check(base, WeightSpec(spec.xi, spec.alpha, 0))
+    if not check.ok:
+        raise PurityViolation(
+            f"purity fails at bidegree {check.violation[0]}: {check.violation[2]}",
+            spot=check.violation[0], factor=check.violation[1])
+    inclusions = {}
+    induced = {}
+    for n in range(base.max_degree() + 1):
+        dim = base.dim(n)
+        if dim == 0:
+            continue
+        z, quo = cohomology_quotient(base, n)
+        if quo.dim == 0:
+            continue
+        w = spec.alpha * n
+        lam = spec.xi ** int(w)
+        phi_n = base.aut(n)
+        # restrict to the generalized lam-eigenspace; equivariance forces it
+        proj = eigen_projector(phi_n, lam)
+        z_lam = subspace_intersection(z, col_space(proj))
+        phi_bar = quo.matrix_of(phi_n * quo.reps)
+        section = solve_equivariant_section(z_lam, quo, phi_n, phi_bar)
+        if section is None:
+            raise WitnessError(
+                f"no phi-equivariant section exists in degree {n}: phi has a "
+                f"Jordan block linking the boundaries to the cohomology")
+        inclusions[n] = section
+        induced[n] = phi_bar
+    return certified_witness(base, inclusions, induced)
+
+
+def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
+                              phi_bar: Matrix):
+    """Solve for S with columns in span(z_lam), coords(S) = id, phi S = S phi_bar.
+
+    The unknown is X with S = z_lam * X; both constraint families are linear
+    in X, so existence reduces to one exact solve. Returns None when the
+    system is inconsistent (no strict equivariant section exists).
+    """
+    h = quo.dim
+    zc = z_lam.ncols
+    if zc == 0:
+        return None
+    # unknown X[c, k] is c * h + k; first coords(S) = id, then phi S = S phi_bar
+    coords = quo.matrix_of(z_lam).sparse_rows
+    rows = [{c * h + k: x for c, x in coords[t].items()} for k in range(h) for t in range(h)]
+    rhs = [Q(1) if t == k else Q(0) for k in range(h) for t in range(h)]
+    phi_z = (phi_n * z_lam).sparse_rows
+    bar_cols = phi_bar.sparse_columns()
+    for k in range(h):
+        for a, z_row in enumerate(z_lam.sparse_rows):
+            row = {c * h + k: x for c, x in phi_z[a].items()}
+            for t, coeff in bar_cols[k].items():
+                for c, x in z_row.items():
+                    row[c * h + t] = row.get(c * h + t, Q(0)) - coeff * x
+            rows.append(row)
+            rhs.append(Q(0))
+    sol = Matrix(rows, ncols=zc * h).solve(rhs)
+    if sol is None:
+        return None
+    return z_lam * Matrix([sol[c * h:(c + 1) * h] for c in range(zc)])
+
+
+def eigen_projector(m: Matrix, lam):
+    """Projector onto the generalized lam-eigenspace of m, along the sum of
+    the other generalized eigenspaces (the zero matrix when lam is not an
+    eigenvalue).
+
+    With N = (m - lam)^k for any k >= dim, Q^dim = ker N + im N (Fitting), and
+    the projector sends each vector to its ker N part in that splitting.
+    """
+    lam = rat(lam)
+    n = m.nrows
+    power, k = m - Matrix.identity(n).scale(lam), 1
+    while k < n:
+        power, k = power * power, 2 * k
+    ker = power.kernel_basis()
+    return ker * Quotient(ker, col_space(power)).matrix_of(Matrix.identity(n))

@@ -21,6 +21,12 @@ at a spot with integral weight w, the only eigenvalue of phi may be xi^w; at
 non-integral weight the spot must vanish. The weight formula is pinned to the
 target page in the WeightSpec; the inspected page may be earlier (purity is
 inherited by subquotients, so passing early implies passing at the target).
+
+The formality witness of a pure complex is read off the barcode of its
+canonical filtration too, the same one its purity check reads: the classes,
+the boundaries and phi on both come from barcode elements, and the section
+takes one Sylvester solve per degree. `oracles.witness_by_eigenspaces`
+builds it inside the generalized eigenspaces as the cross-check.
 """
 
 from __future__ import annotations
@@ -38,12 +44,11 @@ from .exactalg import (
     canonical_span,
     col_space,
     combine,
-    eigen_projector,
     eliminate,
     flag_basis,
     rat,
     strip_linear_factor,
-    subspace_intersection,
+    sylvester,
     upoly_monic,
     upoly_str,
 )
@@ -416,6 +421,16 @@ def _barcode(A: FilteredComplex):
     return bars
 
 
+def _phi_coordinates(A: FilteredComplex, n, bar):
+    """The map sending a vector of degree n to the barcode coordinates {k: x}
+    of its image under phi, where bar = `_barcode(A)[n]`: two triangular
+    solves, at the leads of the adapted basis and then at the last entries
+    of the barcode columns."""
+    _, _, lead, cols, *_ = bar
+    aut, upper = A.aut(n).sparse_columns(), {k: (k, c) for k, c in enumerate(cols)}
+    return lambda v: eliminate(eliminate(combine(aut, v), min, lead)[1], max, upper)[1]
+
+
 def page(A: FilteredComplex, r):
     """The r-th page of the spectral sequence of the filtered complex.
 
@@ -425,7 +440,11 @@ def page(A: FilteredComplex, r):
     """
     if r < 0:
         raise InputError("page index must be non-negative")
-    bars = _barcode(A)
+    return _page(A, _barcode(A), r)
+
+
+def _page(A: FilteredComplex, bars, r):
+    """`page(A, r)` read off the barcode bars = `_barcode(A)`."""
     live = {n: {} for n in bars}
     for n, (level, *_, gap) in bars.items():
         for k, t in enumerate(level):
@@ -433,8 +452,8 @@ def page(A: FilteredComplex, r):
                 live[n].setdefault(t, []).append(k)
     spots, diffs, phis = {}, {}, None if A.phi is None else {}
     for n, (level, basis, lead, cols, low, gap) in bars.items():
-        if phis is not None:  # phi to barcode coordinates: two triangular solves
-            aut, upper = A.aut(n).sparse_columns(), {k: (k, c) for k, c in enumerate(cols)}
+        if phis is not None:
+            to_bar = _phi_coordinates(A, n, bars[n])
         for i, ks in live[n].items():
             vecs = [combine(basis, cols[k]) for k in ks]
             spots[(i, n)] = Spot(len(ks), Matrix._of_columns(vecs, A.dim(n)))
@@ -445,10 +464,8 @@ def page(A: FilteredComplex, r):
                     len(target))
             if phis is not None:
                 row = {k: t for t, k in enumerate(ks)}
-                images = (eliminate(eliminate(combine(aut, v), min, lead)[1], max, upper)[1]
-                          for v in vecs)
                 phis[(i, n)] = Matrix._of_columns(
-                    [{row[k]: c for k, c in x.items() if k in row} for x in images],
+                    [{row[k]: c for k, c in to_bar(v).items() if k in row} for v in vecs],
                     len(ks))
     return SpectralPage(r, spots, diffs, phis)
 
@@ -547,7 +564,11 @@ def purity_check(A: FilteredComplex, spec: WeightSpec, at_page=None):
     inspect = spec.page + 1 if at_page is None else at_page
     if not 0 <= inspect <= spec.page + 1:
         raise InputError("inspected page must be between 0 and the target page + 1")
-    pg = page(A, inspect)
+    return _purity(page(A, inspect), spec)
+
+
+def _purity(pg: SpectralPage, spec: WeightSpec):
+    """The purity verdict on the page pg, for the weights of spec."""
     records = []
     violation = None
     for (i, n) in sorted(pg.spots, key=lambda t: (t[1], t[0])):
@@ -570,7 +591,7 @@ def purity_check(A: FilteredComplex, spec: WeightSpec, at_page=None):
                 factor = upoly_str(upoly_monic(rest))
                 violation = (spot, factor,
                              f"eigenvalue outside xi^{int(w)}: factor {factor}")
-    return PurityResult(violation is None, inspect, tuple(records), violation)
+    return PurityResult(violation is None, pg.r, tuple(records), violation)
 
 
 @dataclass(frozen=True)
@@ -602,50 +623,70 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
     """Construct the inclusion H(A) -> A for a pure complex (target page 0).
 
     Requires purity of H^n(A) of weight alpha*n under the canonical
-    filtration; refuses with the violation otherwise. The section is found by
-    exact linear algebra inside the relevant generalized eigenspace; inputs
-    where no equivariant section exists (a Jordan block of phi tying im d to
-    surviving cohomology) raise WitnessError.
+    filtration; refuses with the violation otherwise. Everything is read off
+    one barcode of the canonical filtration. In degree n the classes R are
+    the unpaired elements and the targets T of the pairs of degree n - 1
+    span the boundaries B, so phi R = R phibar + T M and phi T = T P. The
+    section R + T Y is equivariant exactly when P Y - Y phibar = -M, one
+    Sylvester solve; when Hom_phi(H^n, B^n) != 0 the solve has free unknowns,
+    set to 0, and the section is one of several. Inputs where no
+    equivariant section exists (a Jordan block of phi tying the boundaries
+    to surviving cohomology) raise WitnessError.
     """
     if A.phi is None:
         raise InputError("formality witness needs an automorphism")
     base = canonical_filtration(A.spaces, A.d, A.phi)
-    check = purity_check(base, WeightSpec(spec.xi, spec.alpha, 0))
+    bars = _barcode(base)
+    check = _purity(_page(base, bars, 1), WeightSpec(spec.xi, spec.alpha, 0))
     if not check.ok:
         raise PurityViolation(
             f"purity fails at bidegree {check.violation[0]}: {check.violation[2]}",
             spot=check.violation[0], factor=check.violation[1])
-    inclusions = {}
-    induced = {}
-    transcript = []
-    for n in range(base.max_degree() + 1):
-        dim = base.dim(n)
-        if dim == 0:
+    inclusions, induced = {}, {}
+    for n, (_, basis, _, cols, low, gap) in bars.items():
+        # gap marks both ends of every pair: the classes are in no pair, and
+        # the targets are the ends that are no source
+        classes = [k for k in range(len(cols)) if k not in gap]
+        if not classes:
             continue
-        z, quo = cohomology_quotient(base, n)
-        if quo.dim == 0:
-            continue
-        w = spec.alpha * n
-        lam = spec.xi ** int(w)
-        phi_n = base.aut(n)
-        # restrict to the generalized lam-eigenspace; equivariance forces it
-        proj = eigen_projector(phi_n, lam)
-        z_lam = subspace_intersection(z, col_space(proj))
-        phi_bar = quo.matrix_of(phi_n * quo.reps)
-        section = solve_equivariant_section(z_lam, quo, phi_n, phi_bar)
-        if section is None:
+        targets = [k for k in gap if k not in low]
+        h, t = len(classes), len(targets)
+        to_bar = _phi_coordinates(base, n, bars[n])
+        vecs = [combine(basis, cols[k]) for k in classes + targets]
+        row_r = {k: a for a, k in enumerate(classes)}
+        row_t = {k: a for a, k in enumerate(targets)}
+        phi_r = [to_bar(v) for v in vecs[:h]]
+        phi_bar = Matrix._of_columns(
+            [{row_r[k]: x for k, x in c.items() if k in row_r} for c in phi_r], h)
+        p = Matrix._of_columns([{row_t[k]: x for k, x in to_bar(v).items()}
+                                for v in vecs[h:]], t)
+        # Y[c, d] is unknown c * h + d; the right-hand side is -M
+        y = sylvester(p, phi_bar).solve({row_t[k] * h + d: -x for d, c in enumerate(phi_r)
+                                         for k, x in c.items() if k in row_t})
+        if y is None:
             raise WitnessError(
                 f"no phi-equivariant section exists in degree {n}: phi has a "
                 f"Jordan block linking the boundaries to the cohomology")
-        inclusions[n] = section
+        inclusions[n] = Matrix._of_columns(
+            [combine(vecs, {d: ONE} | {h + c: y[c * h + d] for c in range(t)})
+             for d in range(h)], base.dim(n))
         induced[n] = phi_bar
+    return certified_witness(base, inclusions, induced)
+
+
+def certified_witness(A: FilteredComplex, inclusions, induced):
+    """The FormalityWitness of the inclusions and induced maps of a complex
+    A with its canonical filtration, after its transcript: in each degree a
+    chain map, phi-equivariant, and an isomorphism on cohomology, checked
+    against `cohomology_quotient`. Raises WitnessError if a check fails."""
+    transcript = []
     for n, inc in sorted(inclusions.items()):
-        d_img = base.diff(n) * inc
+        d_img = A.diff(n) * inc
         transcript.append((f"chain map in degree {n}", d_img.is_zero()))
-        lhs = base.aut(n) * inc
+        lhs = A.aut(n) * inc
         rhs = inc * induced[n]
         transcript.append((f"phi-equivariance in degree {n}", lhs == rhs))
-        _, quo = cohomology_quotient(base, n)
+        _, quo = cohomology_quotient(A, n)
         transcript.append((f"induced isomorphism in degree {n}",
                            quo.matrix_of(inc) == Matrix.identity(quo.dim)))
     witness = FormalityWitness(inclusions, induced, tuple(transcript))
@@ -660,36 +701,3 @@ def cohomology_quotient(A: FilteredComplex, n):
     z = A.diff(n).kernel_basis()
     b = col_space(A.diff(n - 1)) if n > 0 and A.dim(n - 1) else Matrix.zero(dim, 0)
     return z, Quotient(z, b)
-
-
-def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
-                              phi_bar: Matrix):
-    """Solve for S with columns in span(z_lam), coords(S) = id, phi S = S phi_bar.
-
-    The unknown is X with S = z_lam * X; both constraint families are linear
-    in X, so existence reduces to one exact solve. Returns None when the
-    system is inconsistent (no strict equivariant section exists).
-    """
-    h = quo.dim
-    zc = z_lam.ncols
-    if zc == 0:
-        return None
-    # unknown X[c, k] is c * h + k; first coords(S) = id, then phi S = S phi_bar
-    coords = quo.matrix_of(z_lam).sparse_rows
-    rows = [{c * h + k: x for c, x in coords[t].items()} for k in range(h) for t in range(h)]
-    rhs = [Q(1) if t == k else Q(0) for k in range(h) for t in range(h)]
-    phi_z = (phi_n * z_lam).sparse_rows
-    bar_cols = phi_bar.sparse_columns()
-    for k in range(h):
-        for a, z_row in enumerate(z_lam.sparse_rows):
-            row = {c * h + k: x for c, x in phi_z[a].items()}
-            for t, coeff in bar_cols[k].items():
-                for c, x in z_row.items():
-                    row[c * h + t] = row.get(c * h + t, Q(0)) - coeff * x
-            rows.append(row)
-            rhs.append(Q(0))
-    sol = Matrix(rows, ncols=zc * h).solve(rhs)
-    if sol is None:
-        return None
-    return z_lam * Matrix([sol[c * h:(c + 1) * h] for c in range(zc)])
-

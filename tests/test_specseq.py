@@ -600,10 +600,77 @@ def witness_golden_text(route):
                                for name, A, spec in witness_cases()) + "\n}\n"
 
 
-def test_witnesses_match_golden():
-    assert witness_golden_text(ss.formality_witness) == \
+def read_matrix(rows):
+    return Matrix([[Q(x) for x in row] for row in rows])
+
+
+def assert_witnesses_agree(A, got, want):
+    """got and want, two `witness_json`s of A: the same refusal, or the same
+    transcript and induced maps, and inclusions that are equal wherever
+    Hom_phi(H^n, B^n) = 0 and elsewhere differ by a map D into B^n with
+    phi D = D phibar. Returns (n, whether the inclusions differ) for each
+    degree n where Hom_phi(H^n, B^n) != 0."""
+    if "refused" in got or "refused" in want:
+        assert got == want
+        return []
+    for key in ("verified", "transcript", "cohomology_automorphism"):
+        assert got[key] == want[key]
+    assert got["inclusions"].keys() == want["inclusions"].keys()
+    free = []
+    for key, inc in want["inclusions"].items():
+        n = int(key)
+        phi_bar = read_matrix(got["cohomology_automorphism"][key])
+        b = col_space(A.diff(n - 1))
+        phi_b = Matrix.from_columns([oracles.dense_solve(b.columns(), v)
+                                     for v in (A.aut(n) * b).columns()], nrows=b.ncols)
+        if equivariant_hom_dims(phi_bar, phi_b)[0] == 0:
+            assert got["inclusions"][key] == inc
+            continue
+        gap = read_matrix(got["inclusions"][key]) - read_matrix(inc)
+        assert oracles.subspace_leq(gap, b)
+        assert A.aut(n) * gap == gap * phi_bar
+        free.append((n, not gap.is_zero()))
+    return free
+
+
+def test_eigenspace_witnesses_match_golden():
+    assert witness_golden_text(oracles.witness_by_eigenspaces) == \
         WITNESS_GOLDEN.read_text(encoding="utf-8")
 
 
+def test_witnesses_match_golden():
+    golden = json.loads(WITNESS_GOLDEN.read_text(encoding="utf-8"))
+    free = [(name, n, differs) for name, A, spec in witness_cases()
+            for n, differs in assert_witnesses_agree(
+                A, witness_json(ss.formality_witness, A, spec), golden[name])]
+    # the sections are unique but in a few degrees, and differ in one
+    assert [(name, n) for name, n, differs in free if differs] == \
+        [("pure alpha=1 seed=1 draw=15", 1)]
+
+
+def test_witness_matches_the_eigenspace_oracle():
+    rng = random.Random(64)
+    cases = [(obstructed(degree, size, xi), Q(1), xi)
+             for degree in (1, 2) for size in (2, 3) for xi in (Q(3), Q(-2))]
+    # A^0 -> A^1 = Q^2 onto e2 with phi = xi on both: any e1 + y e2 is a section
+    cases.append((ss.canonical_filtration({0: 1, 1: 2}, {0: Matrix([[0], [1]])},
+                                          {0: Matrix([[3]]), 1: Matrix([[3, 0], [0, 3]])}),
+                  Q(1), Q(3)))
+    for t in range(120):
+        xi, alpha = rng.choice((Q(2), Q(3), Q(-2))), (Q(1), Q(2), Q(1, 2), Q(-1))[t % 4]
+        A, _, _ = verify.random_pure_complex(rng, xi, alpha, impure=t % 10 == 9)
+        cases.append((A, alpha, xi))
+    outcomes, free = set(), 0
+    for A, alpha, xi in cases:
+        spec = ss.WeightSpec(xi, alpha, 0)
+        got = witness_json(ss.formality_witness, A, spec)
+        free += len(assert_witnesses_agree(
+            A, got, witness_json(oracles.witness_by_eigenspaces, A, spec)))
+        outcomes.add(got.get("refused", "verified"))
+    assert outcomes == {"verified", "PurityViolation", "WitnessError"}
+    assert free  # some section is not unique
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    WITNESS_GOLDEN.write_text(witness_golden_text(ss.formality_witness), encoding="utf-8")
+    WITNESS_GOLDEN.write_text(witness_golden_text(oracles.witness_by_eigenspaces),
+                              encoding="utf-8")
