@@ -1,10 +1,13 @@
+import json
 import random
+import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from equiconf import confring, equiodd, oracles
+from equiconf import confring, equieven, equiodd, oracles
 from equiconf.charclasses import GroupSpec, WeylElement, weyl_group
 from equiconf.errors import InputError
 
@@ -325,3 +328,107 @@ def test_from_json_refuses_a_huge_halfdim_before_building_its_ring(monkeypatch):
     with pytest.raises(InputError, match="variables"):
         equiodd.EquiElement.from_json(data)
     assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the graph calculus and the element algebra against a committed golden
+
+
+GRAPH_GOLDEN = Path(__file__).resolve().parent / "golden" / "graph_algebra.json"
+
+
+def random_poly(rng, ring):
+    """One to three random terms with coefficients in +-1, 2, -1/2 and 3/4."""
+    out = ring.zero()
+    for _ in range(rng.randint(1, 3)):
+        out = out + ring.monomial([rng.randint(0, 2) for _ in ring.names],
+                                  rng.choice((1, -1, 2, Q(-1, 2), Q(3, 4))))
+    return out if not out.is_zero() else ring.const(3)
+
+
+def random_graph(rng, ell, length, double=False):
+    """`length` canonical edges on `ell` points, repeats allowed; with
+    `double` the first edge is repeated, so the word holds a double edge."""
+    pool = [(i, j) for j in range(2, ell + 1) for i in range(1, j)]
+    edges = [rng.choice(pool) for _ in range(length - double)]
+    return edges + edges[:1] if double else edges
+
+
+def graph_element(rng, ell, n, length, double=False):
+    edges = random_graph(rng, ell, length, double)
+    coeff = random_poly(rng, equiodd.qring(n))
+    return equiodd.EquiElement(ell, n, equiodd.reduce_graph(ell, n, edges, coeff))
+
+
+def page_element(rng, group, ell, n, length):
+    ring = equieven.page_ring(group, n)
+    out = equieven.zero(group, ell, n)
+    for _ in range(2):
+        term = equieven.unit(group, ell, n)
+        for _ in range(length):
+            i, j = rng.sample(range(1, ell + 1), 2)
+            term = term * equieven.x_generator(group, ell, n, i, j)
+        out = out + term.scale_poly(random_poly(rng, ring))
+    return out
+
+
+def graph_golden_cases():
+    """(name, element): seeded `reduce_graph` outputs with double edges,
+    Equi and page products, relabelings, Weyl actions, restrictions and
+    d_2n, for n = 1, 2, 3, all with non-unit polynomial coefficients."""
+    rng = random.Random("graph-algebra")
+
+    def permutation(ell):
+        sigma = list(range(1, ell + 1))
+        rng.shuffle(sigma)
+        return tuple(sigma)
+
+    for n in (1, 2, 3):
+        for ell in (3, 4, 5):
+            for length in (2, 3, 4):
+                for double in (False, True):
+                    edges = random_graph(rng, ell, length, double)
+                    coeff = random_poly(rng, equiodd.qring(n))
+                    out = equiodd.reduce_graph(ell, n, edges, coeff)
+                    yield (f"reduce_graph n={n} l={ell} edges={edges} coeff={coeff}",
+                           equiodd.EquiElement(ell, n, out))
+    for n in (1, 2, 3):
+        for l1, l2 in ((1, 1), (1, 2), (2, 2), (2, 3)):
+            ell = rng.choice((3, 4, 5))
+            a = graph_element(rng, ell, n, l1, double=l1 == 2)
+            b = graph_element(rng, ell, n, l2)
+            name = f"n={n} l={ell} edges={l1}+{l2}"
+            prod = a * b
+            yield f"equi product {name}", prod
+            sigma = permutation(ell)
+            yield f"equi label_action {sigma} {name}", confring.label_action(sigma, prod)
+            for family in ("so_odd", "o_odd"):
+                w = rng.choice(weyl_group(GroupSpec(family, n)))
+                yield (f"weyl_action_equi {family} {w.sigma} {w.eps} {w.eta} {name}",
+                       equiodd.weyl_action_equi(w, prod))
+            yield f"nonequivariant_restriction {name}", equiodd.nonequivariant_restriction(prod)
+    for group in ("torus", "so", "u"):
+        for n in (1, 2, 3):
+            ell = rng.choice((3, 4))
+            a = page_element(rng, group, ell, n, 1)
+            b = page_element(rng, group, ell, n, rng.randint(1, 2))
+            name = f"{group} n={n} l={ell}"
+            prod = a * b
+            yield f"page product {name}", prod
+            sigma = permutation(ell)
+            yield f"page label_action {sigma} {name}", confring.label_action(sigma, prod)
+            yield f"d2n {name}", equieven.d2n(prod)
+
+
+def graph_golden_text():
+    return "{\n" + ",\n".join(
+        f"{json.dumps(name)}: {json.dumps({'str': str(x), 'json': x.to_json()})}"
+        for name, x in graph_golden_cases()) + "\n}\n"
+
+
+def test_graph_algebra_matches_golden():
+    assert graph_golden_text() == GRAPH_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GRAPH_GOLDEN.write_text(graph_golden_text(), encoding="utf-8")
