@@ -15,18 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import partial
-from operator import attrgetter
+from itertools import product
+from operator import attrgetter, itemgetter
 
 from .charclasses import POINT_BOUND
 from .errors import CapacityError, InputError
-from .exactalg import PolyRing, Polynomial, poly_from_json, rat
+from .exactalg import PolyRing, Polynomial, mul_terms, poly_from_json, rat, shift_terms
 
 Edge = tuple  # (i, j) with i < j
 
 
-def edge_key(e):
-    return (e[1], e[0])
+edge_key = itemgetter(1, 0)  # edges sort by (max, min); read at C speed
 
 
 def normalize_generator(k, i, j, n):
@@ -131,13 +130,21 @@ class EdgeCombination:
     (`FIELDS`, as (name, JSON converter) pairs, also the constructor's
     leading arguments; every header has `points`, and a polynomial ring has
     `halfdim` generators), the ambient dimension (an edge has degree
-    ambient - 1), the print letter and the word reducer.
+    ambient - 1), the print letter and the reducer hook `counts`.
+
+    `counts(word, rng)` is the normal form of one sorted edge word with
+    integer multiplicities and no coefficients, {admissible word g: int}.
+    Where a rewrite may trade two edges for the monomial of exponents
+    `pair_exps` (p_n in the odd graph calculus), g stands for that monomial
+    to the power (len(word) - len(g)) / 2 times g. Products and
+    `_from_words` apply each coefficient once to these multiplicities.
     """
 
     __slots__ = ("terms",)
     FIELDS = ()
     letter = "x"
     ring = None
+    pair_exps = None
 
     def __init__(self, terms):
         if self.points < 0:
@@ -150,8 +157,8 @@ class EdgeCombination:
         # the header tuple, read at C speed: every result and check uses it
         cls.header = property(attrgetter(*(name for name, _ in cls.FIELDS)))
 
-    def reducer(self):
-        """f(sorted edge word, coefficient) -> {admissible word: coefficient}."""
+    def counts(self, word, rng=None):
+        """The normal form of a sorted edge word with integer multiplicities."""
         raise NotImplementedError
 
     def _new(self, terms):
@@ -205,28 +212,63 @@ class EdgeCombination:
         if not isinstance(other, EdgeCombination):
             return self.scale(other)
         self._check(other)
-        reduce = self.reducer()
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                self._accumulate(out, reduce(e1 + e2, c1 * c2))
-        return self._new(out)
+        pairs = product(self.terms.items(), other.terms.items())
+        if self.ring is None:
+            return self._reduce((e1 + e2, c1 * c2) for (e1, c1), (e2, c2) in pairs)
+        return self._reduce((e1 + e2, mul_terms(c1.terms, c2.terms))
+                            for (e1, c1), (e2, c2) in pairs)
 
     __rmul__ = __mul__
 
+    def _canonical(self, word):
+        """(sorted-pair edge tuple, orientation sign) of a raw index-pair word."""
+        canonical, sign = [], 1
+        for i, j in word:
+            e, s = normalize_generator(self.points, i, j, self.ambient)
+            canonical.append(e)
+            sign *= s
+        return tuple(canonical), sign
+
     def _from_words(self, words):
         """Normal form of a sum of (raw index-pair word, coefficient) items."""
-        reduce = self.reducer()
-        out = {}
+        items = []
         for word, c in words:
-            canonical = []
-            sign = 1
-            for i, j in word:
-                e, s = normalize_generator(self.points, i, j, self.ambient)
-                canonical.append(e)
-                sign *= s
-            self._accumulate(out, reduce(tuple(canonical), c * sign))
-        return self._new(out)
+            canonical, sign = self._canonical(word)
+            c = c if sign == 1 else -c
+            items.append((canonical, c if self.ring is None else c.terms))
+        return self._reduce(items)
+
+    def _reduce(self, items, rng=None):
+        """The element sum c * w over (sorted edge word w, coefficient c)
+        items, a polynomial coefficient given as its {exponents: Fraction}
+        dict. Each coefficient is applied once to the `counts` of its word
+        (and shifted once per power of `pair_exps`), the sums stay plain dicts,
+        and one Polynomial is built per output word."""
+        counts = self.counts
+        out = {}
+        if self.ring is None:
+            for word, c in items:
+                for g, m in counts(word, rng).items():
+                    v = c if m == 1 else -c if m == -1 else m * c
+                    out[g] = out[g] + v if g in out else v
+            return self._new(out)
+        pair = self.pair_exps
+        for word, c in items:
+            shifted = {len(word): c}  # by output word length
+            for g, m in counts(word, rng).items():
+                size = len(g)
+                if size not in shifted:
+                    k = (len(word) - size) // 2
+                    shifted[size] = shift_terms(c, [k * x for x in pair])
+                acc = out.get(g)
+                if acc is None:
+                    acc = out[g] = {}
+                for e, v in shifted[size].items():
+                    if m != 1:
+                        v = -v if m == -1 else m * v
+                    acc[e] = acc[e] + v if e in acc else v
+        ring = self.ring
+        return self._new({g: Polynomial(ring, acc) for g, acc in out.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -344,8 +386,8 @@ class ConfElement(EdgeCombination):
     def ambient(self):
         return self.dim
 
-    def reducer(self):
-        return partial(reduce_word, self.points, self.dim)
+    def counts(self, word, rng=None):
+        return word_counts(self.points, self.dim, word, rng)
 
 
 def unit(k, n):
@@ -363,7 +405,8 @@ def generator(k, n, i, j):
 
 def normal_form(k, n, word, coeff=Q(1)):
     """Normal form of a raw product of generators, given as index pairs."""
-    return zero(k, n)._from_words([(word, rat(coeff))])
+    word, sign = zero(k, n)._canonical(word)
+    return ConfElement(k, n, reduce_word(k, n, word, rat(coeff) * sign))
 
 
 def check_args(k, n, degree=0):

@@ -32,7 +32,7 @@ from operator import add
 from . import confring
 from .charclasses import GroupSpec, WeylElement, char_ring, fixed_rows, torus_ring, weyl_group
 from .errors import CapacityError, InputError
-from .exactalg import ONE, Matrix, PolyRing, combine, rat
+from .exactalg import ONE, Matrix, PolyRing, Polynomial, combine, rat, shift_terms
 
 
 def page_ring(group, n):
@@ -49,10 +49,7 @@ def euler_image(group, n):
     """The coefficient E with d(x_ij) = E for the given structure group."""
     ring = page_ring(group, n)
     if group == "torus":
-        out = ring.one()
-        for g in ring.gens():
-            out = out * g
-        return out
+        return ring.monomial((1,) * n)
     if group in ("so", "o"):
         return ring.gen("e")
     return ring.gen(f"c{n}")
@@ -82,10 +79,8 @@ class PageElement(confring.EdgeCombination):
     def ring(self):
         return page_ring(self.group, self.halfdim)
 
-    def reducer(self):
-        ell, n = self.points, self.ambient
-        return lambda word, c: {e: c.scale(s) for e, s
-                                in confring.word_counts(ell, n, word).items()}
+    def counts(self, word, rng=None):
+        return confring.word_counts(self.points, self.ambient, word, rng)
 
 
 def zero(group, ell, n):
@@ -103,11 +98,13 @@ def x_generator(group, ell, n, i, j):
 
 
 def d2n(a: PageElement):
-    """The derivation with d(coefficients) = 0 and d(x_ij) = E, by Leibniz."""
-    e_img = euler_image(a.group, a.halfdim)
+    """The derivation with d(coefficients) = 0 and d(x_ij) = E, by Leibniz;
+    E is a monomial, so c * E is an exponent shift of c."""
+    (shift,) = euler_image(a.group, a.halfdim).terms
+    ring = a.ring
     terms = {}
     for edges, c in a.terms.items():
-        c = c * e_img
+        c = Polynomial(ring, shift_terms(c.terms, shift))
         for t in range(len(edges)):
             a._accumulate(terms, {edges[:t] + edges[t + 1:]: -c if t % 2 else c})
     return a._new(terms)
@@ -377,6 +374,7 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     """
     from .specseq import FilteredComplex
 
+    check_capacity(ell, n)
     fiber = 2 * n - 1
     spaces = {}
     bases = {}

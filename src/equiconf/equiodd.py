@@ -8,6 +8,12 @@ p_n = (q_1...q_n)^2) and, for a repeated maximum i < k < j,
 
     y_ij y_kj = y_ik y_kj - y_ik y_ij + p_n * (residual graph).
 
+Both rules have coefficients +-1 and trade two edges for each p_n, so
+`graph_counts` reduces a word with integer multiplicities and no polynomial
+at all: an output graph that lost 2k edges carries p_n^k. `reduce_graph`
+and the products of `EquiElement` apply each coefficient once to these
+counts, with p_n^k an exponent shift by (2k, ..., 2k).
+
 Weyl elements act on the q-coefficients through their signed permutation and
 scale each edge by eta * (product of eps); graphs themselves are fixed. That
 sign is +1 on the special orthogonal subgroup and -1 on the residual central
@@ -18,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache, partial
 from math import comb
 
 from . import confring
@@ -30,23 +35,9 @@ def qring(n):
     return torus_ring(n)
 
 
-def q_top(n):
-    """q_1 ... q_n."""
-    ring = qring(n)
-    out = ring.one()
-    for g in ring.gens():
-        out = out * g
-    return out
-
-
-@lru_cache(maxsize=None)
 def p_top(n):
-    """p_n = (q_1 ... q_n)^2, the image of the top Pontryagin class.
-
-    Cached: every graph reduction needs it, and callers never mutate it.
-    """
-    t = q_top(n)
-    return t * t
+    """p_n = (q_1 ... q_n)^2, the image of the top Pontryagin class."""
+    return qring(n).monomial((2,) * n)
 
 
 def normalize_edge(ell, i, j):
@@ -56,41 +47,53 @@ def normalize_edge(ell, i, j):
     return ((i, j), 1) if i < j else ((j, i), -1)
 
 
-def reduce_graph(ell, n, edges, coeff, rng=None):
-    """Normal-form terms of a single multigraph with a polynomial coefficient.
+def graph_counts(ell, edges, rng=None):
+    """Normal form of a single multigraph with integer multiplicities: a
+    dict mapping admissible sorted edge tuples to nonzero ints. Every
+    rewrite has coefficients +-1, and each p_n it brings in replaces two
+    edges, so a word g stands for p_n^k g with k = (len(edges) - len(g)) / 2,
+    and neither polynomials nor n are needed.
 
-    Returns {admissible edge tuple: Polynomial}. With `rng`, redexes are
-    picked at random to exercise confluence.
+    When `rng` is given, the redex processed at each step is chosen at
+    random instead of leftmost; the result must not depend on this choice
+    (confluence), which the verification suites exercise.
     """
-    pn = p_top(n)
     out = {}
-    stack = [(tuple(sorted(edges, key=confring.edge_key)), coeff)]
+    stack = [(tuple(sorted(edges, key=confring.edge_key)), 1)]
     while stack:
         word, c = stack.pop()
-        if c.is_zero():
-            continue
         redexes = [t for t in range(len(word) - 1) if word[t][1] == word[t + 1][1]]
         if not redexes:
-            prev = out.get(word)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                out.pop(word, None)
+            v = out.get(word, 0) + c
+            if v:
+                out[word] = v
             else:
-                out[word] = total
+                out.pop(word, None)
             continue
         t = redexes[0] if rng is None else rng.choice(redexes)
         (i, j), (k, _) = word[t], word[t + 1]
         head, tail = word[:t], word[t + 2:]
         if i == k:
             # double edge: remove both, multiply by p_n
-            stack.append((head + tail, c * pn))
+            stack.append((head + tail, c))
             continue
         stack.append((tuple(sorted(head + ((i, k), (k, j)) + tail,
                                    key=confring.edge_key)), c))
         stack.append((tuple(sorted(head + ((i, k), (i, j)) + tail,
                                    key=confring.edge_key)), -c))
-        stack.append((head + tail, c * pn))
+        stack.append((head + tail, c))
     return out
+
+
+def reduce_graph(ell, n, edges, coeff, rng=None):
+    """Normal-form terms of a single multigraph with a polynomial coefficient:
+    {admissible edge tuple: Polynomial}, the `graph_counts` (with the same
+    `rng`) times coeff, p_n^k shifting its exponents by (2k, ..., 2k)."""
+    if coeff.ring != qring(n):
+        raise InputError("polynomials from different rings")
+    if coeff.is_zero():
+        return {}
+    return zero(ell, n)._reduce([(edges, coeff.terms)], rng).terms
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,12 @@ class EquiElement(confring.EdgeCombination):
     def ring(self):
         return qring(self.halfdim)
 
-    def reducer(self):
-        return partial(reduce_graph, self.points, self.halfdim)
+    @property
+    def pair_exps(self):
+        return (2,) * self.halfdim  # p_n
+
+    def counts(self, word, rng=None):
+        return graph_counts(self.points, word, rng)
 
     def to_dot(self):
         """One DOT graph per monomial; the coefficient is the graph label."""

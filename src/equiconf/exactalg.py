@@ -14,6 +14,7 @@ output is reproducible across runs. The tests check this kernel against
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import InputError
 
@@ -656,16 +657,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Q(0)) + c1 * c2
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -732,6 +724,23 @@ class Polynomial:
         return {"vars": list(self.ring.names),
                 "terms": [{"coeff": str(c), "exps": list(e)}
                           for e, c in self.sorted_terms()]}
+
+
+def mul_terms(a, b):
+    """The product of two polynomials given as {exponents: coefficient}
+    dicts, as a plain dict (which may hold zero coefficients)."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
+
+
+def shift_terms(a, exps):
+    """The polynomial {exponents: coefficient} a times the monomial with
+    the given exponents: an exponent shift."""
+    return {tuple(map(add, e, exps)): c for e, c in a.items()}
 
 
 def poly_from_json(data, ring):

@@ -217,9 +217,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert exit_code(*argv) == 2
         main(list(argv))
         assert f"cannot write {target}" in capsys.readouterr().err
-    # capacity error
+    # capacity errors, refused before any model is built
     assert exit_code("even", "kernel", "--points", "9", "--halfdim", "2",
                      "--max-degree", "4") == 2
+    assert exit_code("even", "complex", "--group", "torus", "--points", "9",
+                     "--halfdim", "2", "--max-degree", "30") == 2
+    assert exit_code("even", "complex", "--group", "so", "--points", "2",
+                     "--halfdim", "64", "--max-degree", "64") == 2
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps(confring.generator(3, 3, 1, 2).to_json()))
     assert exit_code("conf", "act", "--perm", "a,1,3", "--input", str(conf)) == 2
@@ -343,7 +347,7 @@ def test_cli_fuzz_exits_0_or_2(capsys, tmp_path):
     conf = [confring.normal_form(3, 3, [(1, 3), (2, 3)], "2/3").to_json(),
             (confring.generator(4, 2, 1, 2) + confring.generator(4, 2, 3, 4)).to_json()]
     equi = [(equiodd.generator(3, 1, 1, 2) * equiodd.generator(3, 1, 2, 3)).to_json(),
-            equiodd.unit(2, 2).scale_poly(equiodd.q_top(2)).to_json()]
+            equiodd.unit(2, 2).scale_poly(equiodd.qring(2).monomial((1, 1))).to_json()]
     cx = [equieven.as_filtered_complex("torus", 3, 1, 2, xi=2).to_json(),
           equieven.as_filtered_complex("torus", 2, 1, 3).to_json()]
 

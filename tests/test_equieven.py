@@ -290,6 +290,8 @@ def test_capacity_errors():
         ev.kernel_K(7, 2, 4)
     with pytest.raises(CapacityError):
         ev.verify_page_cohomology("so", 2, 4, 4)
+    with pytest.raises(CapacityError):
+        ev.as_filtered_complex("torus", 7, 2, 4)
 
 
 def test_page_element_json_round_trip():

@@ -63,6 +63,30 @@ def test_engine_matches_oracle_on_random_products():
         assert rebuilt == prod
 
 
+def test_graph_counts_match_oracle_at_higher_powers():
+    """Seeded 3- and 4-edge words with a repeated edge, whose normal forms
+    carry p_n^k with k >= 2, against the ideal-span oracle, and the counts
+    against random redex orders."""
+    rng = random.Random(2026)
+    top = 0
+    shapes = ((3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 4), (3, 3, 3), (4, 1, 3), (4, 2, 3))
+    for ell, n, length in shapes * 2:
+        pool = [(i, j) for j in range(2, ell + 1) for i in range(1, j)]
+        word = [rng.choice(pool) for _ in range(length - 1)]
+        word.append(rng.choice(word))
+        counts = equiodd.graph_counts(ell, word)
+        for _ in range(3):
+            assert equiodd.graph_counts(ell, word, rng) == counts
+        admissible = [(m.edges, m.q_exps)
+                      for m in equiodd.torus_basis(ell, n, 2 * n * length)]
+        oracle = oracles.graph_reduce(ell, n, word, admissible)
+        assert {(g, (length - len(g),) * n): m for g, m in counts.items()} == oracle
+        reduced = equiodd.reduce_graph(ell, n, word, equiodd.qring(n).one())
+        assert {(g, e): c for g, p in reduced.items() for e, c in p.terms.items()} == oracle
+        top = max([top] + [length - len(g) for g in counts])
+    assert top >= 4  # some word carries p_n^2
+
+
 def test_product_commutative_and_associative():
     rng = random.Random(5)
     ring = equiodd.qring(1)
@@ -314,6 +338,8 @@ def test_input_errors():
         equiodd.generator(2, 1, 1, 2) * equiodd.generator(2, 2, 1, 2)
     with pytest.raises(InputError):
         confring.label_action((1, 1), equiodd.generator(2, 1, 1, 2))
+    with pytest.raises(InputError, match="different rings"):
+        equiodd.reduce_graph(2, 1, [(1, 2)], equiodd.qring(2).one())
 
 
 def test_from_json_refuses_a_huge_halfdim_before_building_its_ring(monkeypatch):
