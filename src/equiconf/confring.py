@@ -37,6 +37,16 @@ def normalize_generator(k, i, j, n):
     return (j, i), 1 if n % 2 == 0 else -1
 
 
+def check_edges(k, edges):
+    """The edges as a tuple; InputError unless each is (i, j), 1 <= i < j <= k."""
+    edges = tuple(edges)
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2 or type(e[0]) is not int \
+                or type(e[1]) is not int or not 1 <= e[0] < e[1] <= k:
+            raise InputError(f"edge {e!r} is not (i, j) with 1 <= i < j <= {k}")
+    return edges
+
+
 def koszul_sort(edges, n):
     """Sort edges by (max, min); returns (sign, tuple). Sign is Koszul."""
     edges = list(edges)
@@ -102,6 +112,7 @@ def reduce_word(k, n, word, coeff=Q(1), rng=None):
     """Normal-form terms of coeff times a single word of canonical edges:
     a dict mapping admissible sorted edge tuples to Fraction coefficients,
     the `word_counts` (with the same `rng`) scaled by coeff."""
+    word = check_edges(k, word)
     coeff = rat(coeff)
     if not coeff:
         return {}

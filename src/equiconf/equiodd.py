@@ -89,6 +89,7 @@ def reduce_graph(ell, n, edges, coeff, rng=None):
     """Normal-form terms of a single multigraph with a polynomial coefficient:
     {admissible edge tuple: Polynomial}, the `graph_counts` (with the same
     `rng`) times coeff, p_n^k shifting its exponents by (2k, ..., 2k)."""
+    edges = confring.check_edges(ell, edges)
     if coeff.ring != qring(n):
         raise InputError("polynomials from different rings")
     if coeff.is_zero():

@@ -227,6 +227,20 @@ class Matrix:
             m = m + Matrix.identity(n).scale(c)
         return tuple(coeffs)
 
+    def off_eigenvalue(self, lam):
+        """self restricted to its generalized eigenspaces for eigenvalues other
+        than lam: the image of (self - lam)^k for k >= dim (Fitting), reached
+        by squaring, in the canonical `col_space` basis read at its leads. Its
+        charpoly is self's with every factor t - lam divided out, so it is
+        empty exactly when lam is the only eigenvalue."""
+        n = self.nrows
+        power, k = self - Matrix.identity(n).scale(lam), 1
+        while k < n:
+            power, k = power * power, 2 * k
+        img = col_space(power)
+        rows = (self * img).sparse_rows
+        return Matrix._of([rows[min(c)] for c in img.sparse_columns()], img.ncols)
+
 
 def _reduce(rows, order, full=True):
     """Echelon form of sparse rows (consumed), pivoting over `order`.
@@ -278,45 +292,11 @@ def _kernel(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q (for characteristic polynomials)
-# represented as tuples of Fractions, lowest degree first
-
-
-def upoly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def upoly_divmod(p, q):
-    p, q = list(upoly_trim(p)), upoly_trim(q)
-    if not q:
-        raise InputError("division by zero polynomial")
-    quo = [Q(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q) and any(x != 0 for x in p):
-        shift = len(p) - len(q)
-        f = p[-1] / q[-1]
-        quo[shift] = f
-        for i, b in enumerate(q):
-            p[shift + i] -= f * b
-        while p and p[-1] == 0:
-            p.pop()
-    return upoly_trim(quo), upoly_trim(p)
-
-
-def upoly_monic(p):
-    p = upoly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(x / lead for x in p)
+# characteristic polynomials, as tuples of Fractions, lowest degree first
 
 
 def upoly_str(p, var="t"):
-    p = upoly_trim(p)
-    if not p:
-        return "0"
+    """Text of a nonzero polynomial in var, highest degree first."""
     parts = []
     for e in range(len(p) - 1, -1, -1):
         c = p[e]
@@ -337,20 +317,6 @@ def upoly_str(p, var="t"):
     for term in parts[1:]:
         s += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return s
-
-
-def strip_linear_factor(p, lam):
-    """Largest k with (t - lam)^k | p; returns (k, p / (t - lam)^k)."""
-    lam = rat(lam)
-    k = 0
-    lin = (-lam, Q(1))
-    while len(p) > 1:
-        quo, rem = upoly_divmod(p, lin)
-        if rem:
-            break
-        p = quo
-        k += 1
-    return k, p
 
 
 def sylvester(phi_w: Matrix, phi_v: Matrix):

@@ -19,7 +19,10 @@ These use the subspace operations of `exactalg`, but none of the barcode or
 adapted-basis code. The formality witness is rebuilt inside the generalized
 eigenspaces of the cycles, by a projector, an intersection and one Kronecker
 solve per degree, as the reference for the Sylvester solve on the barcode;
-it shares only the purity check and the transcript with `specseq`.
+it shares only the purity check and the transcript with `specseq`. That
+purity check reads each spot's characteristic polynomial off the Fitting
+split, `Matrix.off_eigenvalue`; `charpoly_without` divides the whole
+characteristic polynomial by t - lam instead, as its reference.
 
 The linear systems go through `dense_rref`, plain Gauss-Jordan elimination
 on dense Fraction rows. It shares no code with the sparse kernel behind
@@ -587,3 +590,20 @@ def eigen_projector(m: Matrix, lam):
         power, k = power * power, 2 * k
     ker = power.kernel_basis()
     return ker * Quotient(ker, col_space(power)).matrix_of(Matrix.identity(n))
+
+
+def charpoly_without(m: Matrix, lam):
+    """The characteristic polynomial of m with every factor t - lam divided
+    out, by synthetic division while the remainder is 0; the reference for
+    `Matrix.off_eigenvalue(lam).charpoly()`."""
+    lam = rat(lam)
+    p = m.charpoly()
+    while len(p) > 1:
+        acc, quo = Q(0), []
+        for c in reversed(p):
+            acc = acc * lam + c
+            quo.append(acc)
+        if acc:
+            break
+        p = tuple(reversed(quo[:-1]))
+    return p

@@ -21,6 +21,8 @@ at a spot with integral weight w, the only eigenvalue of phi may be xi^w; at
 non-integral weight the spot must vanish. The weight formula is pinned to the
 target page in the WeightSpec; the inspected page may be earlier (purity is
 inherited by subquotients, so passing early implies passing at the target).
+A spot passes when phi restricted to the image of (phi - xi^w)^dim (the Fitting
+split) is empty; else that restriction's charpoly is the factor named.
 
 The formality witness of a pure complex is read off the barcode of its
 canonical filtration too, the same one its purity check reads: the classes,
@@ -47,9 +49,7 @@ from .exactalg import (
     eliminate,
     flag_basis,
     rat,
-    strip_linear_factor,
     sylvester,
-    upoly_monic,
     upoly_str,
 )
 
@@ -584,11 +584,9 @@ def _purity(pg: SpectralPage, spec: WeightSpec):
             continue
         records.append((spot, w, dim))
         if violation is None:
-            lam = spec.xi ** int(w)
-            charpoly = pg.aut(i, n).charpoly()
-            _, rest = strip_linear_factor(charpoly, lam)
-            if len(rest) > 1:
-                factor = upoly_str(upoly_monic(rest))
+            rest = pg.aut(i, n).off_eigenvalue(spec.xi ** int(w))
+            if rest.nrows:
+                factor = upoly_str(rest.charpoly())
                 violation = (spot, factor,
                              f"eigenvalue outside xi^{int(w)}: factor {factor}")
     return PurityResult(violation is None, pg.r, tuple(records), violation)

@@ -48,6 +48,10 @@ def test_index_out_of_range():
         confring.normal_form(3, 3, [(1, 4)])
     with pytest.raises(InputError):
         confring.normal_form(3, 3, [(2, 2)])
+    # reduce_word takes canonical edges, (i, j) with 1 <= i < j <= points
+    for word in ([(2, 1)], [(1, 4)], [(0, 2)], [(2, 2)], [(1, 2), (3,)]):
+        with pytest.raises(InputError, match="is not"):
+            confring.reduce_word(3, 3, word)
 
 
 def test_basis_small_cases():

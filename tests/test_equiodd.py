@@ -340,6 +340,10 @@ def test_input_errors():
         confring.label_action((1, 1), equiodd.generator(2, 1, 1, 2))
     with pytest.raises(InputError, match="different rings"):
         equiodd.reduce_graph(2, 1, [(1, 2)], equiodd.qring(2).one())
+    # edges must be canonical, (i, j) with 1 <= i < j <= points
+    for edges in ([(1, 9), (2, 9)], [(2, 1)], [(0, 2)], [(2, 2)], [(1, 2, 3)]):
+        with pytest.raises(InputError, match="is not"):
+            equiodd.reduce_graph(3, 1, edges, equiodd.qring(1).one())
 
 
 def test_from_json_refuses_a_huge_halfdim_before_building_its_ring(monkeypatch):

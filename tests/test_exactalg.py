@@ -14,12 +14,11 @@ from equiconf.exactalg import (
     equivariant_hom_dims,
     poly_from_json,
     rat,
-    strip_linear_factor,
     sylvester,
-    upoly_monic,
     upoly_str,
 )
 from equiconf.oracles import (
+    charpoly_without,
     dense_rref,
     dense_solve,
     eigen_projector,
@@ -343,9 +342,47 @@ def test_projectors_jordan_block():
 
 def test_leftover_eigenvalue_factor_is_named():
     m = Matrix([[2, 0], [0, 3]])
-    k, rest = strip_linear_factor(m.charpoly(), Q(2))
-    assert k == 1
-    assert upoly_str(upoly_monic(rest)) == "t - 3"
+    rest = m.off_eigenvalue(Q(2))
+    assert rest.nrows == 1  # the one factor t - 2 is gone
+    assert upoly_str(rest.charpoly()) == "t - 3"
+
+
+def random_with_eigenvalues(rng, diag):
+    """An upper triangular matrix with the given diagonal and random entries
+    above it, conjugated by random shears S = I + c E_ij (S^-1 = 2I - S)."""
+    n = len(diag)
+    m = Matrix([[diag[i] if i == j else rng.choice([0, 1, -2, Q(1, 3)]) if i < j else 0
+                 for j in range(n)] for i in range(n)])
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        shear = Matrix.identity(n) + Matrix([{j: rng.choice([1, -1, 2, Q(1, 2)])}
+                                             if a == i else {} for a in range(n)], n)
+        m = shear * m * (Matrix.identity(n).scale(2) - shear)
+    return m
+
+
+def test_off_eigenvalue_divides_the_charpoly():
+    """`off_eigenvalue(lam).charpoly()` against the charpoly divided by
+    t - lam while it divides, on seeded matrices: random small entries, and
+    conjugated triangular ones whose eigenvalues repeat lam and others."""
+    rng = random.Random(14)
+    lams = (Q(0), Q(1), Q(2), Q(-1))
+    split = 0  # pairs where lam is one eigenvalue among others
+    for t in range(160):
+        n = rng.randint(0, 5)
+        if t % 2:
+            m = Matrix([[rng.choice([0, 0, 1, -1, 2, Q(1, 2)]) for _ in range(n)]
+                        for _ in range(n)], n)
+        else:
+            m = random_with_eigenvalues(rng, [rng.choice(lams + (Q(3), Q(-1, 2)))
+                                              for _ in range(n)])
+        for lam in lams:
+            rest = m.off_eigenvalue(lam)
+            want = charpoly_without(m, lam)
+            assert rest.charpoly() == want
+            assert rest.nrows == rest.ncols == len(want) - 1
+            split += 0 < rest.nrows < n
+    assert split > 100
 
 
 def test_projector_identities_randomized():

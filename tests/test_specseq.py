@@ -258,6 +258,26 @@ def test_purity_two_degrees_diagonal():
     assert result.violation[1] == "t - 32"
 
 
+# phi on H^2 of a complex with d = 0, weight 2, so xi^2 = 9 is the only
+# allowed eigenvalue; the factor is what remains of the charpoly, any degree
+@pytest.mark.parametrize("phi, factor", [
+    ([[0, -1], [1, 0]], "t^2 + 1"),
+    ([[3, 0], [0, 3]], "t^2 - 6*t + 9"),
+    ([[9, 1, 0], [0, 9, 0], [0, 0, 3]], "t - 3"),
+    ([[9, 1], [0, 9]], None),
+    ([[0, 2], [1, 0]], "t^2 - 2"),
+    ([[9, 0, 0], [0, 0, 2], [0, 1, 0]], "t^2 - 2"),
+])
+def test_purity_names_factors_of_any_degree(phi, factor):
+    A = ss.canonical_filtration({2: len(phi)}, {}, {2: Matrix(phi)})
+    result = ss.purity_check(A, ss.WeightSpec(Q(3), Q(1), 0))
+    if factor is None:
+        assert result.ok and result.violation is None
+    else:
+        assert result.violation == ((-2, 4), factor,
+                                    f"eigenvalue outside xi^2: factor {factor}")
+
+
 def test_purity_requires_phi():
     A = ss.canonical_filtration({0: 1}, {})
     with pytest.raises(InputError):
@@ -349,6 +369,33 @@ def test_purity_staircase_monotonicity():
         spec = ss.WeightSpec(xi, Q(1), r)
         for p in range(1, r + 2):
             assert ss.purity_check(A, spec, at_page=p).ok
+
+
+def test_off_eigenvalue_on_page_spots():
+    """`Matrix.off_eigenvalue`, which the purity check reads, against the
+    charpoly divided by t - lam (`oracles.charpoly_without`) on phi at every
+    spot of every page of seeded pure, impure and staircase complexes and of
+    a torus page model."""
+    rng = random.Random(41)
+    xi = Q(3)
+    complexes = [equieven.as_filtered_complex("torus", 3, 2, 8, xi=xi)]
+    for t in range(24):
+        alpha = [Q(1), Q(2), Q(1, 2)][t % 3]
+        complexes.append(verify.random_pure_complex(rng, xi, alpha)[0])
+        complexes.append(verify.random_pure_complex(rng, xi, alpha, impure=True)[0])
+        complexes.append(verify.random_staircase_complex(rng, xi, Q(1), 1 + t % 3))
+    pairs = split = 0
+    for A in complexes:
+        for r in range(A.top_level + 2):
+            pg = ss.page(A, r)
+            for i, n in pg.spots:
+                m = pg.aut(i, n)
+                for lam in (xi, xi * xi, Q(1), Q(-1, 2)):
+                    rest = m.off_eigenvalue(lam)
+                    assert rest.charpoly() == oracles.charpoly_without(m, lam)
+                    pairs += 1
+                    split += 0 < rest.nrows < m.nrows
+    assert pairs > 3000 and split > 80
 
 
 def test_page_automorphism_commutes_with_page_differential():
