@@ -1,8 +1,9 @@
 """The verify suites and the seeded random complex generators.
 
 The generator golden pins every complex the three generators draw for seeds
-0-4, so a change to how they consume the random stream shows up here.
-Regenerate it (only when the generators are meant to change) with
+0-4, so a change to how they consume the random stream shows up here. The
+suite golden pins the JSON report of every suite at seeds 0 and 7. Regenerate
+both (only when the generators or the suites are meant to change) with
 `PYTHONPATH=src python tests/test_verify.py --write`.
 """
 
@@ -79,7 +80,25 @@ def test_random_generators_match_golden():
     assert generated() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+SUITES_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_suites.json"
+
+
+def suite_reports():
+    """{"name seed=s": JSON report} of every suite at seeds 0 and 7."""
+    return {f"{name} seed={seed}": verify.run_suite(name, seed=seed).to_json()
+            for name in verify.SUITE_NAMES for seed in (0, 7)}
+
+
+def test_suite_reports_match_golden():
+    assert suite_reports() == json.loads(SUITES_GOLDEN.read_text(encoding="utf-8"))
+
+
+def write(path, data):
+    path.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                        for k, v in data.items())
+                    + "\n}\n", encoding="utf-8")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    GOLDEN.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
-                                          for k, v in generated().items())
-                      + "\n}\n", encoding="utf-8")
+    write(GOLDEN, generated())
+    write(SUITES_GOLDEN, suite_reports())
