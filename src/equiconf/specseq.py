@@ -29,6 +29,12 @@ canonical filtration too, the same one its purity check reads: the classes,
 the boundaries and phi on both come from barcode elements, and the section
 takes one Sylvester solve per degree. `oracles.witness_by_eigenspaces`
 builds it inside the generalized eigenspaces as the cross-check.
+
+A complex is checked in full once, where it enters: by the FilteredComplex
+constructor, by `complex_from_json` and by `canonical_filtration`. The
+complexes built from a checked one, its truncation and its decalage, keep
+its d and phi and are valid by construction, so they are not checked again;
+the tests hold them to `validate`.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
+from .charclasses import DEGREE_BOUND
 from .errors import InputError, PurityViolation, WitnessError
 from .exactalg import (
     ONE,
@@ -280,19 +287,31 @@ def reading(what):
 
 def read_complex(data):
     """(spaces, d, phi) of a complex in the JSON of `to_json`, phi None where
-    it has none; call it inside `reading`."""
-    spaces = {int(k): int(v) for k, v in json_map(data["degrees"], "degrees").items()}
-    d = {}
-    for k, rows in json_map(data.get("d", {}), "d").items():
-        n = int(k)
-        tgt = spaces.get(n + 1, 0)
-        d[n] = Matrix([[rat(x) for x in row] for row in rows]) if tgt else \
-            Matrix.zero(0, spaces.get(n, 0))
-    phi = None
-    if "phi" in data:
-        phi = {int(k): Matrix([[rat(x) for x in row] for row in rows])
-               for k, rows in json_map(data["phi"], "phi").items()}
+    it has none; call it inside `reading`. Each dimension must be a
+    non-negative integer and each degree at most DEGREE_BOUND. `validate`
+    checks the shape of every block at a degree of positive dimension; the
+    blocks at other degrees, which it never reaches, are checked here."""
+    spaces = {int(k): dim for k, dim in json_map(data["degrees"], "degrees").items()}
+    for n, dim in spaces.items():
+        if type(dim) is not int or dim < 0:
+            raise InputError(f"dimension at degree {n} must be a non-negative integer")
+        if n > DEGREE_BOUND:
+            raise InputError(f"degree {n} exceeds the bound {DEGREE_BOUND}")
+    d = {int(k): _matrix(rows) for k, rows in json_map(data.get("d", {}), "d").items()}
+    for n, mat in d.items():
+        if not spaces.get(n) and (mat.ncols or mat.nrows not in (0, spaces.get(n + 1, 0))):
+            raise InputError(f"differential shape mismatch at degree {n}")
+    if "phi" not in data:
+        return spaces, d, None
+    phi = {int(k): _matrix(rows) for k, rows in json_map(data["phi"], "phi").items()}
+    for n, mat in phi.items():
+        if mat.nrows and not spaces.get(n):
+            raise InputError(f"automorphism shape mismatch at degree {n}")
     return spaces, d, phi
+
+
+def _matrix(rows):
+    return Matrix([[rat(x) for x in row] for row in rows])
 
 
 def complex_from_json(data):
@@ -311,28 +330,26 @@ def complex_from_json(data):
 
 
 def canonical_filtration(spaces, d, phi=None):
-    """Truncation filtration: tau_i is A below degree i, ker d at i, 0 above."""
-    spaces = {int(n): int(v) for n, v in spaces.items() if v}
-    d = {int(n): (m if isinstance(m, Matrix) else Matrix(m)) for n, m in d.items()}
-    probe = FilteredComplex(spaces, d, {n: (Matrix.identity(spaces[n]),)
-                                        for n in spaces}, phi, validate=False)
-    for n in spaces:
-        if not (probe.diff(n + 1) * probe.diff(n)).is_zero():
-            raise InputError(f"d o d != 0 at degree {n}")
-    top = max(spaces, default=0)
+    """The complex (spaces, d, phi) with its truncation filtration, after one
+    check of the input as a complex with a single level per degree: shapes,
+    d o d = 0 and phi. The truncation needs no second check."""
+    return _truncation(FilteredComplex(
+        spaces, d, {n: (Matrix.identity(int(dim)),) for n, dim in spaces.items()}, phi))
+
+
+def _truncation(A: FilteredComplex):
+    """A with its truncation filtration: tau_i A^n is A^n below degree i,
+    ker d at i and 0 above. Built unchecked, for it is valid whenever A is:
+    d and phi are A's; 0 <= ker d <= A^n makes the levels nested and
+    exhaustive; d sends A^(i-1) into ker d, so it preserves them; and phi
+    preserves ker d because it commutes with d."""
+    top = max(A.spaces, default=0)
     filtration = {}
-    for n in spaces:
-        kernel = probe.diff(n).kernel_basis()
-        levels = []
-        for i in range(top + 1):
-            if n < i:
-                levels.append(Matrix.identity(spaces[n]))
-            elif n == i:
-                levels.append(kernel)
-            else:
-                levels.append(Matrix.zero(spaces[n], 0))
-        filtration[n] = levels
-    return FilteredComplex(spaces, d, filtration, phi)
+    for n, dim in A.spaces.items():
+        kernel, full, empty = A.diff(n).kernel_basis(), Matrix.identity(dim), Matrix.zero(dim, 0)
+        filtration[n] = [full if n < i else kernel if n == i else empty
+                         for i in range(top + 1)]
+    return FilteredComplex(A.spaces, A.d, filtration, A.phi, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +502,12 @@ def page_cohomology_dims(pg: SpectralPage):
 def decalage(A: FilteredComplex):
     """Deligne's decalage: Dec W_i A^n = W_(i-n) A^n cap d^(-1) W_(i-n-1),
     which is Z_1(i - n, n), the span of the barcode elements of level at most
-    i - n whose differential has level at most i - n - 1."""
+    i - n whose differential has level at most i - n - 1.
+
+    Built unchecked, for it is valid whenever A is: d and phi are A's; the
+    levels grow with i and reach A^n at the top; d sends Z_1(i - n, n) into
+    the cycles of W_(i-n-1) A^(n+1), which is Dec W_i A^(n+1); and phi
+    preserves each level because it preserves W and commutes with d."""
     new_top = A.top_level + max(A.max_degree(), 0) + 1
     filtration = {}
     for n, (level, basis, _, cols, low, gap) in _barcode(A).items():
@@ -498,8 +520,7 @@ def decalage(A: FilteredComplex):
             chosen = [v for v, e in zip(vecs, enter) if e <= i - n]
             same = levels and len(chosen) == levels[-1].ncols
             levels.append(levels[-1] if same else col_space(chosen, dim=A.dim(n)))
-    return FilteredComplex(A.spaces, A.d, filtration,
-                           None if A.phi is None else dict(A.phi))
+    return FilteredComplex(A.spaces, A.d, filtration, A.phi, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +654,7 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
     """
     if A.phi is None:
         raise InputError("formality witness needs an automorphism")
-    base = canonical_filtration(A.spaces, A.d, A.phi)
+    base = _truncation(A)
     bars = _barcode(base)
     check = _purity(_page(base, bars, 1), WeightSpec(spec.xi, spec.alpha, 0))
     if not check.ok:

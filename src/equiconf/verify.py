@@ -1,7 +1,7 @@
 """Verification suites: golden examples plus randomized invariant batteries.
 
 Each suite returns a SuiteReport listing every check with a pass flag and,
-on failure, the mismatching values. The CLI exposes them under `verify
+on failure, the mismatching values of its first failing case. The CLI exposes them under `verify
 --suite NAME --seed N`; the acceptance tests drive the same functions, so
 the command line and the test suite certify identical facts.
 
@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import permutations
+from math import factorial
 
 from . import confring, equieven, equiodd, oracles, specseq
 from .charclasses import (
@@ -77,6 +79,15 @@ class SuiteReport:
 
 def _check(checks, name, passed, **details):
     checks.append(Check(name, bool(passed), details or None))
+
+
+def _check_all(checks, name, failures):
+    """One check over many cases: `failures` yields a dict of details for
+    each failing case, and the check passes when it yields none, else it
+    reports the first. It is drawn in full, so a check that draws from the
+    random stream draws for every case."""
+    failures = list(failures)
+    _check(checks, name, not failures, **(failures[0] if failures else {}))
 
 
 # ---------------------------------------------------------------------------
@@ -274,56 +285,29 @@ def suite_arnold(seed=0):
     _check(checks, "x_ji = (-1)^n x_ij",
            confring.normal_form(2, 4, [(2, 1)]) == confring.generator(2, 4, 1, 2)
            and confring.normal_form(2, 3, [(2, 1)]) == -confring.generator(2, 3, 1, 2))
-    ok = True
-    bad = None
-    for k in range(3, 6):
-        for n in (3, 4):
-            for a in range(1, k + 1):
-                for b in range(1, k + 1):
-                    for c in range(1, k + 1):
-                        if len({a, b, c}) == 3:
-                            if not confring.arnold_relation(k, n, a, b, c).is_zero():
-                                ok = False
-                                bad = (k, n, a, b, c)
-    _check(checks, "three-term relation vanishes, all triples k <= 5",
-           ok, **({"at": str(bad)} if bad else {}))
-    ok = True
-    bad = {}
-    for k in range(2, 7):
-        for n in range(2, 6):
-            if oracles.poincare_polynomial(k, n) != confring.poincare_formula(k, n):
-                ok = False
-                bad = {"k": k, "n": n}
-    _check(checks, "dimension count = prod_j (1 + j t^(n-1)), k <= 6, n <= 5",
-           ok, **bad)
-    ok = True
-    bad = {}
-    for k in range(2, 5):
-        for n in range(2, 6):
-            for d in range(confring.top_degree(k, n) + 2):
-                engine = confring.dimension(k, n, d)
-                oracle = oracles.quotient_dimension(k, n, d)
-                if engine != oracle:
-                    ok = False
-                    bad = {"k": k, "n": n, "degree": d,
-                           "engine": engine, "oracle": oracle}
-    _check(checks, "dimensions match the ideal-span oracle, k <= 4", ok, **bad)
-    ok = True
-    trials = 0
-    for k in range(2, 6):
-        for n in range(2, 6):
-            for _ in range(100):
-                word = []
-                for _ in range(rng.randint(2, 4)):
-                    i, j = rng.sample(range(1, k + 1), 2)
-                    word.append((i, j))
-                canonical = [confring.normalize_generator(k, i, j, n)[0]
-                             for i, j in word]
-                if confring.reduce_word(k, n, canonical) != \
-                        confring.reduce_word(k, n, canonical, rng=rng):
-                    ok = False
-                trials += 1
-    _check(checks, f"confluence under random rewrite order ({trials} words)", ok)
+    _check_all(checks, "three-term relation vanishes, all triples k <= 5",
+               ({"at": str((k, n, a, b, c))}
+                for k in range(3, 6) for n in (3, 4)
+                for a, b, c in permutations(range(1, k + 1), 3)
+                if not confring.arnold_relation(k, n, a, b, c).is_zero()))
+    _check_all(checks, "dimension count = prod_j (1 + j t^(n-1)), k <= 6, n <= 5",
+               ({"k": k, "n": n} for k in range(2, 7) for n in range(2, 6)
+                if oracles.poincare_polynomial(k, n) != confring.poincare_formula(k, n)))
+    _check_all(checks, "dimensions match the ideal-span oracle, k <= 4",
+               ({"k": k, "n": n, "degree": d, "engine": engine, "oracle": oracle}
+                for k in range(2, 5) for n in range(2, 6)
+                for d in range(confring.top_degree(k, n) + 2)
+                if (engine := confring.dimension(k, n, d))
+                != (oracle := oracles.quotient_dimension(k, n, d))))
+
+    def confluent(k, n):
+        word = [confring.normalize_generator(k, *rng.sample(range(1, k + 1), 2), n)[0]
+                for _ in range(rng.randint(2, 4))]
+        return confring.reduce_word(k, n, word) == confring.reduce_word(k, n, word, rng=rng)
+
+    cases = [(k, n) for k in range(2, 6) for n in range(2, 6) for _ in range(100)]
+    _check_all(checks, f"confluence under random rewrite order ({len(cases)} words)",
+               ({} for k, n in cases if not confluent(k, n)))
     sample = confring.normal_form(3, 3, [(1, 3), (2, 3)])
     _check(checks, "oracle normal form of x13*x23 (k=3, n=3)",
            sample == oracles.oracle_element(3, 3, [(1, 3), (2, 3)]),
@@ -334,112 +318,82 @@ def suite_arnold(seed=0):
 def suite_leray_hirsch(seed=0):
     rng = random.Random(seed)
     checks = []
-    ok = True
-    bad = {}
-    for ell in range(0, 6):
-        for n in (1, 2):
-            for d in range(0, 13):
-                enum = equiodd.torus_dimension(ell, n, d)
-                series = equiodd.leray_hirsch_dimension(ell, n, d)
-                if enum != series:
-                    ok = False
-                    bad = {"ell": ell, "n": n, "degree": d,
-                           "enumeration": enum, "series": series}
-    _check(checks, "torus dimensions = prod(1 + j t^(2n)) / (1 - t^2)^n", ok, **bad)
-    ok = all(equiodd.modified_arnold(ell, n, i, j, k).is_zero()
-             for ell in range(3, 6) for n in (1, 2)
-             for i in range(1, ell + 1) for j in range(1, ell + 1)
-             for k in range(1, ell + 1) if len({i, j, k}) == 3)
-    _check(checks, "modified three-term relation vanishes, all triples l <= 5", ok)
-    ok = True
-    for ell in range(2, 6):
-        pn = equiodd.unit(ell, 1).scale_poly(equiodd.p_top(1))
-        for j in range(2, ell + 1):
-            for i in range(1, j):
-                y = equiodd.generator(ell, 1, i, j)
-                if y * y != pn:
-                    ok = False
-    _check(checks, "double edge contracts to p_n, all pairs l <= 5", ok)
-    ok = True
-    bad = {}
-    for ell in (2, 3, 4, 5):
-        for n in (1, 2):
-            for d in (0, 2 * n, 4 * n):
-                enum = equiodd.torus_dimension(ell, n, d)
-                orac = oracles.graph_quotient_dimension(ell, n, d)
-                if enum != orac:
-                    ok = False
-                    bad = {"ell": ell, "n": n, "degree": d,
-                           "enumeration": enum, "oracle": orac}
-    _check(checks, "graph dimensions match the ideal-span oracle", ok, **bad)
-    ok = True
-    for ell in (3, 4, 5):
-        for n in (1, 2):
-            admissible = [(m.edges, m.q_exps)
-                          for m in equiodd.torus_basis(ell, n, 4 * n)]
-            reduced = oracles.graph_reduce(ell, n, [(1, 3), (2, 3)], admissible)
-            rebuilt = equiodd.zero(ell, n)
-            for (graph, qexps), c in reduced.items():
-                rebuilt = rebuilt + equiodd.GraphMonomial(
-                    ell, n, graph, qexps).as_element().scale(c)
-            engine = equiodd.generator(ell, n, 1, 3) * equiodd.generator(ell, n, 2, 3)
-            if rebuilt != engine:
-                ok = False
-    _check(checks, "engine reduction equals oracle reduction (y13*y23)", ok)
-    ok = True
-    for _ in range(60):
-        ell = rng.randint(3, 5)
-        n = rng.randint(1, 2)
-        word = []
-        for _ in range(rng.randint(2, 3)):
-            i, j = rng.sample(range(1, ell + 1), 2)
-            word.append(equiodd.normalize_edge(ell, i, j)[0])
+    _check_all(checks, "torus dimensions = prod(1 + j t^(2n)) / (1 - t^2)^n",
+               ({"ell": ell, "n": n, "degree": d, "enumeration": enum, "series": series}
+                for ell in range(0, 6) for n in (1, 2) for d in range(0, 13)
+                if (enum := equiodd.torus_dimension(ell, n, d))
+                != (series := equiodd.leray_hirsch_dimension(ell, n, d))))
+    _check(checks, "modified three-term relation vanishes, all triples l <= 5",
+           all(equiodd.modified_arnold(ell, n, i, j, k).is_zero()
+               for ell in range(3, 6) for n in (1, 2)
+               for i, j, k in permutations(range(1, ell + 1), 3)))
+    _check(checks, "double edge contracts to p_n, all pairs l <= 5",
+           all(equiodd.generator(ell, 1, i, j) * equiodd.generator(ell, 1, i, j)
+               == equiodd.unit(ell, 1).scale_poly(equiodd.p_top(1))
+               for ell in range(2, 6) for j in range(2, ell + 1) for i in range(1, j)))
+    _check_all(checks, "graph dimensions match the ideal-span oracle",
+               ({"ell": ell, "n": n, "degree": d, "enumeration": enum, "oracle": orac}
+                for ell in (2, 3, 4, 5) for n in (1, 2) for d in (0, 2 * n, 4 * n)
+                if (enum := equiodd.torus_dimension(ell, n, d))
+                != (orac := oracles.graph_quotient_dimension(ell, n, d))))
+
+    def oracle_product(ell, n):
+        """y13 * y23 rebuilt from the oracle's reduction to admissible graphs."""
+        admissible = [(m.edges, m.q_exps) for m in equiodd.torus_basis(ell, n, 4 * n)]
+        out = equiodd.zero(ell, n)
+        for (graph, qexps), c in oracles.graph_reduce(ell, n, [(1, 3), (2, 3)],
+                                                      admissible).items():
+            out = out + equiodd.GraphMonomial(ell, n, graph, qexps).as_element().scale(c)
+        return out
+
+    _check(checks, "engine reduction equals oracle reduction (y13*y23)",
+           all(oracle_product(ell, n)
+               == equiodd.generator(ell, n, 1, 3) * equiodd.generator(ell, n, 2, 3)
+               for ell in (3, 4, 5) for n in (1, 2)))
+
+    def confluent():
+        ell, n = rng.randint(3, 5), rng.randint(1, 2)
+        word = [equiodd.normalize_edge(ell, *rng.sample(range(1, ell + 1), 2))[0]
+                for _ in range(rng.randint(2, 3))]
         one = equiodd.qring(n).one()
-        if equiodd.reduce_graph(ell, n, word, one) != \
-                equiodd.reduce_graph(ell, n, word, one, rng=rng):
-            ok = False
-    _check(checks, "graph reduction confluence under random order", ok)
+        return equiodd.reduce_graph(ell, n, word, one) == \
+            equiodd.reduce_graph(ell, n, word, one, rng=rng)
+
+    _check_all(checks, "graph reduction confluence under random order",
+               ({} for _ in range(60) if not confluent()))
     return SuiteReport("leray-hirsch", seed, tuple(checks))
 
 
 def suite_weyl(seed=0):
     rng = random.Random(seed)
     checks = []
-    import math
-    ok = True
-    for n in range(1, 4):
-        f = math.factorial(n)
-        ok &= len(weyl_group(GroupSpec("o_even", n))) == 2 ** n * f
-        ok &= len(weyl_group(GroupSpec("so_even", n))) == 2 ** (n - 1) * f
-        ok &= len(weyl_group(GroupSpec("so_odd", n))) == 2 ** n * f
-        ok &= len(weyl_group(GroupSpec("o_odd", n))) == 2 ** (n + 1) * f
-    _check(checks, "Weyl group orders, ranks <= 3", ok)
-    ok = True
-    bad = {}
-    for family in ("torus", "so_odd", "o_odd", "so_even", "o_even", "u"):
-        for rank in range(1, 4):
-            spec = GroupSpec(family, rank)
-            ring = char_ring(spec)
-            for degree in range(0, 17, 2):
-                inv = invariant_dimension(spec, degree)
-                free = ring.dim_of_degree(degree)
-                if inv != free:
-                    ok = False
-                    bad = {"family": family, "rank": rank, "degree": degree,
-                           "invariants": inv, "free ring": free}
-    _check(checks, "invariant Hilbert series match the free rings", ok, **bad)
-    ok = True
+    _check(checks, "Weyl group orders, ranks <= 3",
+           all(len(weyl_group(GroupSpec(family, n))) == 2 ** (n + shift) * factorial(n)
+               for n in range(1, 4)
+               for family, shift in (("o_even", 0), ("so_even", -1), ("so_odd", 0),
+                                     ("o_odd", 1))))
+    _check_all(checks, "invariant Hilbert series match the free rings",
+               ({"family": family, "rank": rank, "degree": degree,
+                 "invariants": inv, "free ring": free}
+                for family in ("torus", "so_odd", "o_odd", "so_even", "o_even", "u")
+                for rank in range(1, 4) for degree in range(0, 17, 2)
+                if (inv := invariant_dimension(GroupSpec(family, rank), degree))
+                != (free := char_ring(GroupSpec(family, rank)).dim_of_degree(degree))))
     ring = torus_ring(3)
     group = weyl_group(GroupSpec("o_odd", 3))
-    for _ in range(25):
+
+    def draw():
         w1, w2 = rng.choice(group), rng.choice(group)
         f = ring.zero()
         for _ in range(3):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
             f = f + ring.monomial(exps, rng.randint(-2, 2))
-        if weyl_action(w1 * w2, f) != weyl_action(w1, weyl_action(w2, f)):
-            ok = False
-    _check(checks, "Weyl action is a group action (randomized)", ok)
+        return w1, w2, f
+
+    # every case is drawn before any is checked
+    _check(checks, "Weyl action is a group action (randomized)",
+           all(weyl_action(w1 * w2, f) == weyl_action(w1, weyl_action(w2, f))
+               for w1, w2, f in [draw() for _ in range(25)]))
     o4 = GroupSpec("o_even", 2)
     so4 = GroupSpec("so_even", 2)
     so3 = GroupSpec("so_odd", 1)
@@ -452,14 +406,10 @@ def suite_weyl(seed=0):
            restriction_map(so4, so3, e).is_zero())
     _check(checks, "e restricts to q1 q2 on the torus",
            restriction_map(so4, torus2, e) == q1 * q2)
-    ok = True
-    for name in char_ring(o4).names:
-        f = char_ring(o4).gen(name)
-        direct = restriction_map(o4, torus2, f)
-        via = restriction_map(so4, torus2, restriction_map(o4, so4, f))
-        if direct != via:
-            ok = False
-    _check(checks, "torus restriction factors through SO(4)", ok)
+    _check(checks, "torus restriction factors through SO(4)",
+           all(restriction_map(o4, torus2, f)
+               == restriction_map(so4, torus2, restriction_map(o4, so4, f))
+               for f in map(char_ring(o4).gen, char_ring(o4).names)))
     fixed4 = equieven.weyl_fixed_page_basis("so_even", 2, 2, 4)
     _check(checks, "SO(4)-fixed page in degree 4 is <q1^2 + q2^2, q1 q2>",
            [str(b) for b in fixed4] == ["(q2^2 + q1^2)", "q1*q2"],
@@ -475,26 +425,26 @@ def suite_weyl(seed=0):
     _check(checks, "H(O(4)-fixed page, d4) = Q[q1^2 + q2^2]",
            o_dims == want, got=str(o_dims))
     model = equieven.equivariant_cohomology_even("o", 2, 2, 12)
-    ok = all(equieven.d2n(elem).is_zero()
-             for items in model.elements.values() for _, elem in items)
-    _check(checks, "d4 vanishes identically on the embedded O(4) model", ok)
+    _check(checks, "d4 vanishes identically on the embedded O(4) model",
+           all(equieven.d2n(elem).is_zero()
+               for items in model.elements.values() for _, elem in items))
     return SuiteReport("weyl", seed, tuple(checks))
 
 
 def suite_even_page(seed=0):
     rng = random.Random(seed)
     checks = []
-    ok = True
-    for group in ("torus", "so", "u"):
-        for ell in (2, 3):
-            for degree in range(0, 9):
-                for key in equieven.page_basis(group, ell, 2, degree):
-                    elem = equieven.zero(group, ell, 2).from_coordinates([key], [Q(1)])
-                    if not equieven.d2n(equieven.d2n(elem)).is_zero():
-                        ok = False
-    _check(checks, "d o d = 0 on degreewise bases", ok)
-    ok = True
-    for _ in range(12):
+
+    def basis(group, ell, degree):
+        return [equieven.zero(group, ell, 2).from_coordinates([key], [Q(1)])
+                for key in equieven.page_basis(group, ell, 2, degree)]
+
+    _check(checks, "d o d = 0 on degreewise bases",
+           all(equieven.d2n(equieven.d2n(elem)).is_zero()
+               for group in ("torus", "so", "u") for ell in (2, 3)
+               for degree in range(0, 9) for elem in basis(group, ell, degree)))
+
+    def draw():
         ell = rng.randint(2, 4)
         group = rng.choice(("torus", "so", "u"))
         ring = equieven.page_ring(group, 2)
@@ -508,145 +458,108 @@ def suite_even_page(seed=0):
             return out.scale_poly(ring.gen(name))
 
         da = rng.randint(1, 2)
-        a, b = rand_elem(da), rand_elem(rng.randint(1, 2))
-        sign = -1 if (da * 3) % 2 == 1 else 1
-        if equieven.d2n(a * b) != \
-                equieven.d2n(a) * b + (a * equieven.d2n(b)).scale(sign):
-            ok = False
-    _check(checks, "graded Leibniz rule (randomized)", ok)
+        return rand_elem(da), rand_elem(rng.randint(1, 2)), -1 if (da * 3) % 2 == 1 else 1
+
+    # every case is drawn before any is checked
+    _check(checks, "graded Leibniz rule (randomized)",
+           all(equieven.d2n(a * b) == equieven.d2n(a) * b + (a * equieven.d2n(b)).scale(sign)
+               for a, b, sign in [draw() for _ in range(12)]))
     summary = equieven.kernel_K(3, 2, 8)
     _check(checks, "K(3 points, R^4) has dims 1, 2, 0 in degrees 0, 3, 6",
            summary.dims == {0: 1, 3: 2}, got=str(summary.dims))
     _check(checks, "K(2 points, R^4) is Q in degree 0",
            equieven.kernel_K(2, 2, 8).dims == {0: 1})
-    ok = True
-    bad = {}
-    for group in ("so", "o", "u"):
-        for ell in (1, 2, 3, 4):
-            report = equieven.verify_page_cohomology(group, ell, 2, 12)
-            if not report.passed:
-                ok = False
-                bad = {"group": group, "ell": ell,
-                       "rows": str([r for r in report.rows if r[1] != r[2]])}
-    _check(checks, "page cohomology matches the tensor models "
-                   "(SO(4), O(4), U(2); l <= 4, degrees <= 12)", ok, **bad)
+    _check_all(checks, "page cohomology matches the tensor models "
+                       "(SO(4), O(4), U(2); l <= 4, degrees <= 12)",
+               ({"group": group, "ell": ell,
+                 "rows": str([r for r in report.rows if r[1] != r[2]])}
+                for group in ("so", "o", "u") for ell in (1, 2, 3, 4)
+                if not (report := equieven.verify_page_cohomology(group, ell, 2, 12)).passed))
     golden = equieven.as_filtered_complex("torus", 2, 2, 18)
     e1 = specseq.page(golden, 1)
     ring = torus_ring(2)
-    ok = all(e1.dim(0, n) == ring.dim_of_degree(n)
-             and e1.dim(3, n) == ring.dim_of_degree(n - 3) for n in range(17))
-    _check(checks, "E1 of the R^4 torus model is Q[q1,q2] (x) H*(S^3)", ok)
+    _check(checks, "E1 of the R^4 torus model is Q[q1,q2] (x) H*(S^3)",
+           all(e1.dim(0, n) == ring.dim_of_degree(n)
+               and e1.dim(3, n) == ring.dim_of_degree(n - 3) for n in range(17)))
     e4 = specseq.page(golden, 4)
     totals = e4.total_degree_dims()
-    ok = all(totals.get(n, 0) == (1 if n == 0 else (2 if n % 2 == 0 else 0))
-             for n in range(17))
     _check(checks, "E5 (Leray-Serre numbering) is Q[q1,q2]/(q1 q2) up to degree 16",
-           ok, got=str({n: totals.get(n, 0) for n in range(17)}))
+           all(totals.get(n, 0) == (1 if n == 0 else (2 if n % 2 == 0 else 0))
+               for n in range(17)),
+           got=str({n: totals.get(n, 0) for n in range(17)}))
     model = equieven.equivariant_cohomology_even("so", 3, 2, 9)
-    ok = True
     flat = [e for d in sorted(model.elements) for _, e in model.elements[d]]
-    for _ in range(10):
-        a, b = rng.choice(flat), rng.choice(flat)
-        prod = a * b
-        if not equieven.d2n(prod).is_zero():
-            ok = False
+    # every pair is drawn before any is checked
     _check(checks, "the model injection is multiplicative (products stay cycles)",
-           ok)
-    ok = True
-    for ell in (2, 3):
-        for degree in range(0, 8):
-            for key in equieven.page_basis("so", ell, 2, degree):
-                elem = equieven.zero("so", ell, 2).from_coordinates([key], [Q(1)])
-                if equieven.torus_restriction_even(equieven.d2n(elem)) != \
-                        equieven.d2n(equieven.torus_restriction_even(elem)):
-                    ok = False
-    _check(checks, "torus restriction intertwines the differentials", ok)
+           all(equieven.d2n(a * b).is_zero()
+               for a, b in [(rng.choice(flat), rng.choice(flat)) for _ in range(10)]))
+    _check(checks, "torus restriction intertwines the differentials",
+           all(equieven.torus_restriction_even(equieven.d2n(elem))
+               == equieven.d2n(equieven.torus_restriction_even(elem))
+               for ell in (2, 3) for degree in range(0, 8) for elem in basis("so", ell, degree)))
     return SuiteReport("even-page", seed, tuple(checks))
+
+
+def _shifted_mismatches(dec, orig):
+    """The spots (i, n) at which the dims `dec` of Dec A differ from the
+    dims `orig` of A at (i - n, n)."""
+    keys = set(dec) | {(i + n, n) for (i, n) in orig}
+    return [(i, n) for (i, n) in keys if dec.get((i, n), 0) != orig.get((i - n, n), 0)]
 
 
 def suite_decalage(seed=0):
     rng = random.Random(seed)
     checks = []
-    ok0 = True
-    bad = {}
-    for t in range(SAMPLES):
-        A = random_filtered_complex(rng, strict=True)
-        D = specseq.decalage(A)
-        e0d, e1a = specseq.page(D, 0), specseq.page(A, 1)
-        keys = set(e0d.dims()) | {(i + n, n) for (i, n) in e1a.dims()}
-        for (i, n) in keys:
-            if e0d.dim(i, n) != e1a.dim(i - n, n):
-                ok0 = False
-                bad = {"sample": t, "spot": str((i, n)),
-                       "decalage": e0d.dim(i, n), "original": e1a.dim(i - n, n)}
-    _check(checks, f"dim E0(Dec A) = dim E1(A) after reindexing "
-                   f"({SAMPLES} strict samples)", ok0, **bad)
-    ok1 = True
-    quasi_ok = True
-    stable_ok = True
-    einf_ok = True
-    bad = {}
-    for t in range(SAMPLES):
-        A = random_filtered_complex(rng)
-        D = specseq.decalage(A)
-        e1d, e2a = specseq.page(D, 1), specseq.page(A, 2)
-        keys = set(e1d.dims()) | {(i + n, n) for (i, n) in e2a.dims()}
-        for (i, n) in keys:
-            if e1d.dim(i, n) != e2a.dim(i - n, n):
-                ok1 = False
-                bad = {"sample": t, "spot": str((i, n))}
-        # the zeroth-page comparison is a quasi-isomorphism: homology agrees
-        h0d = specseq.page_cohomology_dims(specseq.page(D, 0))
-        h1a = specseq.page_cohomology_dims(specseq.page(A, 1))
-        keys = set(h0d) | {(i + n, n) for (i, n) in h1a}
-        for (i, n) in keys:
-            if h0d.get((i, n), 0) != h1a.get((i - n, n), 0):
-                quasi_ok = False
-        top = A.top_level
-        stable = specseq.page(A, top + 1).dims()
-        if specseq.page(A, top + 2).dims() != stable:
-            stable_ok = False
-        coh = A.cohomology_dims()
-        einf = {}
-        for (i, n), dim in stable.items():
-            einf[n] = einf.get(n, 0) + dim
-        if einf != coh:
-            einf_ok = False
-    _check(checks, "dim E1(Dec A) = dim E2(A) after reindexing (general samples)",
-           ok1, **bad)
+
+    def strict_failures():
+        for t in range(SAMPLES):
+            A = random_filtered_complex(rng, strict=True)
+            e0d, e1a = specseq.page(specseq.decalage(A), 0).dims(), specseq.page(A, 1).dims()
+            for i, n in _shifted_mismatches(e0d, e1a):
+                yield {"sample": t, "spot": str((i, n)),
+                       "decalage": e0d.get((i, n), 0), "original": e1a.get((i - n, n), 0)}
+
+    _check_all(checks, f"dim E0(Dec A) = dim E1(A) after reindexing "
+                       f"({SAMPLES} strict samples)", strict_failures())
+    general = [random_filtered_complex(rng) for _ in range(SAMPLES)]
+    pairs = [(A, specseq.decalage(A)) for A in general]
+    _check_all(checks, "dim E1(Dec A) = dim E2(A) after reindexing (general samples)",
+               ({"sample": t, "spot": str(spot)} for t, (A, D) in enumerate(pairs)
+                for spot in _shifted_mismatches(specseq.page(D, 1).dims(),
+                                                specseq.page(A, 2).dims())))
+    # the zeroth-page comparison is a quasi-isomorphism: homology agrees
     _check(checks, "H(E0(Dec A), d0) = H(E1(A), d1): the quasi-isomorphism",
-           quasi_ok)
-    _check(checks, "pages stabilize past the filtration length", stable_ok)
-    _check(checks, "stable page dimensions add up to H(A)", einf_ok)
+           not any(_shifted_mismatches(specseq.page_cohomology_dims(specseq.page(D, 0)),
+                                       specseq.page_cohomology_dims(specseq.page(A, 1)))
+                   for A, D in pairs))
+    _check(checks, "pages stabilize past the filtration length",
+           all(specseq.page(A, A.top_level + 1).dims()
+               == specseq.page(A, A.top_level + 2).dims() for A in general))
+    _check(checks, "stable page dimensions add up to H(A)",
+           all(specseq.page(A, A.top_level + 1).total_degree_dims() == A.cohomology_dims()
+               for A in general))
     # boundary of the zeroth-page statement: a same-level acyclic pair is a
     # quasi-isomorphism witness but not a spotwise isomorphism
     pair = specseq.FilteredComplex(
         {0: 1, 1: 1}, {0: Matrix([[1]])},
         {0: [col_space([], dim=1), Matrix.identity(1)],
          1: [col_space([], dim=1), Matrix.identity(1)]})
-    dpair = specseq.decalage(pair)
-    e0d = specseq.page(dpair, 0)
-    e1a = specseq.page(pair, 1)
-    counterexample = sum(e0d.dims().values()) == 2 and not e1a.dims() \
-        and not specseq.page_cohomology_dims(e0d)
+    e0d = specseq.page(specseq.decalage(pair), 0)
     _check(checks, "same-level pair: E0(Dec) is a quasi-isomorphism witness, "
-                   "not an isomorphism (strictness is necessary)", counterexample)
+                   "not an isomorphism (strictness is necessary)",
+           sum(e0d.dims().values()) == 2 and not specseq.page(pair, 1).dims()
+           and not specseq.page_cohomology_dims(e0d))
     # zero differential: Dec W_i A^n = W_(i-n) A^n on the nose
     A = random_filtered_complex(rng)
     zero_d = specseq.FilteredComplex(A.spaces, {}, A.filtration)
     D = specseq.decalage(zero_d)
-    ok = True
-    for n in zero_d.degrees():
-        for i in range(D.top_level + 1):
-            got = D.W(n, i)
-            want = zero_d.W(n, i - n)
-            if got != want:
-                ok = False
-    _check(checks, "decalage of a zero differential is the plain shift", ok)
+    _check(checks, "decalage of a zero differential is the plain shift",
+           all(D.W(n, i) == zero_d.W(n, i - n)
+               for n in zero_d.degrees() for i in range(D.top_level + 1)))
     # canonical filtration goldens
     tau = canonical_filtration({0: 1, 1: 1}, {0: Matrix([[1]])})
-    ok = tau.W(0, 0).ncols == 0 and tau.W(0, 1).ncols == 1
-    _check(checks, "canonical filtration of an acyclic complex", ok)
+    _check(checks, "canonical filtration of an acyclic complex",
+           tau.W(0, 0).ncols == 0 and tau.W(0, 1).ncols == 1)
     return SuiteReport("decalage", seed, tuple(checks))
 
 
@@ -654,43 +567,39 @@ def suite_purity(seed=0):
     rng = random.Random(seed)
     checks = []
     xi = Q(3)
-    witness_ok = True
-    bad = {}
     alphas = [Q(1), Q(2), Q(1, 2)]
-    for t in range(SAMPLES):
-        alpha = alphas[t % len(alphas)]
-        A, h_dims, _ = random_pure_complex(rng, xi, alpha)
-        spec = WeightSpec(xi, alpha, 0)
-        result = specseq.purity_check(A, spec)
-        if not result.ok:
-            witness_ok = False
-            bad = {"sample": t, "stage": "purity", "violation": str(result.violation)}
-            continue
-        try:
-            witness = specseq.formality_witness(A, spec)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            witness_ok = False
-            bad = {"sample": t, "stage": "witness", "error": str(exc)}
-            continue
-        if not witness.verified:
-            witness_ok = False
-            bad = {"sample": t, "stage": "verification"}
-        if {n: m.ncols for n, m in witness.inclusions.items()} != h_dims:
-            witness_ok = False
-            bad = {"sample": t, "stage": "ranks"}
-    _check(checks, f"formality witnesses on {SAMPLES} random pure complexes",
-           witness_ok, **bad)
-    impure_ok = True
-    bad = {}
-    for t in range(12):
-        A, _, spot = random_pure_complex(rng, xi, Q(1), impure=True)
-        result = specseq.purity_check(A, WeightSpec(xi, Q(1), 0))
-        if result.ok or result.violation[0] != spot:
-            impure_ok = False
-            bad = {"sample": t, "expected": str(spot),
-                   "got": "pass" if result.ok else str(result.violation[0])}
-    _check(checks, "impure inputs are refused at the right bidegree", impure_ok,
-           **bad)
+
+    def witness_failures():
+        for t in range(SAMPLES):
+            alpha = alphas[t % len(alphas)]
+            A, h_dims, _ = random_pure_complex(rng, xi, alpha)
+            spec = WeightSpec(xi, alpha, 0)
+            result = specseq.purity_check(A, spec)
+            if not result.ok:
+                yield {"sample": t, "stage": "purity", "violation": str(result.violation)}
+                continue
+            try:
+                witness = specseq.formality_witness(A, spec)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+                yield {"sample": t, "stage": "witness", "error": str(exc)}
+                continue
+            if not witness.verified:
+                yield {"sample": t, "stage": "verification"}
+            if {n: m.ncols for n, m in witness.inclusions.items()} != h_dims:
+                yield {"sample": t, "stage": "ranks"}
+
+    _check_all(checks, f"formality witnesses on {SAMPLES} random pure complexes",
+               witness_failures())
+
+    def impure_failures():
+        for t in range(12):
+            A, _, spot = random_pure_complex(rng, xi, Q(1), impure=True)
+            result = specseq.purity_check(A, WeightSpec(xi, Q(1), 0))
+            if result.ok or result.violation[0] != spot:
+                yield {"sample": t, "expected": str(spot),
+                       "got": "pass" if result.ok else str(result.violation[0])}
+
+    _check_all(checks, "impure inputs are refused at the right bidegree", impure_failures())
     hom, ext = equivariant_hom_dims(Matrix([[xi]]), Matrix([[xi ** 2]]))
     _check(checks, "Hom and Ext1 vanish between distinct pure weights",
            (hom, ext) == (0, 0))
@@ -700,23 +609,22 @@ def suite_purity(seed=0):
            (hom2, ext2) == (0, 0))
     hom3, _ = equivariant_hom_dims(Matrix([[xi]]), Matrix([[xi]]))
     _check(checks, "equal weights do pair nontrivially (sanity)", hom3 == 1)
-    mono_ok = True
-    bad = {}
-    for t in range(20):
-        r = rng.randint(1, 3)
-        A = random_staircase_complex(rng, xi, Q(1), r)
-        spec = WeightSpec(xi, Q(1), r)
-        for p in range(1, r + 2):
-            res = specseq.purity_check(A, spec, at_page=p)
-            if not res.ok:
-                mono_ok = False
-                bad = {"sample": t, "page": p, "violation": str(res.violation)}
-    _check(checks, "purity persists from early pages to the target page",
-           mono_ok, **bad)
+
+    def staircase_failures():
+        for t in range(20):
+            r = rng.randint(1, 3)
+            A = random_staircase_complex(rng, xi, Q(1), r)
+            for p in range(1, r + 2):
+                res = specseq.purity_check(A, WeightSpec(xi, Q(1), r), at_page=p)
+                if not res.ok:
+                    yield {"sample": t, "page": p, "violation": str(res.violation)}
+
+    _check_all(checks, "purity persists from early pages to the target page",
+               staircase_failures())
     golden = equieven.as_filtered_complex("torus", 2, 2, 14, xi=xi)
     spec = WeightSpec(xi, Q(1, 3), 3)
-    ok = all(specseq.purity_check(golden, spec, at_page=p).ok for p in (1, 2, 3, 4))
-    _check(checks, "the R^4 torus model is pure with slope 1/3 at page 3", ok)
+    _check(checks, "the R^4 torus model is pure with slope 1/3 at page 3",
+           all(specseq.purity_check(golden, spec, at_page=p).ok for p in (1, 2, 3, 4)))
     # zero differential: the witness is the identity inclusion
     ident = canonical_filtration({0: 2}, {}, {0: Matrix.identity(2)})
     witness = specseq.formality_witness(ident, WeightSpec(xi, Q(1), 0))

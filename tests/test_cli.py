@@ -179,6 +179,57 @@ def test_ss_canonical(capsys, tmp_path):
         assert main(["ss", "canonical", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a d of the wrong shape is named as such, before any product is taken
+    for dims, d in (({"0": 1, "1": 1}, [["1", "0"]]), ({"0": 1, "1": 2}, [["1"]])):
+        path.write_text(json.dumps({"degrees": dims, "d": {"0": d}}))
+        assert main(["ss", "canonical", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: malformed complex: differential shape mismatch at degree 0\n"
+
+
+NOT_A_DIMENSION = "dimension at degree 0 must be a non-negative integer"
+MALFORMED_JSON = [
+    ({"degrees": {"0": 1.9}}, NOT_A_DIMENSION),
+    ({"degrees": {"0": True}}, NOT_A_DIMENSION),
+    ({"degrees": {"0": -1}}, NOT_A_DIMENSION),
+    ({"degrees": {"0": "1"}}, NOT_A_DIMENSION),
+    ({"degrees": {"0": 1}, "d": {"0": [["5"]]}}, "differential shape mismatch at degree 0"),
+    ({"degrees": {"0": 0, "1": 1}, "d": {"0": [["5"]]}},
+     "differential shape mismatch at degree 0"),
+    ({"degrees": {"0": 0, "1": 1}, "d": {"0": [[], []]}},
+     "differential shape mismatch at degree 0"),
+    ({"degrees": {"0": 1}, "d": {"3": [["1"]]}}, "differential shape mismatch at degree 3"),
+    ({"degrees": {"0": 1}, "phi": {"5": [["7"]]}}, "automorphism shape mismatch at degree 5"),
+    ({"degrees": {"0": 0}, "phi": {"0": [["7"]]}}, "automorphism shape mismatch at degree 0"),
+    ({"degrees": {"100000000": 1}}, f"degree 100000000 exceeds the bound {DEGREE_BOUND}"),
+    ({"degrees": {str(DEGREE_BOUND + 1): 1}},
+     f"degree {DEGREE_BOUND + 1} exceeds the bound {DEGREE_BOUND}"),
+]
+
+
+@pytest.mark.parametrize("data,message", MALFORMED_JSON)
+def test_malformed_complex_json_exits_2(data, message, capsys, tmp_path):
+    # each complex as it stands for `ss canonical`, and with a one-level
+    # filtration per degree for the commands that read a filtered complex
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    assert main(["ss", "canonical", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed complex: {message}\n")
+    path.write_text(json.dumps({**data, "filtration": {n: [[["1"]]] for n in data["degrees"]}}))
+    for command in (["decalage"], ["page", "--page", "1"]):
+        assert main(["ss", *command, "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed filtered complex: {message}\n")
+
+
+def test_complex_json_at_the_bounds_is_read(capsys, tmp_path):
+    # the top degree, and d blocks with no entries from a degree of
+    # dimension 0: none, or one empty row per target dimension
+    path = tmp_path / "complex.json"
+    for data in ({"degrees": {str(DEGREE_BOUND): 1}},
+                 {"degrees": {"0": 0, "1": 1}, "d": {"0": []}},
+                 {"degrees": {"0": 0, "1": 1}, "d": {"0": [[]]}}):
+        path.write_text(json.dumps(data))
+        assert run(capsys, "ss", "canonical", "--input", str(path))[0] == 0
 
 
 def test_verify_suite_exit_and_determinism(capsys):

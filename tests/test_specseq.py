@@ -569,9 +569,12 @@ def test_validate_matches_the_level_by_level_oracle():
         bases += [A, ss.decalage(A)]
     for t in range(20):
         xi = rng.choice((Q(2), Q(3), Q(-2)))
-        bases += [verify.random_filtered_complex(rng, strict=t % 2 == 0),
+        seeded = [verify.random_filtered_complex(rng, strict=t % 2 == 0),
                   verify.random_pure_complex(rng, xi, (Q(1), Q(2), Q(1, 2))[t % 3])[0],
                   verify.random_staircase_complex(rng, xi, Q(1), 1 + t % 3)]
+        bases += seeded + [ss.decalage(A) for A in seeded]
+    # the complexes the engine builds unchecked: decalages, and truncations
+    bases += [ss.canonical_filtration(A.spaces, A.d, A.phi) for A in bases]
     cases = [ss.FilteredComplex(*args, validate=False) for _, args, _ in MALFORMED]
     # degree 1 has more levels than degree 0, and they are not nested: d is
     # checked only against the levels that degree 0 has
@@ -587,6 +590,25 @@ def test_validate_matches_the_level_by_level_oracle():
     # every check accepts or rejects some case
     assert seen == {True} | {message.split(" at ")[0].split(" W_")[0]
                              for *_, message in MALFORMED}
+
+
+def test_derived_complexes_are_not_validated_again(monkeypatch):
+    # the input of canonical_filtration is checked once; the truncation
+    # inside formality_witness and the decalage of a checked complex are
+    # valid by construction and are not checked at all
+    A = verify.random_pure_complex(random.Random(3), Q(3), Q(1))[0]
+    calls, validate = [], ss.FilteredComplex.validate
+    monkeypatch.setattr(ss.FilteredComplex, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    counts = {}
+    for name, run in (
+            ("canonical_filtration", lambda: ss.canonical_filtration(A.spaces, A.d, A.phi)),
+            ("formality_witness", lambda: ss.formality_witness(A, ss.WeightSpec(3, 1, 0))),
+            ("decalage", lambda: ss.decalage(A))):
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == {"canonical_filtration": 1, "formality_witness": 0, "decalage": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from equiconf import verify
+from equiconf import confring, verify
 from equiconf.errors import InputError
 
 
@@ -42,6 +42,18 @@ def test_report_text_contains_one_line_per_check():
     lines = report.to_text().splitlines()
     assert len(lines) == len(report.checks) + 1
     assert all(line.strip().startswith(("PASS", "FAIL")) for line in lines[1:])
+
+
+def test_a_failing_check_reports_its_first_case(monkeypatch):
+    # two wrong dimensions, each one past the top degree, where only the
+    # oracle comparison reads them
+    real, wrong = confring.dimension, [(2, 2, 2), (3, 4, 7)]
+    monkeypatch.setattr(confring, "dimension",
+                        lambda k, n, d: real(k, n, d) + ((k, n, d) in wrong))
+    report = verify.run_suite("arnold", seed=0)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["dimensions match the ideal-span oracle, k <= 4"]
+    assert failed[0].details == {"k": 2, "n": 2, "degree": 2, "engine": 1, "oracle": 0}
 
 
 def test_random_generators_are_reproducible():
