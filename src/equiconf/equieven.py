@@ -19,9 +19,17 @@ E is a monomial for every group, so d(g (x) m) = dg (x) mE for an edge word
 g and a coefficient monomial m, where dg is the edge-removal derivation
 `boundary` with integer multiplicities. Every matrix of d_2n (`kernel_K`,
 `differential_matrix`, `fixed_page_cohomology_dims`) is built from these
-integer columns, shifting the coefficient exponents by E's; `d2n` and
-`PageElement` are the element algebra, and `oracles` builds the matrices
-through them as the reference.
+integer columns, shifting the coefficient exponents by E's; the ranks and
+kernels eliminate them as `int` rows, and `differential_matrix` alone
+returns them, as a `Fraction` matrix. `d2n` and `PageElement` are the
+element algebra, and `oracles` builds the matrices through them as the
+reference.
+
+`verify_page_cohomology` counts the model side instead of building it:
+dim K_d is the number of columns minus the rank of the degree-d boundary
+matrix (for O(2n) only at even word length), and the model has dimension
+sum_c dim Q[p]_c * dim K_(d-c) in degree d. `equivariant_cohomology_even`
+builds the same model element by element, and is the count's test oracle.
 """
 
 from __future__ import annotations
@@ -192,9 +200,8 @@ def page_cohomology_dims(group, ell, n, max_degree):
     src = page_basis(group, ell, n, 0)
     for d in range(max_degree + 1):
         dst = page_basis(group, ell, n, d + 1)
-        mat = differential_matrix(group, ell, n, d, src, dst)
-        rank = mat.rank()
-        dims[d] = mat.ncols - rank - img
+        rank = Matrix._of_columns(_monomial_columns(group, ell, n, src, dst), len(dst)).rank()
+        dims[d] = len(src) - rank - img
         img, src = rank, dst
     return dims
 
@@ -217,6 +224,15 @@ class KernelSummary:
         return [self.dims.get(d, 0) for d in range(self.max_degree + 1)]
 
 
+def _boundary_matrix(ell, n, d):
+    """The basis keys of H^d(Conf_l(R^2n)), d > 0, and the edge-removal
+    derivation on them into degree d - (2n-1), as a matrix of `int`s."""
+    src = confring.basis_keys(ell, 2 * n, d)
+    dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - (2 * n - 1)))}
+    cols = [{dst[word]: c for word, c in boundary(ell, 2 * n, key).items()} for key in src]
+    return src, Matrix._of_columns(cols, len(dst))
+
+
 def kernel_K(ell, n, max_degree):
     """K is cut out by the edge-removal derivation alone (d(x_ij) = E)."""
     check_capacity(ell, n)
@@ -230,13 +246,8 @@ def kernel_K(ell, n, max_degree):
             continue
         if d % fiber != 0:
             continue
-        src = confring.basis_keys(ell, 2 * n, d)
-        if not src:
-            continue
-        dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - fiber))}
-        cols = [{dst[word]: c for word, c in boundary(ell, 2 * n, key).items()}
-                for key in src]
-        kern = Matrix.from_columns(cols, nrows=len(dst)).kernel_basis()
+        src, mat = _boundary_matrix(ell, n, d)
+        kern = mat.kernel_basis()
         if kern.ncols:
             dims[d] = kern.ncols
             basis[d] = [confring.zero(ell, 2 * n).from_coordinates([src[p] for p in v],
@@ -351,12 +362,37 @@ class PageReport:
                          for d, a, b in self.rows]}
 
 
+def _model_dims(group, ell, n, max_degree):
+    """The nonzero `equivariant_cohomology_even(...).dims`, counted as the
+    module docstring says; for ell <= 1 the model is the whole page."""
+    if group not in ("so", "o", "u"):
+        raise InputError("models exist for the so, o, and u pages")
+    check_capacity(ell, n)
+    if ell <= 1:
+        dims = {d: page_dimension(group, ell, n, d) for d in range(max_degree + 1)}
+    else:
+        fiber = 2 * n - 1
+        kernel = {0: 1}
+        for d in range(fiber, max_degree + 1, fiber):
+            if group != "o" or (d // fiber) % 2 == 0:
+                mat = _boundary_matrix(ell, n, d)[1]
+                kernel[d] = mat.ncols - mat.rank()
+        coeffs = [model_coefficient_ring(group, n).dim_of_degree(c)
+                  for c in range(max_degree + 1)]
+        dims = {d: sum(coeffs[d - k] * x for k, x in kernel.items() if k <= d)
+                for d in range(max_degree + 1)}
+    return {d: x for d, x in dims.items() if x}
+
+
 def verify_page_cohomology(group, ell, n, max_degree):
-    """Two independent routes to the same dimensions; never silently passes."""
-    model = equivariant_cohomology_even(group, ell, n, max_degree)
+    """Two independent routes to the same dimensions; never silently passes.
+    The model dims are counted, not built: dim K_d is the number of columns
+    minus the rank of the degree-d configuration boundary, and degree d of
+    the model has sum_c dim Q[p]_c * dim K_(d-c). The page dims are ranks
+    of d_2n on the whole page."""
+    model = _model_dims(group, ell, n, max_degree)
     page = page_cohomology_dims(group, ell, n, max_degree)
-    rows = tuple((d, page.get(d, 0), model.dims.get(d, 0))
-                 for d in range(max_degree + 1))
+    rows = tuple((d, page.get(d, 0), model.get(d, 0)) for d in range(max_degree + 1))
     return PageReport(group, ell, n, rows)
 
 
@@ -446,7 +482,9 @@ def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"
         rows = _fixed_rows(family, n, bases[d], convention)
         position = {key: t for t, key in enumerate(bases[d])}
         cols = _monomial_columns("torus", ell, n, bases[d], bases[d + 1])
-        image = [combine(cols, {position[key]: c for key, c in row.items()}) for row in rows]
+        # the row coefficients are +-1, so the image columns stay integral
+        image = [combine(cols, {position[key]: int(c) for key, c in row.items()})
+                 for row in rows]
         sizes.append(len(rows))
-        ranks.append(Matrix.from_columns(image, nrows=len(bases[d + 1])).rank())
+        ranks.append(Matrix._of_columns(image, len(bases[d + 1])).rank())
     return {d: sizes[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}

@@ -1,6 +1,7 @@
 """Exact linear and polynomial algebra over Q.
 
-Everything runs on `fractions.Fraction`; no floating point anywhere. A
+Exact rationals; no floating point anywhere. The d_2n eliminations run on
+`int` rows, and every `Matrix` that leaves the kernel holds `Fraction`s. A
 `Matrix` stores sparse rows, one `{column: Fraction}` dict of the nonzero
 entries of each row, and no zeros. Eliminations, products and the subspace
 operations work on these rows directly and skip the zeros that fill most
@@ -68,7 +69,10 @@ def _transpose(rows, n):
 
 class Matrix:
     """Immutable matrix over Q. `sparse_rows[i]` maps each column of a
-    nonzero entry of row i to that entry; these dicts are never mutated."""
+    nonzero entry of row i to that entry; these dicts are never mutated.
+    Built by `_of` or `_of_columns`, the entries may be `int`s: such a
+    matrix serves `rank`, `kernel_basis` and `solve`, whose answers are
+    counts and `Fraction`s."""
 
     __slots__ = ("sparse_rows", "nrows", "ncols")
 
@@ -245,10 +249,12 @@ class Matrix:
 def _reduce(rows, order, full=True):
     """Echelon form of sparse rows (consumed), pivoting over `order`.
 
-    A pivot is the shortest row holding its column, scaled only if its lead
-    is not 1, and subtracted only from the rows holding that column. `full`
-    also clears it from earlier pivot rows (reduced form; ranks need only
-    the pivots). Returns the pivot rows and their columns, in pivot order.
+    A pivot is the shortest row holding its column, negated if its lead is
+    -1, divided by any other lead but 1 as a `Fraction` (so `int` rows never
+    meet `int / int`), and subtracted only from the rows holding that
+    column. `full` also clears it from earlier pivot rows (reduced form;
+    ranks need only the pivots). Returns the pivot rows and their columns,
+    in pivot order.
     """
     done, pivots = [], []
     for c in order:
@@ -259,7 +265,10 @@ def _reduce(rows, order, full=True):
             continue
         rows = [r for r in rows if r and r is not p]
         lead = p.pop(c)
-        if lead != 1:
+        if lead == -1:
+            p = {j: -x for j, x in p.items()}
+        elif lead != 1:
+            lead = Fraction(lead)  # int / int would be a float
             p = {j: x / lead for j, x in p.items()}
         for r in rows + done if full else rows:
             if c in r:
@@ -277,7 +286,8 @@ def _reduce(rows, order, full=True):
 def _kernel(rows, ncols):
     """Reduced echelon basis of the kernel of sparse rows, as sparse vectors:
     pivoting right to left leaves each free column f the kernel vector
-    e_f - sum_p red_p[f] e_p, whose other entries lie right of f."""
+    e_f - sum_p red_p[f] e_p, whose other entries lie right of f. The
+    entries are `Fraction`s, also for `int` rows."""
     red, pivots = _reduce(rows, range(ncols - 1, -1, -1))
     pivset = set(pivots)
     out = []
@@ -286,7 +296,8 @@ def _kernel(rows, ncols):
             v = {f: ONE}
             for r, p in zip(red, pivots):
                 if f in r:
-                    v[p] = -r[f]
+                    x = -r[f]
+                    v[p] = x if type(x) is Fraction else Fraction(x)
             out.append(v)
     return out
 

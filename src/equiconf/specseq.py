@@ -71,7 +71,7 @@ class FilteredComplex:
     __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "_ends")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
-        self.spaces = {int(n): int(dim) for n, dim in spaces.items() if dim}
+        self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
         if any(n < 0 for n in self.spaces):
             raise InputError("degrees must be non-negative")
         self.d = {}
@@ -293,8 +293,7 @@ def read_complex(data):
     blocks at other degrees, which it never reaches, are checked here."""
     spaces = {int(k): dim for k, dim in json_map(data["degrees"], "degrees").items()}
     for n, dim in spaces.items():
-        if type(dim) is not int or dim < 0:
-            raise InputError(f"dimension at degree {n} must be a non-negative integer")
+        _dimension(n, dim)
         if n > DEGREE_BOUND:
             raise InputError(f"degree {n} exceeds the bound {DEGREE_BOUND}")
     d = {int(k): _matrix(rows) for k, rows in json_map(data.get("d", {}), "d").items()}
@@ -308,6 +307,13 @@ def read_complex(data):
         if mat.nrows and not spaces.get(n):
             raise InputError(f"automorphism shape mismatch at degree {n}")
     return spaces, d, phi
+
+
+def _dimension(n, dim):
+    """dim, unless it is not a non-negative int (bools are refused too)."""
+    if type(dim) is not int or dim < 0:
+        raise InputError(f"dimension at degree {n} must be a non-negative integer")
+    return dim
 
 
 def _matrix(rows):
@@ -334,7 +340,8 @@ def canonical_filtration(spaces, d, phi=None):
     check of the input as a complex with a single level per degree: shapes,
     d o d = 0 and phi. The truncation needs no second check."""
     return _truncation(FilteredComplex(
-        spaces, d, {n: (Matrix.identity(int(dim)),) for n, dim in spaces.items()}, phi))
+        spaces, d, {n: (Matrix.identity(_dimension(n, dim)),) for n, dim in spaces.items()},
+        phi))
 
 
 def _truncation(A: FilteredComplex):

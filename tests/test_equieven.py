@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from equiconf import confring, equieven as ev, oracles
+from equiconf import confring, equieven as ev, exactalg, oracles
 from equiconf.errors import CapacityError, InputError
 from equiconf.exactalg import Matrix, col_space
 
@@ -118,6 +118,48 @@ def test_verify_page_cohomology_matches_models():
 def test_verify_page_cohomology_five_points():
     for group in ("so", "o", "u"):
         assert ev.verify_page_cohomology(group, 5, 2, 12).passed
+
+
+def test_model_count_matches_the_built_model():
+    # the dims verify_page_cohomology counts are the dims of the model
+    # equivariant_cohomology_even builds, within the page-model cap
+    for group in ("so", "o", "u"):
+        for ell in range(7):
+            for n in (1, 2, 3):
+                for top in range(13):
+                    assert ev._model_dims(group, ell, n, top) == \
+                        ev.equivariant_cohomology_even(group, ell, n, top).dims
+
+
+def test_verify_page_cohomology_counts_the_model(monkeypatch):
+    # the check builds no page element and converts no rational; building
+    # the model does both, which shows the counters count
+    calls = {"rat": 0, "PageElement": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (exactalg, confring, ev):
+        monkeypatch.setattr(module, "rat", counted("rat", module.rat))
+    monkeypatch.setattr(ev.PageElement, "__init__",
+                        counted("PageElement", ev.PageElement.__init__))
+    for group in ("so", "o", "u"):
+        for ell in (1, 3, 5):
+            assert ev.verify_page_cohomology(group, ell, 2, 12).passed
+    assert calls == {"rat": 0, "PageElement": 0}
+    ev.equivariant_cohomology_even("so", 3, 2, 12)
+    assert calls["rat"] and calls["PageElement"]
+
+
+def test_kernel_coefficients_are_fractions():
+    # the boundary matrices are eliminated as ints; K's basis is not
+    for ell in range(6):
+        for n in (1, 2, 3):
+            for elems in ev.kernel_K(ell, n, 12).basis.values():
+                assert all(type(c) is Q for e in elems for c in e.terms.values())
 
 
 def test_page_bases_are_enumerated_once_per_degree(monkeypatch):

@@ -8,6 +8,7 @@ from equiconf.exactalg import (
     Matrix,
     PolyRing,
     Quotient,
+    _reduce,
     canonical_span,
     col_space,
     elementary_symmetric,
@@ -249,6 +250,48 @@ def test_kernel_matches_dense_oracle():
         assert rebuilt * mt == square and hash(rebuilt * mt) == hash(square)
         assert only_fractions(red, kernel, m.solve(times(m, x)), times(m, x), p,
                               *got.values())
+
+
+def int_battery(seed, count=60):
+    """Seeded sparse int rows, as (rows, ncols), with entries -1, +-2 and 3
+    beside 1: the entries of the d_2n matrices, whose eliminations run on
+    ints. The first four lead with -1, 2, -2 and 3 in every order."""
+    rng = random.Random(seed)
+    out = [([{0: lead, 1: 1, 2: lead}], 3) for lead in (-1, 2, -2, 3)]
+    for _ in range(count):
+        nr, nc = rng.randint(1, 10), rng.randint(1, 10)
+        fill = rng.choice((0.1, 0.25, 0.5))
+        out.append(([{j: rng.choice((-1, 1, -1, 1, -2, 2, 3)) for j in range(nc)
+                      if rng.random() < fill} for _ in range(nr)], nc))
+    return out
+
+
+def test_int_rows_match_the_fraction_route():
+    # rank, kernel and solve of int rows agree with the same rows of
+    # Fractions and with the dense oracle; the eliminations hold ints and
+    # Fractions only, and every answer holds Fractions only
+    rng = random.Random(31)
+    for rows, ncols in int_battery(31):
+        m = Matrix._of([dict(r) for r in rows], ncols)
+        f = Matrix._of([{j: Q(x) for j, x in r.items()} for r in rows], ncols)
+        for order in (range(ncols), range(ncols - 1, -1, -1)):
+            red, pivots = _reduce([dict(r) for r in rows], order)
+            assert all(type(x) in (int, Q) for r in red for x in r.values())
+            assert (red, pivots) == _reduce([dict(r) for r in f.sparse_rows], order)
+        rank = m.rank()
+        assert type(rank) is int and rank == f.rank() == len(dense_rref(f.rows, ncols)[1])
+        kernel = m.kernel_basis()
+        assert kernel == f.kernel_basis() and kernel.columns() == dense_kernel(f)
+        x = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        for b in (times(f, x), [Q(rng.randint(-2, 2)) for _ in rows]):
+            sol = m.solve(b)
+            assert sol == f.solve(b) == dense_solve(f.columns(), b)
+            assert only_fractions(sol or ())
+        # the transpose, built from int columns
+        cols = Matrix._of_columns([dict(r) for r in rows], ncols)
+        assert cols.rank() == rank
+        assert cols.kernel_basis() == Matrix.from_columns(rows, nrows=ncols).kernel_basis()
+        assert only_fractions(kernel, cols.kernel_basis())
 
 
 def test_subspaces_match_dense_oracle():

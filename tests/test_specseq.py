@@ -89,6 +89,17 @@ def test_validate_messages(args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("dim", [2.5, Q(5, 2), -1, True, "1", None])
+def test_constructor_refuses_bad_dimensions(dim):
+    # the JSON reader's message, also for API callers: 2.5 was read as 2
+    # and -1 was refused as a filtration level shape mismatch
+    for build in (lambda: ss.canonical_filtration({0: dim}, {}),
+                  lambda: ss.FilteredComplex({0: dim}, {}, {0: [ID1]}, validate=False)):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == "dimension at degree 0 must be a non-negative integer"
+
+
 @pytest.mark.parametrize("args,message", [case[1:] for case in MALFORMED
                                           if case[0] != "missing"],
                          ids=[case[0] for case in MALFORMED if case[0] != "missing"])
