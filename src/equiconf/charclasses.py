@@ -11,7 +11,10 @@ invariants reproduce the classical rings of Pontryagin/Euler classes.
 A Weyl element sends a monomial basis key to a signed key, so every
 Weyl-fixed basis (`invariant_basis`, `equiodd.fixed_point_basis`,
 `equieven.weyl_fixed_page_basis`) is read off as signed orbit sums by
-`fixed_rows`, without polynomial arithmetic or elimination. The slow route
+`fixed_rows`, without polynomial arithmetic or elimination. A Weyl element
+moves only the exponents, so `fixed_rows` works out the signed orbit of each
+(exponent vector, word-length parity) once per call, an orbit table that
+every edge word with those exponents shares. The slow route
 that averages each basis element over the group is
 `oracles.averaged_fixed_basis`, the tests' reference.
 """
@@ -33,7 +36,7 @@ RANK_BOUND = 5
 # DOT rendering writes one line per point
 POINT_BOUND = 64
 # the most torus generators a CLI --halfdim may name: monomial enumeration
-# recurses once per generator
+# extends every exponent prefix once per generator
 HALFDIM_BOUND = 64
 # the highest degree a CLI --degree or --max-degree may name: the model
 # commands enumerate every degree up to it
@@ -198,14 +201,21 @@ def fixed_rows(group, keys, odd_sign=None):
     therefore its signed orbit sum, or zero when two elements send it to one
     image with opposite signs. Orbits have disjoint supports, so the nonzero
     sums, scaled to lead 1 at their first key, are already the reduced
-    echelon basis. Returns one {key: Fraction(+-1)} row per nonzero orbit sum,
-    ordered by first key.
+    echelon basis. Returns one (edge word, {exponents: Fraction(+-1)}) pair
+    per nonzero orbit sum, ordered by first key: the row is that word times
+    that polynomial.
 
     The sign is a parity: bit i of a key's mask is the parity of e_i, and
     bit n that of the word length; bit i of w's mask is set where eps_i = -1,
     and bit n where odd_sign(w) = -1. The sign is -1 exactly when the two
     masks share an odd number of bits. The image is an `itemgetter` of the
     exponents.
+
+    A Weyl element changes only the exponents, so the signed orbit of a key
+    depends on its exponents and its word-length parity alone. Each such
+    orbit table is worked out once per call and serves every word. A key
+    whose orbit is the key alone lies in no other key's orbit, so it skips
+    the `seen` set.
     """
     n = len(group[0].sigma)
     acts = []  # (image of the exponents, mask) per group element
@@ -216,19 +226,28 @@ def fixed_rows(group, keys, odd_sign=None):
         # rank 1 has only the identity permutation, and itemgetter(0) gives no tuple
         inverse = sorted(range(n), key=w.sigma.__getitem__)
         acts.append((itemgetter(*inverse) if n > 1 else tuple, flips))
+    tables = {}  # (exponents, word-length parity) -> (orbit, signed row or None)
     seen, rows = set(), []
     for key in keys:
-        if key in seen:
-            continue
         edges, exps = key
-        parity = (len(edges) % 2) << n | sum((e & 1) << i for i, e in enumerate(exps))
-        orbit, vanishes = {}, False
-        for image, flips in acts:
-            bit = (flips & parity).bit_count() & 1
-            vanishes |= orbit.setdefault((edges, image(exps)), bit) != bit
-        seen.update(orbit)
-        if not vanishes:
-            rows.append({k: MINUS_ONE if bit else ONE for k, bit in orbit.items()})
+        odd = len(edges) & 1
+        table = tables.get((exps, odd))
+        if table is None:
+            parity = odd << n | sum((e & 1) << i for i, e in enumerate(exps))
+            bits, vanishes = {}, False
+            for image, flips in acts:
+                bit = (flips & parity).bit_count() & 1
+                vanishes |= bits.setdefault(image(exps), bit) != bit
+            table = tables[exps, odd] = (
+                tuple(bits),
+                None if vanishes else {e: MINUS_ONE if bit else ONE for e, bit in bits.items()})
+        orbit, row = table
+        if len(orbit) > 1:
+            if key in seen:
+                continue
+            seen.update((edges, e) for e in orbit)
+        if row is not None:
+            rows.append((edges, dict(row)))
     return rows
 
 
@@ -236,8 +255,7 @@ def invariant_basis(spec: GroupSpec, degree, convention="standard"):
     """Echelonized basis of the degree-d Weyl invariants of Q[q_1..q_n]."""
     ring = torus_ring(spec.rank)
     keys = [((), e) for e in ring.exponents_of_degree(degree)]
-    return [Polynomial(ring, {exps: c for (_, exps), c in row.items()})
-            for row in fixed_rows(weyl_group(spec, convention), keys)]
+    return [Polynomial(ring, row) for _, row in fixed_rows(weyl_group(spec, convention), keys)]
 
 
 def invariant_dimension(spec: GroupSpec, degree, convention="standard"):

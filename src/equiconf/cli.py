@@ -419,8 +419,12 @@ def main(argv=None):
     try:
         if getattr(args, "points", 0) > POINT_BOUND:
             raise CapacityError(f"{args.points} points exceed the bound {POINT_BOUND}")
+        if getattr(args, "halfdim", 1) < 1:
+            raise InputError(f"halfdim {args.halfdim} is below 1")
         if getattr(args, "halfdim", 0) > HALFDIM_BOUND:
             raise CapacityError(f"halfdim {args.halfdim} exceeds the bound {HALFDIM_BOUND}")
+        if getattr(args, "max_degree", 0) < 0:
+            raise InputError(f"max degree {args.max_degree} is negative")
         degree = max(getattr(args, "degree", 0), getattr(args, "max_degree", 0))
         if degree > DEGREE_BOUND:
             raise CapacityError(f"degree {degree} exceeds the bound {DEGREE_BOUND}")

@@ -13,6 +13,7 @@ which holds for both parities of n once Koszul signs are tracked by the sort.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
@@ -75,12 +76,12 @@ def word_counts(k, n, word, rng=None):
     random instead of leftmost; the result must not depend on this choice
     (confluence), which the verification suites exercise.
     """
+    odd_degree = n % 2 == 0  # generators have degree n-1
+    sign, word = koszul_sort(word, n)
     out = {}
-    stack = [(tuple(word), 1)]
+    stack = [(word, sign)]
     while stack:
         edges, c = stack.pop()
-        sign, edges = koszul_sort(edges, n)
-        c *= sign
         redexes = []
         dead = False
         for t in range(len(edges) - 1):
@@ -100,11 +101,15 @@ def word_counts(k, n, word, rng=None):
                 out.pop(edges, None)
             continue
         t = redexes[0] if rng is None else rng.choice(redexes)
-        (i, j), (kk, j2) = edges[t], edges[t + 1]
-        head, tail = edges[:t], edges[t + 2:]
-        # x_ij x_kj = x_ik x_kj - x_ik x_ij  (i < k < j)
-        stack.append((head + ((i, kk), (kk, j)) + tail, c))
-        stack.append((head + ((i, kk), (i, j)) + tail, -c))
+        (i, j), (kk, _) = edges[t], edges[t + 1]
+        # x_ij x_kj = x_ik x_kj - x_ik x_ij  (i < k < j): both words stay
+        # sorted but for x_ik, which moves left past the head edges after it
+        p = bisect_right(edges, (kk, i), 0, t, key=edge_key)
+        if odd_degree and (t - p) % 2:
+            c = -c
+        head = edges[:p] + ((i, kk),) + edges[p:t]
+        stack.append((head + edges[t + 1:], c))
+        stack.append((head + (edges[t],) + edges[t + 2:], -c))
     return out
 
 

@@ -17,7 +17,10 @@ Q[c_1..c_{n-1}] (x) K  for U(n).
 
 E is a monomial for every group, so d(g (x) m) = dg (x) mE for an edge word
 g and a coefficient monomial m, where dg is the edge-removal derivation
-`boundary` with integer multiplicities. Every matrix of d_2n (`kernel_K`,
+`boundary`. Removing an edge from an admissible word leaves an admissible
+word, so the boundary of a basis word is read off it with signs +-1 and
+no rewriting; `oracles.boundary_by_rewriting` keeps the route through the
+normal form of each sub-word. Every matrix of d_2n (`kernel_K`,
 `differential_matrix`, `fixed_page_cohomology_dims`) is built from these
 integer columns, shifting the coefficient exponents by E's; the ranks and
 kernels eliminate them as `int` rows, and `differential_matrix` alone
@@ -155,19 +158,13 @@ def page_dimension(group, ell, n, degree):
     return len(page_basis(group, ell, n, degree))
 
 
-def boundary(ell, ambient, edges):
-    """The edge-removal derivation on a word of canonical edges: the normal
-    form of the sum over t of (-1)^t times the word without its t-th edge,
-    as {admissible word: nonzero int}."""
-    out = {}
-    for t in range(len(edges)):
-        for word, c in confring.word_counts(ell, ambient, edges[:t] + edges[t + 1:]).items():
-            v = out.get(word, 0) + (-c if t % 2 else c)
-            if v:
-                out[word] = v
-            else:
-                out.pop(word, None)
-    return out
+def boundary(edges):
+    """The edge-removal derivation on an admissible word (a basis key):
+    the sum over t of (-1)^t times the word without its t-th edge, as
+    {word: +-1}. Removing an edge from an admissible word leaves one, so no
+    rewriting is needed; `oracles.boundary_by_rewriting` takes the normal
+    form of each sub-word instead, and is the reference."""
+    return {edges[:t] + edges[t + 1:]: -1 if t % 2 else 1 for t in range(len(edges))}
 
 
 def _monomial_columns(group, ell, n, src, dst):
@@ -180,7 +177,7 @@ def _monomial_columns(group, ell, n, src, dst):
     cols = []
     for edges, exps in src:
         if edges not in boundaries:
-            boundaries[edges] = boundary(ell, 2 * n, edges)
+            boundaries[edges] = boundary(edges)
         target = tuple(map(add, exps, shift))
         cols.append({index[word, target]: c for word, c in boundaries[edges].items()})
     return cols
@@ -229,7 +226,7 @@ def _boundary_matrix(ell, n, d):
     derivation on them into degree d - (2n-1), as a matrix of `int`s."""
     src = confring.basis_keys(ell, 2 * n, d)
     dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - (2 * n - 1)))}
-    cols = [{dst[word]: c for word, c in boundary(ell, 2 * n, key).items()} for key in src]
+    cols = [{dst[word]: c for word, c in boundary(key).items()} for key in src]
     return src, Matrix._of_columns(cols, len(dst))
 
 
@@ -461,7 +458,8 @@ def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
     """Echelonized basis of the W(G(2n))-fixed torus page in one degree; W
     twists the coefficients and scales each x by det = prod eps."""
     rows = _fixed_rows(family, n, page_basis("torus", ell, n, degree), convention)
-    return [zero("torus", ell, n).from_coordinates(row, row.values()) for row in rows]
+    ring = torus_ring(n)
+    return [PageElement("torus", ell, n, {edges: Polynomial(ring, row)}) for edges, row in rows]
 
 
 def _fixed_rows(family, n, basis, convention):
@@ -483,8 +481,8 @@ def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"
         position = {key: t for t, key in enumerate(bases[d])}
         cols = _monomial_columns("torus", ell, n, bases[d], bases[d + 1])
         # the row coefficients are +-1, so the image columns stay integral
-        image = [combine(cols, {position[key]: int(c) for key, c in row.items()})
-                 for row in rows]
+        image = [combine(cols, {position[edges, exps]: int(c) for exps, c in row.items()})
+                 for edges, row in rows]
         sizes.append(len(rows))
         ranks.append(Matrix._of_columns(image, len(bases[d + 1])).rank())
     return {d: sizes[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}

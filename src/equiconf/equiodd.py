@@ -22,6 +22,7 @@ reflection, matching the two-pole geometry of the 2-point Borel construction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import comb
@@ -29,6 +30,7 @@ from math import comb
 from . import confring
 from .charclasses import GroupSpec, WeylElement, fixed_rows, torus_ring, weyl_action, weyl_group
 from .errors import InputError
+from .exactalg import Polynomial
 
 
 def qring(n):
@@ -77,10 +79,11 @@ def graph_counts(ell, edges, rng=None):
             # double edge: remove both, multiply by p_n
             stack.append((head + tail, c))
             continue
-        stack.append((tuple(sorted(head + ((i, k), (k, j)) + tail,
-                                   key=confring.edge_key)), c))
-        stack.append((tuple(sorted(head + ((i, k), (i, j)) + tail,
-                                   key=confring.edge_key)), -c))
+        # both words stay sorted but for y_ik, which moves left into the head
+        p = bisect_right(head, (k, i), key=confring.edge_key)
+        moved = head[:p] + ((i, k),) + head[p:]
+        stack.append((moved + word[t + 1:], c))
+        stack.append((moved + (word[t],) + tail, -c))
         stack.append((head + tail, c))
     return out
 
@@ -227,10 +230,11 @@ def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
     """Echelonized basis of the Weyl-fixed subspace in one degree."""
     if spec.family not in ("so_odd", "o_odd"):
         raise InputError("fixed points are computed for so_odd or o_odd only")
-    keys = [(mono.edges, mono.q_exps) for mono in torus_basis(ell, spec.rank, degree)]
-    rows = fixed_rows(weyl_group(spec, convention), keys,
-                      lambda w: w.eta * w.eps_product())
-    return [zero(ell, spec.rank).from_coordinates(row, row.values()) for row in rows]
+    n = spec.rank
+    keys = [(mono.edges, mono.q_exps) for mono in torus_basis(ell, n, degree)]
+    rows = fixed_rows(weyl_group(spec, convention), keys, lambda w: w.eta * w.eps_product())
+    ring = qring(n)
+    return [EquiElement(ell, n, {edges: Polynomial(ring, row)}) for edges, row in rows]
 
 
 def fixed_point_dimension(spec: GroupSpec, ell, degree, convention="standard"):

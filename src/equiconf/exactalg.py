@@ -560,22 +560,19 @@ class PolyRing:
         return Polynomial(self, {exps: coeff} if coeff != 0 else {})
 
     def exponents_of_degree(self, d):
-        """All exponent tuples of graded degree d, in a fixed order."""
+        """All exponent tuples of graded degree d, in descending lexicographic
+        order: each prefix is extended by every exponent of the next
+        generator, largest first, and the last exponent takes what is left."""
         if d < 0:
             return []
-        out = []
-
-        def rec(i, rem, acc):
-            if i == len(self.names):
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            deg = self.degrees[i]
-            for e in range(rem // deg, -1, -1):
-                rec(i + 1, rem - e * deg, acc + [e])
-
-        rec(0, d, [])
-        return out
+        if not self.degrees:
+            return [()] if d == 0 else []
+        *head, last = self.degrees
+        level = [((), d)]  # (exponent prefix, degree still to place)
+        for deg in head:
+            level = [(acc + (e,), rem - e * deg) for acc, rem in level
+                     for e in range(rem // deg, -1, -1)]
+        return [acc + (rem // last,) for acc, rem in level if rem % last == 0]
 
     def dim_of_degree(self, d):
         return len(self.exponents_of_degree(d))

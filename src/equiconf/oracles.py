@@ -7,9 +7,11 @@ them to cross-check the normal forms and all dimension counts.
 
 The matrices of the page differential d_2n are rebuilt here through the
 element algebra (`d2n` on `PageElement`s), as the reference for the integer
-monomial columns of `equieven`. The Weyl-fixed bases are also rebuilt here
-the slow way, by averaging each basis element over the group through the
-polynomial ring maps.
+monomial columns of `equieven`, and the edge-removal boundary of a basis
+word is rebuilt by rewriting each sub-word to normal form, as the reference
+for `equieven.boundary`, which needs no rewriting. The Weyl-fixed bases are
+also rebuilt here the slow way, by averaging each basis element over the
+group through the polynomial ring maps.
 
 Spectral pages and decalage are rebuilt straight from the cycle/boundary
 subquotients, one `Quotient` per spot, as the reference for the barcode
@@ -322,6 +324,21 @@ def poincare_polynomial(k, n):
 
 # ---------------------------------------------------------------------------
 # page differentials through the element algebra
+
+
+def boundary_by_rewriting(ell, ambient, edges):
+    """`equieven.boundary` through the rewrite engine: the sum over t of
+    (-1)^t times the `confring.word_counts` of the word without its t-th
+    edge, as {admissible word: nonzero int}."""
+    out = {}
+    for t in range(len(edges)):
+        for word, c in confring.word_counts(ell, ambient, edges[:t] + edges[t + 1:]).items():
+            v = out.get(word, 0) + (-c if t % 2 else c)
+            if v:
+                out[word] = v
+            else:
+                out.pop(word, None)
+    return out
 
 
 def differential_matrix_by_elements(group, ell, n, degree, src, dst):

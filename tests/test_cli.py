@@ -300,7 +300,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert exit_code("equi", "normal-form", "--points", str(POINT_BOUND), "--halfdim", "1",
                      "--word", "1 2", "--format", "json", "--output", str(path)) == 0
     assert exit_code("render", "--input", str(path)) == 0
-    # a --halfdim past HALFDIM_BOUND: monomial enumeration recurses per generator
+    # a --halfdim past HALFDIM_BOUND: monomial enumeration takes a pass per generator
     for argv in (("equi", "hilbert", "--points", "3", "--halfdim", "2000", "--max-degree", "2"),
                  ("equi", "basis", "--points", "3", "--halfdim", "5000", "--degree", "2"),
                  ("even", "complex", "--group", "torus", "--points", "2", "--halfdim", "2000",
@@ -312,6 +312,28 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert f"bound {HALFDIM_BOUND}" in capsys.readouterr().err
     assert exit_code("equi", "hilbert", "--points", "3", "--halfdim", str(HALFDIM_BOUND),
                      "--max-degree", "6") == 0
+    # and the lower bounds: a negative --max-degree, a --halfdim below 1
+    for argv in (("even", "kernel", "--points", "3", "--halfdim", "1", "--max-degree", "-1"),
+                 ("even", "hilbert", "--group", "so", "--points", "3", "--halfdim", "1",
+                  "--max-degree", "-1"),
+                 ("even", "verify-page", "--group", "o", "--points", "3", "--halfdim", "1",
+                  "--max-degree", "-1"),
+                 ("equi", "hilbert", "--points", "3", "--halfdim", "1", "--max-degree", "-1")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        assert "max degree -1 is negative" in capsys.readouterr().err
+    for argv in (("even", "kernel", "--points", "3", "--halfdim", "0", "--max-degree", "4"),
+                 ("even", "verify-page", "--group", "o", "--points", "0", "--halfdim", "-1",
+                  "--max-degree", "4"),
+                 ("even", "complex", "--group", "torus", "--points", "2", "--halfdim", "0",
+                  "--max-degree", "2"),
+                 ("equi", "basis", "--points", "3", "--halfdim", "0", "--degree", "2"),
+                 ("equi", "normal-form", "--points", "3", "--halfdim", "0", "--word", "1 2")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        assert "is below 1" in capsys.readouterr().err
+    assert exit_code("even", "kernel", "--points", "3", "--halfdim", "1",
+                     "--max-degree", "0") == 0
     # `conf basis` reads its size off the closed form before it enumerates
     # (11! monomials here), and `conf poincare` prints the closed form
     too_many = ("conf", "basis", "--points", "12", "--dim", "3", "--degree", "22")

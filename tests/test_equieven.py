@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as Q
 from pathlib import Path
@@ -152,6 +153,28 @@ def test_verify_page_cohomology_counts_the_model(monkeypatch):
     assert calls == {"rat": 0, "PageElement": 0}
     ev.equivariant_cohomology_even("so", 3, 2, 12)
     assert calls["rat"] and calls["PageElement"]
+
+
+def test_d2n_builders_do_no_rewriting(monkeypatch):
+    # the boundary of a basis word is read off it, with no normal form;
+    # the rewriting oracle does call the counted function
+    calls = []
+    word_counts = confring.word_counts
+
+    def counted(*args):
+        calls.append(args)
+        return word_counts(*args)
+
+    monkeypatch.setattr(confring, "word_counts", counted)
+    for ell in (1, 3, 5):
+        ev.kernel_K(ell, 2, 12)
+        for group in ("so", "o", "u"):
+            assert ev.verify_page_cohomology(group, ell, 2, 12).passed
+        for family in ("so_even", "o_even"):
+            ev.fixed_page_cohomology_dims(family, ell, 2, 12)
+    assert calls == []
+    oracles.boundary_by_rewriting(3, 4, ((1, 2), (2, 3)))
+    assert calls
 
 
 def test_kernel_coefficients_are_fractions():
@@ -382,6 +405,20 @@ def test_differential_matrix_matches_the_element_oracle():
                     if not got.is_zero():
                         nonzero.add(group)
     assert nonzero == {"torus", "so", "o", "u"}
+
+
+def test_boundary_matches_the_rewriting_oracle():
+    # every admissible word for l <= 6, n <= 3: removing an edge from a
+    # basis word leaves a basis word, so no sub-word needs rewriting
+    words = 0
+    for ell in range(7):
+        for n in (1, 2, 3):
+            fiber = 2 * n - 1
+            for m in range(max(ell, 1)):
+                for key in confring.basis_keys(ell, 2 * n, fiber * m):
+                    assert ev.boundary(key) == oracles.boundary_by_rewriting(ell, 2 * n, key)
+                    words += 1
+    assert words == 3 * sum(math.factorial(ell) for ell in range(7))
 
 
 def fixed_page_dims_by_elements(family, ell, n, max_degree, convention):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -572,6 +573,19 @@ def test_monomial_enumeration_by_graded_degree():
     assert ring.dim_of_degree(3) == 0
     mixed = PolyRing([("p1", 4), ("e", 4)])
     assert mixed.dim_of_degree(8) == 3
+
+
+def test_exponents_of_degree_match_a_filtered_product():
+    # every exponent tuple of the degree, in descending lexicographic order
+    for gens in ([], [("a", 1)], [("a", 3)], [("q1", 2), ("q2", 2)],
+                 [("a", 2), ("b", 3), ("c", 1)], [("p1", 4), ("p2", 8), ("e", 6)]):
+        ring = PolyRing(gens)
+        for d in range(-2, 15):
+            ranges = [range(max(d, 0) // deg, -1, -1) for deg in ring.degrees]
+            want = [e for e in product(*ranges)
+                    if d >= 0 and sum(x * deg for x, deg in zip(e, ring.degrees)) == d]
+            assert want == sorted(want, reverse=True)
+            assert ring.exponents_of_degree(d) == want, (gens, d)
 
 
 def test_polynomial_substitution():
