@@ -111,11 +111,12 @@ def cmd_conf_basis(args):
     check_basis_size(
         confring.poincare_formula(args.points, args.dim).coefficient((args.degree,)),
         args.degree)
-    monos = confring.basis(args.points, args.dim, args.degree)
+    words = confring.basis_keys(args.points, args.dim, args.degree)
     payload = {"points": args.points, "dim": args.dim, "degree": args.degree,
-               "dimension": len(monos),
-               "basis": [[list(e) for e in m.edges] for m in monos]}
-    text = "\n".join(str(m.as_element()) for m in monos) or "(empty)"
+               "dimension": len(words),
+               "basis": [[list(e) for e in edges] for edges in words]}
+    text = "\n".join(str(confring.ConfElement(args.points, args.dim, {edges: 1}))
+                     for edges in words) or "(empty)"
     emit(args, payload, text=text)
     return 0
 
@@ -221,11 +222,11 @@ def cmd_even_kernel(args):
 
 
 def cmd_even_hilbert(args):
-    model = equieven.equivariant_cohomology_even(
-        args.group, args.points, args.halfdim, args.max_degree)
+    model = equieven.model_dims(args.group, args.points, args.halfdim, args.max_degree)
+    dims = [model.get(d, 0) for d in range(args.max_degree + 1)]
     payload = {"points": args.points, "halfdim": args.halfdim,
-               "group": args.group, "dims": model.dims_list()}
-    emit(args, payload, text=" ".join(str(x) for x in model.dims_list()))
+               "group": args.group, "dims": dims}
+    emit(args, payload, text=" ".join(str(x) for x in dims))
     return 0
 
 
@@ -417,6 +418,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "points", 0) < 0:
+            raise InputError(f"point count {args.points} is negative")
         if getattr(args, "points", 0) > POINT_BOUND:
             raise CapacityError(f"{args.points} points exceed the bound {POINT_BOUND}")
         if getattr(args, "halfdim", 1) < 1:
@@ -440,9 +443,6 @@ def main(argv=None):
         sys.stderr.write(f"error: a number has more than {sys.get_int_max_str_digits()} "
                          "digits, the interpreter's limit for integers written as text\n")
         return 2
-    except PurityViolation as exc:
-        sys.stderr.write(f"purity violation: {exc}\n")
-        return 1
 
 
 if __name__ == "__main__":

@@ -14,14 +14,14 @@ which holds for both parities of n once Koszul signs are tracked by the sort.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
 from operator import attrgetter, itemgetter
 
 from .charclasses import POINT_BOUND
 from .errors import CapacityError, InputError
-from .exactalg import PolyRing, Polynomial, mul_terms, poly_from_json, rat, shift_terms
+from .exactalg import (PolyRing, Polynomial, mul_terms, poly_from_json, rat, shift_terms,
+                       signed_sum)
 
 Edge = tuple  # (i, j) with i < j
 
@@ -122,19 +122,6 @@ def reduce_word(k, n, word, coeff=Q(1), rng=None):
     if not coeff:
         return {}
     return {e: coeff * c for e, c in word_counts(k, n, word, rng).items()}
-
-
-@dataclass(frozen=True)
-class EdgeMonomial:
-    """A signed admissible monomial in the x_ij generators."""
-
-    points: int
-    dim: int
-    edges: tuple
-    sign: int = 1
-
-    def as_element(self):
-        return ConfElement(self.points, self.dim, {self.edges: Q(self.sign)})
 
 
 class EdgeCombination:
@@ -291,31 +278,22 @@ class EdgeCombination:
                       key=lambda t: (len(t[0]), tuple(edge_key(e) for e in t[0])))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        scalar = self.ring is None
+        terms = [(c, "*".join(f"{self.letter}{i}{j}" if i < 10 and j < 10
+                              else f"{self.letter}{i}_{j}" for i, j in edges))
+                 for edges, c in self.sorted_terms()]
+        if self.ring is None:
+            return signed_sum(terms)
+        # polynomial coefficients stay whole, in parentheses where they are sums
         parts = []
-        for edges, c in self.sorted_terms():
-            mono = "*".join(f"{self.letter}{i}{j}" if i < 10 and j < 10
-                            else f"{self.letter}{i}_{j}" for i, j in edges)
+        for c, mono in terms:
             coeff = str(c)
             if not mono:
                 parts.append(f"({coeff})" if ("+" in coeff or " - " in coeff) else coeff)
             elif coeff == "1":
                 parts.append(mono)
-            elif not scalar:
-                parts.append(f"({coeff})*{mono}")
-            elif coeff == "-1":
-                parts.append(f"-{mono}")
             else:
-                parts.append(f"{coeff}*{mono}")
-        if not scalar:
-            return " + ".join(parts)
-        # rational coefficients fold their signs into the joins
-        s = parts[0]
-        for p in parts[1:]:
-            s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return s
+                parts.append(f"({coeff})*{mono}")
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -445,11 +423,6 @@ def basis_keys(k, n, degree):
         words = [w + ((i, j),) for w in words
                  for j in range(w[-1][1] + 1 if w else 2, top + 1) for i in range(1, j)]
     return words
-
-
-def basis(k, n, degree):
-    """Admissible monomials of the given degree, in lexicographic order."""
-    return [EdgeMonomial(k, n, edges) for edges in basis_keys(k, n, degree)]
 
 
 def dimension(k, n, degree):

@@ -28,9 +28,10 @@ returns them, as a `Fraction` matrix. `d2n` and `PageElement` are the
 element algebra, and `oracles` builds the matrices through them as the
 reference.
 
-`verify_page_cohomology` counts the model side instead of building it:
-dim K_d is the number of columns minus the rank of the degree-d boundary
-matrix (for O(2n) only at even word length), and the model has dimension
+`model_dims` counts the model instead of building it, for both
+`verify_page_cohomology` and the `even hilbert` command: dim K_d is the
+number of columns minus the rank of the degree-d boundary matrix (for O(2n)
+only at even word length), and the model has dimension
 sum_c dim Q[p]_c * dim K_(d-c) in degree d. `equivariant_cohomology_even`
 builds the same model element by element, and is the count's test oracle.
 """
@@ -217,9 +218,6 @@ class KernelSummary:
     dims: dict
     basis: dict  # degree -> list of ConfElement
 
-    def dims_list(self):
-        return [self.dims.get(d, 0) for d in range(self.max_degree + 1)]
-
 
 def _boundary_matrix(ell, n, d):
     """The basis keys of H^d(Conf_l(R^2n)), d > 0, and the edge-removal
@@ -276,9 +274,6 @@ class EquivariantModel:
     max_degree: int
     dims: dict
     elements: dict = field(repr=False)  # degree -> list of (label, PageElement)
-
-    def dims_list(self):
-        return [self.dims.get(d, 0) for d in range(self.max_degree + 1)]
 
 
 def model_coefficient_ring(group, n):
@@ -359,7 +354,7 @@ class PageReport:
                          for d, a, b in self.rows]}
 
 
-def _model_dims(group, ell, n, max_degree):
+def model_dims(group, ell, n, max_degree):
     """The nonzero `equivariant_cohomology_even(...).dims`, counted as the
     module docstring says; for ell <= 1 the model is the whole page."""
     if group not in ("so", "o", "u"):
@@ -387,7 +382,7 @@ def verify_page_cohomology(group, ell, n, max_degree):
     minus the rank of the degree-d configuration boundary, and degree d of
     the model has sum_c dim Q[p]_c * dim K_(d-c). The page dims are ranks
     of d_2n on the whole page."""
-    model = _model_dims(group, ell, n, max_degree)
+    model = model_dims(group, ell, n, max_degree)
     page = page_cohomology_dims(group, ell, n, max_degree)
     rows = tuple((d, page.get(d, 0), model.get(d, 0)) for d in range(max_degree + 1))
     return PageReport(group, ell, n, rows)

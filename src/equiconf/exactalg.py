@@ -306,28 +306,31 @@ def _kernel(rows, ncols):
 # characteristic polynomials, as tuples of Fractions, lowest degree first
 
 
+def signed_sum(terms):
+    """Text of a sum of (rational coefficient, monomial text) terms, the
+    monomial "" for a constant: a coefficient of +-1 is dropped before a
+    monomial, and minus signs fold into the joins. "0" for no terms."""
+    out = ""
+    for c, mono in terms:
+        if not mono:
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = f"-{mono}"
+        else:
+            term = f"{c}*{mono}"
+        if not out:
+            out = term
+        else:
+            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out or "0"
+
+
 def upoly_str(p, var="t"):
     """Text of a nonzero polynomial in var, highest degree first."""
-    parts = []
-    for e in range(len(p) - 1, -1, -1):
-        c = p[e]
-        if c == 0:
-            continue
-        if e == 0:
-            term = str(c)
-        else:
-            base = var if e == 1 else f"{var}^{e}"
-            if c == 1:
-                term = base
-            elif c == -1:
-                term = f"-{base}"
-            else:
-                term = f"{c}*{base}"
-        parts.append(term)
-    s = parts[0]
-    for term in parts[1:]:
-        s += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return s
+    return signed_sum((p[e], "" if e == 0 else var if e == 1 else f"{var}^{e}")
+                      for e in range(len(p) - 1, -1, -1) if p[e])
 
 
 def sylvester(phi_w: Matrix, phi_v: Matrix):
@@ -672,25 +675,9 @@ class Polynomial:
                       key=lambda t: (self.monomial_degree(t[0]), t[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = [f"{n}^{k}" if k > 1 else n
-                       for n, k in zip(self.ring.names, e) if k]
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        s = parts[0]
-        for p in parts[1:]:
-            s += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return s
+        return signed_sum((c, "*".join(f"{n}^{k}" if k > 1 else n
+                                       for n, k in zip(self.ring.names, e) if k))
+                          for e, c in self.sorted_terms())
 
     __repr__ = __str__
 

@@ -440,7 +440,8 @@ def subquotient_page(A, r):
 
         E_r(i, n) = Z_r(i, n) / (Z_(r-1)(i-1, n) + d Z_(r-1)(i+r-1, n-1)),
 
-    one `Quotient` per spot; the reference for `specseq.page`."""
+    one `Quotient` per spot, each kept on the page as its dimension; the
+    reference for `specseq.page`."""
     if r < 0:
         raise InputError("page index must be non-negative")
     Z = cache(partial(cycles, A))
@@ -469,7 +470,7 @@ def subquotient_page(A, r):
             diffs[(i, n)] = target.matrix_of(A.diff(n) * quo.reps)
         if phis is not None:
             phis[(i, n)] = quo.matrix_of(A.aut(n) * quo.reps)
-    return SpectralPage(r, spots, diffs, phis)
+    return SpectralPage(r, {spot: quo.dim for spot, quo in spots.items()}, diffs, phis)
 
 
 def subquotient_decalage(A):

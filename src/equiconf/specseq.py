@@ -10,7 +10,9 @@ cycle/boundary subquotients
 
 with d_r induced by d, mapping (i, n) to (i - r, n + 1). They are read off
 one barcode basis per degree (a persistence reduction of d), in which each
-Z_r, each boundary term and each spot is spanned by basis elements;
+Z_r, each boundary term and each spot is spanned by basis elements. A page
+keeps the dimension of each spot, and d_r and phi_r in those elements, but
+no representatives in the ambient space.
 `oracles.subquotient_page` builds the subquotients themselves as the
 cross-check. Spots are keyed by (filtration index i, total degree n); the
 displayed bidegree is (-i, j) with j = n + i, so page r here is page r+1 in
@@ -39,7 +41,6 @@ the tests hold them to `validate`.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -61,14 +62,11 @@ from .exactalg import (
 )
 
 
-NO_SPACE = (Matrix.zero(0, 0),) * 2  # the empty and full span of a zero space
-
-
 class FilteredComplex:
     """Explicit filtered cochain complex, canonicalized degree by degree:
     each filtration level is kept as the canonical basis of its span."""
 
-    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "_ends")
+    __slots__ = ("spaces", "d", "filtration", "phi", "top_level")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
@@ -98,10 +96,6 @@ class FilteredComplex:
                     self.phi[n] = mat
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
-        # the empty and the full span of each degree, which W returns off the
-        # ends of the filtration
-        self._ends = {n: (Matrix.zero(dim, 0), Matrix.identity(dim))
-                      for n, dim in self.spaces.items()}
         if validate:
             self.validate()
 
@@ -140,13 +134,13 @@ class FilteredComplex:
         return mat
 
     def W(self, n, i):
-        """The canonical basis matrix of W_i A^n (empty/full off the ends)."""
-        empty, full = self._ends.get(n, NO_SPACE)
+        """The canonical basis matrix of W_i A^n; off the ends of the
+        filtration, the empty or the full span, built on each call."""
         if i < 0:
-            return empty
+            return Matrix.zero(self.dim(n), 0)
         levels = self.filtration.get(n)
         if levels is None or i >= len(levels):
-            return full
+            return Matrix.identity(self.dim(n))
         return levels[i]
 
     # -- validation ---------------------------------------------------------
@@ -217,9 +211,6 @@ class FilteredComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        def mat_json(m):
-            return [[str(x) for x in row] for row in m.rows]
-
         data = {"degrees": {str(n): self.dim(n) for n in self.degrees()},
                 "d": {str(n): mat_json(self.diff(n)) for n in self.degrees()
                       if self.dim(n + 1)},
@@ -230,6 +221,11 @@ class FilteredComplex:
         if self.phi is not None:
             data["phi"] = {str(n): mat_json(self.aut(n)) for n in self.degrees()}
         return data
+
+
+def mat_json(m):
+    """A Matrix as JSON: its rows of rational strings."""
+    return [[str(x) for x in row] for row in m.rows]
 
 
 def _nested(levels):
@@ -363,35 +359,31 @@ def _truncation(A: FilteredComplex):
 # pages
 
 
-# a live spot of a page: its dimension and its representatives, as columns
-Spot = namedtuple("Spot", "dim reps")
-
-
 class SpectralPage:
-    """One page: spots, induced differentials and automorphisms."""
+    """One page: the dimension of each live spot, and the induced
+    differentials and automorphisms in a basis of each spot."""
 
     __slots__ = ("r", "spots", "differentials", "phi")
 
     def __init__(self, r, spots, differentials, phi):
         self.r = r
-        self.spots = spots                  # (i, n) -> Spot, live spots only
+        self.spots = spots                  # (i, n) -> dimension, live spots only
         self.differentials = differentials  # (i, n) -> Matrix to (i-r, n+1)
         self.phi = phi                      # (i, n) -> Matrix, if present
 
     def dim(self, i, n):
-        spot = self.spots.get((i, n))
-        return spot.dim if spot else 0
+        return self.spots.get((i, n), 0)
 
     def dims(self):
-        return {key: spot.dim for key, spot in self.spots.items()}
+        return dict(self.spots)
 
     def display_dims(self):
         """{(-i, j): dim} in the paper's bidegree convention (j = n + i)."""
-        return {(-i, n + i): dim for (i, n), dim in self.dims().items()}
+        return {(-i, n + i): dim for (i, n), dim in self.spots.items()}
 
     def total_degree_dims(self):
         out = {}
-        for (i, n), dim in self.dims().items():
+        for (i, n), dim in self.spots.items():
             out[n] = out.get(n, 0) + dim
         return out
 
@@ -460,8 +452,8 @@ def page(A: FilteredComplex, r):
 
     Spot (i, n) is spanned by the level-i barcode elements of degree n that
     are in no pair or in one that drops at least r levels; d_r sends the
-    source of each pair that drops exactly r levels to its target.
-    """
+    source of each pair that drops exactly r levels to its target. The page
+    keeps each spot's dimension, and d_r and phi_r in these elements."""
     if r < 0:
         raise InputError("page index must be non-negative")
     return _page(A, _barcode(A), r)
@@ -479,8 +471,7 @@ def _page(A: FilteredComplex, bars, r):
         if phis is not None:
             to_bar = _phi_coordinates(A, n, bars[n])
         for i, ks in live[n].items():
-            vecs = [combine(basis, cols[k]) for k in ks]
-            spots[(i, n)] = Spot(len(ks), Matrix._of_columns(vecs, A.dim(n)))
+            spots[(i, n)] = len(ks)
             if (target := live.get(n + 1, {}).get(i - r)) is not None:
                 row = {k: t for t, k in enumerate(target)}
                 diffs[(i, n)] = Matrix._of_columns(
@@ -489,8 +480,8 @@ def _page(A: FilteredComplex, bars, r):
             if phis is not None:
                 row = {k: t for t, k in enumerate(ks)}
                 phis[(i, n)] = Matrix._of_columns(
-                    [{row[k]: c for k, c in to_bar(v).items() if k in row} for v in vecs],
-                    len(ks))
+                    [{row[j]: c for j, c in to_bar(combine(basis, cols[k])).items() if j in row}
+                     for k in ks], len(ks))
     return SpectralPage(r, spots, diffs, phis)
 
 
@@ -498,8 +489,8 @@ def page_cohomology_dims(pg: SpectralPage):
     """Dimension of H(E_r, d_r) at each spot; equals the next page's table."""
     out = {}
     ranks = {key: mat.rank() for key, mat in pg.differentials.items()}
-    for (i, n), spot in pg.spots.items():
-        ker = spot.dim - ranks.get((i, n), 0)
+    for (i, n), dim in pg.spots.items():
+        ker = dim - ranks.get((i, n), 0)
         img = ranks.get((i + pg.r, n - 1), 0)
         if ker - img:
             out[(i, n)] = ker - img
@@ -633,9 +624,6 @@ class FormalityWitness:
         return all(ok for _, ok in self.transcript)
 
     def to_json(self):
-        def mat_json(m):
-            return [[str(x) for x in row] for row in m.rows]
-
         return {"verified": self.verified,
                 "transcript": [{"check": name, "pass": ok}
                                for name, ok in self.transcript],

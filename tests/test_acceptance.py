@@ -51,11 +51,12 @@ def test_criterion_3_conf2_r4_torus_page():
 
 def test_criterion_4_so4_o4_two_points():
     expected = [1 if d % 4 == 0 else 0 for d in range(17)]
-    so = equieven.equivariant_cohomology_even("so", 2, 2, 16).dims_list()
-    o = equieven.equivariant_cohomology_even("o", 2, 2, 16).dims_list()
+    nonzero = {d: x for d, x in enumerate(expected) if x}
+    so = equieven.equivariant_cohomology_even("so", 2, 2, 16).dims
+    o = equieven.equivariant_cohomology_even("o", 2, 2, 16).dims
     so_fixed = equieven.fixed_page_cohomology_dims("so_even", 2, 2, 16)
     o_fixed = equieven.fixed_page_cohomology_dims("o_even", 2, 2, 16)
-    table_ok = so == expected and o == expected \
+    table_ok = so == nonzero and o == nonzero \
         and [so_fixed[d] for d in range(17)] == expected \
         and [o_fixed[d] for d in range(17)] == expected
     model = equieven.equivariant_cohomology_even("o", 2, 2, 16)

@@ -85,6 +85,22 @@ def test_even_verify_page_exit_codes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("group,top,dims", [
+    ("so", 16, [1 if d % 4 == 0 else 0 for d in range(17)]),
+    ("o", 16, [1 if d % 4 == 0 else 0 for d in range(17)]),
+    ("u", 8, [1, 0, 1, 0, 1, 0, 1, 0, 1]),
+])
+def test_even_hilbert_text_and_json(group, top, dims, capsys):
+    argv = ("even", "hilbert", "--group", group, "--points", "2", "--halfdim", "2",
+            "--max-degree", str(top))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == " ".join(map(str, dims)) + "\n"
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"points": 2, "halfdim": 2, "group": group, "dims": dims}
+
+
 def test_ss_chain_via_files(capsys, tmp_path):
     golden = tmp_path / "golden.json"
     code, _ = run(capsys, "even", "complex", "--group", "torus", "--points", "2",
@@ -131,6 +147,17 @@ def test_ss_witness_and_failures(capsys, tmp_path):
     code, out = run(capsys, "ss", "witness", "--input", str(bad),
                     "--xi", "3", "--alpha", "1")
     assert code == 1
+    # the purity check names the violating spot and its factor
+    purity = ("ss", "purity", "--input", str(bad), "--xi", "3", "--alpha", "1", "--page", "0")
+    code, out = run(capsys, *purity)
+    assert code == 1
+    assert out.splitlines()[-1] == \
+        "  violation at (0, 0): eigenvalue outside xi^0: factor t - 7"
+    code, out = run(capsys, *purity, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violation"] == {
+        "bidegree": [0, 0], "factor": "t - 7",
+        "message": "eigenvalue outside xi^0: factor t - 7"}
 
 
 def test_ss_page_far_past_the_stable_page(capsys, tmp_path):
@@ -262,6 +289,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "4300 digits" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
     assert exit_code("ss", "page", "--input", str(missing), "--page", "1") == 2
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{degrees")
+    assert exit_code("ss", "page", "--input", str(not_json), "--page", "1") == 2
+    # a command with no DOT rendering
+    assert exit_code("conf", "poincare", "--points", "3", "--dim", "3", "--format", "dot") == 2
+    # an operand file with a negative point count
+    negative = confring.generator(3, 3, 1, 2).to_json()
+    negative["points"] = -1
+    operand = tmp_path / "negative.json"
+    operand.write_text(json.dumps(negative))
+    assert exit_code("conf", "product", "--lhs", str(operand), "--rhs", str(operand)) == 2
     # an unwritable --output: a missing directory, or a directory
     for target in (tmp_path / "no-such-dir" / "x", tmp_path):
         argv = ("conf", "poincare", "--points", "3", "--dim", "3", "--output", str(target))
@@ -334,6 +372,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert "is below 1" in capsys.readouterr().err
     assert exit_code("even", "kernel", "--points", "3", "--halfdim", "1",
                      "--max-degree", "0") == 0
+    # a negative --points, refused with one message whatever the command
+    for argv in (("even", "kernel", "--points", "-1", "--halfdim", "2", "--max-degree", "4"),
+                 ("even", "hilbert", "--group", "so", "--points", "-2", "--halfdim", "2",
+                  "--max-degree", "4"),
+                 ("conf", "poincare", "--points", "-1", "--dim", "3"),
+                 ("conf", "basis", "--points", "-1", "--dim", "3", "--degree", "0"),
+                 ("equi", "hilbert", "--points", "-1", "--halfdim", "1", "--max-degree", "2")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        points = argv[argv.index("--points") + 1]
+        assert capsys.readouterr().err == f"error: point count {points} is negative\n"
+    assert exit_code("conf", "poincare", "--points", "0", "--dim", "3") == 0
     # `conf basis` reads its size off the closed form before it enumerates
     # (11! monomials here), and `conf poincare` prints the closed form
     too_many = ("conf", "basis", "--points", "12", "--dim", "3", "--degree", "22")

@@ -55,12 +55,11 @@ def test_index_out_of_range():
 
 
 def test_basis_small_cases():
-    assert [m.edges for m in confring.basis(2, 3, 2)] == [((1, 2),)]
-    assert [m.edges for m in confring.basis(3, 3, 4)] == \
-        [((1, 2), (1, 3)), ((1, 2), (2, 3))]
-    assert confring.basis(3, 3, 3) == []
-    assert confring.basis(1, 4, 0)[0].edges == ()
-    assert confring.basis(1, 4, 3) == []
+    assert confring.basis_keys(2, 3, 2) == [((1, 2),)]
+    assert confring.basis_keys(3, 3, 4) == [((1, 2), (1, 3)), ((1, 2), (2, 3))]
+    assert confring.basis_keys(3, 3, 3) == []
+    assert confring.basis_keys(1, 4, 0) == [()]
+    assert confring.basis_keys(1, 4, 3) == []
 
 
 def test_poincare_polynomials():

@@ -94,14 +94,14 @@ def test_kernel_closed_under_product():
 
 def test_so4_and_o4_models_on_two_points():
     m = ev.equivariant_cohomology_even("so", 2, 2, 16)
-    assert m.dims_list() == [1 if d % 4 == 0 else 0 for d in range(17)]
+    assert m.dims == {d: 1 for d in range(0, 17, 4)}
     mo = ev.equivariant_cohomology_even("o", 2, 2, 16)
-    assert mo.dims_list() == m.dims_list()
+    assert mo.dims == m.dims
 
 
 def test_u2_model_on_two_points():
     mu = ev.equivariant_cohomology_even("u", 2, 2, 8)
-    assert mu.dims_list() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert mu.dims == {0: 1, 2: 1, 4: 1, 6: 1, 8: 1}
 
 
 def test_so4_model_three_points_degree3():
@@ -128,7 +128,7 @@ def test_model_count_matches_the_built_model():
         for ell in range(7):
             for n in (1, 2, 3):
                 for top in range(13):
-                    assert ev._model_dims(group, ell, n, top) == \
+                    assert ev.model_dims(group, ell, n, top) == \
                         ev.equivariant_cohomology_even(group, ell, n, top).dims
 
 

@@ -222,12 +222,12 @@ def test_so_fixed_points_match_y_p_span():
             span_rows = []
             m = 0
             while 2 * n * m <= degree:
-                for g in confring.basis(ell, 2 * n + 1, 2 * n * m):
+                for edges in confring.basis_keys(ell, 2 * n + 1, 2 * n * m):
                     for pexp in pring.exponents_of_degree(degree - 2 * n * m):
                         coeff = equiodd.qring(n).one()
                         for u, e in enumerate(pexp, start=1):
                             coeff = coeff * images[f"p{u}"] ** e
-                        elem = equiodd.EquiElement(ell, n, {g.edges: coeff})
+                        elem = equiodd.EquiElement(ell, n, {edges: coeff})
                         span_rows.append(elem.coordinates(index))
                 m += 1
             span_dim = Matrix(span_rows, ncols=len(basis)).rank()
