@@ -17,6 +17,12 @@ moves only the exponents, so `fixed_rows` works out the signed orbit of each
 every edge word with those exponents shares. The slow route
 that averages each basis element over the group is
 `oracles.averaged_fixed_basis`, the tests' reference.
+
+The input bounds of the package live here, and `check_basis_size` is the
+one size check: a basis sized by its closed form (the Poincare polynomial
+of the configuration space times the monomial counts of the coefficient
+ring) past BASIS_BOUND, for a listed basis, or MODEL_BOUND, for a page
+model, is refused before it is built.
 """
 
 from __future__ import annotations
@@ -41,11 +47,20 @@ HALFDIM_BOUND = 64
 # the highest degree a CLI --degree or --max-degree may name: the model
 # commands enumerate every degree up to it
 DEGREE_BOUND = 64
-# the most monomials `conf basis` lists, one line each: a basis has up to
-# (points - 1)! monomials, so it is sized from the closed form first
+# the most monomials a listed basis (`conf basis`, `equiodd.torus_basis`) has
+# in its degree: bases grow factorially in the points, so they are sized first
 BASIS_BOUND = 100_000
+# the most monomials an `equieven` page model has in a degree it builds
+MODEL_BOUND = 10_000
 CONVENTIONS = ("standard", "paper")
 ONE, MINUS_ONE = Q(1), Q(-1)
+
+
+def check_basis_size(size, degree, bound=BASIS_BOUND):
+    """Refuse a basis that the closed form sizes past `bound`, before it is built."""
+    if size > bound:
+        raise CapacityError(f"the degree {degree} basis has {size} monomials, "
+                            f"more than the bound {bound}")
 
 
 @dataclass(frozen=True)
@@ -213,9 +228,9 @@ def fixed_rows(group, keys, odd_sign=None):
 
     A Weyl element changes only the exponents, so the signed orbit of a key
     depends on its exponents and its word-length parity alone. Each such
-    orbit table is worked out once per call and serves every word. A key
-    whose orbit is the key alone lies in no other key's orbit, so it skips
-    the `seen` set.
+    orbit table is worked out once per call and serves every word; a key in
+    the orbit of a key met before is skipped first. A key alone in its orbit
+    lies in no other key's orbit, so it skips the `seen` set.
     """
     n = len(group[0].sigma)
     acts = []  # (image of the exponents, mask) per group element
@@ -229,6 +244,8 @@ def fixed_rows(group, keys, odd_sign=None):
     tables = {}  # (exponents, word-length parity) -> (orbit, signed row or None)
     seen, rows = set(), []
     for key in keys:
+        if key in seen:
+            continue
         edges, exps = key
         odd = len(edges) & 1
         table = tables.get((exps, odd))
@@ -243,8 +260,6 @@ def fixed_rows(group, keys, odd_sign=None):
                 None if vanishes else {e: MINUS_ONE if bit else ONE for e, bit in bits.items()})
         orbit, row = table
         if len(orbit) > 1:
-            if key in seen:
-                continue
             seen.update((edges, e) for e in orbit)
         if row is not None:
             rows.append((edges, dict(row)))

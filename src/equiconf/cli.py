@@ -16,12 +16,12 @@ from functools import lru_cache
 
 from . import confring, equieven, equiodd, specseq, verify
 from .charclasses import (
-    BASIS_BOUND,
     CONVENTIONS,
     DEGREE_BOUND,
     HALFDIM_BOUND,
     POINT_BOUND,
     GroupSpec,
+    check_basis_size,
 )
 from .errors import CapacityError, InputError, PurityViolation, WitnessError
 from .exactalg import rat
@@ -61,6 +61,24 @@ def load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def json_text(value, indent="\n"):
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, without
+    the pure-Python encoder that `indent` selects: its nested closures leave
+    reference cycles behind on every call. Keys are sorted before they are
+    converted to strings, as `sort_keys` does, and `json.dumps` sees scalars
+    only."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        parts, ends = [json_text(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    return ends[0] + ",".join(inner + p for p in parts) + indent + ends[1] if parts else ends
+
+
 def emit(args, payload, text=None, dot=None):
     """Write `payload` as JSON, `text` (JSON if None) or `dot()` (a callable,
     where the result has a DOT rendering) to stdout or the --output file."""
@@ -70,7 +88,7 @@ def emit(args, payload, text=None, dot=None):
         out = dot()
         out = out if out.endswith("\n") else out + "\n"
     elif args.format == "json" or text is None:
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = json_text(payload) + "\n"
     else:
         out = text + "\n"
     if not args.output:
@@ -81,14 +99,6 @@ def emit(args, payload, text=None, dot=None):
             fh.write(out)
     except OSError as exc:
         raise InputError(f"cannot write {args.output}: {exc}") from exc
-
-
-def check_basis_size(size, degree):
-    """Refuse a basis that the closed form sizes past BASIS_BOUND, before it
-    is enumerated."""
-    if size > BASIS_BOUND:
-        raise CapacityError(f"the degree {degree} basis has {size} monomials, "
-                            f"more than the bound {BASIS_BOUND}")
 
 
 def emit_element(args, elem):
@@ -108,9 +118,8 @@ def cmd_conf_poincare(args):
 
 
 def cmd_conf_basis(args):
-    check_basis_size(
-        confring.poincare_formula(args.points, args.dim).coefficient((args.degree,)),
-        args.degree)
+    poincare = confring.poincare_formula(args.points, args.dim)
+    check_basis_size(poincare.coefficient((args.degree,)), args.degree)
     words = confring.basis_keys(args.points, args.dim, args.degree)
     payload = {"points": args.points, "dim": args.dim, "degree": args.degree,
                "dimension": len(words),
@@ -153,25 +162,16 @@ def cmd_act(args):
 ODD_GROUPS = {"so": "so_odd", "o": "o_odd"}
 
 
-def check_torus_basis_size(args, degree):
-    """Size the torus basis of a degree by its Leray-Hirsch count; arguments
-    that `equiodd.torus_basis` refuses are left to it."""
-    if args.points >= 0 and args.halfdim >= 1 and degree >= 0:
-        check_basis_size(
-            equiodd.leray_hirsch_dimension(args.points, args.halfdim, degree), degree)
-
-
 def cmd_equi_hilbert(args):
-    # the counts vanish in odd degrees and never decrease over the even ones,
-    # so the top even degree has the largest basis
-    check_torus_basis_size(args, args.max_degree - args.max_degree % 2)
-    degrees = range(args.max_degree + 1)
+    # from the top, where the bases are largest, so a refusal comes first
+    degrees = range(args.max_degree, -1, -1)
     if args.group == "torus":
         dims = [equiodd.torus_dimension(args.points, args.halfdim, d) for d in degrees]
     else:
         spec = GroupSpec(ODD_GROUPS[args.group], args.halfdim)
         dims = [equiodd.fixed_point_dimension(spec, args.points, d, args.weyl_convention)
                 for d in degrees]
+    dims.reverse()
     payload = {"points": args.points, "halfdim": args.halfdim,
                "group": args.group, "dims": dims}
     emit(args, payload, text=" ".join(str(x) for x in dims))
@@ -179,7 +179,6 @@ def cmd_equi_hilbert(args):
 
 
 def cmd_equi_basis(args):
-    check_torus_basis_size(args, args.degree)
     monos = equiodd.torus_basis(args.points, args.halfdim, args.degree)
     payload = {"points": args.points, "halfdim": args.halfdim,
                "degree": args.degree, "dimension": len(monos),

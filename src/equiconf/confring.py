@@ -433,16 +433,31 @@ def top_degree(k, n):
     return max(k - 1, 0) * (n - 1)
 
 
+def edge_word_counts(k):
+    """e_m(1, ..., k-1), the number of admissible words of m edges on k points."""
+    counts = [1] + [0] * (k - 1)
+    for j in range(1, k):  # times (1 + j t), in place from the top down
+        for m in range(j, 0, -1):
+            counts[m] += j * counts[m - 1]
+    return counts
+
+
+def graded_dimensions(points, fiber, ring, top):
+    """dim ring (x) H*(Conf_points) in each degree d <= top: sum_m e_m dim ring_(d - fiber m)."""
+    ring_dims, sizes = ring.monomial_counts(top), [0] * (top + 1)
+    for m, c in enumerate(edge_word_counts(points)):
+        for d in range(fiber * m, top + 1):
+            sizes[d] += c * ring_dims[d - fiber * m]
+    return sizes
+
+
 def poincare_formula(k, n):
     """The Poincare polynomial of Conf_k(R^n) in closed form: the product over
     j < k of (1 + j t^(n-1)) (Arnold 1969, F. Cohen 1976). The basis has k!
     monomials; `oracles.poincare_polynomial` counts them as a cross-check."""
     check_args(k, n)
-    ring = PolyRing([("t", 1)])
-    out = ring.one()
-    for j in range(1, k):
-        out = out * (ring.one() + ring.monomial((n - 1,), j))
-    return out
+    return Polynomial(PolyRing([("t", 1)]),
+                      {(m * (n - 1),): Q(c) for m, c in enumerate(edge_word_counts(k))})
 
 
 def label_action(sigma, a: EdgeCombination):

@@ -34,6 +34,14 @@ number of columns minus the rank of the degree-d boundary matrix (for O(2n)
 only at even word length), and the model has dimension
 sum_c dim Q[p]_c * dim K_(d-c) in degree d. `equivariant_cohomology_even`
 builds the same model element by element, and is the count's test oracle.
+
+Every entry point that builds a basis (`kernel_K`, `page_cohomology_dims`,
+`model_dims`, `equivariant_cohomology_even`, `as_filtered_complex`,
+`fixed_page_cohomology_dims`, `weyl_fixed_page_basis`) first sizes each
+degree it will enumerate by the closed form `confring.graded_dimensions`,
+in one pass per call, and refuses a degree past `charclasses.MODEL_BOUND`
+monomials with a `CapacityError`. The enumerators `page_basis` and
+`confring.basis_keys` stay unchecked: they run hundreds of times per model.
 """
 
 from __future__ import annotations
@@ -41,9 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add
 
-from . import confring
+from . import charclasses, confring
 from .charclasses import GroupSpec, WeylElement, char_ring, fixed_rows, torus_ring, weyl_group
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .exactalg import ONE, Matrix, PolyRing, Polynomial, combine, rat, shift_terms
 
 
@@ -126,9 +134,13 @@ def d2n(a: PageElement):
 # page bases and the sign involution for the full orthogonal group
 
 
-def check_capacity(ell, n):
-    if ell > 6 or n > 3:
-        raise CapacityError("supported bounds are ell <= 6, n <= 3")
+def check_capacity(group, ell, n, degrees):
+    """Refuse a `group` page (None: the configuration column) past MODEL_BOUND."""
+    ring = PolyRing(()) if group is None else page_ring(group, n)
+    confring.check_args(ell, 2 * n)
+    sizes = confring.graded_dimensions(ell, 2 * n - 1, ring, max(degrees, default=0))
+    for d in degrees:
+        charclasses.check_basis_size(sizes[d] if d >= 0 else 0, d, charclasses.MODEL_BOUND)
 
 
 def page_basis(group, ell, n, degree):
@@ -192,7 +204,7 @@ def differential_matrix(group, ell, n, degree, src, dst):
 
 def page_cohomology_dims(group, ell, n, max_degree):
     """Degreewise dimension of H(page, d_2n), computed by kernel/image ranks."""
-    check_capacity(ell, n)
+    check_capacity(group, ell, n, range(max_degree + 2))
     dims = {}
     img = 0  # rank of d_2n into the degree
     src = page_basis(group, ell, n, 0)
@@ -230,7 +242,7 @@ def _boundary_matrix(ell, n, d):
 
 def kernel_K(ell, n, max_degree):
     """K is cut out by the edge-removal derivation alone (d(x_ij) = E)."""
-    check_capacity(ell, n)
+    check_capacity(None, ell, n, range(max_degree + 1))
     fiber = 2 * n - 1
     dims = {}
     basis = {}
@@ -289,7 +301,7 @@ def equivariant_cohomology_even(group, ell, n, max_degree):
     """Basis of the equivariant cohomology model, with its page embedding."""
     if group not in ("so", "o", "u"):
         raise InputError("models exist for the so, o, and u pages")
-    check_capacity(ell, n)
+    check_capacity(group, ell, n, range(max_degree + 1))
     if ell <= 1:
         # a point: the differential vanishes and the answer is all of H*(BG)
         dims, elements = {}, {}
@@ -359,7 +371,7 @@ def model_dims(group, ell, n, max_degree):
     module docstring says; for ell <= 1 the model is the whole page."""
     if group not in ("so", "o", "u"):
         raise InputError("models exist for the so, o, and u pages")
-    check_capacity(ell, n)
+    check_capacity(group if ell <= 1 else None, ell, n, range(max_degree + 1))
     if ell <= 1:
         dims = {d: page_dimension(group, ell, n, d) for d in range(max_degree + 1)}
     else:
@@ -369,8 +381,7 @@ def model_dims(group, ell, n, max_degree):
             if group != "o" or (d // fiber) % 2 == 0:
                 mat = _boundary_matrix(ell, n, d)[1]
                 kernel[d] = mat.ncols - mat.rank()
-        coeffs = [model_coefficient_ring(group, n).dim_of_degree(c)
-                  for c in range(max_degree + 1)]
+        coeffs = model_coefficient_ring(group, n).monomial_counts(max_degree)
         dims = {d: sum(coeffs[d - k] * x for k, x in kernel.items() if k <= d)
                 for d in range(max_degree + 1)}
     return {d: x for d, x in dims.items() if x}
@@ -402,7 +413,7 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     """
     from .specseq import FilteredComplex
 
-    check_capacity(ell, n)
+    check_capacity(group, ell, n, range(max_degree + 1))
     fiber = 2 * n - 1
     spaces = {}
     bases = {}
@@ -452,6 +463,7 @@ def torus_restriction_even(a: PageElement):
 def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
     """Echelonized basis of the W(G(2n))-fixed torus page in one degree; W
     twists the coefficients and scales each x by det = prod eps."""
+    check_capacity("torus", ell, n, (degree,))
     rows = _fixed_rows(family, n, page_basis("torus", ell, n, degree), convention)
     ring = torus_ring(n)
     return [PageElement("torus", ell, n, {edges: Polynomial(ring, row)}) for edges, row in rows]
@@ -468,7 +480,7 @@ def _fixed_rows(family, n, basis, convention):
 def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"):
     """H(W-fixed torus page, d_2n) dimensions, degree by degree: d_2n of a
     fixed row is the same combination of the monomial columns."""
-    check_capacity(ell, n)
+    check_capacity("torus", ell, n, range(max_degree + 2))
     bases = [page_basis("torus", ell, n, d) for d in range(max_degree + 2)]
     sizes, ranks = [], [0]  # the fixed dimension, and the rank of d_2n into, each degree
     for d in range(max_degree + 1):

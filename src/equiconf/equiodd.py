@@ -25,9 +25,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import comb
 
-from . import confring
+from . import charclasses, confring
 from .charclasses import GroupSpec, WeylElement, fixed_rows, torus_ring, weyl_action, weyl_group
 from .errors import InputError
 from .exactalg import Polynomial
@@ -175,6 +174,7 @@ def torus_basis(ell, n, degree):
     """All (admissible graph, q-monomial) pairs of the given total degree."""
     if ell < 0 or n < 1 or degree < 0:
         raise InputError("need ell >= 0, n >= 1, degree >= 0")
+    charclasses.check_basis_size(leray_hirsch_dimension(ell, n, degree), degree)
     ring = qring(n)
     out = []
     m = 0
@@ -195,21 +195,7 @@ def torus_dimension(ell, n, degree):
 
 def leray_hirsch_dimension(ell, n, degree):
     """Coefficient of t^degree in prod_j (1 + j t^(2n)) / (1 - t^2)^n."""
-    if degree < 0:
-        return 0
-    num = [0] * (degree + 1)
-    num[0] = 1
-    for j in range(1, ell):
-        nxt = list(num)
-        for d in range(degree + 1 - 2 * n):
-            nxt[d + 2 * n] += j * num[d]
-        num = nxt
-    total = 0
-    for d in range(0, degree + 1, 2):
-        m = (degree - d) // 2
-        if (degree - d) % 2 == 0:
-            total += num[d] * comb(m + n - 1, n - 1)
-    return total
+    return confring.graded_dimensions(ell, 2 * n, torus_ring(n), degree)[-1] if degree >= 0 else 0
 
 
 def weyl_action_equi(w: WeylElement, a: EquiElement):

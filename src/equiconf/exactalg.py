@@ -577,8 +577,16 @@ class PolyRing:
                      for e in range(rem // deg, -1, -1)]
         return [acc + (rem // last,) for acc, rem in level if rem % last == 0]
 
+    def monomial_counts(self, top):
+        """The number of monomials in each degree 0..top, by coin change."""
+        counts = [1] + [0] * top
+        for deg in self.degrees:
+            for d in range(deg, top + 1):
+                counts[d] += counts[d - deg]
+        return counts
+
     def dim_of_degree(self, d):
-        return len(self.exponents_of_degree(d))
+        return self.monomial_counts(d)[d] if d >= 0 else 0
 
 
 class Polynomial:

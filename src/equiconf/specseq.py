@@ -387,12 +387,6 @@ class SpectralPage:
             out[n] = out.get(n, 0) + dim
         return out
 
-    def differential(self, i, n):
-        mat = self.differentials.get((i, n))
-        if mat is None:
-            return Matrix.zero(self.dim(i - self.r, n + 1), self.dim(i, n))
-        return mat
-
     def aut(self, i, n):
         if self.phi is None:
             raise InputError("page carries no automorphism")

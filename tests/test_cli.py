@@ -1,12 +1,14 @@
 import copy
+import gc
 import json
 import random
 
 import pytest
 
 from equiconf import confring, equieven, equiodd, specseq
-from equiconf.charclasses import BASIS_BOUND, DEGREE_BOUND, HALFDIM_BOUND, POINT_BOUND
-from equiconf.cli import main, parse_perm, parse_word
+from equiconf.charclasses import (BASIS_BOUND, DEGREE_BOUND, HALFDIM_BOUND, MODEL_BOUND,
+                                  POINT_BOUND)
+from equiconf.cli import json_text, main, parse_perm, parse_word
 from equiconf.errors import InputError
 
 
@@ -125,6 +127,32 @@ def test_ss_chain_via_files(capsys, tmp_path):
     assert code == 0
     assert specseq.complex_from_json(json.loads(dec.read_text())).spaces == \
         parsed.spaces
+
+
+def test_json_output_leaves_no_reference_cycles(capsys, tmp_path):
+    # the stdlib's indented encoder left 33 cyclic objects per call
+    for value in ({"b": [1, 2.5, None], "a": {"y": (), "x": {}}, "é": "q\n\"", "c": []},
+                  {3: True, 1: -2 ** 70}, {1.5: "x", 0.5: "y"}, {False: 0, True: 1},
+                  [[], [{}], ({"k": "v"},)], "text", 7):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    path = tmp_path / "complex.json"
+    assert main(["even", "complex", "--group", "torus", "--points", "3", "--halfdim", "2",
+                 "--max-degree", "8", "--xi", "2", "--format", "json",
+                 "--output", str(path)]) == 0
+    argv = ["ss", "decalage", "--input", str(path), "--format", "json"]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv)
+        gc.collect()
+        cyclic = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert code == 0 and cyclic == 0
+    payload = specseq.decalage(specseq.complex_from_json(json.loads(path.read_text())))
+    assert capsys.readouterr().out == json.dumps(payload.to_json(), indent=2,
+                                                 sort_keys=True) + "\n"
 
 
 def test_ss_witness_and_failures(capsys, tmp_path):
@@ -306,13 +334,23 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert exit_code(*argv) == 2
         main(list(argv))
         assert f"cannot write {target}" in capsys.readouterr().err
-    # capacity errors, refused before any model is built
-    assert exit_code("even", "kernel", "--points", "9", "--halfdim", "2",
-                     "--max-degree", "4") == 2
-    assert exit_code("even", "complex", "--group", "torus", "--points", "9",
-                     "--halfdim", "2", "--max-degree", "30") == 2
-    assert exit_code("even", "complex", "--group", "so", "--points", "2",
-                     "--halfdim", "64", "--max-degree", "64") == 2
+    # capacity errors, refused before any model is built: a degree past
+    # MODEL_BOUND monomials (e_5(1..8) = 67284 configuration columns in degree
+    # 15 at 9 points; about 2e25 torus monomials in degree 64 at halfdim 64)
+    for argv in (("even", "kernel", "--points", "9", "--halfdim", "2", "--max-degree", "15"),
+                 ("even", "complex", "--group", "torus", "--points", "9",
+                  "--halfdim", "2", "--max-degree", "30"),
+                 ("even", "complex", "--group", "torus", "--points", "2",
+                  "--halfdim", "64", "--max-degree", "64"),
+                 ("even", "hilbert", "--group", "so", "--points", "9", "--halfdim", "2",
+                  "--max-degree", "12"),
+                 ("even", "verify-page", "--group", "o", "--points", "9", "--halfdim", "2",
+                  "--max-degree", "12")):
+        assert exit_code(*argv) == 2
+        main(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"more than the bound {MODEL_BOUND}\n")
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps(confring.generator(3, 3, 1, 2).to_json()))
     assert exit_code("conf", "act", "--perm", "a,1,3", "--input", str(conf)) == 2

@@ -69,6 +69,16 @@ def test_poincare_polynomials():
         assert str(poincare(4, 2)) == "1 + 6*t + 11*t^2 + 6*t^3"
 
 
+def test_edge_word_counts_match_the_basis():
+    for k in range(8):
+        counts = confring.edge_word_counts(k)
+        assert len(counts) == max(k, 1)
+        for n in (2, 3, 4):
+            assert counts == [len(confring.basis_keys(k, n, m * (n - 1)))
+                              for m in range(len(counts))]
+            assert confring.basis_keys(k, n, len(counts) * (n - 1)) == []
+
+
 def test_poincare_matches_product_formula():
     for k in range(2, 7):
         for n in range(2, 6):

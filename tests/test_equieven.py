@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from equiconf import confring, equieven as ev, exactalg, oracles
+from equiconf import confring, equieven as ev, equiodd, exactalg, oracles
+from equiconf.charclasses import BASIS_BOUND, MODEL_BOUND
+from equiconf.cli import main
 from equiconf.errors import CapacityError, InputError
 from equiconf.exactalg import Matrix, col_space
 
@@ -350,13 +352,73 @@ def test_o_parity_page_equals_involution_fixed_space():
             assert fixed == ev.page_dimension("o", ell, 2, degree)
 
 
+def test_graded_dimensions_match_the_page_bases():
+    for ell in range(7):
+        for n in (1, 2, 3):
+            for group in ("torus", "so", "u"):
+                counts = confring.graded_dimensions(ell, 2 * n - 1, ev.page_ring(group, n), 14)
+                assert counts == [ev.page_dimension(group, ell, n, d) for d in range(15)], \
+                    (group, ell, n)
+                if group == "so":
+                    # the "o" page is sized by the "so" page that holds it
+                    assert all(ev.page_dimension("o", ell, n, d) <= counts[d]
+                               for d in range(15))
+
+
+# over MODEL_BOUND monomials in a degree, by the closed form: e_5(1..8) =
+# 67284 and e_4(1..8) = 22449 configuration columns at 9 points, 10185 torus
+# monomials in degree 29 at l=6, n=3, 1219752 in degree 30 at l=9, n=2
+PAST_THE_MODEL_BOUND = (
+    (ev.kernel_K, 9, 2, 15), (ev.kernel_K, 9, 2, 12),
+    (ev.page_cohomology_dims, "so", 9, 2, 12), (ev.model_dims, "so", 9, 2, 12),
+    (ev.model_dims, "u", 1, 64, 70), (ev.verify_page_cohomology, "o", 9, 2, 12),
+    (ev.equivariant_cohomology_even, "u", 9, 2, 12),
+    (ev.as_filtered_complex, "torus", 6, 3, 30), (ev.as_filtered_complex, "torus", 9, 2, 30),
+    (ev.as_filtered_complex, "torus", 2, 64, 64),
+    (ev.fixed_page_cohomology_dims, "so_even", 6, 3, 30),
+    (ev.weyl_fixed_page_basis, "so_even", 2, 5, 60),
+)
+
+
 def test_capacity_errors():
+    # the bound replaced a shape cap, ell <= 6 and n <= 3, that sized nothing
+    for call, *args in PAST_THE_MODEL_BOUND:
+        with pytest.raises(CapacityError, match=f"more than the bound {MODEL_BOUND}$"):
+            call(*args)
+    with pytest.raises(CapacityError, match=f"more than the bound {BASIS_BOUND}$"):
+        equiodd.torus_basis(3, 64, 40)
+
+
+def test_entry_points_refuse_before_enumerating(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(ev, "page_basis", enumerated)
+    monkeypatch.setattr(confring, "basis_keys", enumerated)
+    for call, *args in PAST_THE_MODEL_BOUND:
+        with pytest.raises(CapacityError):
+            call(*args)
     with pytest.raises(CapacityError):
-        ev.kernel_K(7, 2, 4)
-    with pytest.raises(CapacityError):
-        ev.verify_page_cohomology("so", 2, 4, 4)
-    with pytest.raises(CapacityError):
-        ev.as_filtered_complex("torus", 7, 2, 4)
+        equiodd.torus_basis(3, 64, 40)
+    # `equi hilbert` builds its top degree first, the largest even one
+    assert main(["equi", "hilbert", "--points", "3", "--halfdim", "64",
+                 "--max-degree", "30"]) == 2
+    with pytest.raises(AssertionError):
+        ev.kernel_K(3, 2, 3)
+    with pytest.raises(AssertionError):
+        ev.as_filtered_complex("so", 2, 2, 2)
+
+
+def test_models_past_the_old_cap_are_admitted():
+    assert ev.verify_page_cohomology("so", 7, 2, 12).passed
+    # l=8: at most 8064 page monomials (torus; 6773 so, 7417 u) and 6769
+    # configuration columns in a degree up to 13
+    for group in ("torus", "so", "o", "u", None):
+        ev.check_capacity(group, 8, 2, range(14))
+    # max dim 231: edges and the Euler class have degree 127 and 128, so degree
+    # 64 holds the 231 partitions of 16 into the p_u, of degree 4u
+    A = ev.as_filtered_complex("so", 2, 64, 64)
+    assert max(A.spaces.values()) == 231
 
 
 def test_page_element_json_round_trip():

@@ -115,9 +115,9 @@ def test_torus_basis_examples():
 
 
 def test_leray_hirsch_identity():
-    for ell in range(0, 6):
-        for n in (1, 2):
-            for d in range(0, 8 * n + 5):
+    for ell in range(0, 7):
+        for n in (1, 2, 3):
+            for d in range(0, max(8 * n + 5, 15)):
                 assert equiodd.torus_dimension(ell, n, d) == \
                     equiodd.leray_hirsch_dimension(ell, n, d), (ell, n, d)
 

@@ -575,6 +575,17 @@ def test_monomial_enumeration_by_graded_degree():
     assert mixed.dim_of_degree(8) == 3
 
 
+def test_monomial_counts_match_the_enumeration():
+    rng = random.Random(19)
+    for size in range(5):
+        for _ in range(6):
+            ring = PolyRing([(f"g{i}", rng.randint(1, 6)) for i in range(size)])
+            counts = ring.monomial_counts(30)
+            assert counts == [len(ring.exponents_of_degree(d)) for d in range(31)], ring
+            assert [ring.dim_of_degree(d) for d in range(31)] == counts
+            assert ring.dim_of_degree(-1) == 0
+
+
 def test_exponents_of_degree_match_a_filtered_product():
     # every exponent tuple of the degree, in descending lexicographic order
     for gens in ([], [("a", 1)], [("a", 3)], [("q1", 2), ("q2", 2)],

@@ -160,7 +160,7 @@ def test_two_step_filtration_of_acyclic_complex():
     A = two_term(1, 0)
     e1 = ss.page(A, 1)
     assert e1.dims() == {(1, 0): 1, (0, 1): 1}
-    d1 = e1.differential(1, 0)
+    d1 = e1.differentials[1, 0]
     assert d1.nrows == 1 and d1.ncols == 1 and not d1.is_zero()
     assert not ss.page(A, 2).dims()
 
@@ -471,12 +471,16 @@ def assert_pages_match_oracle(A, pages):
         new, old = ss.page(A, r), oracles.subquotient_page(A, r)
         assert new.r == r and new.dims() == old.dims()
         assert set(new.spots) == set(old.spots)
+        # a spot has a d_r entry exactly when its target spot is live
+        assert set(new.differentials) == set(old.differentials) \
+            == {(i, n) for (i, n) in new.spots if (i - r, n + 1) in new.spots}
         for (i, n) in new.spots:
-            assert new.differential(i, n).rank() == old.differential(i, n).rank()
+            if (i, n) in new.differentials:
+                assert new.differentials[i, n].rank() == old.differentials[i, n].rank()
             if A.phi is not None:
                 assert new.aut(i, n).charpoly() == old.aut(i, n).charpoly()
                 if (i - r, n + 1) in new.spots:
-                    d_r = new.differential(i, n)
+                    d_r = new.differentials[i, n]
                     assert new.aut(i - r, n + 1) * d_r == d_r * new.aut(i, n)
     assert ss.decalage(A).to_json() == oracles.subquotient_decalage(A).to_json()
 
@@ -512,7 +516,7 @@ def test_pages_of_raw_level_spans_match_the_subquotient_oracle():
                            {0: [line, full], 1: [Matrix.from_columns([[3, 0]]), full]},
                            {0: Matrix([[2, 0], [0, 2]]), 1: Matrix([[2, 0], [0, 5]])})
     assert_pages_match_oracle(A, range(4))
-    assert ss.page(A, 0).differential(0, 0) == Matrix([[1]])
+    assert ss.page(A, 0).differentials[0, 0] == Matrix([[1]])
     assert ss.page(A, 1).dims() == {(1, 0): 1, (1, 1): 1}
 
 
