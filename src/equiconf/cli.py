@@ -22,6 +22,7 @@ from .charclasses import (
     POINT_BOUND,
     GroupSpec,
     check_basis_size,
+    torus_ring,
 )
 from .errors import CapacityError, InputError, PurityViolation, WitnessError
 from .exactalg import rat
@@ -166,12 +167,17 @@ def cmd_equi_hilbert(args):
     # from the top, where the bases are largest, so a refusal comes first
     degrees = range(args.max_degree, -1, -1)
     if args.group == "torus":
-        dims = [equiodd.torus_dimension(args.points, args.halfdim, d) for d in degrees]
+        # counted in closed form; the `leray-hirsch` suite checks it against
+        # the enumerated bases
+        dims = confring.graded_dimensions(args.points, 2 * args.halfdim,
+                                          torus_ring(args.halfdim), args.max_degree)
+        for d in degrees:
+            check_basis_size(dims[d], d)
     else:
         spec = GroupSpec(ODD_GROUPS[args.group], args.halfdim)
         dims = [equiodd.fixed_point_dimension(spec, args.points, d, args.weyl_convention)
                 for d in degrees]
-    dims.reverse()
+        dims.reverse()
     payload = {"points": args.points, "halfdim": args.halfdim,
                "group": args.group, "dims": dims}
     emit(args, payload, text=" ".join(str(x) for x in dims))

@@ -9,10 +9,11 @@ cycle/boundary subquotients
     E_r(i, n) = Z_r(i, n) / (Z_{r-1}(i-1, n) + d Z_{r-1}(i+r-1, n-1))
 
 with d_r induced by d, mapping (i, n) to (i - r, n + 1). They are read off
-one barcode basis per degree (a persistence reduction of d), in which each
-Z_r, each boundary term and each spot is spanned by basis elements. A page
-keeps the dimension of each spot, and d_r and phi_r in those elements, but
-no representatives in the ambient space.
+one barcode basis per degree (a persistence reduction of d, over the adapted
+basis that each complex keeps from construction), in which each Z_r, each
+boundary term and each spot is spanned by basis elements. A page counts the
+dimension of each spot; it builds d_r and phi_r in those elements only when
+they are first read, and keeps no representatives in the ambient space.
 `oracles.subquotient_page` builds the subquotients themselves as the
 cross-check. Spots are keyed by (filtration index i, total degree n); the
 displayed bidegree is (-i, j) with j = n + i, so page r here is page r+1 in
@@ -64,9 +65,12 @@ from .exactalg import (
 
 class FilteredComplex:
     """Explicit filtered cochain complex, canonicalized degree by degree:
-    each filtration level is kept as the canonical basis of its span."""
+    each filtration level is kept as the canonical basis of its span, and
+    `flags[n]` is the `flag_basis` of the levels of degree n, built once at
+    construction for `validate` and the barcode. A complex is not mutated
+    after construction: the flags would no longer match its levels."""
 
-    __slots__ = ("spaces", "d", "filtration", "phi", "top_level")
+    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "flags")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
@@ -96,6 +100,7 @@ class FilteredComplex:
                     self.phi[n] = mat
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
+        self.flags = {n: flag_basis(levels) for n, levels in self.filtration.items()}
         if validate:
             self.validate()
 
@@ -151,15 +156,15 @@ class FilteredComplex:
         filtration that d preserves, then an invertible phi that commutes with
         d and preserves the filtration.
 
-        The filtration checks read one adapted basis per degree
-        (`flag_basis`): a vector lies in W_t exactly when its triangular
+        The filtration checks read the adapted basis of each degree
+        (`flags`): a vector lies in W_t exactly when its triangular
         expansion at the leads of that basis uses only elements of level at
         most t. So d preserves every W_t when no basis element of degree n is
         sent to a higher level of degree n + 1, and the first W_t it fails
         is the lowest level of an element that is; phi likewise within
         degree n. Nestedness and exhaustiveness are read off the canonical
         levels, which are in echelon form already."""
-        flags = {n: flag_basis(levels) if _nested(levels) else None
+        flags = {n: self.flags[n] if _nested(levels) else None
                  for n, levels in self.filtration.items()}
         for n in self.spaces:
             mat = self.diff(n)
@@ -281,24 +286,27 @@ def reading(what):
         raise InputError(f"malformed {what}: {exc}") from exc
 
 
-def read_complex(data):
+def read_complex(data, literal=None):
     """(spaces, d, phi) of a complex in the JSON of `to_json`, phi None where
     it has none; call it inside `reading`. Each dimension must be a
     non-negative integer and each degree at most DEGREE_BOUND. `validate`
     checks the shape of every block at a degree of positive dimension; the
-    blocks at other degrees, which it never reaches, are checked here."""
+    blocks at other degrees, which it never reaches, are checked here.
+    `literal` reads each matrix entry, a new `_literals()` by default."""
+    literal = literal or _literals()
     spaces = {int(k): dim for k, dim in json_map(data["degrees"], "degrees").items()}
     for n, dim in spaces.items():
         _dimension(n, dim)
         if n > DEGREE_BOUND:
             raise InputError(f"degree {n} exceeds the bound {DEGREE_BOUND}")
-    d = {int(k): _matrix(rows) for k, rows in json_map(data.get("d", {}), "d").items()}
+    d = {int(k): _matrix(rows, literal)
+         for k, rows in json_map(data.get("d", {}), "d").items()}
     for n, mat in d.items():
         if not spaces.get(n) and (mat.ncols or mat.nrows not in (0, spaces.get(n + 1, 0))):
             raise InputError(f"differential shape mismatch at degree {n}")
     if "phi" not in data:
         return spaces, d, None
-    phi = {int(k): _matrix(rows) for k, rows in json_map(data["phi"], "phi").items()}
+    phi = {int(k): _matrix(rows, literal) for k, rows in json_map(data["phi"], "phi").items()}
     for n, mat in phi.items():
         if mat.nrows and not spaces.get(n):
             raise InputError(f"automorphism shape mismatch at degree {n}")
@@ -312,18 +320,35 @@ def _dimension(n, dim):
     return dim
 
 
-def _matrix(rows):
-    return Matrix([[rat(x) for x in row] for row in rows])
+def _literals():
+    """`rat` that parses each distinct string once, for one read: a complex
+    in JSON repeats a few literals, "0" most, thousands of times. Other
+    values go straight to `rat`."""
+    parsed = {}
+
+    def literal(x):
+        if type(x) is not str:
+            return rat(x)
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = rat(x)
+        return q
+    return literal
+
+
+def _matrix(rows, literal):
+    return Matrix([[literal(x) for x in row] for row in rows])
 
 
 def complex_from_json(data):
     data = json_map(data, "a filtered complex")
+    literal = _literals()
     with reading("filtered complex"):
-        spaces, d, phi = read_complex(data)
+        spaces, d, phi = read_complex(data, literal)
         filtration = {}
         for k, levels in json_map(data.get("filtration", {}), "filtration").items():
             n = int(k)
-            filtration[n] = [col_space([[rat(x) for x in col] for col in lvl],
+            filtration[n] = [col_space([[literal(x) for x in col] for col in lvl],
                                        dim=spaces.get(n, 0))
                              for lvl in levels]
         if not filtration:
@@ -361,15 +386,22 @@ def _truncation(A: FilteredComplex):
 
 class SpectralPage:
     """One page: the dimension of each live spot, and the induced
-    differentials and automorphisms in a basis of each spot."""
+    differentials and automorphisms in a basis of each spot.
 
-    __slots__ = ("r", "spots", "differentials", "phi")
+    A page read off a barcode (`page`) holds the complex and its barcode and
+    builds a matrix only when it is first read, then keeps it: every d_r at
+    the first read of `differentials`, phi_r one spot at a time in `aut`.
+    `oracles.subquotient_page` passes all its matrices in."""
 
-    def __init__(self, r, spots, differentials, phi):
+    __slots__ = ("r", "spots", "_differentials", "_phi", "_source", "_live", "_to_bar")
+
+    def __init__(self, r, spots, differentials, phi, source=None):
         self.r = r
         self.spots = spots                  # (i, n) -> dimension, live spots only
-        self.differentials = differentials  # (i, n) -> Matrix to (i-r, n+1)
-        self.phi = phi                      # (i, n) -> Matrix, if present
+        self._differentials = differentials  # (i, n) -> Matrix to (i-r, n+1), or None
+        self._phi = phi                     # (i, n) -> Matrix, None without phi
+        self._source = source               # (A, _barcode(A)) of a barcode page
+        self._live, self._to_bar = {}, {}   # per degree, built on first read
 
     def dim(self, i, n):
         return self.spots.get((i, n), 0)
@@ -387,12 +419,53 @@ class SpectralPage:
             out[n] = out.get(n, 0) + dim
         return out
 
+    def _elements(self, n):
+        """{i: the live barcode elements of level i and degree n, in order}."""
+        live = self._live.get(n)
+        if live is None:
+            live = self._live[n] = {}
+            level, *_, gap = self._source[1][n]
+            for k, t in enumerate(level):
+                if gap.get(k, self.r) >= self.r:
+                    live.setdefault(t, []).append(k)
+        return live
+
+    @property
+    def differentials(self):
+        """(i, n) -> the Matrix of d_r to (i - r, n + 1), at each live spot
+        whose target is live. On the barcode d_r sends the source of each
+        pair that drops exactly r levels to its target."""
+        if self._differentials is None:
+            r, bars, diffs = self.r, self._source[1], {}
+            for i, n in self.spots:
+                if (i - r, n + 1) in self.spots:
+                    low, gap = bars[n][4:]
+                    target = self._elements(n + 1)[i - r]
+                    row = {k: t for t, k in enumerate(target)}
+                    diffs[(i, n)] = Matrix._of_columns(
+                        [{row[low[k]]: ONE} if k in low and gap[k] == r else {}
+                         for k in self._elements(n)[i]], len(target))
+            self._differentials = diffs
+        return self._differentials
+
     def aut(self, i, n):
-        if self.phi is None:
+        """The Matrix of phi_r at spot (i, n), empty at a spot that is not live."""
+        if self._phi is None:
             raise InputError("page carries no automorphism")
-        mat = self.phi.get((i, n))
+        if (i, n) not in self.spots:
+            return Matrix.identity(0)
+        mat = self._phi.get((i, n))
         if mat is None:
-            return Matrix.identity(self.dim(i, n))
+            A, bars = self._source
+            _, basis, _, cols, *_ = bars[n]
+            to_bar = self._to_bar.get(n)
+            if to_bar is None:
+                to_bar = self._to_bar[n] = _phi_coordinates(A, n, bars[n])
+            ks = self._elements(n)[i]
+            row = {k: t for t, k in enumerate(ks)}
+            mat = self._phi[(i, n)] = Matrix._of_columns(
+                [{row[j]: c for j, c in to_bar(combine(basis, cols[k])).items() if j in row}
+                 for k in ks], len(ks))
         return mat
 
 
@@ -400,15 +473,15 @@ def _barcode(A: FilteredComplex):
     """{n: (level, basis, lead, cols, low, gap)}, the barcode basis of each
     degree n by one persistence reduction of d in filtration order.
 
-    Position k runs over the adapted basis `basis`, where basis[k] has level
-    level[k] and `lead` maps its first index to (k, basis[k]). cols[k] is
-    barcode element k in the adapted basis; d sends it to element low[k] of
-    degree n + 1 when k is a source, else to 0. `gap` holds the level drop
-    of each pair at both its ends."""
-    adapted = {n: flag_basis(A.filtration[n]) for n in A.degrees()}
+    Position k runs over the adapted basis `basis` of `A.flags[n]`, where
+    basis[k] has level level[k] and `lead` maps its first index to
+    (k, basis[k]). cols[k] is barcode element k in the adapted basis; d
+    sends it to element low[k] of degree n + 1 when k is a source, else to
+    0. `gap` holds the level drop of each pair at both its ends."""
     bars, cleared = {}, {}
-    for n, (level, basis, lead) in adapted.items():
-        nxt, dcols = adapted.get(n + 1), A.diff(n).sparse_columns()
+    for n in A.degrees():
+        level, basis, lead = A.flags[n]
+        nxt, dcols = A.flags.get(n + 1), A.diff(n).sparse_columns()
         cols, low, gap, table, targets = [], {}, {}, {}, {}
         for k, b in enumerate(basis):
             if k in cleared:  # d x for a source x of degree n - 1: a cycle
@@ -447,36 +520,22 @@ def page(A: FilteredComplex, r):
     Spot (i, n) is spanned by the level-i barcode elements of degree n that
     are in no pair or in one that drops at least r levels; d_r sends the
     source of each pair that drops exactly r levels to its target. The page
-    keeps each spot's dimension, and d_r and phi_r in these elements."""
+    counts each spot's dimension here; d_r and phi_r are built in these
+    elements when first read."""
     if r < 0:
         raise InputError("page index must be non-negative")
     return _page(A, _barcode(A), r)
 
 
 def _page(A: FilteredComplex, bars, r):
-    """`page(A, r)` read off the barcode bars = `_barcode(A)`."""
-    live = {n: {} for n in bars}
+    """`page(A, r)` read off the barcode bars = `_barcode(A)`: the live
+    elements of each spot, counted."""
+    spots = {}
     for n, (level, *_, gap) in bars.items():
         for k, t in enumerate(level):
             if gap.get(k, r) >= r:
-                live[n].setdefault(t, []).append(k)
-    spots, diffs, phis = {}, {}, None if A.phi is None else {}
-    for n, (level, basis, lead, cols, low, gap) in bars.items():
-        if phis is not None:
-            to_bar = _phi_coordinates(A, n, bars[n])
-        for i, ks in live[n].items():
-            spots[(i, n)] = len(ks)
-            if (target := live.get(n + 1, {}).get(i - r)) is not None:
-                row = {k: t for t, k in enumerate(target)}
-                diffs[(i, n)] = Matrix._of_columns(
-                    [{row[low[k]]: ONE} if k in low and gap[k] == r else {} for k in ks],
-                    len(target))
-            if phis is not None:
-                row = {k: t for t, k in enumerate(ks)}
-                phis[(i, n)] = Matrix._of_columns(
-                    [{row[j]: c for j, c in to_bar(combine(basis, cols[k])).items() if j in row}
-                     for k in ks], len(ks))
-    return SpectralPage(r, spots, diffs, phis)
+                spots[(t, n)] = spots.get((t, n), 0) + 1
+    return SpectralPage(r, spots, None, None if A.phi is None else {}, (A, bars))
 
 
 def page_cohomology_dims(pg: SpectralPage):

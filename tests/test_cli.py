@@ -46,6 +46,24 @@ def test_equi_hilbert_so3(capsys):
     assert out.split() == ["1", "0", "1", "0", "1", "0", "1", "0", "1"]
 
 
+def test_equi_hilbert_torus_counts_without_enumerating(capsys, monkeypatch):
+    # the torus counts come from the closed form, equal to the enumerated
+    # bases, and a basis past BASIS_BOUND is refused from the top degree down
+    want = {(ell, n): [equiodd.torus_dimension(ell, n, d) for d in range(9)]
+            for ell in range(5) for n in (1, 2, 3)}
+    monkeypatch.setattr(equiodd, "torus_basis", None)
+    for (ell, n), dims in want.items():
+        assert run(capsys, "equi", "hilbert", "--points", str(ell), "--halfdim", str(n),
+                   "--max-degree", "8") == (0, " ".join(map(str, dims)) + "\n")
+    # degrees 12 and 14 are both past the bound: 14 is named
+    sizes = [equiodd.leray_hirsch_dimension(9, 1, d) for d in (12, 14)]
+    assert min(sizes) > BASIS_BOUND
+    assert main(["equi", "hilbert", "--points", "9", "--halfdim", "1",
+                 "--max-degree", "14"]) == 2
+    assert capsys.readouterr().err == (f"error: the degree 14 basis has {sizes[1]} "
+                                       f"monomials, more than the bound {BASIS_BOUND}\n")
+
+
 def test_equi_hilbert_o3_and_conventions(capsys):
     code, out = run(capsys, "equi", "hilbert", "--points", "2", "--halfdim", "1",
                     "--group", "o", "--max-degree", "8")

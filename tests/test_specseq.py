@@ -520,6 +520,108 @@ def test_pages_of_raw_level_spans_match_the_subquotient_oracle():
     assert ss.page(A, 1).dims() == {(1, 0): 1, (1, 1): 1}
 
 
+def seeded_battery(seed, count):
+    """The even page models, then `count` rounds of seeded random complexes:
+    strict, general, pure, impure and staircase."""
+    rng = random.Random(seed)
+    out = [equieven.as_filtered_complex(group, ell, n, top, xi=rng.choice((2, 3, -2)))
+           for group, ell, n, top in PAGE_MODELS]
+    for t in range(count):
+        xi = rng.choice((Q(2), Q(3), Q(-2)))
+        out += [verify.random_filtered_complex(rng, strict=t % 2 == 0),
+                verify.random_pure_complex(rng, xi, (Q(1), Q(2), Q(1, 2))[t % 3],
+                                           impure=t % 4 == 1)[0],
+                verify.random_staircase_complex(rng, xi, Q(1), 1 + t % 3)]
+    return out
+
+
+def test_page_builds_no_matrix_until_read(monkeypatch):
+    # a page counts its spots: no matrix and no adapted basis is built until
+    # d_r or phi_r is read
+    battery = seeded_battery(23, 6)
+    calls = []
+    of_columns, flag_basis = Matrix._of_columns, ss.flag_basis
+    monkeypatch.setattr(Matrix, "_of_columns", classmethod(
+        lambda cls, cols, nrows: calls.append("_of_columns") or of_columns(cols, nrows)))
+    monkeypatch.setattr(ss, "flag_basis", lambda spans: calls.append("flag_basis")
+                        or flag_basis(spans))
+    pages = [ss.page(A, r) for A in battery for r in range(A.top_level + 2)]
+    assert calls == []
+    assert any(pg.differentials for pg in pages) and calls  # reading d_r builds it
+
+
+def read_in_order(pg, keys, when, has_phi):
+    """(d_r, phi_r) of pg: phi_r read at keys in order, d_r after `when` of
+    them; d_r is read once and kept."""
+    auts = {key: pg.aut(*key) for key in keys[:when]} if has_phi else {}
+    diffs = pg.differentials
+    if has_phi:
+        auts |= {key: pg.aut(*key) for key in keys[when:]}
+    assert pg.differentials is diffs
+    return diffs, auts
+
+
+def test_page_matrices_do_not_depend_on_the_read_order():
+    # d_r at once and phi_r spot by spot, read in any order, give the same
+    # matrices; those agree with the subquotient oracle as in
+    # `assert_pages_match_oracle` (the oracle's spot bases differ, so ranks,
+    # charpolys and phi_r d_r = d_r phi_r are compared)
+    rng = random.Random(29)
+    for A in seeded_battery(29, 6):
+        for r in range(A.top_level + 3):
+            keys = sorted(ss.page(A, r).spots)
+            has_phi = A.phi is not None
+            diffs, auts = read_in_order(ss.page(A, r), keys, 0, has_phi)
+            for when in (len(keys), len(keys) // 2, 1):
+                rng.shuffle(keys)
+                assert read_in_order(ss.page(A, r), keys, when, has_phi) == (diffs, auts)
+            old = oracles.subquotient_page(A, r)
+            assert set(diffs) == set(old.differentials)
+            for key, d_r in diffs.items():
+                assert d_r.rank() == old.differentials[key].rank()
+            for (i, n), mat in auts.items():
+                assert mat.charpoly() == old.aut(i, n).charpoly()
+                if (i, n) in diffs:
+                    assert auts[i - r, n + 1] * diffs[i, n] == diffs[i, n] * mat
+
+
+def test_complexes_built_unchecked_store_their_flags():
+    # the adapted basis kept from construction is `flag_basis` of the levels,
+    # on the decalages and truncations the engine builds unchecked
+    for A in seeded_battery(31, 10):
+        for B in (A, ss.decalage(A), ss._truncation(A), ss.decalage(ss.decalage(A)),
+                  ss.canonical_filtration(A.spaces, A.d, A.phi)):
+            assert B.flags == {n: ss.flag_basis(levels) for n, levels in B.filtration.items()}
+
+
+def test_json_read_parses_each_literal_once(monkeypatch):
+    # one `rat` call per distinct string of the read; non-strings go to
+    # `rat` unchanged, so ints and bools are read and floats refused as before
+    A = equieven.as_filtered_complex("torus", 2, 2, 8, xi=3)
+    data = A.to_json()
+
+    def strings(value):
+        if isinstance(value, list):
+            return set().union(*map(strings, value))
+        return {value} if isinstance(value, str) else set()
+    calls, rat = [], ss.rat
+    monkeypatch.setattr(ss, "rat", lambda x: calls.append(x) or rat(x))
+    again = ss.complex_from_json(data)
+    assert sorted(calls) == sorted(strings([list(data[key].values())
+                                            for key in ("d", "phi", "filtration")]))
+    assert len(calls) < 20
+    assert again.to_json() == data
+    pair = {"degrees": {"0": 1, "1": 1}, "filtration": {"0": [[["1"]]], "1": [[["1"]]]}}
+    for entry, outcome in ((True, [["1"]]), (1, [["1"]]), ("2/4", [["1/2"]]),
+                           (1.0, "malformed filtered complex: not a rational: 1.0"),
+                           ("x", "malformed filtered complex: bad rational literal 'x'")):
+        try:
+            got = ss.mat_json(ss.complex_from_json({**pair, "d": {"0": [[entry]]}}).diff(0))
+        except InputError as exc:
+            got = str(exc)
+        assert got == outcome
+
+
 def outcome(check, A):
     """True when `check` accepts A, else the message of its InputError."""
     try:
