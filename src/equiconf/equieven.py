@@ -431,9 +431,12 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
     for d, basis in bases.items():
         if not basis:
             continue
-        filtration[d] = [Matrix._of_columns([{t: ONE} for t, (edges, _) in enumerate(basis)
-                                             if fiber * len(edges) <= i], len(basis))
-                         for i in range(top_level + 1)]
+        # W_i holds the words of length at most i // fiber: one Matrix per
+        # length, repeated as the same object for the constructor to share
+        levels = [Matrix._of_columns([{t: ONE} for t, (edges, _) in enumerate(basis)
+                                      if len(edges) <= m], len(basis))
+                  for m in range(top_level // fiber + 1)]
+        filtration[d] = [levels[i // fiber] for i in range(top_level + 1)]
     phi = None
     if xi is not None:
         xi = rat(xi)

@@ -11,7 +11,9 @@ cycle/boundary subquotients
 with d_r induced by d, mapping (i, n) to (i - r, n + 1). They are read off
 one barcode basis per degree (a persistence reduction of d, over the adapted
 basis that each complex keeps from construction), in which each Z_r, each
-boundary term and each spot is spanned by basis elements. A page counts the
+boundary term and each spot is spanned by basis elements. The barcode does
+not depend on r: each complex reduces it once, at its first read, and keeps
+it for every page, its decalage and its purity checks. A page counts the
 dimension of each spot; it builds d_r and phi_r in those elements only when
 they are first read, and keeps no representatives in the ambient space.
 `oracles.subquotient_page` builds the subquotients themselves as the
@@ -37,7 +39,11 @@ A complex is checked in full once, where it enters: by the FilteredComplex
 constructor, by `complex_from_json` and by `canonical_filtration`. The
 complexes built from a checked one, its truncation and its decalage, keep
 its d and phi and are valid by construction, so they are not checked again;
-the tests hold them to `validate`.
+the tests hold them to `validate`. Each distinct filtration level is
+canonicalized once: the constructor shares a level passed as the same object
+as the one before it, and `complex_from_json` a level whose entries read as
+the one before it. A complex is never mutated after construction, since its
+adapted basis and its kept barcode are read off its levels and d.
 """
 
 from __future__ import annotations
@@ -67,10 +73,15 @@ class FilteredComplex:
     """Explicit filtered cochain complex, canonicalized degree by degree:
     each filtration level is kept as the canonical basis of its span, and
     `flags[n]` is the `flag_basis` of the levels of degree n, built once at
-    construction for `validate` and the barcode. A complex is not mutated
-    after construction: the flags would no longer match its levels."""
+    construction for `validate` and the barcode. A level passed as the same
+    object as the level before it is canonicalized once and shared. The
+    barcode is reduced at its first read (`barcode`) and kept; a complex
+    that is only validated never reduces it.
 
-    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "flags")
+    A complex must never be mutated after construction: its flags and its
+    kept barcode would no longer match its levels and d."""
+
+    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "flags", "_bars")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
@@ -88,7 +99,7 @@ class FilteredComplex:
             n = int(n)
             if self.dim(n) == 0:
                 continue
-            self.filtration[n] = tuple(self._level(n, lvl) for lvl in levels)
+            self.filtration[n] = self._levels(n, levels)
         self.phi = None
         if phi is not None:
             self.phi = {}
@@ -101,8 +112,19 @@ class FilteredComplex:
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
         self.flags = {n: flag_basis(levels) for n, levels in self.filtration.items()}
+        self._bars = None
         if validate:
             self.validate()
+
+    def _levels(self, n, levels):
+        """The canonical bases of the levels of degree n: a level passed as
+        the same object as the one before it is canonicalized once and
+        repeated."""
+        out, prev = [], None
+        for lvl in levels:
+            out.append(out[-1] if out and lvl is prev else self._level(n, lvl))
+            prev = lvl
+        return tuple(out)
 
     def _level(self, n, lvl):
         """The canonical basis of a level of degree n: a Matrix whose columns
@@ -147,6 +169,13 @@ class FilteredComplex:
         if levels is None or i >= len(levels):
             return Matrix.identity(self.dim(n))
         return levels[i]
+
+    @property
+    def barcode(self):
+        """`_barcode(self)`, reduced at the first read and kept."""
+        if self._bars is None:
+            self._bars = _barcode(self)
+        return self._bars
 
     # -- validation ---------------------------------------------------------
 
@@ -236,6 +265,8 @@ def mat_json(m):
 def _nested(levels):
     """Whether each canonical span of `levels` lies in the next one."""
     for lo, hi in zip(levels, levels[1:]):
+        if lo is hi:
+            continue
         if lo.ncols >= hi.ncols:
             if lo != hi:  # canonical spans of one dimension are nested only when equal
                 return False
@@ -348,9 +379,14 @@ def complex_from_json(data):
         filtration = {}
         for k, levels in json_map(data.get("filtration", {}), "filtration").items():
             n = int(k)
-            filtration[n] = [col_space([[literal(x) for x in col] for col in lvl],
-                                       dim=spaces.get(n, 0))
-                             for lvl in levels]
+            filtration[n] = spans = []
+            prev = None
+            for lvl in levels:
+                # a level whose entries read as the previous one's shares its span
+                cols = [[literal(x) for x in col] for col in lvl]
+                spans.append(spans[-1] if spans and cols == prev
+                             else col_space(cols, dim=spaces.get(n, 0)))
+                prev = cols
         if not filtration:
             raise InputError("input complex carries no filtration")
         return FilteredComplex(spaces, d, filtration, phi)
@@ -388,10 +424,13 @@ class SpectralPage:
     """One page: the dimension of each live spot, and the induced
     differentials and automorphisms in a basis of each spot.
 
-    A page read off a barcode (`page`) holds the complex and its barcode and
-    builds a matrix only when it is first read, then keeps it: every d_r at
-    the first read of `differentials`, phi_r one spot at a time in `aut`.
-    `oracles.subquotient_page` passes all its matrices in."""
+    A page read off a barcode (`page`) holds only its complex: every page of
+    a complex reads the one barcode kept on it after its first read. It
+    builds a matrix only when that is first read, then keeps it: every d_r
+    at the first read of `differentials`, phi_r one spot at a time in `aut`.
+    So the complex must never be mutated while its pages are in use; its
+    repeated levels are shared objects as well. `oracles.subquotient_page`
+    passes all its matrices in."""
 
     __slots__ = ("r", "spots", "_differentials", "_phi", "_source", "_live", "_to_bar")
 
@@ -400,7 +439,7 @@ class SpectralPage:
         self.spots = spots                  # (i, n) -> dimension, live spots only
         self._differentials = differentials  # (i, n) -> Matrix to (i-r, n+1), or None
         self._phi = phi                     # (i, n) -> Matrix, None without phi
-        self._source = source               # (A, _barcode(A)) of a barcode page
+        self._source = source               # the complex of a barcode page
         self._live, self._to_bar = {}, {}   # per degree, built on first read
 
     def dim(self, i, n):
@@ -424,7 +463,7 @@ class SpectralPage:
         live = self._live.get(n)
         if live is None:
             live = self._live[n] = {}
-            level, *_, gap = self._source[1][n]
+            level, *_, gap = self._source.barcode[n]
             for k, t in enumerate(level):
                 if gap.get(k, self.r) >= self.r:
                     live.setdefault(t, []).append(k)
@@ -436,7 +475,7 @@ class SpectralPage:
         whose target is live. On the barcode d_r sends the source of each
         pair that drops exactly r levels to its target."""
         if self._differentials is None:
-            r, bars, diffs = self.r, self._source[1], {}
+            r, bars, diffs = self.r, self._source.barcode, {}
             for i, n in self.spots:
                 if (i - r, n + 1) in self.spots:
                     low, gap = bars[n][4:]
@@ -456,11 +495,12 @@ class SpectralPage:
             return Matrix.identity(0)
         mat = self._phi.get((i, n))
         if mat is None:
-            A, bars = self._source
-            _, basis, _, cols, *_ = bars[n]
+            A = self._source
+            bar = A.barcode[n]
+            _, basis, _, cols, *_ = bar
             to_bar = self._to_bar.get(n)
             if to_bar is None:
-                to_bar = self._to_bar[n] = _phi_coordinates(A, n, bars[n])
+                to_bar = self._to_bar[n] = _phi_coordinates(A, n, bar)
             ks = self._elements(n)[i]
             row = {k: t for t, k in enumerate(ks)}
             mat = self._phi[(i, n)] = Matrix._of_columns(
@@ -471,7 +511,8 @@ class SpectralPage:
 
 def _barcode(A: FilteredComplex):
     """{n: (level, basis, lead, cols, low, gap)}, the barcode basis of each
-    degree n by one persistence reduction of d in filtration order.
+    degree n by one persistence reduction of d in filtration order. Read it
+    through `A.barcode`, which runs this once per complex.
 
     Position k runs over the adapted basis `basis` of `A.flags[n]`, where
     basis[k] has level level[k] and `lead` maps its first index to
@@ -506,7 +547,7 @@ def _barcode(A: FilteredComplex):
 
 def _phi_coordinates(A: FilteredComplex, n, bar):
     """The map sending a vector of degree n to the barcode coordinates {k: x}
-    of its image under phi, where bar = `_barcode(A)[n]`: two triangular
+    of its image under phi, where bar = `A.barcode[n]`: two triangular
     solves, at the leads of the adapted basis and then at the last entries
     of the barcode columns."""
     _, _, lead, cols, *_ = bar
@@ -524,18 +565,18 @@ def page(A: FilteredComplex, r):
     elements when first read."""
     if r < 0:
         raise InputError("page index must be non-negative")
-    return _page(A, _barcode(A), r)
+    return _page(A, r)
 
 
-def _page(A: FilteredComplex, bars, r):
-    """`page(A, r)` read off the barcode bars = `_barcode(A)`: the live
-    elements of each spot, counted."""
+def _page(A: FilteredComplex, r):
+    """`page(A, r)` read off the kept barcode of A: the live elements of
+    each spot, counted."""
     spots = {}
-    for n, (level, *_, gap) in bars.items():
+    for n, (level, *_, gap) in A.barcode.items():
         for k, t in enumerate(level):
             if gap.get(k, r) >= r:
                 spots[(t, n)] = spots.get((t, n), 0) + 1
-    return SpectralPage(r, spots, None, None if A.phi is None else {}, (A, bars))
+    return SpectralPage(r, spots, None, None if A.phi is None else {}, A)
 
 
 def page_cohomology_dims(pg: SpectralPage):
@@ -561,7 +602,7 @@ def decalage(A: FilteredComplex):
     preserves each level because it preserves W and commutes with d."""
     new_top = A.top_level + max(A.max_degree(), 0) + 1
     filtration = {}
-    for n, (level, basis, _, cols, low, gap) in _barcode(A).items():
+    for n, (level, basis, _, cols, low, gap) in A.barcode.items():
         # an element enters Z_1(j, n) at its level, or one level later when
         # it is the source of a pair that drops no level
         enter = [t + (k in low and gap[k] == 0) for k, t in enumerate(level)]
@@ -703,8 +744,8 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
     if A.phi is None:
         raise InputError("formality witness needs an automorphism")
     base = _truncation(A)
-    bars = _barcode(base)
-    check = _purity(_page(base, bars, 1), WeightSpec(spec.xi, spec.alpha, 0))
+    bars = base.barcode
+    check = _purity(_page(base, 1), WeightSpec(spec.xi, spec.alpha, 0))
     if not check.ok:
         raise PurityViolation(
             f"purity fails at bidegree {check.violation[0]}: {check.violation[2]}",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -548,6 +549,105 @@ def test_page_builds_no_matrix_until_read(monkeypatch):
     pages = [ss.page(A, r) for A in battery for r in range(A.top_level + 2)]
     assert calls == []
     assert any(pg.differentials for pg in pages) and calls  # reading d_r builds it
+
+
+def test_each_complex_reduces_its_barcode_once(monkeypatch):
+    # every page, decalage and purity check of a complex reads the barcode
+    # kept on it: one reduction per complex, and none for a complex that is
+    # only built and validated; the pages still match the subquotient oracle
+    calls, barcode = [], ss._barcode
+    monkeypatch.setattr(ss, "_barcode", lambda A: calls.append(A) or barcode(A))
+    battery = seeded_battery(37, 6)
+    for A in battery:
+        assert A.validate()
+    assert calls == []
+    for A in battery:
+        calls.clear()
+        pages = [ss.page(A, r) for r in range(A.top_level + 3)]
+        for pg in pages:
+            assert pg.differentials is not None
+            if A.phi is not None:
+                for i, n in pg.spots:
+                    pg.aut(i, n)
+        dec = ss.decalage(A)
+        if A.phi is not None:
+            ss.purity_check(A, ss.WeightSpec(Q(2), Q(1), A.top_level))
+        assert len(calls) == 1 and calls[0] is A
+        assert all(pg._source.barcode is A.barcode for pg in pages)
+        assert [pg.dims() for pg in pages] \
+            == [oracles.subquotient_page(A, r).dims() for r in range(A.top_level + 3)]
+        assert dec.to_json() == oracles.subquotient_decalage(A).to_json()
+    # the witness reduces the truncation it reads, once
+    B, _, _ = verify.random_pure_complex(random.Random(37), Q(3), Q(1))
+    calls.clear()
+    assert ss.formality_witness(B, ss.WeightSpec(Q(3), Q(1), 0)).verified
+    assert len(calls) == 1 and calls[0] is not B
+
+
+def test_repeated_levels_are_canonicalized_once(monkeypatch):
+    # a level passed as the same object as the one before it, or read from
+    # JSON with the same entries, is spanned and canonicalized once
+    calls = []
+    for name in ("canonical_span", "col_space"):
+        fn = getattr(ss, name)
+        monkeypatch.setattr(ss, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    line, full = Matrix.from_columns([[2, 0]]), Matrix.identity(2)
+    A = ss.FilteredComplex({0: 2}, {}, {0: [line, line, full, full, full]})
+    assert calls == ["canonical_span"] * 2
+    levels = A.filtration[0]
+    assert levels[0] is levels[1] and levels[2] is levels[3] is levels[4]
+    calls.clear()
+    vecs = [[1, 1]]
+    ss.FilteredComplex({0: 2}, {}, {0: [vecs, vecs, [[1, 0], [0, 1]]]})
+    assert calls == ["col_space"] * 2
+    for group, ell, n, top in PAGE_MODELS:
+        calls.clear()
+        A = equieven.as_filtered_complex(group, ell, n, top, xi=2)
+        # one level per word length 0..ell-1 in each degree
+        assert calls == ["canonical_span"] * (ell * len(A.filtration))
+        for levels in A.filtration.values():
+            assert len({id(lvl) for lvl in levels}) == ell
+        data = A.to_json()
+        runs = sum(1 for levels in data["filtration"].values()
+                   for i, lvl in enumerate(levels) if i == 0 or lvl != levels[i - 1])
+        calls.clear()
+        assert ss.complex_from_json(data).to_json() == data
+        assert sorted(calls) == ["canonical_span"] * runs + ["col_space"] * runs
+
+
+def json_digest(complexes):
+    """sha256 of the key-sorted JSON of each complex, in order."""
+    h = hashlib.sha256()
+    for A in complexes:
+        h.update(json.dumps(A.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_page_model_json_is_unchanged_by_level_sharing():
+    # digests of the models as serialized before levels were shared
+    assert json_digest(equieven.as_filtered_complex(*model, xi=(2, 3, -2)[k % 3])
+                       for k, model in enumerate(PAGE_MODELS)) \
+        == "4239253d39411eed26f59b893c9498e97097fb9890d612a189f9100ef79dffb1"
+    assert json_digest([equieven.as_filtered_complex("torus", 5, 2, 12, xi=2)]) \
+        == "52c44422534ffaec18906d15970e8f6efb259c56fab44ed7a17d499c31e45723"
+
+
+@pytest.mark.parametrize("level,err", [
+    ([[1.0]], "malformed filtered complex: not a rational: 1.0"),
+    ([["x"]], "malformed filtered complex: bad rational literal 'x'"),
+    ([[True]], None),
+])
+def test_a_level_like_the_one_before_is_still_read_in_full(level, err, capsys, tmp_path):
+    # a level is compared with the previous one after its entries are read,
+    # so a float or a bad string is refused and a bool read as before
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"degrees": {"0": 1}, "filtration": {"0": [[[1]], level]}}))
+    code = main(["ss", "page", "--input", str(path), "--page", "0"])
+    if err is None:
+        assert (code, capsys.readouterr()) == (0, ("E_0^(0,0) dim 1\n", ""))
+    else:
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {err}\n"))
 
 
 def read_in_order(pg, keys, when, has_phi):
