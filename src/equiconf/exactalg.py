@@ -194,8 +194,12 @@ class Matrix:
         return sum((r.get(i, ZERO) for i, r in enumerate(self.sparse_rows)), ZERO)
 
     def rank(self):
-        return len(_reduce([dict(r) for r in self.sparse_rows], range(self.ncols),
-                           full=False)[1])
+        """The rank; the count of nonzero rows when their leading columns
+        are distinct (they are an echelon form up to order), else by `_reduce`."""
+        rows = [r for r in self.sparse_rows if r]
+        if len({min(r) for r in rows}) == len(rows):
+            return len(rows)
+        return len(_reduce([dict(r) for r in rows], range(self.ncols), full=False)[1])
 
     def kernel_basis(self):
         """Canonical basis matrix of ker(self), like `col_space`'s."""
@@ -236,11 +240,22 @@ class Matrix:
         than lam: the image of (self - lam)^k for k >= dim (Fitting), reached
         by squaring, in the canonical `col_space` basis read at its leads. Its
         charpoly is self's with every factor t - lam divided out, so it is
-        empty exactly when lam is the only eigenvalue."""
-        n = self.nrows
-        power, k = self - Matrix.identity(n).scale(lam), 1
-        while k < n:
+        empty exactly when lam is the only eigenvalue: the squaring stops at
+        a zero power, which gives the 0x0 matrix."""
+        n, lam = self.nrows, rat(lam)
+        if self.ncols != n:
+            raise InputError("off_eigenvalue of non-square matrix")
+        shifted = []
+        for i, r in enumerate(self.sparse_rows):
+            r = dict(r)
+            if y := r.pop(i, ZERO) - lam:
+                r[i] = y
+            shifted.append(r)
+        power, k = Matrix._of(shifted, n), 1
+        while k < n and not power.is_zero():
             power, k = power * power, 2 * k
+        if power.is_zero():
+            return Matrix.identity(0)
         img = col_space(power)
         rows = (self * img).sparse_rows
         return Matrix._of([rows[min(c)] for c in img.sparse_columns()], img.ncols)
@@ -426,6 +441,44 @@ def flag_basis(spans):
                     level.append(t)
                     basis.append(v)
     return level, basis, lead
+
+
+def flag_spans(level, basis, dim, count):
+    """The canonical basis matrices of levels 0..count-1 of an adapted
+    basis of Q^dim, the inverse of `flag_basis`: level t is the span of the
+    elements basis[k] (sparse vectors of Fractions) with level[k] <= t,
+    where level[k] never decreases and the first indices of the elements
+    are distinct. A run of levels of one dimension shares one Matrix."""
+    out, k = [], 0
+    for t in range(count):
+        start = k
+        while k < len(basis) and level[k] <= t:
+            k += 1
+        out.append(out[-1] if out and k == start else _echelon_span(basis[:k], dim))
+    return tuple(out)
+
+
+def _echelon_span(vecs, dim):
+    """Canonical basis matrix of the span of sparse vectors of Q^dim with
+    distinct first indices: back-substitution from the last first index
+    down. The reduced row of each pivot holds entries at and past it only,
+    so it is final once the rows of the later pivots are cleared from it."""
+    tails = {}  # the pivot of each reduced row -> its entries past the pivot
+    for v in sorted(vecs, key=min, reverse=True):
+        v = dict(v)
+        for q in [q for q in v if q in tails]:
+            c = v.pop(q)
+            for j, x in tails[q].items():
+                if j not in v:
+                    v[j] = -c * x
+                elif y := v[j] - c * x:
+                    v[j] = y
+                else:
+                    del v[j]
+        p = min(v)
+        c = v.pop(p)
+        tails[p] = v if c == 1 else {j: x / c for j, x in v.items()}
+    return Matrix._of_columns([{p: ONE} | tails[p] for p in sorted(tails)], dim)
 
 
 def combine(cols, v):

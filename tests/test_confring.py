@@ -48,6 +48,20 @@ def test_index_out_of_range():
         confring.normal_form(3, 3, [(1, 4)])
     with pytest.raises(InputError):
         confring.normal_form(3, 3, [(2, 2)])
+    # the refusals of normal_form: a bad generator, then a bad coefficient,
+    # then an index that is no int, also at coefficient 0
+    for word, coeff, message in (
+            ([(2, 2)], 1, "generator index out of range: (2, 2) with 3 points"),
+            ([(1.0, 2), (0, 1)], 1, "generator index out of range: (0, 1) with 3 points"),
+            ([(1, 2), (1, 4)], 0, "generator index out of range: (1, 4) with 3 points"),
+            ([(1.0, 2)], 1.5, "not a rational: 1.5"),
+            ([(2, 1), (1.0, 3)], 1, "edge (1.0, 3) is not (i, j) with 1 <= i < j <= 3"),
+            ([(True, 2)], 0, "edge (True, 2) is not (i, j) with 1 <= i < j <= 3")):
+        with pytest.raises(InputError) as exc:
+            confring.normal_form(3, 3, word, coeff)
+        assert str(exc.value) == message
+    assert confring.normal_form(3, 3, [(1, 3), (2, 3)], 0).is_zero()
+    assert confring.normal_form(3, 3, [(3, 1)], "0").terms == {}
     # reduce_word takes canonical edges, (i, j) with 1 <= i < j <= points
     for word in ([(2, 1)], [(1, 4)], [(0, 2)], [(2, 2)], [(1, 2), (3,)]):
         with pytest.raises(InputError, match="is not"):

@@ -397,6 +397,12 @@ def random_with_eigenvalues(rng, diag):
     n = len(diag)
     m = Matrix([[diag[i] if i == j else rng.choice([0, 1, -2, Q(1, 3)]) if i < j else 0
                  for j in range(n)] for i in range(n)])
+    return conjugated(rng, m)
+
+
+def conjugated(rng, m):
+    """S m S^-1 for a random product of shears S = I + c E_ij."""
+    n = m.nrows
     for _ in range(n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         shear = Matrix.identity(n) + Matrix([{j: rng.choice([1, -1, 2, Q(1, 2)])}
@@ -427,6 +433,82 @@ def test_off_eigenvalue_divides_the_charpoly():
             assert rest.nrows == rest.ncols == len(want) - 1
             split += 0 < rest.nrows < n
     assert split > 100
+
+
+def squared_off_eigenvalue(m, lam):
+    """`Matrix.off_eigenvalue` as first defined: (m - lam)^k squared until
+    k >= dim, zero or not, and the image read through `col_space`."""
+    n = m.nrows
+    power, k = m - Matrix.identity(n).scale(lam), 1
+    while k < n:
+        power, k = power * power, 2 * k
+    img = col_space(power)
+    rows = (m * img).sparse_rows
+    return Matrix._of([rows[min(c)] for c in img.sparse_columns()], img.ncols)
+
+
+def test_off_eigenvalue_matches_the_squaring_definition():
+    # the one-pass shift and the stop at a zero power change no output:
+    # random matrices, conjugated triangular ones, and lam + N with N^2 = 0
+    # at n >= 4 (N upper block triangular, conjugated), alone or beside the
+    # eigenvalue 3, where off_eigenvalue(lam) leaves nothing or (3)
+    rng = random.Random(15)
+    lams = (Q(0), Q(1), Q(2), Q(-1, 2))
+    cases = []  # (matrix, lam of its nilpotent part and the rest, or None)
+    for t in range(120):
+        n = rng.randint(0, 6)
+        if t % 3 == 0:
+            cases.append((rand_matrix(rng, n, n, span=2), None))
+        elif t % 3 == 1:
+            cases.append((random_with_eigenvalues(rng, [rng.choice(lams) for _ in range(n)]),
+                          None))
+        else:
+            n, lam = rng.randint(4, 7), rng.choice(lams)
+            half = rng.randint(1, n - 1)
+            nil = Matrix([[rng.choice([1, -2, Q(1, 3)]) if i < half <= j else 0
+                           for j in range(n)] for i in range(n)])
+            assert (nil * nil).is_zero() and not nil.is_zero()
+            base = Matrix.identity(n).scale(lam) + nil
+            rest = rng.choice((Matrix.identity(0), Matrix([[3]])))
+            if rest.nrows:
+                base = Matrix([list(r) + [0] for r in base.rows] + [[0] * n + [3]])
+            cases.append((conjugated(rng, base), (lam, rest)))
+    for m, known in cases:
+        for lam in lams:
+            got = m.off_eigenvalue(lam)
+            assert got == squared_off_eigenvalue(m, lam)
+            if known is not None and known[0] == lam:
+                assert got == known[1]
+    assert sum(known is not None for _, known in cases) == 40
+    with pytest.raises(InputError):
+        Matrix.zero(2, 3).off_eigenvalue(0)
+
+
+def test_rank_of_distinct_leads_matches_dense_oracle():
+    # rows with pairwise distinct leading columns are counted; repeated
+    # leads, zero rows and int rows go to the elimination
+    rng = random.Random(16)
+    distinct = 0
+    for t in range(200):
+        nr, nc = rng.randint(0, 7), rng.randint(1, 7)
+        rows = []
+        for _ in range(nr):
+            lead = rng.randrange(nc)
+            row = {j: rng.choice((1, -1, 2, 3)) for j in range(lead + 1, nc)
+                   if rng.random() < 0.4}
+            rows.append({lead: rng.choice((1, -2, 3))} | row if rng.random() < 0.85 else {})
+        if t % 3 == 0 and rows:  # repeat a lead
+            rows.append(dict(rng.choice(rows)) if t % 2 else
+                        {min(rows[0] or {0: 1}): 1, nc - 1: 5})
+        for m in (Matrix._of([dict(r) for r in rows], nc),
+                  Matrix._of([{j: Q(x, 2) for j, x in r.items()} for r in rows], nc)):
+            want = len(dense_rref(m.rows, nc)[1])
+            assert m.rank() == want == len(_reduce([dict(r) for r in m.sparse_rows],
+                                                   range(nc), full=False)[1])
+            assert type(m.rank()) is int
+        leads = [min(r) for r in rows if r]
+        distinct += len(set(leads)) == len(leads)
+    assert 40 < distinct < 160
 
 
 def test_projector_identities_randomized():

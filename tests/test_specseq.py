@@ -633,6 +633,18 @@ def test_page_model_json_is_unchanged_by_level_sharing():
         == "52c44422534ffaec18906d15970e8f6efb259c56fab44ed7a17d499c31e45723"
 
 
+def test_decalage_json_is_unchanged_by_flags():
+    # digests of the decalages as serialized when each level was spanned
+    # on its own
+    assert json_digest(ss.decalage(equieven.as_filtered_complex(*model, xi=(2, 3, -2)[k % 3]))
+                       for k, model in enumerate(PAGE_MODELS)) \
+        == "fae990a12faf7c498dc69fb0843f541156634683f352edf2853fd8195a282a73"
+    battery = seeded_battery(41, 8)
+    assert json_digest([ss.decalage(A) for A in battery]
+                       + [ss.decalage(ss.decalage(A)) for A in battery]) \
+        == "2b6648c322a44b7d731363871d774c89fb6c9dbd68e5862799959f8df18b88a6"
+
+
 @pytest.mark.parametrize("level,err", [
     ([[1.0]], "malformed filtered complex: not a rational: 1.0"),
     ([["x"]], "malformed filtered complex: bad rational literal 'x'"),
@@ -686,12 +698,49 @@ def test_page_matrices_do_not_depend_on_the_read_order():
 
 
 def test_complexes_built_unchecked_store_their_flags():
-    # the adapted basis kept from construction is `flag_basis` of the levels,
-    # on the decalages and truncations the engine builds unchecked
+    # a constructed complex, a truncation and a canonical filtration keep
+    # `flag_basis` of their levels (the witness reads the truncation's); a
+    # decalage keeps an adapted basis of its levels: the elements of level
+    # at most t span level t, the levels never decrease, and each element
+    # is filed under its own first index
     for A in seeded_battery(31, 10):
-        for B in (A, ss.decalage(A), ss._truncation(A), ss.decalage(ss.decalage(A)),
-                  ss.canonical_filtration(A.spaces, A.d, A.phi)):
+        for B in (A, ss._truncation(A), ss.canonical_filtration(A.spaces, A.d, A.phi)):
             assert B.flags == {n: ss.flag_basis(levels) for n, levels in B.filtration.items()}
+        for B in (ss.decalage(A), ss.decalage(ss.decalage(A))):
+            assert B.flags.keys() == B.filtration.keys() == A.flags.keys()
+            for n, (level, basis, lead) in B.flags.items():
+                levels = B.filtration[n]
+                assert len(levels) == B.top_level + 1
+                for t, lvl in enumerate(levels):
+                    assert col_space([v for v, s in zip(basis, level) if s <= t],
+                                     dim=B.dim(n)) == lvl
+                assert level == sorted(level) and len(basis) == len(lead) == B.dim(n)
+                assert all(lead[min(v)] == (k, v) for k, v in enumerate(basis))
+            assert B.validate()
+
+
+def test_decalage_spans_no_level_until_read(monkeypatch):
+    # a decalage, and the decalage of a decalage, keep flags only: no span
+    # is built until `filtration`, `W` or `to_json` reads the levels, and
+    # then once per complex
+    calls = []
+    for name in ("col_space", "canonical_span", "flag_basis", "flag_spans"):
+        fn = getattr(ss, name)
+        monkeypatch.setattr(ss, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    battery = seeded_battery(43, 3)
+    for read in (lambda B: B.filtration, lambda B: B.W(0, 1), lambda B: B.to_json()):
+        for A in battery:
+            calls.clear()
+            dec = ss.decalage(A)
+            twice = ss.decalage(dec)
+            for r in range(twice.top_level + 2):
+                ss.page(twice, r).differentials
+            assert calls == []
+            for B in (dec, twice):
+                read(B)
+                assert B.filtration is B.filtration
+            assert calls == ["flag_spans"] * (len(dec.flags) + len(twice.flags))
 
 
 def test_json_read_parses_each_literal_once(monkeypatch):
