@@ -445,40 +445,17 @@ def flag_basis(spans):
 
 def flag_spans(level, basis, dim, count):
     """The canonical basis matrices of levels 0..count-1 of an adapted
-    basis of Q^dim, the inverse of `flag_basis`: level t is the span of the
-    elements basis[k] (sparse vectors of Fractions) with level[k] <= t,
-    where level[k] never decreases and the first indices of the elements
-    are distinct. A run of levels of one dimension shares one Matrix."""
+    basis of Q^dim, the inverse of `flag_basis`: level t is the `col_space`
+    of the elements basis[k] (sparse vectors) with level[k] <= t, where
+    level[k] never decreases. A run of levels of one dimension shares one
+    Matrix."""
     out, k = [], 0
     for t in range(count):
         start = k
         while k < len(basis) and level[k] <= t:
             k += 1
-        out.append(out[-1] if out and k == start else _echelon_span(basis[:k], dim))
+        out.append(out[-1] if out and k == start else col_space(basis[:k], dim=dim))
     return tuple(out)
-
-
-def _echelon_span(vecs, dim):
-    """Canonical basis matrix of the span of sparse vectors of Q^dim with
-    distinct first indices: back-substitution from the last first index
-    down. The reduced row of each pivot holds entries at and past it only,
-    so it is final once the rows of the later pivots are cleared from it."""
-    tails = {}  # the pivot of each reduced row -> its entries past the pivot
-    for v in sorted(vecs, key=min, reverse=True):
-        v = dict(v)
-        for q in [q for q in v if q in tails]:
-            c = v.pop(q)
-            for j, x in tails[q].items():
-                if j not in v:
-                    v[j] = -c * x
-                elif y := v[j] - c * x:
-                    v[j] = y
-                else:
-                    del v[j]
-        p = min(v)
-        c = v.pop(p)
-        tails[p] = v if c == 1 else {j: x / c for j, x in v.items()}
-    return Matrix._of_columns([{p: ONE} | tails[p] for p in sorted(tails)], dim)
 
 
 def combine(cols, v):

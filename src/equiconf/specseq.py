@@ -41,16 +41,16 @@ complexes built from a checked one, its truncation and its decalage, keep
 its d and phi and are valid by construction, so they are not checked again;
 the tests hold them to `validate`.
 
-A complex keeps its filtration as one adapted basis per degree, its flags;
-the canonical bases of its levels are read through `filtration`. The
-constructor takes levels and canonicalizes each distinct one once: it shares
-a level passed as the same object as the one before it, and
+A complex keeps each filtration level as the canonical basis of its span
+(`filtration`) and each degree's filtration as one adapted basis, its flags.
+The constructor takes levels and canonicalizes each distinct one once: it
+shares a level passed as the same object as the one before it, and
 `complex_from_json` a level whose entries read as the one before it. The
-truncation and the decalage are built from their flags alone (the decalage by
-one triangular reduction of the barcode elements in the order in which they
-enter its levels) and span their levels only when these are first read. A
-complex is never mutated after construction, since its flags, its levels and
-its kept barcode describe one filtration and one d.
+truncation and the decalage build their flags first and their levels from
+them: the decalage by one triangular reduction of the barcode elements in
+the order in which they enter its levels, then one span per distinct level.
+A complex is never mutated after construction, since its flags, its levels
+and its kept barcode describe one filtration and one d.
 """
 
 from __future__ import annotations
@@ -78,23 +78,24 @@ from .exactalg import (
 
 
 class FilteredComplex:
-    """Explicit filtered cochain complex. Its filtration is kept as one
-    adapted basis per degree, `flags[n]` = (level, basis, lead) as
-    `flag_basis` returns it: the elements of level at most t span W_t, the
-    levels never decrease, and `lead` maps the first index of each element
-    to (k, basis[k]).
+    """Explicit filtered cochain complex. Each filtration level is kept as
+    the canonical basis of its span (`filtration`), and each degree's
+    filtration also as one adapted basis, `flags[n]` = (level, basis, lead)
+    as `flag_basis` returns it: the elements of level at most t span W_t,
+    the levels never decrease, and `lead` maps the first index of each
+    element to (k, basis[k]). `validate` and the barcode read the flags.
 
-    The constructor takes levels, keeps each as the canonical basis of its
-    span (a level passed as the same object as the one before it is
-    canonicalized once and shared) and reads the flags off them. A complex
-    built from its flags (`_of_flags`) spans its levels, `filtration`, at
-    their first read. The barcode is reduced at its first read (`barcode`)
-    and kept; a complex that is only validated never reduces it.
+    The constructor takes levels, canonicalizes each (a level passed as the
+    same object as the one before it is canonicalized once and shared) and
+    reads the flags off them. The truncation and the decalage are built
+    from their flags and levels together (`_unchecked`). The barcode is
+    reduced at its first read (`barcode`) and kept; a complex that is only
+    validated never reduces it.
 
     A complex must never be mutated after construction: its flags, its
     levels and its kept barcode describe one filtration and one d."""
 
-    __slots__ = ("spaces", "d", "phi", "top_level", "flags", "_filtration", "_bars")
+    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "flags", "_bars")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
@@ -107,12 +108,12 @@ class FilteredComplex:
                 mat = Matrix(mat)
             if mat.nrows or mat.ncols:
                 self.d[n] = mat
-        self._filtration = {}
+        self.filtration = {}
         for n, levels in filtration.items():
             n = int(n)
             if self.dim(n) == 0:
                 continue
-            self._filtration[n] = self._levels(n, levels)
+            self.filtration[n] = self._levels(n, levels)
         self.phi = None
         if phi is not None:
             self.phi = {}
@@ -122,31 +123,23 @@ class FilteredComplex:
                     mat = Matrix(mat)
                 if self.dim(n):
                     self.phi[n] = mat
-        self.top_level = max((len(lv) - 1 for lv in self._filtration.values()),
+        self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
-        self.flags = {n: flag_basis(levels) for n, levels in self._filtration.items()}
+        self.flags = {n: flag_basis(levels) for n, levels in self.filtration.items()}
         self._bars = None
         if validate:
             self.validate()
 
     @classmethod
-    def _of_flags(cls, spaces, d, flags, phi, top_level):
-        """The complex with the adapted bases `flags`, each (level, basis,
-        lead) as the class keeps them, and levels 0..top_level in every
-        degree; unchecked. spaces, d and phi are taken as a constructed
-        complex keeps them."""
+    def _unchecked(cls, spaces, d, filtration, flags, phi):
+        """The complex with the canonical levels `filtration` and their
+        adapted bases `flags`, unchecked; spaces, d and phi are taken as a
+        constructed complex keeps them."""
         A = object.__new__(cls)
-        A.spaces, A.d, A.phi, A.flags, A.top_level = spaces, d, phi, flags, top_level
-        A._filtration = A._bars = None
+        A.spaces, A.d, A.filtration, A.flags, A.phi = spaces, d, filtration, flags, phi
+        A.top_level = max((len(lv) - 1 for lv in filtration.values()), default=0)
+        A._bars = None
         return A
-
-    @property
-    def filtration(self):
-        """{n: the canonical basis matrices of the levels of degree n}."""
-        if self._filtration is None:
-            self._filtration = {n: flag_spans(level, basis, self.dim(n), self.top_level + 1)
-                                for n, (level, basis, _) in self.flags.items()}
-        return self._filtration
 
     def _levels(self, n, levels):
         """The canonical bases of the levels of degree n: a level passed as
@@ -437,22 +430,26 @@ def _truncation(A: FilteredComplex):
     """A with its truncation filtration: tau_i A^n is A^n below degree i,
     ker d at i and 0 above. Its flag in degree n is the kernel basis at
     level n and then, below the top degree, the unit vectors off its leads
-    at level n + 1, as `flag_basis` reads them off those levels. Built
+    at level n + 1, as `flag_basis` reads them off those levels; the levels
+    are canonical as they stand. Built
     unchecked, for it is valid whenever A is: d and phi are A's; 0 <= ker d
     <= A^n makes the levels nested and exhaustive; d sends A^(i-1) into
     ker d, so it preserves them; and phi preserves ker d because it
     commutes with d."""
     top = max(A.spaces, default=0)
-    flags = {}
+    filtration, flags = {}, {}
     for n, dim in A.spaces.items():
-        basis = A.diff(n).kernel_basis().sparse_columns()
+        kernel, full, empty = A.diff(n).kernel_basis(), Matrix.identity(dim), Matrix.zero(dim, 0)
+        filtration[n] = tuple(full if n < i else kernel if n == i else empty
+                              for i in range(top + 1))
+        basis = kernel.sparse_columns()
         level = [n] * len(basis)
         if n < top:
             leads = {min(v) for v in basis}
             basis += [{i: ONE} for i in range(dim) if i not in leads]
             level += [n + 1] * (len(basis) - len(level))
         flags[n] = level, basis, {min(v): (k, v) for k, v in enumerate(basis)}
-    return FilteredComplex._of_flags(A.spaces, A.d, flags, A.phi, top)
+    return FilteredComplex._unchecked(A.spaces, A.d, filtration, flags, A.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +632,15 @@ def decalage(A: FilteredComplex):
     which is Z_1(i - n, n), the span of the barcode elements of level at most
     i - n whose differential has level at most i - n - 1. Its flag in degree
     n takes the barcode elements in the order of the level i at which they
-    enter, each reduced at the leads of those before it.
+    enter, each reduced at the leads of those before it, and its levels
+    are spanned off that flag.
 
     Built unchecked, for it is valid whenever A is: d and phi are A's; the
     levels grow with i and reach A^n at the top; d sends Z_1(i - n, n) into
     the cycles of W_(i-n-1) A^(n+1), which is Dec W_i A^(n+1); and phi
     preserves each level because it preserves W and commutes with d."""
-    flags = {}
+    new_top = A.top_level + max(A.max_degree(), 0) + 1
+    filtration, flags = {}, {}
     for n, (level, basis, _, cols, low, gap) in A.barcode.items():
         # an element enters Dec W_i at i = n + its level, or one level later
         # when it is the source of a pair that drops no level
@@ -654,8 +653,8 @@ def decalage(A: FilteredComplex):
             new_level.append(enter[k])
             new_basis.append(v)
         flags[n] = new_level, new_basis, lead
-    return FilteredComplex._of_flags(A.spaces, A.d, flags, A.phi,
-                                     A.top_level + max(A.max_degree(), 0) + 1)
+        filtration[n] = flag_spans(new_level, new_basis, A.dim(n), new_top + 1)
+    return FilteredComplex._unchecked(A.spaces, A.d, filtration, flags, A.phi)
 
 
 # ---------------------------------------------------------------------------

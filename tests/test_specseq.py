@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from equiconf import equieven, oracles
+from equiconf import equieven, exactalg, oracles
 from equiconf import specseq as ss
 from equiconf import verify
 from equiconf.cli import main
@@ -706,6 +706,9 @@ def test_complexes_built_unchecked_store_their_flags():
     for A in seeded_battery(31, 10):
         for B in (A, ss._truncation(A), ss.canonical_filtration(A.spaces, A.d, A.phi)):
             assert B.flags == {n: ss.flag_basis(levels) for n, levels in B.filtration.items()}
+        T = ss._truncation(A)  # its levels are canonical as built
+        assert T.filtration == ss.FilteredComplex(T.spaces, T.d, T.filtration, T.phi,
+                                                  validate=False).filtration
         for B in (ss.decalage(A), ss.decalage(ss.decalage(A))):
             assert B.flags.keys() == B.filtration.keys() == A.flags.keys()
             for n, (level, basis, lead) in B.flags.items():
@@ -719,28 +722,27 @@ def test_complexes_built_unchecked_store_their_flags():
             assert B.validate()
 
 
-def test_decalage_spans_no_level_until_read(monkeypatch):
-    # a decalage, and the decalage of a decalage, keep flags only: no span
-    # is built until `filtration`, `W` or `to_json` reads the levels, and
-    # then once per complex
-    calls = []
-    for name in ("col_space", "canonical_span", "flag_basis", "flag_spans"):
-        fn = getattr(ss, name)
-        monkeypatch.setattr(ss, name, lambda *a, fn=fn, name=name, **k:
+def test_decalage_spans_each_distinct_level_once(monkeypatch):
+    # a decalage, and the decalage of a decalage, build their flags by one
+    # triangular pass (no `flag_basis`, no `canonical_span`) and then span
+    # each distinct level once, off the flags
+    spans, calls = [], []
+    fn = exactalg.col_space
+    monkeypatch.setattr(exactalg, "col_space", lambda *a, **k:
+                        spans.append(fn(*a, **k)) or spans[-1])
+    for name in ("col_space", "canonical_span", "flag_basis"):
+        fn_ss = getattr(ss, name)
+        monkeypatch.setattr(ss, name, lambda *a, fn=fn_ss, name=name, **k:
                             calls.append(name) or fn(*a, **k))
-    battery = seeded_battery(43, 3)
-    for read in (lambda B: B.filtration, lambda B: B.W(0, 1), lambda B: B.to_json()):
-        for A in battery:
+    for A in seeded_battery(43, 3):
+        for _ in range(2):
+            A.barcode
+            spans.clear()
             calls.clear()
-            dec = ss.decalage(A)
-            twice = ss.decalage(dec)
-            for r in range(twice.top_level + 2):
-                ss.page(twice, r).differentials
+            A = ss.decalage(A)
             assert calls == []
-            for B in (dec, twice):
-                read(B)
-                assert B.filtration is B.filtration
-            assert calls == ["flag_spans"] * (len(dec.flags) + len(twice.flags))
+            distinct = {id(lvl): lvl for levels in A.filtration.values() for lvl in levels}
+            assert sorted(map(id, spans)) == sorted(distinct)
 
 
 def test_json_read_parses_each_literal_once(monkeypatch):
