@@ -444,8 +444,13 @@ def edge_word_counts(k):
 
 def graded_dimensions(points, fiber, ring, top):
     """dim ring (x) H*(Conf_points) in each degree d <= top: sum_m e_m dim ring_(d - fiber m)."""
+    return spaced_dimensions(edge_word_counts(points), fiber, ring, top)
+
+
+def spaced_dimensions(counts, fiber, ring, top):
+    """sum_m counts[m] dim ring_(d - fiber m) in each degree d <= top."""
     ring_dims, sizes = ring.monomial_counts(top), [0] * (top + 1)
-    for m, c in enumerate(edge_word_counts(points)):
+    for m, c in enumerate(counts):
         for d in range(fiber * m, top + 1):
             sizes[d] += c * ring_dims[d - fiber * m]
     return sizes

@@ -29,18 +29,23 @@ element algebra, and `oracles` builds the matrices through them as the
 reference.
 
 `model_dims` counts the model instead of building it, for both
-`verify_page_cohomology` and the `even hilbert` command: dim K_d is the
-number of columns minus the rank of the degree-d boundary matrix (for O(2n)
-only at even word length), and the model has dimension
-sum_c dim Q[p]_c * dim K_(d-c) in degree d. `equivariant_cohomology_even`
-builds the same model element by element, and is the count's test oracle.
+`verify_page_cohomology` and the `even hilbert` command. For l >= 2 the
+edge-removal derivation is exact: h(a) = x_12 a is a contracting homotopy,
+dh + hd = id (Arnold, Math. Notes 1969; F. Cohen, LNM 533, 1976). So K in
+word length m has dimension K_m = e_m - K_(m-1), K_0 = 1, for e_m the
+number of admissible words of m edges (for O(2n) only the even m count),
+and the model has dimension sum_m K_m * dim Q[p]_(d-(2n-1)m) in degree d.
+The count enumerates no basis and ranks no matrix. `kernel_K`,
+`page_cohomology_dims` and `equivariant_cohomology_even` stay eliminations,
+and are the count's references.
 
 Every entry point that builds a basis (`kernel_K`, `page_cohomology_dims`,
-`model_dims`, `equivariant_cohomology_even`, `as_filtered_complex`,
+`equivariant_cohomology_even`, `as_filtered_complex`,
 `fixed_page_cohomology_dims`, `weyl_fixed_page_basis`) first sizes each
 degree it will enumerate by the closed form `confring.graded_dimensions`,
 in one pass per call, and refuses a degree past `charclasses.MODEL_BOUND`
-monomials with a `CapacityError`. The enumerators `page_basis` and
+monomials with a `CapacityError`; `model_dims` builds nothing, but keeps
+the refusals of the model it counts. The enumerators `page_basis` and
 `confring.basis_keys` stay unchecked: they run hundreds of times per model.
 """
 
@@ -231,30 +236,20 @@ class KernelSummary:
     basis: dict  # degree -> list of ConfElement
 
 
-def _boundary_matrix(ell, n, d):
-    """The basis keys of H^d(Conf_l(R^2n)), d > 0, and the edge-removal
-    derivation on them into degree d - (2n-1), as a matrix of `int`s."""
-    src = confring.basis_keys(ell, 2 * n, d)
-    dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - (2 * n - 1)))}
-    cols = [{dst[word]: c for word, c in boundary(key).items()} for key in src]
-    return src, Matrix._of_columns(cols, len(dst))
-
-
 def kernel_K(ell, n, max_degree):
-    """K is cut out by the edge-removal derivation alone (d(x_ij) = E)."""
+    """K is cut out by the edge-removal derivation alone (d(x_ij) = E): in
+    each degree d > 0, the reduced kernel of the `boundary` of the basis keys
+    of H^d(Conf_l(R^2n)) into degree d - (2n-1), eliminated as `int` rows.
+    The derivation is exact, so `model_dims` counts these dimensions."""
     check_capacity(None, ell, n, range(max_degree + 1))
     fiber = 2 * n - 1
-    dims = {}
-    basis = {}
-    for d in range(max_degree + 1):
-        if d == 0:
-            dims[0] = 1
-            basis[0] = [confring.unit(ell, 2 * n)]
-            continue
-        if d % fiber != 0:
-            continue
-        src, mat = _boundary_matrix(ell, n, d)
-        kern = mat.kernel_basis()
+    dims = {0: 1}
+    basis = {0: [confring.unit(ell, 2 * n)]}
+    for d in range(fiber, max_degree + 1, fiber):
+        src = confring.basis_keys(ell, 2 * n, d)
+        dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - fiber))}
+        cols = [{dst[word]: c for word, c in boundary(key).items()} for key in src]
+        kern = Matrix._of_columns(cols, len(dst)).kernel_basis()
         if kern.ncols:
             dims[d] = kern.ncols
             basis[d] = [confring.zero(ell, 2 * n).from_coordinates([src[p] for p in v],
@@ -368,31 +363,28 @@ class PageReport:
 
 def model_dims(group, ell, n, max_degree):
     """The nonzero `equivariant_cohomology_even(...).dims`, counted as the
-    module docstring says; for ell <= 1 the model is the whole page."""
+    module docstring says: K_m = e_m - K_(m-1) by exactness, spaced by the
+    fiber degree 2n-1 and convolved with the coefficient counts. For
+    ell <= 1, d = 0 and the model is H*(BG) itself."""
     if group not in ("so", "o", "u"):
         raise InputError("models exist for the so, o, and u pages")
     check_capacity(group if ell <= 1 else None, ell, n, range(max_degree + 1))
-    if ell <= 1:
-        dims = {d: page_dimension(group, ell, n, d) for d in range(max_degree + 1)}
-    else:
-        fiber = 2 * n - 1
-        kernel = {0: 1}
-        for d in range(fiber, max_degree + 1, fiber):
-            if group != "o" or (d // fiber) % 2 == 0:
-                mat = _boundary_matrix(ell, n, d)[1]
-                kernel[d] = mat.ncols - mat.rank()
-        coeffs = model_coefficient_ring(group, n).monomial_counts(max_degree)
-        dims = {d: sum(coeffs[d - k] * x for k, x in kernel.items() if k <= d)
-                for d in range(max_degree + 1)}
-    return {d: x for d, x in dims.items() if x}
+    kernel = [1]
+    for e in confring.edge_word_counts(ell)[1:]:
+        kernel.append(e - kernel[-1])
+    if group == "o":
+        kernel = [k if m % 2 == 0 else 0 for m, k in enumerate(kernel)]
+    ring = model_coefficient_ring(group, n) if ell > 1 else \
+        char_ring(GroupSpec({"so": "so_even", "o": "o_even", "u": "u"}[group], n))
+    dims = confring.spaced_dimensions(kernel, 2 * n - 1, ring, max_degree)
+    return {d: x for d, x in enumerate(dims) if x}
 
 
 def verify_page_cohomology(group, ell, n, max_degree):
     """Two independent routes to the same dimensions; never silently passes.
-    The model dims are counted, not built: dim K_d is the number of columns
-    minus the rank of the degree-d configuration boundary, and degree d of
-    the model has sum_c dim Q[p]_c * dim K_(d-c). The page dims are ranks
-    of d_2n on the whole page."""
+    The model dims are counted by `model_dims`, from the exactness of the
+    configuration boundary, with no basis and no matrix. The page dims are
+    ranks of d_2n on the whole page, an elimination."""
     model = model_dims(group, ell, n, max_degree)
     page = page_cohomology_dims(group, ell, n, max_degree)
     rows = tuple((d, page.get(d, 0), model.get(d, 0)) for d in range(max_degree + 1))

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from equiconf import confring, oracles
+from equiconf import confring, equiodd, oracles
 from equiconf.errors import InputError
 
 
@@ -267,3 +267,32 @@ def test_degenerate_point_counts():
     for k in (0, 1):
         assert str(confring.poincare_formula(k, 3)) == "1"
         assert str(oracles.poincare_polynomial(k, 3)) == "1"
+
+
+@pytest.mark.parametrize("factor", [2, -3])
+def test_products_apply_any_multiplicity(factor):
+    # the rewrite loops return multiplicities +-1 on every product of basis
+    # words tried, so only scaled `counts` reach `_reduce`'s general branch:
+    # each product is then exactly `factor` times the ordinary one
+    def scaled(cls):
+        class Scaled(cls):
+            def counts(self, word, rng=None):
+                return {g: factor * m for g, m in super().counts(word, rng).items()}
+        return lambda a: Scaled(*a.header, a.terms)
+
+    lift = scaled(confring.ConfElement)
+    for n in (2, 3):
+        x = lambda i, j: confring.generator(4, n, i, j)  # noqa: E731
+        a = x(1, 3).scale(Q(2, 3)) + x(2, 4) - x(1, 2).scale(5)
+        b = x(2, 3) - x(1, 4).scale(Q(-7, 2)) + x(3, 4)
+        ordinary = a * b
+        assert ordinary.terms and (lift(a) * lift(b)).terms == \
+            {w: factor * c for w, c in ordinary.terms.items()}
+    # polynomial coefficients, with a double edge traded for p_n
+    q1 = equiodd.qring(2).gen("q1")
+    y = lambda i, j: equiodd.generator(4, 2, i, j)  # noqa: E731
+    a = y(1, 3).scale_poly(q1) + y(1, 2).scale(Q(2, 3)) - y(2, 4)
+    b = y(2, 3) + y(1, 3).scale(3) - y(1, 2).scale_poly(q1 * q1)
+    ordinary, lift = a * b, scaled(equiodd.EquiElement)
+    assert ordinary.terms and (lift(a) * lift(b)).terms == \
+        {w: c.scale(factor) for w, c in ordinary.terms.items()}

@@ -134,6 +134,68 @@ def test_model_count_matches_the_built_model():
                         ev.equivariant_cohomology_even(group, ell, n, top).dims
 
 
+def _exact_kernel_counts(ell):
+    """K_0 = 1 and K_m = e_m - K_(m-1): the word-length dims of K when the
+    edge-removal derivation is exact."""
+    kernel = [1]
+    for e in confring.edge_word_counts(ell)[1:]:
+        kernel.append(e - kernel[-1])
+    return kernel
+
+
+def test_kernel_dims_follow_exactness_at_every_word_length():
+    # h(a) = x_12 a contracts the edge-removal derivation, so ker = im in
+    # every word length, up to the top one; K_m also counts the admissible
+    # words with no edge ending at point 2, prod_(j=2)^(ell-1) (1 + j t)
+    for ell in range(2, 7):
+        kernel = _exact_kernel_counts(ell)
+        expected = [1] + [0] * (ell - 1)
+        for j in range(2, ell):
+            for m in range(j - 1, 0, -1):
+                expected[m] += j * expected[m - 1]
+        assert kernel == expected, ell
+        for n in (1, 2, 3):
+            fiber = 2 * n - 1
+            assert ev.kernel_K(ell, n, fiber * (ell - 1)).dims == \
+                {fiber * m: k for m, k in enumerate(kernel) if k}, (ell, n)
+
+
+def test_page_cohomology_is_the_kernel_times_the_ring_mod_e():
+    # E is a non-zero-divisor of degree 2n and ker = im in the configuration
+    # column, so H(page, d_2n) = K (x) R/(E), degree by degree
+    top = 10
+    for group in ("torus", "so", "u"):
+        for n in (1, 2, 3):
+            ring = ev.page_ring(group, n).monomial_counts(top)
+            rbar = [ring[d] - (ring[d - 2 * n] if d >= 2 * n else 0) for d in range(top + 1)]
+            fiber = 2 * n - 1
+            for ell in range(2, 6):
+                kernel = _exact_kernel_counts(ell)
+                expected = {d: sum(k * rbar[d - fiber * m] for m, k in enumerate(kernel)
+                                   if fiber * m <= d) for d in range(top + 1)}
+                assert ev.page_cohomology_dims(group, ell, n, top) == expected, \
+                    (group, ell, n)
+
+
+def test_model_dims_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a basis or ranked a matrix")
+
+    monkeypatch.setattr(confring, "basis_keys", refuse)
+    monkeypatch.setattr(ev, "page_basis", refuse)
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    table = [[group, ell, sorted(ev.model_dims(group, ell, 2, 12).items())]
+             for group in ("so", "o", "u") for ell in range(9)]
+    # the digest of the same table when each dim of K was the number of
+    # columns minus the rank of a boundary matrix
+    assert hashlib.sha256(json.dumps(table).encode()).hexdigest() == \
+        "cfe083949e55271fd4722c20619faad0a26e844bd91936e4fdd278af6c3abf77"
+    # the eliminations do reach the patched functions
+    for call, args in ((ev.kernel_K, (3, 2, 3)), (ev.page_cohomology_dims, ("so", 3, 2, 3))):
+        with pytest.raises(AssertionError, match="built a basis"):
+            call(*args)
+
+
 def test_verify_page_cohomology_counts_the_model(monkeypatch):
     # the check builds no page element and converts no rational; building
     # the model does both, which shows the counters count
