@@ -13,9 +13,11 @@ one barcode basis per degree (a persistence reduction of d, over the adapted
 basis that each complex keeps from construction), in which each Z_r, each
 boundary term and each spot is spanned by basis elements. The barcode does
 not depend on r: each complex reduces it once, at its first read, and keeps
-it for every page, its decalage and its purity checks. A page counts the
-dimension of each spot; it builds d_r and phi_r in those elements only when
-they are first read, and keeps no representatives in the ambient space.
+it for every page, its decalage and its purity checks; it keeps phi of each
+barcode element in barcode coordinates too, built at that element's first
+read. A page counts the dimension of each spot; it builds d_r and phi_r in
+those elements only when they are first read, and keeps no representatives
+in the ambient space.
 `oracles.subquotient_page` builds the subquotients themselves as the
 cross-check. Spots are keyed by (filtration index i, total degree n); the
 displayed bidegree is (-i, j) with j = n + i, so page r here is page r+1 in
@@ -32,8 +34,11 @@ split) is empty; else that restriction's charpoly is the factor named.
 The formality witness of a pure complex is read off the barcode of its
 canonical filtration too, the same one its purity check reads: the classes,
 the boundaries and phi on both come from barcode elements, and the section
-takes one Sylvester solve per degree. `oracles.witness_by_eigenspaces`
-builds it inside the generalized eigenspaces as the cross-check.
+takes one Sylvester solve per degree. A complex built with its canonical
+filtration (`canonical_filtration`) is its own truncation, so its witness
+reads the barcode and the phi coordinates that its purity checks kept.
+`oracles.witness_by_eigenspaces` builds it inside the generalized
+eigenspaces as the cross-check.
 
 A complex is checked in full once, where it enters: by the FilteredComplex
 constructor, by `complex_from_json` and by `canonical_filtration`. The
@@ -90,12 +95,17 @@ class FilteredComplex:
     reads the flags off them. The truncation and the decalage are built
     from their flags and levels together (`_unchecked`). The barcode is
     reduced at its first read (`barcode`) and kept; a complex that is only
-    validated never reduces it.
+    validated never reduces it. phi of each barcode element, in barcode
+    coordinates, is likewise built at its first read (`barcode_phi`) and
+    kept, for every page and the witness. A truncation is marked
+    (`_truncated`): it is its own truncation.
 
     A complex must never be mutated after construction: its flags, its
-    levels and its kept barcode describe one filtration and one d."""
+    levels and its kept barcode and phi describe one filtration, one d and
+    one phi."""
 
-    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "flags", "_bars")
+    __slots__ = ("spaces", "d", "filtration", "phi", "top_level", "flags", "_bars",
+                 "_phis", "_truncated")
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
@@ -126,7 +136,7 @@ class FilteredComplex:
         self.top_level = max((len(lv) - 1 for lv in self.filtration.values()),
                              default=0)
         self.flags = {n: flag_basis(levels) for n, levels in self.filtration.items()}
-        self._bars = None
+        self._bars, self._phis, self._truncated = None, {}, False
         if validate:
             self.validate()
 
@@ -138,7 +148,7 @@ class FilteredComplex:
         A = object.__new__(cls)
         A.spaces, A.d, A.filtration, A.flags, A.phi = spaces, d, filtration, flags, phi
         A.top_level = max((len(lv) - 1 for lv in filtration.values()), default=0)
-        A._bars = None
+        A._bars, A._phis, A._truncated = None, {}, False
         return A
 
     def _levels(self, n, levels):
@@ -201,6 +211,17 @@ class FilteredComplex:
         if self._bars is None:
             self._bars = _barcode(self)
         return self._bars
+
+    def barcode_phi(self, n, k):
+        """phi of barcode element k of degree n in barcode coordinates {j: x},
+        not to be mutated: `_phi_solver(self, n)` at the first read of each
+        element, then kept like the barcode."""
+        if n not in self._phis:
+            self._phis[n] = {}, _phi_solver(self, n)
+        coords, solve = self._phis[n]
+        if k not in coords:
+            coords[k] = solve(k)
+        return coords[k]
 
     # -- validation ---------------------------------------------------------
 
@@ -435,7 +456,9 @@ def _truncation(A: FilteredComplex):
     unchecked, for it is valid whenever A is: d and phi are A's; 0 <= ker d
     <= A^n makes the levels nested and exhaustive; d sends A^(i-1) into
     ker d, so it preserves them; and phi preserves ker d because it
-    commutes with d."""
+    commutes with d. The result is marked `_truncated`: it reads only A's
+    spaces, d and phi, so truncating it again rebuilds the same levels and
+    flags, and `formality_witness` reads it as it stands."""
     top = max(A.spaces, default=0)
     filtration, flags = {}, {}
     for n, dim in A.spaces.items():
@@ -449,7 +472,9 @@ def _truncation(A: FilteredComplex):
             basis += [{i: ONE} for i in range(dim) if i not in leads]
             level += [n + 1] * (len(basis) - len(level))
         flags[n] = level, basis, {min(v): (k, v) for k, v in enumerate(basis)}
-    return FilteredComplex._unchecked(A.spaces, A.d, filtration, flags, A.phi)
+    T = FilteredComplex._unchecked(A.spaces, A.d, filtration, flags, A.phi)
+    T._truncated = True
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +486,15 @@ class SpectralPage:
     differentials and automorphisms in a basis of each spot.
 
     A page read off a barcode (`page`) holds only its complex: every page of
-    a complex reads the one barcode kept on it after its first read. It
-    builds a matrix only when that is first read, then keeps it: every d_r
-    at the first read of `differentials`, phi_r one spot at a time in `aut`.
-    So the complex must never be mutated while its pages are in use; its
-    repeated levels are shared objects as well. `oracles.subquotient_page`
-    passes all its matrices in."""
+    a complex reads the one barcode kept on it after its first read, and the
+    phi coordinates of its elements kept there (`barcode_phi`). It builds a
+    matrix only when that is first read, then keeps it: every d_r at the
+    first read of `differentials`, phi_r one spot at a time in `aut`. So the
+    complex must never be mutated while its pages are in use; its repeated
+    levels are shared objects as well. `oracles.subquotient_page` passes all
+    its matrices in."""
 
-    __slots__ = ("r", "spots", "_differentials", "_phi", "_source", "_live", "_to_bar")
+    __slots__ = ("r", "spots", "_differentials", "_phi", "_source", "_live")
 
     def __init__(self, r, spots, differentials, phi, source=None):
         self.r = r
@@ -476,7 +502,7 @@ class SpectralPage:
         self._differentials = differentials  # (i, n) -> Matrix to (i-r, n+1), or None
         self._phi = phi                     # (i, n) -> Matrix, None without phi
         self._source = source               # the complex of a barcode page
-        self._live, self._to_bar = {}, {}   # per degree, built on first read
+        self._live = {}                     # per degree, built on first read
 
     def dim(self, i, n):
         return self.spots.get((i, n), 0)
@@ -531,16 +557,10 @@ class SpectralPage:
             return Matrix.identity(0)
         mat = self._phi.get((i, n))
         if mat is None:
-            A = self._source
-            bar = A.barcode[n]
-            _, basis, _, cols, *_ = bar
-            to_bar = self._to_bar.get(n)
-            if to_bar is None:
-                to_bar = self._to_bar[n] = _phi_coordinates(A, n, bar)
             ks = self._elements(n)[i]
             row = {k: t for t, k in enumerate(ks)}
             mat = self._phi[(i, n)] = Matrix._of_columns(
-                [{row[j]: c for j, c in to_bar(combine(basis, cols[k])).items() if j in row}
+                [{row[j]: c for j, c in self._source.barcode_phi(n, k).items() if j in row}
                  for k in ks], len(ks))
         return mat
 
@@ -581,14 +601,15 @@ def _barcode(A: FilteredComplex):
     return bars
 
 
-def _phi_coordinates(A: FilteredComplex, n, bar):
-    """The map sending a vector of degree n to the barcode coordinates {k: x}
-    of its image under phi, where bar = `A.barcode[n]`: two triangular
-    solves, at the leads of the adapted basis and then at the last entries
-    of the barcode columns."""
-    _, _, lead, cols, *_ = bar
-    aut, upper = A.aut(n).sparse_columns(), {k: (k, c) for k, c in enumerate(cols)}
-    return lambda v: eliminate(eliminate(combine(aut, v), min, lead)[1], max, upper)[1]
+def _phi_solver(A: FilteredComplex, n):
+    """The map sending k to phi of barcode element k of degree n in barcode
+    coordinates {j: x}: two triangular solves, at the leads of the adapted
+    basis and then at the last entries of the barcode columns. Read it
+    through `A.barcode_phi`, which keeps each element's coordinates."""
+    _, basis, lead, cols, *_ = A.barcode[n]
+    aut, upper = A.aut(n).sparse_columns(), {j: (j, c) for j, c in enumerate(cols)}
+    return lambda k: eliminate(eliminate(combine(aut, combine(basis, cols[k])), min, lead)[1],
+                               max, upper)[1]
 
 
 def page(A: FilteredComplex, r):
@@ -672,7 +693,7 @@ class WeightSpec:
     def __post_init__(self):
         object.__setattr__(self, "xi", rat(self.xi))
         object.__setattr__(self, "alpha", rat(self.alpha))
-        if self.xi in (Q(0), Q(1), Q(-1)):
+        if self.xi in (0, 1, -1):
             raise InputError("xi must avoid 0, 1 and -1")
         if self.alpha == 0:
             raise InputError("alpha must be nonzero")
@@ -774,7 +795,9 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
 
     Requires purity of H^n(A) of weight alpha*n under the canonical
     filtration; refuses with the violation otherwise. Everything is read off
-    one barcode of the canonical filtration. In degree n the classes R are
+    one barcode of the canonical filtration: A's own, with the phi
+    coordinates kept on A, when A is a truncation (every `canonical_filtration`
+    is), else that of a new truncation of A. In degree n the classes R are
     the unpaired elements and the targets T of the pairs of degree n - 1
     span the boundaries B, so phi R = R phibar + T M and phi T = T P. The
     section R + T Y is equivariant exactly when P Y - Y phibar = -M, one
@@ -785,7 +808,7 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
     """
     if A.phi is None:
         raise InputError("formality witness needs an automorphism")
-    base = _truncation(A)
+    base = A if A._truncated else _truncation(A)
     bars = base.barcode
     check = _purity(_page(base, 1), WeightSpec(spec.xi, spec.alpha, 0))
     if not check.ok:
@@ -801,15 +824,14 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
             continue
         targets = [k for k in gap if k not in low]
         h, t = len(classes), len(targets)
-        to_bar = _phi_coordinates(base, n, bars[n])
         vecs = [combine(basis, cols[k]) for k in classes + targets]
         row_r = {k: a for a, k in enumerate(classes)}
         row_t = {k: a for a, k in enumerate(targets)}
-        phi_r = [to_bar(v) for v in vecs[:h]]
+        phi_r = [base.barcode_phi(n, k) for k in classes]
         phi_bar = Matrix._of_columns(
             [{row_r[k]: x for k, x in c.items() if k in row_r} for c in phi_r], h)
-        p = Matrix._of_columns([{row_t[k]: x for k, x in to_bar(v).items()}
-                                for v in vecs[h:]], t)
+        p = Matrix._of_columns([{row_t[j]: x for j, x in base.barcode_phi(n, k).items()}
+                                for k in targets], t)
         # Y[c, d] is unknown c * h + d; the right-hand side is -M
         y = sylvester(p, phi_bar).solve({row_t[k] * h + d: -x for d, c in enumerate(phi_r)
                                          for k, x in c.items() if k in row_t})

@@ -577,11 +577,18 @@ def test_each_complex_reduces_its_barcode_once(monkeypatch):
         assert [pg.dims() for pg in pages] \
             == [oracles.subquotient_page(A, r).dims() for r in range(A.top_level + 3)]
         assert dec.to_json() == oracles.subquotient_decalage(A).to_json()
-    # the witness reduces the truncation it reads, once
+    # a canonical complex is its own truncation: after its purity check the
+    # witness reduces no barcode; the same complex read from JSON is not
+    # marked, and its witness reduces one new truncation's barcode
     B, _, _ = verify.random_pure_complex(random.Random(37), Q(3), Q(1))
+    spec = ss.WeightSpec(Q(3), Q(1), 0)
+    assert ss.purity_check(B, spec).ok
     calls.clear()
-    assert ss.formality_witness(B, ss.WeightSpec(Q(3), Q(1), 0)).verified
-    assert len(calls) == 1 and calls[0] is not B
+    assert ss.formality_witness(B, spec).verified
+    assert calls == []
+    again = ss.complex_from_json(B.to_json())
+    assert ss.formality_witness(again, spec).verified
+    assert len(calls) == 1 and calls[0] is not again and calls[0] is not B
 
 
 def test_repeated_levels_are_canonicalized_once(monkeypatch):
@@ -859,18 +866,93 @@ def test_derived_complexes_are_not_validated_again(monkeypatch):
     # inside formality_witness and the decalage of a checked complex are
     # valid by construction and are not checked at all
     A = verify.random_pure_complex(random.Random(3), Q(3), Q(1))[0]
+    # not a truncation, so that the witness builds one
+    U = ss.FilteredComplex(A.spaces, A.d, A.filtration, A.phi)
     calls, validate = [], ss.FilteredComplex.validate
     monkeypatch.setattr(ss.FilteredComplex, "validate",
                         lambda self: calls.append(self) or validate(self))
     counts = {}
     for name, run in (
             ("canonical_filtration", lambda: ss.canonical_filtration(A.spaces, A.d, A.phi)),
-            ("formality_witness", lambda: ss.formality_witness(A, ss.WeightSpec(3, 1, 0))),
+            ("formality_witness", lambda: ss.formality_witness(U, ss.WeightSpec(3, 1, 0))),
             ("decalage", lambda: ss.decalage(A))):
         calls.clear()
         run()
         counts[name] = len(calls)
     assert counts == {"canonical_filtration": 1, "formality_witness": 0, "decalage": 0}
+
+
+def marked_battery(seed):
+    """(truncation, spec): the truncations of `seeded_battery(seed, 4)` with
+    xi = 2 and alpha = 1, then 20 seeded pure and impure complexes, which are
+    truncations as built, with their own xi and alpha."""
+    out = [(ss._truncation(A), ss.WeightSpec(Q(2), Q(1), 0)) for A in seeded_battery(seed, 4)]
+    rng = random.Random(seed)
+    for t in range(20):
+        xi, alpha = rng.choice((Q(2), Q(3), Q(-2))), (Q(1), Q(2), Q(1, 2))[t % 3]
+        A, _, _ = verify.random_pure_complex(rng, xi, alpha, impure=t % 2 == 1)
+        out.append((A, ss.WeightSpec(xi, alpha, 0)))
+    return out
+
+
+def witness_outcome(A, spec):
+    """The JSON of `formality_witness(A, spec)`, or the type and message of
+    its refusal, with the spot and factor of a purity violation."""
+    try:
+        return ss.formality_witness(A, spec).to_json()
+    except (InputError, PurityViolation, WitnessError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "spot", None), \
+            getattr(exc, "factor", None)
+
+
+def test_a_truncation_is_its_own_truncation(monkeypatch):
+    # truncating a truncation rebuilds its levels and flags, so the witness
+    # reads a truncation as it stands: it gives the same witness or refusal
+    # as on an unmarked JSON copy, which it truncates, on every call
+    truncations, truncation = [], ss._truncation
+    monkeypatch.setattr(ss, "_truncation", lambda A: truncations.append(A) or truncation(A))
+    outcomes = set()
+    for T, spec in marked_battery(41):
+        again = truncation(T)
+        assert T._truncated and again._truncated
+        assert again.filtration == T.filtration and again.flags == T.flags
+        copy = ss.complex_from_json(T.to_json())
+        assert not copy._truncated
+        truncations.clear()
+        want = witness_outcome(copy, spec)
+        assert truncations == ([copy] if T.phi is not None else [])
+        assert witness_outcome(T, spec) == want == witness_outcome(T, spec)
+        assert truncations == ([copy] if T.phi is not None else [])
+        outcomes.add("verified" if isinstance(want, dict) else want[0])
+    assert outcomes == {"verified", "InputError", "PurityViolation"}
+
+
+def test_each_complex_builds_phi_once_per_element(monkeypatch):
+    # phi of each barcode element is solved once per complex: every page
+    # with phi_r read at every spot, two purity checks, then the witness of
+    # a truncation, which reads the coordinates its pages built
+    solvers, built, solver = [], [], ss._phi_solver
+    monkeypatch.setattr(ss, "_phi_solver", lambda A, n: solvers.append((A, n)) or (
+        lambda k, solve=solver(A, n): built.append((A, n, k)) or solve(k)))
+    for T, spec in marked_battery(43):
+        if T.phi is None:
+            continue
+        for A in (ss.FilteredComplex(T.spaces, T.d, T.filtration, T.phi, validate=False), T):
+            for r in range(A.top_level + 3):
+                pg = ss.page(A, r)
+                for i, n in pg.spots:
+                    pg.aut(i, n)
+            early = ss.WeightSpec(spec.xi, spec.alpha, 1)
+            ss.purity_check(A, early)
+            ss.purity_check(A, early, at_page=0)
+            # page 0 keeps every element live
+            assert {(n, k) for B, n, k in built if B is A} \
+                == {(n, k) for n, dim in A.spaces.items() for k in range(dim)}
+        count = len(built)
+        witness_outcome(T, spec)
+        assert len(built) == count
+    assert built and len(built) == len({(id(A), n, k) for A, n, k in built})
+    assert len(solvers) == len({(id(A), n) for A, n in solvers})
 
 
 # ---------------------------------------------------------------------------
