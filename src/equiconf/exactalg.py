@@ -395,8 +395,23 @@ def _beside(a: Matrix, b: Matrix):
 def col_space(columns, dim=None):
     """Canonical basis matrix (reduced column echelon) of the span of the
     columns of a Matrix, or of a list of vectors of Q^dim: dense, or
-    {index: value} dicts. `dim` defaults to the length of the first one."""
+    {index: value} dicts. `dim` defaults to the length of the first one.
+    A Matrix that is its own canonical basis is returned as it is; the
+    check reads each sparse row once: column c leads at a row {c: 1}, the
+    columns lead in order, and no other row holds a column that has not led
+    yet."""
     if isinstance(columns, Matrix):
+        seen = 0  # the columns that have led so far
+        for r in columns.sparse_rows:
+            if seen in r:
+                if len(r) > 1 or r[seen] != 1:
+                    break
+                seen += 1
+            elif r and max(r) >= seen:
+                break
+        else:
+            if seen == columns.ncols:
+                return columns
         return _span(columns.sparse_columns(), columns.nrows)
     columns = list(columns)
     if dim is None:
@@ -405,22 +420,6 @@ def col_space(columns, dim=None):
         dim = len(columns[0])
     return _span([_entries(c, dim, f"a vector of the span does not lie in Q^{dim}")
                   for c in columns], dim)
-
-
-def canonical_span(m: Matrix):
-    """m itself when it is already the canonical basis of its span (reduced
-    column echelon form), else `col_space(m)`. The check reads each sparse
-    row once: column c leads at a row {c: 1}, the columns lead in order, and
-    no other row holds a column that has not led yet."""
-    seen = 0  # the columns that have led so far
-    for r in m.sparse_rows:
-        if seen in r:
-            if len(r) > 1 or r[seen] != 1:
-                return col_space(m)
-            seen += 1
-        elif r and max(r) >= seen:
-            return col_space(m)
-    return m if seen == m.ncols else col_space(m)
 
 
 def flag_basis(spans):

@@ -48,12 +48,14 @@ the tests hold them to `validate`.
 
 A complex keeps each filtration level as the canonical basis of its span
 (`filtration`) and each degree's filtration as one adapted basis, its flags.
-The constructor takes levels and canonicalizes each distinct one once: it
-shares a level passed as the same object as the one before it, and
-`complex_from_json` a level whose entries read as the one before it. The
-truncation and the decalage build their flags first and their levels from
-them: the decalage by one triangular reduction of the barcode elements in
-the order in which they enter its levels, then one span per distinct level.
+The constructor is the one place that canonicalizes levels (`col_space`,
+which returns a canonical basis as it stands): a level that is the same
+object as the one before it, or equal to it, shares its canonical basis, so
+each run of equal levels is spanned once. `complex_from_json` passes it the
+levels as read, and the page models their repeated levels. The truncation
+takes its flags from its levels (`flag_basis`); the decalage builds its
+flags first, by one triangular reduction of the barcode elements in the
+order in which they enter its levels, then one span per distinct level.
 A complex is never mutated after construction, since its flags, its levels
 and its kept barcode describe one filtration and one d.
 """
@@ -70,7 +72,6 @@ from .exactalg import (
     ONE,
     Matrix,
     Quotient,
-    canonical_span,
     col_space,
     combine,
     eliminate,
@@ -90,14 +91,15 @@ class FilteredComplex:
     the levels never decrease, and `lead` maps the first index of each
     element to (k, basis[k]). `validate` and the barcode read the flags.
 
-    The constructor takes levels, canonicalizes each (a level passed as the
-    same object as the one before it is canonicalized once and shared) and
-    reads the flags off them. The truncation and the decalage are built
-    from their flags and levels together (`_unchecked`). The barcode is
-    reduced at its first read (`barcode`) and kept; a complex that is only
-    validated never reduces it. phi of each barcode element, in barcode
-    coordinates, is likewise built at its first read (`barcode_phi`) and
-    kept, for every page and the witness. A truncation is marked
+    The constructor takes levels of every degree, canonicalizes each with
+    `col_space` (a level that is the same object as the one before it, or
+    equal to it, shares its canonical basis), refuses a level that does not
+    fit its degree, and reads the flags off the levels. The truncation and
+    the decalage are built from their flags and levels together
+    (`_unchecked`). The barcode is reduced at its first read (`barcode`)
+    and kept; a complex that is only validated never reduces it. phi of
+    each barcode element, in barcode coordinates, is likewise built at its
+    first read (`barcode_phi`) and kept, for every page and the witness. A truncation is marked
     (`_truncated`): it is its own truncation.
 
     A complex must never be mutated after construction: its flags, its
@@ -109,8 +111,6 @@ class FilteredComplex:
 
     def __init__(self, spaces, d, filtration, phi=None, validate=True):
         self.spaces = {int(n): dim for n, dim in spaces.items() if _dimension(n, dim)}
-        if any(n < 0 for n in self.spaces):
-            raise InputError("degrees must be non-negative")
         self.d = {}
         for n, mat in d.items():
             n = int(n)
@@ -121,9 +121,12 @@ class FilteredComplex:
         self.filtration = {}
         for n, levels in filtration.items():
             n = int(n)
-            if self.dim(n) == 0:
-                continue
-            self.filtration[n] = self._levels(n, levels)
+            levels = self._levels(n, levels)
+            if self.dim(n):
+                self.filtration[n] = levels
+        # after the levels, so that a fault in a level is the one reported
+        if any(n < 0 for n in self.spaces):
+            raise InputError("degrees must be non-negative")
         self.phi = None
         if phi is not None:
             self.phi = {}
@@ -152,23 +155,20 @@ class FilteredComplex:
         return A
 
     def _levels(self, n, levels):
-        """The canonical bases of the levels of degree n: a level passed as
-        the same object as the one before it is canonicalized once and
-        repeated."""
+        """The canonical bases (`col_space`) of the levels of degree n, each
+        a Matrix whose columns span it or its vectors: a level that is the
+        same object as the one before it, or equal to it, shares its
+        canonical basis. A level that does not fit degree n is refused."""
         out, prev = [], None
         for lvl in levels:
-            out.append(out[-1] if out and lvl is prev else self._level(n, lvl))
+            if out and (lvl is prev or lvl == prev):
+                out.append(out[-1])
+            elif isinstance(lvl, Matrix) and lvl.nrows != self.dim(n):
+                raise InputError(f"filtration level shape mismatch at degree {n}")
+            else:
+                out.append(col_space(lvl, dim=self.dim(n)))
             prev = lvl
         return tuple(out)
-
-    def _level(self, n, lvl):
-        """The canonical basis of a level of degree n: a Matrix whose columns
-        span it, or its vectors."""
-        if not isinstance(lvl, Matrix):
-            return col_space(lvl, dim=self.dim(n))
-        if lvl.nrows != self.dim(n):
-            raise InputError(f"filtration level shape mismatch at degree {n}")
-        return canonical_span(lvl)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -422,17 +422,13 @@ def complex_from_json(data):
     literal = _literals()
     with reading("filtered complex"):
         spaces, d, phi = read_complex(data, literal)
-        filtration = {}
-        for k, levels in json_map(data.get("filtration", {}), "filtration").items():
-            n = int(k)
-            filtration[n] = spans = []
-            prev = None
-            for lvl in levels:
-                # a level whose entries read as the previous one's shares its span
-                cols = [[literal(x) for x in col] for col in lvl]
-                spans.append(spans[-1] if spans and cols == prev
-                             else col_space(cols, dim=spaces.get(n, 0)))
-                prev = cols
+        # each degree's levels are read only as the constructor reaches them
+        # (`for lvl in one` is lazy), so the first fault of the input is the
+        # one reported
+        filtration = {k: ([[literal(x) for x in col] for col in lvl]
+                          for one in (levels,) for lvl in one)
+                      for k, levels in json_map(data.get("filtration", {}),
+                                                "filtration").items()}
         if not filtration:
             raise InputError("input complex carries no filtration")
         return FilteredComplex(spaces, d, filtration, phi)
@@ -449,29 +445,22 @@ def canonical_filtration(spaces, d, phi=None):
 
 def _truncation(A: FilteredComplex):
     """A with its truncation filtration: tau_i A^n is A^n below degree i,
-    ker d at i and 0 above. Its flag in degree n is the kernel basis at
-    level n and then, below the top degree, the unit vectors off its leads
-    at level n + 1, as `flag_basis` reads them off those levels; the levels
-    are canonical as they stand. Built
-    unchecked, for it is valid whenever A is: d and phi are A's; 0 <= ker d
-    <= A^n makes the levels nested and exhaustive; d sends A^(i-1) into
-    ker d, so it preserves them; and phi preserves ker d because it
-    commutes with d. The result is marked `_truncated`: it reads only A's
-    spaces, d and phi, so truncating it again rebuilds the same levels and
-    flags, and `formality_witness` reads it as it stands."""
+    ker d at i and 0 above. The levels are canonical as they stand, and its
+    flag in degree n is their `flag_basis`: the kernel basis at level n and
+    then, below the top degree, the unit vectors off its leads at level
+    n + 1. Built unchecked, for it is valid whenever A is: d and phi are
+    A's; 0 <= ker d <= A^n makes the levels nested and exhaustive; d sends
+    A^(i-1) into ker d, so it preserves them; and phi preserves ker d
+    because it commutes with d. The result is marked `_truncated`: it reads
+    only A's spaces, d and phi, so truncating it again rebuilds the same
+    levels and flags, and `formality_witness` reads it as it stands."""
     top = max(A.spaces, default=0)
-    filtration, flags = {}, {}
+    filtration = {}
     for n, dim in A.spaces.items():
         kernel, full, empty = A.diff(n).kernel_basis(), Matrix.identity(dim), Matrix.zero(dim, 0)
         filtration[n] = tuple(full if n < i else kernel if n == i else empty
                               for i in range(top + 1))
-        basis = kernel.sparse_columns()
-        level = [n] * len(basis)
-        if n < top:
-            leads = {min(v) for v in basis}
-            basis += [{i: ONE} for i in range(dim) if i not in leads]
-            level += [n + 1] * (len(basis) - len(level))
-        flags[n] = level, basis, {min(v): (k, v) for k, v in enumerate(basis)}
+    flags = {n: flag_basis(levels) for n, levels in filtration.items()}
     T = FilteredComplex._unchecked(A.spaces, A.d, filtration, flags, A.phi)
     T._truncated = True
     return T
@@ -618,16 +607,10 @@ def page(A: FilteredComplex, r):
     Spot (i, n) is spanned by the level-i barcode elements of degree n that
     are in no pair or in one that drops at least r levels; d_r sends the
     source of each pair that drops exactly r levels to its target. The page
-    counts each spot's dimension here; d_r and phi_r are built in these
-    elements when first read."""
+    counts each spot's dimension here, off the kept barcode of A; d_r and
+    phi_r are built in these elements when first read."""
     if r < 0:
         raise InputError("page index must be non-negative")
-    return _page(A, r)
-
-
-def _page(A: FilteredComplex, r):
-    """`page(A, r)` read off the kept barcode of A: the live elements of
-    each spot, counted."""
     spots = {}
     for n, (level, *_, gap) in A.barcode.items():
         for k, t in enumerate(level):
@@ -740,11 +723,7 @@ def purity_check(A: FilteredComplex, spec: WeightSpec, at_page=None):
     inspect = spec.page + 1 if at_page is None else at_page
     if not 0 <= inspect <= spec.page + 1:
         raise InputError("inspected page must be between 0 and the target page + 1")
-    return _purity(page(A, inspect), spec)
-
-
-def _purity(pg: SpectralPage, spec: WeightSpec):
-    """The purity verdict on the page pg, for the weights of spec."""
+    pg = page(A, inspect)
     records = []
     violation = None
     for (i, n) in sorted(pg.spots, key=lambda t: (t[1], t[0])):
@@ -810,7 +789,7 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
         raise InputError("formality witness needs an automorphism")
     base = A if A._truncated else _truncation(A)
     bars = base.barcode
-    check = _purity(_page(base, 1), WeightSpec(spec.xi, spec.alpha, 0))
+    check = purity_check(base, WeightSpec(spec.xi, spec.alpha, 0), at_page=1)
     if not check.ok:
         raise PurityViolation(
             f"purity fails at bidegree {check.violation[0]}: {check.violation[2]}",

@@ -277,6 +277,8 @@ MALFORMED_JSON = [
     ({"degrees": {"100000000": 1}}, f"degree 100000000 exceeds the bound {DEGREE_BOUND}"),
     ({"degrees": {str(DEGREE_BOUND + 1): 1}},
      f"degree {DEGREE_BOUND + 1} exceeds the bound {DEGREE_BOUND}"),
+    ({"degrees": {"-1": 1, "0": 1}, "phi": {"-1": [["3"]], "0": [["9"]]}},
+     "degrees must be non-negative"),
 ]
 
 
@@ -289,7 +291,9 @@ def test_malformed_complex_json_exits_2(data, message, capsys, tmp_path):
     assert main(["ss", "canonical", "--input", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: malformed complex: {message}\n")
     path.write_text(json.dumps({**data, "filtration": {n: [[["1"]]] for n in data["degrees"]}}))
-    for command in (["decalage"], ["page", "--page", "1"]):
+    weights = ["--xi", "3", "--alpha", "1"]
+    for command in (["decalage"], ["page", "--page", "1"], ["purity", *weights, "--page", "0"],
+                    ["witness", *weights]):
         assert main(["ss", *command, "--input", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: malformed filtered complex: {message}\n")
 

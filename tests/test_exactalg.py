@@ -10,7 +10,6 @@ from equiconf.exactalg import (
     PolyRing,
     Quotient,
     _reduce,
-    canonical_span,
     col_space,
     elementary_symmetric,
     equivariant_hom_dims,
@@ -303,7 +302,7 @@ def test_subspaces_match_dense_oracle():
         dim = m.nrows
         a = col_space(m)
         assert a.columns() == dense_span(m.columns(), dim)
-        assert canonical_span(m) == a and canonical_span(a) is a
+        assert col_space(a) is a
         others = [o for o in mats if o.nrows == dim]
         for o in rng.sample(others, min(2, len(others))):
             b = col_space(o)

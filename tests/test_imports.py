@@ -40,3 +40,31 @@ def test_size_bounds_live_in_charclasses():
     assert {name for name, _ in bounds} == {"charclasses.py"}
     assert ("charclasses.py", "MODEL_BOUND") in bounds
     assert checks == {"charclasses.py"}
+
+
+def referenced_names(path):
+    """Every name that one source file loads, bare or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_api_is_used_only_by_tests():
+    # every module-level function and class of the package but the test
+    # oracles is referenced by the package, the benchmark or the demos,
+    # not by tests alone; a name matches any load of it, so this catches
+    # a definition whose name no such file mentions
+    root = SRC.parent.parent
+    users = [path for path in (*SRC.glob("*.py"), *root.glob("bench/*.py"),
+                               *root.glob("demos/*.py"))
+             if path.stem != "oracles" and not path.stem.startswith("test_")]
+    used = {name for path in users for name in referenced_names(path)}
+    assert len(users) > 10
+    defined = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+               if path.stem != "oracles"
+               for node in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert len(defined) > 100
+    assert sorted(item for item in defined if item[1] not in used) == []

@@ -592,35 +592,66 @@ def test_each_complex_reduces_its_barcode_once(monkeypatch):
 
 
 def test_repeated_levels_are_canonicalized_once(monkeypatch):
-    # a level passed as the same object as the one before it, or read from
-    # JSON with the same entries, is spanned and canonicalized once
+    # a run of levels that are the same object or equal, passed as Matrices
+    # or vectors or read from JSON, is spanned by one `col_space` call
     calls = []
-    for name in ("canonical_span", "col_space"):
-        fn = getattr(ss, name)
-        monkeypatch.setattr(ss, name, lambda *a, fn=fn, name=name, **k:
-                            calls.append(name) or fn(*a, **k))
+    fn = ss.col_space
+    monkeypatch.setattr(ss, "col_space", lambda *a, **k: calls.append(a[0]) or fn(*a, **k))
     line, full = Matrix.from_columns([[2, 0]]), Matrix.identity(2)
     A = ss.FilteredComplex({0: 2}, {}, {0: [line, line, full, full, full]})
-    assert calls == ["canonical_span"] * 2
+    assert calls == [line, full]
     levels = A.filtration[0]
     assert levels[0] is levels[1] and levels[2] is levels[3] is levels[4]
     calls.clear()
     vecs = [[1, 1]]
     ss.FilteredComplex({0: 2}, {}, {0: [vecs, vecs, [[1, 0], [0, 1]]]})
-    assert calls == ["col_space"] * 2
+    assert len(calls) == 2
     for group, ell, n, top in PAGE_MODELS:
         calls.clear()
         A = equieven.as_filtered_complex(group, ell, n, top, xi=2)
-        # one level per word length 0..ell-1 in each degree
-        assert calls == ["canonical_span"] * (ell * len(A.filtration))
-        for levels in A.filtration.values():
-            assert len({id(lvl) for lvl in levels}) == ell
+        runs = {n: sum(1 for i, lvl in enumerate(levels) if i == 0 or lvl != levels[i - 1])
+                for n, levels in A.filtration.items()}
+        assert len(calls) == sum(runs.values())
+        for n, levels in A.filtration.items():
+            assert len({id(lvl) for lvl in levels}) == runs[n]
         data = A.to_json()
-        runs = sum(1 for levels in data["filtration"].values()
-                   for i, lvl in enumerate(levels) if i == 0 or lvl != levels[i - 1])
         calls.clear()
         assert ss.complex_from_json(data).to_json() == data
-        assert sorted(calls) == ["canonical_span"] * runs + ["col_space"] * runs
+        assert len(calls) == sum(runs.values())
+
+
+def test_equal_levels_share_one_matrix_and_unfit_levels_are_refused(tmp_path, capsys):
+    # equal levels that are separate objects share one canonical Matrix
+    full = Matrix.identity(2)
+    for first, second in ((Matrix.from_columns([[2, 0]]), Matrix.from_columns([[2, 0]])),
+                          ([[1, 1]], [[1, 1]])):
+        levels = ss.FilteredComplex({0: 2}, {}, {0: [first, second, full]}).filtration[0]
+        assert levels[0] is levels[1] and levels[2] is full
+    # every degree's levels must fit it, one of dimension 0 too
+    with pytest.raises(InputError, match="^filtration level shape mismatch at degree 1$"):
+        ss.FilteredComplex({0: 1}, {}, {0: [Matrix.identity(1)], 1: [Matrix.identity(1)]})
+    with pytest.raises(InputError, match=r"^a vector of the span does not lie in Q\^0$"):
+        ss.FilteredComplex({0: 1}, {}, {0: [Matrix.identity(1)], 1: [[[1]]]})
+    assert ss.FilteredComplex({0: 1, 1: 0}, {}, {0: [Matrix.identity(1)],
+                                                 1: [Matrix.zero(0, 0)]}).filtration \
+        == {0: (Matrix.identity(1),)}
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"degrees": {"0": 1, "1": 0},
+                                "filtration": {"0": [[["1"]]], "1": [[["1"]]]}}))
+    assert main(["ss", "page", "--input", str(path), "--page", "1"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: malformed filtered complex: a vector of the span does not lie in Q^0\n")
+
+
+def test_a_page_reads_phi_only_at_live_spots():
+    A = ss.FilteredComplex({0: 1}, {}, {0: [Matrix.identity(1)]}, phi={0: Matrix([[3]])})
+    pg = ss.page(A, 0)
+    assert pg.aut(0, 0) == Matrix([[3]])
+    assert pg.aut(1, 0) == pg.aut(0, 1) == Matrix.identity(0)
+    bare = ss.page(ss.FilteredComplex(A.spaces, {}, A.filtration), 0)
+    for spot in ((0, 0), (1, 0)):
+        with pytest.raises(InputError, match="^page carries no automorphism$"):
+            bare.aut(*spot)
 
 
 def json_digest(complexes):
@@ -731,13 +762,13 @@ def test_complexes_built_unchecked_store_their_flags():
 
 def test_decalage_spans_each_distinct_level_once(monkeypatch):
     # a decalage, and the decalage of a decalage, build their flags by one
-    # triangular pass (no `flag_basis`, no `canonical_span`) and then span
-    # each distinct level once, off the flags
+    # triangular pass (no `flag_basis`) and then span each distinct level
+    # once, off the flags
     spans, calls = [], []
     fn = exactalg.col_space
     monkeypatch.setattr(exactalg, "col_space", lambda *a, **k:
                         spans.append(fn(*a, **k)) or spans[-1])
-    for name in ("col_space", "canonical_span", "flag_basis"):
+    for name in ("col_space", "flag_basis"):
         fn_ss = getattr(ss, name)
         monkeypatch.setattr(ss, name, lambda *a, fn=fn_ss, name=name, **k:
                             calls.append(name) or fn(*a, **k))
