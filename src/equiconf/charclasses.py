@@ -8,15 +8,12 @@ variables. Two conventions for the special-orthogonal subgroups are exposed:
 subgroups; "standard" is the default and is the one under which the torus
 invariants reproduce the classical rings of Pontryagin/Euler classes.
 
-A Weyl element sends a monomial basis key to a signed key, so every
-Weyl-fixed basis (`invariant_basis`, `equiodd.fixed_point_basis`,
-`equieven.weyl_fixed_page_basis`) is read off as signed orbit sums by
-`fixed_rows`, without polynomial arithmetic or elimination. A Weyl element
-moves only the exponents, so `fixed_rows` works out the signed orbit of each
-(exponent vector, word-length parity) once per call, an orbit table that
-every edge word with those exponents shares. The slow route
-that averages each basis element over the group is
-`oracles.averaged_fixed_basis`, the tests' reference.
+A Weyl element moves only the exponents of a monomial and scales its edge
+word by a sign to the power of the word length, so every Weyl-fixed space
+is edge words (x) signed orbit sums of the exponents, `orbit_rows`. The
+fixed bases attach the words to the rows, and the fixed dimensions count
+rows times words. The slow route that averages each basis element over the
+group is `oracles.averaged_fixed_basis`, the tests' reference.
 
 The input bounds of the package live here, and `check_basis_size` is the
 one size check: a basis sized by its closed form (the Poincare polynomial
@@ -207,30 +204,21 @@ def weyl_action(w: WeylElement, f: Polynomial):
     return Polynomial(ring, out)
 
 
-def fixed_rows(group, keys, odd_sign=None):
-    """Reduced echelon basis of the group-fixed span of monomial keys.
+def orbit_rows(group, slices, odd_sign=None):
+    """Reduced echelon bases of the group-fixed spans of monomial slices.
 
-    A key is (edge word, exponent tuple). An element w sends it to the same
-    word with the exponents permuted by sigma and the sign prod eps_i^e_i,
-    times odd_sign(w) on an odd-length word. The group average of a key is
-    therefore its signed orbit sum, or zero when two elements send it to one
-    image with opposite signs. Orbits have disjoint supports, so the nonzero
-    sums, scaled to lead 1 at their first key, are already the reduced
-    echelon basis. Returns one (edge word, {exponents: Fraction(+-1)}) pair
-    per nonzero orbit sum, ordered by first key: the row is that word times
-    that polynomial.
+    A slice, (exponent vectors, word-length parity), stands for the
+    monomials of any one edge word of that parity. An element w sends one
+    to the same word with the exponents permuted by sigma and the sign
+    prod eps_i^e_i, times odd_sign(w) on an odd word, so the group average of
+    a monomial is its signed orbit sum, or zero when two elements send it to
+    one image with opposite signs. Disjoint orbits make the nonzero sums, led
+    by 1 at their first vector, the reduced echelon basis. Returns one list
+    of rows {exponents: Fraction(+-1)} per slice, in the order of first vectors.
 
-    The sign is a parity: bit i of a key's mask is the parity of e_i, and
-    bit n that of the word length; bit i of w's mask is set where eps_i = -1,
-    and bit n where odd_sign(w) = -1. The sign is -1 exactly when the two
-    masks share an odd number of bits. The image is an `itemgetter` of the
-    exponents.
-
-    A Weyl element changes only the exponents, so the signed orbit of a key
-    depends on its exponents and its word-length parity alone. Each such
-    orbit table is worked out once per call and serves every word; a key in
-    the orbit of a key met before is skipped first. A key alone in its orbit
-    lies in no other key's orbit, so it skips the `seen` set.
+    The sign is -1 when the masks of the vector (bit i: e_i odd; bit n: odd
+    word) and of w (bit i: eps_i = -1; bit n: odd_sign(w) = -1) share an odd
+    number of bits. The table of (image, mask) is built once per call.
     """
     n = len(group[0].sigma)
     acts = []  # (image of the exponents, mask) per group element
@@ -241,40 +229,30 @@ def fixed_rows(group, keys, odd_sign=None):
         # rank 1 has only the identity permutation, and itemgetter(0) gives no tuple
         inverse = sorted(range(n), key=w.sigma.__getitem__)
         acts.append((itemgetter(*inverse) if n > 1 else tuple, flips))
-    tables = {}  # (exponents, word-length parity) -> (orbit, signed row or None)
-    seen, rows = set(), []
-    for key in keys:
-        if key in seen:
-            continue
-        edges, exps = key
-        odd = len(edges) & 1
-        table = tables.get((exps, odd))
-        if table is None:
+    out = []
+    for exponents, odd in slices:
+        seen, rows = set(), []
+        for exps in exponents:
+            if exps in seen:
+                continue
             parity = odd << n | sum((e & 1) << i for i, e in enumerate(exps))
             bits, vanishes = {}, False
             for image, flips in acts:
                 bit = (flips & parity).bit_count() & 1
                 vanishes |= bits.setdefault(image(exps), bit) != bit
-            table = tables[exps, odd] = (
-                tuple(bits),
-                None if vanishes else {e: MINUS_ONE if bit else ONE for e, bit in bits.items()})
-        orbit, row = table
-        if len(orbit) > 1:
-            seen.update((edges, e) for e in orbit)
-        if row is not None:
-            rows.append((edges, dict(row)))
-    return rows
-
-
-def invariant_basis(spec: GroupSpec, degree, convention="standard"):
-    """Echelonized basis of the degree-d Weyl invariants of Q[q_1..q_n]."""
-    ring = torus_ring(spec.rank)
-    keys = [((), e) for e in ring.exponents_of_degree(degree)]
-    return [Polynomial(ring, row) for _, row in fixed_rows(weyl_group(spec, convention), keys)]
+            if len(bits) > 1:
+                seen.update(bits)
+            if not vanishes:
+                rows.append({e: MINUS_ONE if bit else ONE for e, bit in bits.items()})
+        out.append(rows)
+    return out
 
 
 def invariant_dimension(spec: GroupSpec, degree, convention="standard"):
-    return len(invariant_basis(spec, degree, convention))
+    """dim of the degree-d Weyl invariants of Q[q_1..q_n]: a count of `orbit_rows`."""
+    ring = torus_ring(spec.rank)
+    (rows,) = orbit_rows(weyl_group(spec, convention), [(ring.exponents_of_degree(degree), 0)])
+    return len(rows)
 
 
 def torus_images(spec: GroupSpec):

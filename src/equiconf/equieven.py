@@ -21,12 +21,14 @@ g and a coefficient monomial m, where dg is the edge-removal derivation
 word, so the boundary of a basis word is read off it with signs +-1 and
 no rewriting; `oracles.boundary_by_rewriting` keeps the route through the
 normal form of each sub-word. Every matrix of d_2n (`kernel_K`,
-`differential_matrix`, `fixed_page_cohomology_dims`) is built from these
-integer columns, shifting the coefficient exponents by E's; the ranks and
-kernels eliminate them as `int` rows, and `differential_matrix` alone
-returns them, as a `Fraction` matrix. `d2n` and `PageElement` are the
-element algebra, and `oracles` builds the matrices through them as the
-reference.
+`differential_matrix`, `page_cohomology_dims`) is built from these integer
+columns, shifting the coefficient exponents by E's; the ranks and kernels
+eliminate them as `int` rows, and `differential_matrix` alone returns them,
+as a `Fraction` matrix. `d2n` and `PageElement` are the element algebra,
+and `oracles` builds the matrices through them as the reference. The
+Weyl-fixed torus page is a tensor product, words (x) orbit rows, on which
+d_2n is block diagonal: `fixed_page_cohomology_dims` ranks one `boundary`
+matrix per word length and counts the rest.
 
 `model_dims` counts the model instead of building it, for both
 `verify_page_cohomology` and the `even hilbert` command. For l >= 2 the
@@ -41,11 +43,11 @@ and are the count's references.
 
 Every entry point that builds a basis (`kernel_K`, `page_cohomology_dims`,
 `equivariant_cohomology_even`, `as_filtered_complex`,
-`fixed_page_cohomology_dims`, `weyl_fixed_page_basis`) first sizes each
-degree it will enumerate by the closed form `confring.graded_dimensions`,
-in one pass per call, and refuses a degree past `charclasses.MODEL_BOUND`
-monomials with a `CapacityError`; `model_dims` builds nothing, but keeps
-the refusals of the model it counts. The enumerators `page_basis` and
+`weyl_fixed_page_basis`) first sizes each degree it will enumerate by the
+closed form `confring.graded_dimensions`, in one pass per call, and refuses
+a degree past `charclasses.MODEL_BOUND` monomials with a `CapacityError`;
+`model_dims` and `fixed_page_cohomology_dims` build no page basis, but keep
+the refusals of the page they count. The enumerators `page_basis` and
 `confring.basis_keys` stay unchecked: they run hundreds of times per model.
 """
 
@@ -55,9 +57,9 @@ from dataclasses import dataclass, field
 from operator import add
 
 from . import charclasses, confring
-from .charclasses import GroupSpec, WeylElement, char_ring, fixed_rows, torus_ring, weyl_group
+from .charclasses import GroupSpec, WeylElement, char_ring, orbit_rows, torus_ring, weyl_group
 from .errors import InputError
-from .exactalg import ONE, Matrix, PolyRing, Polynomial, combine, rat, shift_terms
+from .exactalg import ONE, Matrix, PolyRing, Polynomial, rat, shift_terms
 
 
 def page_ring(group, n):
@@ -157,18 +159,12 @@ def page_basis(group, ell, n, degree):
     ring = page_ring(group, n)
     fiber = 2 * n - 1
     out = []
-    m = 0
-    while fiber * m <= degree and m <= max(ell - 1, 0):
-        rest = degree - fiber * m
+    for m in range(min(max(ell - 1, 0), degree // fiber) + 1):
         graphs = confring.basis_keys(ell, 2 * n, fiber * m)
-        for exps in ring.exponents_of_degree(rest):
-            if group == "o":
-                e_exp = exps[ring.names.index("e")]
-                if (e_exp + m) % 2 == 1:
-                    continue
-            for g in graphs:
-                out.append((g, exps))
-        m += 1
+        for exps in ring.exponents_of_degree(degree - fiber * m):
+            if group != "o" or (exps[ring.names.index("e")] + m) % 2 == 0:
+                for g in graphs:
+                    out.append((g, exps))
     return out
 
 
@@ -457,34 +453,52 @@ def torus_restriction_even(a: PageElement):
 
 def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
     """Echelonized basis of the W(G(2n))-fixed torus page in one degree; W
-    twists the coefficients and scales each x by det = prod eps."""
+    twists the coefficients and scales each x by det = prod eps: the
+    `orbit_rows` times the words of their length, in the `page_basis` order."""
     check_capacity("torus", ell, n, (degree,))
-    rows = _fixed_rows(family, n, page_basis("torus", ell, n, degree), convention)
-    ring = torus_ring(n)
-    return [PageElement("torus", ell, n, {edges: Polynomial(ring, row)}) for edges, row in rows]
+    fiber = 2 * n - 1
+    lengths = range(min(max(ell - 1, 0), degree // fiber) + 1)
+    rows = _page_rows(family, n, convention, [(degree - fiber * m, m & 1) for m in lengths])
+    out = []
+    for m in lengths:
+        words = confring.basis_keys(ell, 2 * n, fiber * m)
+        for row in rows[degree - fiber * m, m & 1]:
+            poly = Polynomial(torus_ring(n), row)
+            out.extend(PageElement("torus", ell, n, {edges: poly}) for edges in words)
+    return out
 
 
-def _fixed_rows(family, n, basis, convention):
-    """The `fixed_rows` of the torus page basis `basis` of one degree."""
+def _page_rows(family, n, convention, slices):
+    """{(coefficient degree, word-length parity): `orbit_rows`} of the torus page."""
     if family not in ("so_even", "o_even"):
         raise InputError("fixed pages are computed for so_even or o_even")
-    return fixed_rows(weyl_group(GroupSpec(family, n), convention), basis,
-                      WeylElement.eps_product)
+    exponents = [(torus_ring(n).exponents_of_degree(c), odd) for c, odd in slices]
+    return dict(zip(slices, orbit_rows(weyl_group(GroupSpec(family, n), convention), exponents,
+                                       WeylElement.eps_product)))
 
 
 def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"):
-    """H(W-fixed torus page, d_2n) dimensions, degree by degree: d_2n of a
-    fixed row is the same combination of the monomial columns."""
+    """H(W-fixed torus page, d_2n) dimensions. The page is the sum over word
+    lengths w of Words_w (x) Q[q]^(det^w), with d_2n = boundary (x) E block
+    diagonal on it, for E = q_1...q_n a det-semi-invariant non-zero-divisor.
+    So with r(d, w) orbit rows in coefficient degree d - (2n-1)w at parity w,
+    degree d has dimension sum_w e_w r(d, w), and d_2n has rank
+    sum_w rank(boundary_w) r(d, w) on it: one `int` elimination per w."""
     check_capacity("torus", ell, n, range(max_degree + 2))
-    bases = [page_basis("torus", ell, n, d) for d in range(max_degree + 2)]
-    sizes, ranks = [], [0]  # the fixed dimension, and the rank of d_2n into, each degree
-    for d in range(max_degree + 1):
-        rows = _fixed_rows(family, n, bases[d], convention)
-        position = {key: t for t, key in enumerate(bases[d])}
-        cols = _monomial_columns("torus", ell, n, bases[d], bases[d + 1])
-        # the row coefficients are +-1, so the image columns stay integral
-        image = [combine(cols, {position[edges, exps]: int(c) for exps, c in row.items()})
-                 for edges, row in rows]
-        sizes.append(len(rows))
-        ranks.append(Matrix._of_columns(image, len(bases[d + 1])).rank())
-    return {d: sizes[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}
+    fiber = 2 * n - 1
+    lengths = range(min(max(ell - 1, 0), max_degree // fiber) + 1)
+    # parity 0 reaches every coefficient degree at w = 0, parity 1 at w = 1
+    rows = _page_rows(family, n, convention, [(c, odd) for odd in range(min(len(lengths), 2))
+                                              for c in range(max_degree - fiber * odd + 1)])
+    dims, below = [0] * (max_degree + 2), {}
+    for w in lengths:
+        words = confring.basis_keys(ell, 2 * n, fiber * w)
+        rank = Matrix._of_columns([{below[word]: c for word, c in boundary(key).items()}
+                                   for key in words], len(below)).rank()
+        below = {word: t for t, word in enumerate(words)}
+        # each fixed row adds e_w - rank_w in its degree, and takes rank_w off the next
+        for d in range(fiber * w, max_degree + 1):
+            r = len(rows[d - fiber * w, w & 1])
+            dims[d] += (len(words) - rank) * r
+            dims[d + 1] -= rank * r
+    return dict(enumerate(dims[:-1]))

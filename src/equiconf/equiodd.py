@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from . import charclasses, confring
-from .charclasses import GroupSpec, WeylElement, fixed_rows, torus_ring, weyl_action, weyl_group
+from .charclasses import GroupSpec, WeylElement, orbit_rows, torus_ring, weyl_action, weyl_group
 from .errors import InputError
 from .exactalg import Polynomial
 
@@ -172,21 +172,17 @@ def generator(ell, n, i, j):
 
 def torus_basis(ell, n, degree):
     """All (admissible graph, q-monomial) pairs of the given total degree."""
+    return [GraphMonomial(ell, n, edges, e) for m, qexps in enumerate(_slices(ell, n, degree))
+            for edges in confring.basis_keys(ell, 2 * n + 1, 2 * n * m) for e in qexps]
+
+
+def _slices(ell, n, degree):
+    """The q-exponents of degree - 2nm for each word length m, once sized."""
     if ell < 0 or n < 1 or degree < 0:
         raise InputError("need ell >= 0, n >= 1, degree >= 0")
     charclasses.check_basis_size(leray_hirsch_dimension(ell, n, degree), degree)
-    ring = qring(n)
-    out = []
-    m = 0
-    while 2 * n * m <= degree and m <= max(ell - 1, 0):
-        rest = degree - 2 * n * m
-        graphs = confring.basis_keys(ell, 2 * n + 1, 2 * n * m)
-        qexps = ring.exponents_of_degree(rest)
-        for edges in graphs:
-            for e in qexps:
-                out.append(GraphMonomial(ell, n, edges, e))
-        m += 1
-    return out
+    return [qring(n).exponents_of_degree(degree - 2 * n * m)
+            for m in range(min(max(ell - 1, 0), degree // (2 * n)) + 1)]
 
 
 def torus_dimension(ell, n, degree):
@@ -213,18 +209,29 @@ def weyl_action_equi(w: WeylElement, a: EquiElement):
 
 
 def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
-    """Echelonized basis of the Weyl-fixed subspace in one degree."""
-    if spec.family not in ("so_odd", "o_odd"):
-        raise InputError("fixed points are computed for so_odd or o_odd only")
-    n = spec.rank
-    keys = [(mono.edges, mono.q_exps) for mono in torus_basis(ell, n, degree)]
-    rows = fixed_rows(weyl_group(spec, convention), keys, lambda w: w.eta * w.eps_product())
-    ring = qring(n)
-    return [EquiElement(ell, n, {edges: Polynomial(ring, row)}) for edges, row in rows]
+    """Echelonized basis of the Weyl-fixed subspace in one degree: the words
+    of each length times their `orbit_rows`, words outer, as in `torus_basis`."""
+    n, out = spec.rank, []
+    for m, rows in _fixed_slices(spec, ell, degree, convention):
+        polys = [Polynomial(qring(n), row) for row in rows]
+        for edges in confring.basis_keys(ell, 2 * n + 1, 2 * n * m):
+            out.extend(EquiElement(ell, n, {edges: poly}) for poly in polys)
+    return out
 
 
 def fixed_point_dimension(spec: GroupSpec, ell, degree, convention="standard"):
-    return len(fixed_point_basis(spec, ell, degree, convention))
+    """sum_m (words of length m) * (their orbit rows), with no element built."""
+    counts = confring.edge_word_counts(ell)
+    return sum(counts[m] * len(rows) for m, rows in _fixed_slices(spec, ell, degree, convention))
+
+
+def _fixed_slices(spec, ell, degree, convention):
+    """(m, orbit rows) per word length m; an edge scales by eta * prod(eps)."""
+    if spec.family not in ("so_odd", "o_odd"):
+        raise InputError("fixed points are computed for so_odd or o_odd only")
+    slices = [(qexps, m & 1) for m, qexps in enumerate(_slices(ell, spec.rank, degree))]
+    return enumerate(orbit_rows(weyl_group(spec, convention), slices,
+                                lambda w: w.eta * w.eps_product()))
 
 
 def nonequivariant_restriction(a: EquiElement):

@@ -368,14 +368,6 @@ def sylvester(phi_w: Matrix, phi_v: Matrix):
     return Matrix._of(rows, nw * nv)
 
 
-def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
-    """(dim Hom, dim Ext1) of (V, phi_v) -> (W, phi_w) over Q[phi]: the
-    kernel and the cokernel of `sylvester(phi_w, phi_v)`."""
-    op = sylvester(phi_w, phi_v)
-    dim = op.ncols - op.rank()
-    return dim, dim
-
-
 # ---------------------------------------------------------------------------
 # subspaces as canonical column spans
 

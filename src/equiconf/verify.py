@@ -33,7 +33,7 @@ from .charclasses import (
     weyl_group,
 )
 from .errors import InputError
-from .exactalg import Matrix, col_space, equivariant_hom_dims
+from .exactalg import Matrix, col_space, sylvester
 from .specseq import WeightSpec, canonical_filtration
 
 SUITE_NAMES = ("arnold", "leray-hirsch", "weyl", "even-page", "decalage", "purity")
@@ -561,6 +561,14 @@ def suite_decalage(seed=0):
     _check(checks, "canonical filtration of an acyclic complex",
            tau.W(0, 0).ncols == 0 and tau.W(0, 1).ncols == 1)
     return SuiteReport("decalage", seed, tuple(checks))
+
+
+def equivariant_hom_dims(phi_v: Matrix, phi_w: Matrix):
+    """(dim Hom, dim Ext1) of (V, phi_v) -> (W, phi_w) over Q[phi]: the
+    kernel and the cokernel of `sylvester(phi_w, phi_v)`."""
+    op = sylvester(phi_w, phi_v)
+    dim = op.ncols - op.rank()
+    return dim, dim
 
 
 def suite_purity(seed=0):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as Q
@@ -6,6 +7,15 @@ import pytest
 
 from equiconf import charclasses as cc, equieven, equiodd, oracles
 from equiconf.errors import CapacityError, InputError
+from equiconf.exactalg import Polynomial
+
+
+def invariant_basis(spec, degree, convention="standard"):
+    """The degree-d Weyl invariants of Q[q_1..q_n] as Polynomials: the
+    `orbit_rows` of the words of length 0, which `invariant_dimension` counts."""
+    ring = cc.torus_ring(spec.rank)
+    (rows,) = cc.orbit_rows(cc.weyl_group(spec, convention), [(ring.exponents_of_degree(degree), 0)])
+    return [Polynomial(ring, row) for row in rows]
 
 
 def test_weyl_group_orders():
@@ -68,12 +78,12 @@ def test_weyl_action_is_group_action():
 def test_invariant_basis_examples():
     ring = cc.torus_ring(2)
     q1, q2 = ring.gens()
-    so5 = cc.invariant_basis(cc.GroupSpec("so_odd", 2), 4)
+    so5 = invariant_basis(cc.GroupSpec("so_odd", 2), 4)
     assert len(so5) == 1
     assert so5[0] == q1 * q1 + q2 * q2
-    so4 = cc.invariant_basis(cc.GroupSpec("so_even", 2), 4)
+    so4 = invariant_basis(cc.GroupSpec("so_even", 2), 4)
     assert len(so4) == 2
-    o4 = cc.invariant_basis(cc.GroupSpec("o_even", 2), 4)
+    o4 = invariant_basis(cc.GroupSpec("o_even", 2), 4)
     assert len(o4) == 1
     assert o4[0] == q1 * q1 + q2 * q2
     # under the paper convention q1*q2 stops being an SO(4) invariant
@@ -193,8 +203,9 @@ def test_fixed_bases_match_the_averaging_oracle():
                     basis = [equiodd.EquiElement(0, rank, {(): ring.monomial(e)})
                              for e in ring.exponents_of_degree(degree)]
                     got = [equiodd.EquiElement(0, rank, {(): f})
-                           for f in cc.invariant_basis(spec, degree, convention)]
+                           for f in invariant_basis(spec, degree, convention)]
                     _check_fixed_basis(group, basis, equiodd.weyl_action_equi, got)
+                    assert cc.invariant_dimension(spec, degree, convention) == len(got)
                     if family not in ("so_odd", "o_odd", "so_even", "o_even"):
                         continue
                     for ell in (2, 3, 4):
@@ -203,6 +214,8 @@ def test_fixed_bases_match_the_averaging_oracle():
                                      for m in equiodd.torus_basis(ell, rank, degree)]
                             got = equiodd.fixed_point_basis(spec, ell, degree, convention)
                             act = equiodd.weyl_action_equi
+                            assert equiodd.fixed_point_dimension(spec, ell, degree,
+                                                                 convention) == len(got)
                         else:
                             unit = equieven.zero("torus", ell, rank)
                             basis = [unit.from_coordinates([key], [Q(1)]) for key
@@ -215,3 +228,26 @@ def test_fixed_bases_match_the_averaging_oracle():
     # a degree the sign check empties: x12 is SO(4)-fixed, but O(4) holds det = -1
     assert equieven.weyl_fixed_page_basis("so_even", 2, 2, 3) != []
     assert equieven.weyl_fixed_page_basis("o_even", 2, 2, 3) == []
+
+
+def test_fixed_bases_keep_their_order_and_bytes():
+    # the three Weyl-fixed bases as printed, element by element, for both
+    # conventions, up to word length 5; the digest was taken when each basis
+    # was read off signed orbit sums of its (word, exponents) keys
+    lines = []
+    for convention in cc.CONVENTIONS:
+        for rank in (1, 2, 3):
+            for degree in range(13):
+                for family in cc.FAMILIES:
+                    lines += map(str, invariant_basis(cc.GroupSpec(family, rank), degree,
+                                                      convention))
+                for ell in range(6):
+                    for family in ("so_odd", "o_odd"):
+                        lines += map(str, equiodd.fixed_point_basis(
+                            cc.GroupSpec(family, rank), ell, degree, convention))
+                    for family in ("so_even", "o_even"):
+                        lines += map(str, equieven.weyl_fixed_page_basis(
+                            family, ell, rank, degree, convention))
+    assert len(lines) == 6852
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "8ea24dc88ba5b52c19e208b1e3ddee6ec672cd279c53c7160abd0473d6a4f896"

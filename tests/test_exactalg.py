@@ -12,7 +12,6 @@ from equiconf.exactalg import (
     _reduce,
     col_space,
     elementary_symmetric,
-    equivariant_hom_dims,
     poly_from_json,
     rat,
     sylvester,
@@ -591,18 +590,6 @@ def test_eigen_projector_without_full_splitting():
     assert m * p == p * m
     assert p.rank() == 2
     assert eigen_projector(m, Q(5)).is_zero()
-
-
-def test_hom_vanishing_distinct_weights():
-    xi = Q(4)
-    hom, ext = equivariant_hom_dims(Matrix([[xi]]), Matrix([[xi * xi]]))
-    assert (hom, ext) == (0, 0)
-
-
-def test_hom_same_weight_nonzero():
-    xi = Q(4)
-    hom, ext = equivariant_hom_dims(Matrix([[xi]]), Matrix([[xi]]))
-    assert (hom, ext) == (1, 1)
 
 
 def test_sylvester_operator_matches_its_definition():

@@ -17,6 +17,7 @@ import pytest
 
 from equiconf import confring, verify
 from equiconf.errors import InputError
+from equiconf.exactalg import Matrix
 
 
 @pytest.mark.parametrize("name", verify.SUITE_NAMES)
@@ -103,6 +104,18 @@ def suite_reports():
 
 def test_suite_reports_match_golden():
     assert suite_reports() == json.loads(SUITES_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_hom_vanishing_distinct_weights():
+    xi = Q(4)
+    hom, ext = verify.equivariant_hom_dims(Matrix([[xi]]), Matrix([[xi * xi]]))
+    assert (hom, ext) == (0, 0)
+
+
+def test_hom_same_weight_nonzero():
+    xi = Q(4)
+    hom, ext = verify.equivariant_hom_dims(Matrix([[xi]]), Matrix([[xi]]))
+    assert (hom, ext) == (1, 1)
 
 
 def write(path, data):
