@@ -376,6 +376,13 @@ class ConfElement(EdgeCombination):
         self.dim = dim
         super().__init__(terms)
 
+    @classmethod
+    def _unchecked(cls, points, dim, terms):
+        """The element of a header checked by its builder and admissible, nonzero terms."""
+        a = object.__new__(cls)
+        a.points, a.dim, a.terms = points, dim, terms
+        return a
+
     @property
     def ambient(self):
         return self.dim

@@ -20,15 +20,19 @@ g and a coefficient monomial m, where dg is the edge-removal derivation
 `boundary`. Removing an edge from an admissible word leaves an admissible
 word, so the boundary of a basis word is read off it with signs +-1 and
 no rewriting; `oracles.boundary_by_rewriting` keeps the route through the
-normal form of each sub-word. Every matrix of d_2n (`kernel_K`,
-`differential_matrix`, `page_cohomology_dims`) is built from these integer
-columns, shifting the coefficient exponents by E's; the ranks and kernels
-eliminate them as `int` rows, and `differential_matrix` alone returns them,
-as a `Fraction` matrix. `d2n` and `PageElement` are the element algebra,
-and `oracles` builds the matrices through them as the reference. The
-Weyl-fixed torus page is a tensor product, words (x) orbit rows, on which
-d_2n is block diagonal: `fixed_page_cohomology_dims` ranks one `boundary`
-matrix per word length and counts the rest.
+normal form of each sub-word. Every matrix of d_2n (`differential_matrix`)
+or of the boundary alone (`kernel_K`, the page cohomology counts) is built
+from these integer columns, d_2n shifting the coefficient exponents by E's;
+the ranks and kernels eliminate them as `int` rows, and
+`differential_matrix` alone returns them, as a `Fraction` matrix. `d2n` and
+`PageElement` are the element algebra, and `oracles` builds the matrices
+through them as the reference. The page is a tensor product, words (x)
+coefficient monomials, and so is its Weyl-fixed torus part, words (x) orbit
+rows. E is a non-zero-divisor, so d_2n = boundary (x) E is block diagonal on
+either, with rank rank(boundary_w) per coefficient basis vector:
+`page_cohomology_dims` and `fixed_page_cohomology_dims` rank one `boundary`
+matrix per word length (`_boundaries`, which `kernel_K` shares) and count
+the rest.
 
 `model_dims` counts the model instead of building it, for both
 `verify_page_cohomology` and the `even hilbert` command. For l >= 2 the
@@ -37,18 +41,23 @@ dh + hd = id (Arnold, Math. Notes 1969; F. Cohen, LNM 533, 1976). So K in
 word length m has dimension K_m = e_m - K_(m-1), K_0 = 1, for e_m the
 number of admissible words of m edges (for O(2n) only the even m count),
 and the model has dimension sum_m K_m * dim Q[p]_(d-(2n-1)m) in degree d.
-The count enumerates no basis and ranks no matrix. `kernel_K`,
-`page_cohomology_dims` and `equivariant_cohomology_even` stay eliminations,
-and are the count's references.
+The count enumerates no basis and ranks no matrix. `kernel_K` and
+`equivariant_cohomology_even` stay eliminations, and are the count's
+references; so is `page_cohomology_dims`, which eliminates each boundary_w
+and does not use exactness. `oracles.page_cohomology_by_elimination` ranks
+d_2n on the whole page, one elimination per degree, as its reference.
 
-Every entry point that builds a basis (`kernel_K`, `page_cohomology_dims`,
+Every entry point that builds a basis (`kernel_K`,
 `equivariant_cohomology_even`, `as_filtered_complex`,
 `weyl_fixed_page_basis`) first sizes each degree it will enumerate by the
 closed form `confring.graded_dimensions`, in one pass per call, and refuses
 a degree past `charclasses.MODEL_BOUND` monomials with a `CapacityError`;
-`model_dims` and `fixed_page_cohomology_dims` build no page basis, but keep
-the refusals of the page they count. The enumerators `page_basis` and
-`confring.basis_keys` stay unchecked: they run hundreds of times per model.
+`model_dims`, `page_cohomology_dims` and `fixed_page_cohomology_dims` build
+no page basis, but keep the refusals of the page they count. The
+enumerators `page_basis` and `confring.basis_keys` stay unchecked: they run
+hundreds of times per model. `kernel_K` and the Weyl-fixed bases check the
+element header once per call and build their elements unchecked
+(`_unchecked`): every term is an admissible word with a nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -97,6 +106,13 @@ class PageElement(confring.EdgeCombination):
         self.points = points
         self.halfdim = halfdim
         super().__init__(terms)
+
+    @classmethod
+    def _unchecked(cls, group, points, halfdim, terms):
+        """The element of a header checked by its builder and admissible, nonzero terms."""
+        a = object.__new__(cls)
+        a.group, a.points, a.halfdim, a.terms = group, points, halfdim, terms
+        return a
 
     @property
     def ambient(self):
@@ -159,13 +175,19 @@ def page_basis(group, ell, n, degree):
     ring = page_ring(group, n)
     fiber = 2 * n - 1
     out = []
-    for m in range(min(max(ell - 1, 0), degree // fiber) + 1):
+    for m in _word_lengths(ell, n, degree):
         graphs = confring.basis_keys(ell, 2 * n, fiber * m)
         for exps in ring.exponents_of_degree(degree - fiber * m):
             if group != "o" or (exps[ring.names.index("e")] + m) % 2 == 0:
                 for g in graphs:
                     out.append((g, exps))
     return out
+
+
+def _word_lengths(ell, n, degree):
+    """The word lengths of the page up to `degree`: 0 up to the top one, ell - 1,
+    as far as the fiber degree 2n - 1 allows."""
+    return range(min(max(ell - 1, 0), degree // (2 * n - 1)) + 1)
 
 
 def page_dimension(group, ell, n, degree):
@@ -179,6 +201,36 @@ def boundary(edges):
     rewriting is needed; `oracles.boundary_by_rewriting` takes the normal
     form of each sub-word instead, and is the reference."""
     return {edges[:t] + edges[t + 1:]: -1 if t % 2 else 1 for t in range(len(edges))}
+
+
+def _boundaries(ell, n, max_degree):
+    """(words, `int` matrix of `boundary` on them) for each word length w of
+    `_word_lengths`: the admissible words of w edges and the columns of their
+    boundaries in the words of w - 1 edges; w = 0 has one zero column."""
+    below = {}
+    for w in _word_lengths(ell, n, max_degree):
+        words = confring.basis_keys(ell, 2 * n, (2 * n - 1) * w)
+        yield words, Matrix._of_columns([{below[word]: c for word, c in boundary(key).items()}
+                                         for key in words], len(below))
+        below = {word: t for t, word in enumerate(words)}
+
+
+def _tensor_dims(ell, n, max_degree, coefficients):
+    """H(sum over w of Words_w (x) C_w, boundary (x) E) in degrees 0..max_degree,
+    for C_w of dimension `coefficients(c, w & 1)` in degree c and E a
+    non-zero-divisor of the coefficients, so that multiplying by it is
+    injective: d_2n out of degree d has rank sum_w rank(boundary_w) times
+    dim C_w in degree d - (2n-1)w. One `int` elimination per word length."""
+    fiber = 2 * n - 1
+    dims = [0] * (max_degree + 2)
+    for w, (words, matrix) in enumerate(_boundaries(ell, n, max_degree)):
+        rank = matrix.rank()
+        # each coefficient adds e_w - rank_w in its degree, and takes rank_w off the next
+        for d in range(fiber * w, max_degree + 1):
+            r = coefficients(d - fiber * w, w & 1)
+            dims[d] += (len(words) - rank) * r
+            dims[d + 1] -= rank * r
+    return dict(enumerate(dims[:-1]))
 
 
 def _monomial_columns(group, ell, n, src, dst):
@@ -204,17 +256,20 @@ def differential_matrix(group, ell, n, degree, src, dst):
 
 
 def page_cohomology_dims(group, ell, n, max_degree):
-    """Degreewise dimension of H(page, d_2n), computed by kernel/image ranks."""
+    """Degreewise dimension of H(page, d_2n), in tensor form: the page is the
+    sum over word lengths w of Words_w (x) Q[coefficients], and E is a
+    monomial, so a non-zero-divisor, and d_2n = boundary (x) E is ranked by
+    `_tensor_dims`, with no page basis. For "o" the coefficient monomials of
+    Words_w are those with e-exponent + w even: Q[p_1..p_(n-1), e^2] for even
+    w, e times it for odd w. `oracles.page_cohomology_by_elimination` ranks
+    d_2n on the whole page instead, and is the reference."""
     check_capacity(group, ell, n, range(max_degree + 2))
-    dims = {}
-    img = 0  # rank of d_2n into the degree
-    src = page_basis(group, ell, n, 0)
-    for d in range(max_degree + 1):
-        dst = page_basis(group, ell, n, d + 1)
-        rank = Matrix._of_columns(_monomial_columns(group, ell, n, src, dst), len(dst)).rank()
-        dims[d] = len(src) - rank - img
-        img, src = rank, dst
-    return dims
+    if group == "o":
+        even = char_ring(GroupSpec("o_even", n)).monomial_counts(max_degree)
+        counts = (even, [0] * (2 * n) + even)
+    else:
+        counts = (page_ring(group, n).monomial_counts(max_degree),) * 2
+    return _tensor_dims(ell, n, max_degree, lambda c, odd: counts[odd][c])
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +295,13 @@ def kernel_K(ell, n, max_degree):
     check_capacity(None, ell, n, range(max_degree + 1))
     fiber = 2 * n - 1
     dims = {0: 1}
-    basis = {0: [confring.unit(ell, 2 * n)]}
-    for d in range(fiber, max_degree + 1, fiber):
-        src = confring.basis_keys(ell, 2 * n, d)
-        dst = {k: t for t, k in enumerate(confring.basis_keys(ell, 2 * n, d - fiber))}
-        cols = [{dst[word]: c for word, c in boundary(key).items()} for key in src]
-        kern = Matrix._of_columns(cols, len(dst)).kernel_basis()
-        if kern.ncols:
-            dims[d] = kern.ncols
-            basis[d] = [confring.zero(ell, 2 * n).from_coordinates([src[p] for p in v],
-                                                                    v.values())
-                        for v in kern.sparse_columns()]
+    basis = {0: [confring.unit(ell, 2 * n)]}  # the one checked header of the call
+    make = confring.ConfElement._unchecked
+    for w, (words, matrix) in enumerate(_boundaries(ell, n, max_degree)):
+        if w and (kern := matrix.kernel_basis()).ncols:
+            dims[fiber * w] = kern.ncols
+            basis[fiber * w] = [make(ell, 2 * n, {words[p]: c for p, c in v.items()})
+                                for v in kern.sparse_columns()]
     return KernelSummary(ell, n, max_degree, dims, basis)
 
 
@@ -380,7 +431,8 @@ def verify_page_cohomology(group, ell, n, max_degree):
     """Two independent routes to the same dimensions; never silently passes.
     The model dims are counted by `model_dims`, from the exactness of the
     configuration boundary, with no basis and no matrix. The page dims are
-    ranks of d_2n on the whole page, an elimination."""
+    read off the rank of each boundary_w, eliminated, by
+    `page_cohomology_dims`, which does not use exactness."""
     model = model_dims(group, ell, n, max_degree)
     page = page_cohomology_dims(group, ell, n, max_degree)
     rows = tuple((d, page.get(d, 0), model.get(d, 0)) for d in range(max_degree + 1))
@@ -457,14 +509,16 @@ def weyl_fixed_page_basis(family, ell, n, degree, convention="standard"):
     `orbit_rows` times the words of their length, in the `page_basis` order."""
     check_capacity("torus", ell, n, (degree,))
     fiber = 2 * n - 1
-    lengths = range(min(max(ell - 1, 0), degree // fiber) + 1)
+    lengths = _word_lengths(ell, n, degree)
     rows = _page_rows(family, n, convention, [(degree - fiber * m, m & 1) for m in lengths])
     out = []
     for m in lengths:
         words = confring.basis_keys(ell, 2 * n, fiber * m)
         for row in rows[degree - fiber * m, m & 1]:
             poly = Polynomial(torus_ring(n), row)
-            out.extend(PageElement("torus", ell, n, {edges: poly}) for edges in words)
+            out.extend(PageElement._unchecked("torus", ell, n, {edges: poly}) for edges in words)
+    if out:
+        zero("torus", ell, n)  # the header check of a built element, once per call
     return out
 
 
@@ -479,26 +533,13 @@ def _page_rows(family, n, convention, slices):
 
 def fixed_page_cohomology_dims(family, ell, n, max_degree, convention="standard"):
     """H(W-fixed torus page, d_2n) dimensions. The page is the sum over word
-    lengths w of Words_w (x) Q[q]^(det^w), with d_2n = boundary (x) E block
-    diagonal on it, for E = q_1...q_n a det-semi-invariant non-zero-divisor.
-    So with r(d, w) orbit rows in coefficient degree d - (2n-1)w at parity w,
-    degree d has dimension sum_w e_w r(d, w), and d_2n has rank
-    sum_w rank(boundary_w) r(d, w) on it: one `int` elimination per w."""
+    lengths w of Words_w (x) Q[q]^(det^w), with d_2n = boundary (x) E, for
+    E = q_1...q_n a det-semi-invariant non-zero-divisor: `_tensor_dims` with
+    the orbit rows in coefficient degree c at parity w as C_w."""
     check_capacity("torus", ell, n, range(max_degree + 2))
     fiber = 2 * n - 1
-    lengths = range(min(max(ell - 1, 0), max_degree // fiber) + 1)
     # parity 0 reaches every coefficient degree at w = 0, parity 1 at w = 1
-    rows = _page_rows(family, n, convention, [(c, odd) for odd in range(min(len(lengths), 2))
+    parities = min(len(_word_lengths(ell, n, max_degree)), 2)
+    rows = _page_rows(family, n, convention, [(c, odd) for odd in range(parities)
                                               for c in range(max_degree - fiber * odd + 1)])
-    dims, below = [0] * (max_degree + 2), {}
-    for w in lengths:
-        words = confring.basis_keys(ell, 2 * n, fiber * w)
-        rank = Matrix._of_columns([{below[word]: c for word, c in boundary(key).items()}
-                                   for key in words], len(below)).rank()
-        below = {word: t for t, word in enumerate(words)}
-        # each fixed row adds e_w - rank_w in its degree, and takes rank_w off the next
-        for d in range(fiber * w, max_degree + 1):
-            r = len(rows[d - fiber * w, w & 1])
-            dims[d] += (len(words) - rank) * r
-            dims[d + 1] -= rank * r
-    return dict(enumerate(dims[:-1]))
+    return _tensor_dims(ell, n, max_degree, lambda c, odd: len(rows[c, odd]))

@@ -128,6 +128,13 @@ class EquiElement(confring.EdgeCombination):
         self.halfdim = halfdim
         super().__init__(terms)
 
+    @classmethod
+    def _unchecked(cls, points, halfdim, terms):
+        """The element of a header checked by its builder and admissible, nonzero terms."""
+        a = object.__new__(cls)
+        a.points, a.halfdim, a.terms = points, halfdim, terms
+        return a
+
     @property
     def ambient(self):
         return 2 * self.halfdim + 1
@@ -213,9 +220,13 @@ def fixed_point_basis(spec: GroupSpec, ell, degree, convention="standard"):
     of each length times their `orbit_rows`, words outer, as in `torus_basis`."""
     n, out = spec.rank, []
     for m, rows in _fixed_slices(spec, ell, degree, convention):
+        if not rows:
+            continue  # the size check counted no word of this length
         polys = [Polynomial(qring(n), row) for row in rows]
         for edges in confring.basis_keys(ell, 2 * n + 1, 2 * n * m):
-            out.extend(EquiElement(ell, n, {edges: poly}) for poly in polys)
+            out.extend(EquiElement._unchecked(ell, n, {edges: poly}) for poly in polys)
+    if out:
+        zero(ell, n)  # the header check of a built element, once per call
     return out
 
 

@@ -7,9 +7,11 @@ them to cross-check the normal forms and all dimension counts.
 
 The matrices of the page differential d_2n are rebuilt here through the
 element algebra (`d2n` on `PageElement`s), as the reference for the integer
-monomial columns of `equieven`, and the edge-removal boundary of a basis
-word is rebuilt by rewriting each sub-word to normal form, as the reference
-for `equieven.boundary`, which needs no rewriting. The Weyl-fixed bases are
+monomial columns of `equieven`. The page cohomology is ranked on the whole
+page, one elimination per degree, as the reference for the tensor form of
+`equieven.page_cohomology_dims`. The edge-removal boundary of a basis word is
+rebuilt by rewriting each sub-word to normal form, as the reference for
+`equieven.boundary`, which needs no rewriting. The Weyl-fixed bases are
 also rebuilt here the slow way, by averaging each basis element over the
 group through the polynomial ring maps.
 
@@ -339,6 +341,23 @@ def boundary_by_rewriting(ell, ambient, edges):
             else:
                 out.pop(word, None)
     return out
+
+
+def page_cohomology_by_elimination(group, ell, n, max_degree):
+    """`equieven.page_cohomology_dims` on the whole page: the page basis of
+    each degree, d_2n between them from the integer monomial columns, and
+    one rank per degree, with no splitting by word length."""
+    equieven.check_capacity(group, ell, n, range(max_degree + 2))
+    dims = {}
+    img = 0  # rank of d_2n into the degree
+    src = equieven.page_basis(group, ell, n, 0)
+    for d in range(max_degree + 1):
+        dst = equieven.page_basis(group, ell, n, d + 1)
+        rank = Matrix._of_columns(equieven._monomial_columns(group, ell, n, src, dst),
+                                  len(dst)).rank()
+        dims[d] = len(src) - rank - img
+        img, src = rank, dst
+    return dims
 
 
 def differential_matrix_by_elements(group, ell, n, degree, src, dst):

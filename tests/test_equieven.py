@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from equiconf import confring, equieven as ev, equiodd, exactalg, oracles
-from equiconf.charclasses import BASIS_BOUND, MODEL_BOUND
+from equiconf.charclasses import BASIS_BOUND, MODEL_BOUND, GroupSpec
 from equiconf.cli import main
 from equiconf.errors import CapacityError, InputError
 from equiconf.exactalg import Matrix, col_space
@@ -241,12 +241,73 @@ def test_d2n_builders_do_no_rewriting(monkeypatch):
     assert calls
 
 
+def _outcome(call, *args):
+    """The result of a call, or its refusal as (type name, message)."""
+    try:
+        return call(*args)
+    except (InputError, CapacityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_kernel_bases_keep_their_order_and_bytes():
+    # every kernel element as printed, with its header and the order of its
+    # terms, at every word length for l <= 6 and n <= 3, refusals included;
+    # the digest was taken when each element was built and checked by
+    # `from_coordinates`
+    lines = []
+    cases = [(ell, n, (2 * n - 1) * max(ell - 1, 0)) for ell in range(7) for n in (1, 2, 3)]
+    for case in cases + [(-1, 2, 3), (3, 0, 3), (65, 2, 3), (9, 2, 15)]:
+        summary = _outcome(ev.kernel_K, *case)
+        if type(summary) is tuple:
+            lines.append(f"{case} {summary}")
+            continue
+        for d, elems in sorted(summary.basis.items()):
+            lines += [f"{case} {d} {e.header} {list(e.terms)} {e}" for e in elems]
+    assert len(lines) == 1318
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "37650d936d4a2138cfec7f57ec2d364b3d705032c4cd8961efe0a6f63d650183"
+
+
+def test_fixed_bases_check_their_header_once():
+    # the elements are built unchecked, so the call checks the header once
+    # when it builds any; a degree with no fixed element refuses nothing
+    so_odd = GroupSpec("so_odd", 1)
+    for call, args in ((ev.weyl_fixed_page_basis, ("so_even", 65, 1, 1)),
+                       (equiodd.fixed_point_basis, (so_odd, 65, 0))):
+        with pytest.raises(CapacityError, match="^65 points exceed the bound 64$"):
+            call(*args)
+    assert ev.weyl_fixed_page_basis("so_even", 65, 1, -1) == []
+    assert equiodd.fixed_point_basis(so_odd, 65, 3) == []
+
+
 def test_kernel_coefficients_are_fractions():
     # the boundary matrices are eliminated as ints; K's basis is not
     for ell in range(6):
         for n in (1, 2, 3):
             for elems in ev.kernel_K(ell, n, 12).basis.values():
                 assert all(type(c) is Q for e in elems for c in e.terms.values())
+
+
+# bad headers: an unknown group, n = 0, a negative point count, and past
+# POINT_BOUND and MODEL_BOUND
+REFUSED_PAGES = (("bogus", 3, 2, 5), ("so", 3, 0, 5), ("u", -1, 2, 5), ("o", 65, 1, 1),
+                 ("so", 9, 2, 12))
+
+
+def test_page_cohomology_matches_the_whole_page_elimination(monkeypatch):
+    # E is a non-zero-divisor, so d_2n = boundary (x) E is ranked word length
+    # by word length; the oracle ranks d_2n on the whole page in each degree
+    cases = [(group, ell, n, top) for group in ("torus", "so", "o", "u")
+             for ell in range(7) for n in (1, 2, 3) for top in (-1, 0, 4, 10)]
+    cases += REFUSED_PAGES
+    want = [_outcome(oracles.page_cohomology_by_elimination, *case) for case in cases]
+    assert sum(type(w) is tuple for w in want) == len(REFUSED_PAGES)
+
+    def refuse(*args):
+        raise AssertionError("enumerated a page basis")
+
+    monkeypatch.setattr(ev, "page_basis", refuse)
+    assert [_outcome(ev.page_cohomology_dims, *case) for case in cases] == want
 
 
 def test_page_bases_are_enumerated_once_per_degree(monkeypatch):
@@ -265,12 +326,13 @@ def test_page_bases_are_enumerated_once_per_degree(monkeypatch):
     text = json.dumps(A.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == \
         "26898b9e8c89340ab795a343379a787f847db06595b9a91dc914eeb6acfb933c"
+    # the page and its Weyl-fixed part are counted in tensor form, words
+    # times coefficient monomials or orbit rows, with no page basis, and the
+    # fixed part has the dimensions of the SO/O models
     calls.clear()
     dims = ev.page_cohomology_dims("so", 4, 2, 12)
-    assert sorted(calls) == list(range(14))
+    assert calls == []
     assert [dims[d] for d in range(13)] == [1, 0, 0, 5, 1, 0, 6, 5, 1, 0, 6, 5, 1]
-    # the Weyl-fixed torus page is counted in tensor form, words times
-    # orbit rows, with no page basis, and has the dimensions of the SO/O models
     for family, group in (("so_even", "so"), ("o_even", "o")):
         calls.clear()
         fixed = ev.fixed_page_cohomology_dims(family, 4, 2, 12)
