@@ -178,9 +178,10 @@ def generator(ell, n, i, j):
 
 
 def torus_basis(ell, n, degree):
-    """All (admissible graph, q-monomial) pairs of the given total degree."""
+    """All (admissible graph, q-monomial) pairs of the given total degree;
+    the words of a length with no q-monomial are never enumerated."""
     return [GraphMonomial(ell, n, edges, e) for m, qexps in enumerate(_slices(ell, n, degree))
-            for edges in confring.basis_keys(ell, 2 * n + 1, 2 * n * m) for e in qexps]
+            if qexps for edges in confring.basis_keys(ell, 2 * n + 1, 2 * n * m) for e in qexps]
 
 
 def _slices(ell, n, degree):

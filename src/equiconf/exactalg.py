@@ -8,8 +8,10 @@ operations work on these rows directly and skip the zeros that fill most
 matrices here. The dense `rows` and `columns()` are derived, read-only
 views for printing, JSON and tests. Subspaces are canonical reduced
 column-echelon spans, so equal subspaces have equal representations and every
-output is reproducible across runs. The tests check this kernel against
-`oracles.dense_rref`, a separate dense elimination.
+output is reproducible across runs. All forward elimination is `eliminate`
+through a pivot table: in `_reduce` for ranks, kernels, solves, spans and
+quotients, in `specseq` for the barcode, décalage and validation. The tests
+check this kernel against `oracles.dense_rref`, a separate dense elimination.
 """
 
 from __future__ import annotations
@@ -194,12 +196,12 @@ class Matrix:
         return sum((r.get(i, ZERO) for i, r in enumerate(self.sparse_rows)), ZERO)
 
     def rank(self):
-        """The rank; the count of nonzero rows when their leading columns
-        are distinct (they are an echelon form up to order), else by `_reduce`."""
+        """The rank: the count of nonzero rows when their leads are distinct
+        (an echelon form up to order; no copy, no elimination), else by `_reduce`."""
         rows = [r for r in self.sparse_rows if r]
         if len({min(r) for r in rows}) == len(rows):
             return len(rows)
-        return len(_reduce([dict(r) for r in rows], range(self.ncols), full=False)[1])
+        return len(_reduce([dict(r) for r in rows], full=False)[1])
 
     def kernel_basis(self):
         """Canonical basis matrix of ker(self), like `col_space`'s."""
@@ -211,7 +213,7 @@ class Matrix:
         b = _entries(b, self.nrows, "shape mismatch in solve")
         n = self.ncols
         red, pivots = _reduce([r | {n: b[i]} if i in b else dict(r)
-                               for i, r in enumerate(self.sparse_rows)], range(n + 1))
+                               for i, r in enumerate(self.sparse_rows)])
         if n in pivots:
             return None
         x = [ZERO] * n
@@ -261,41 +263,39 @@ class Matrix:
         return Matrix._of([rows[min(c)] for c in img.sparse_columns()], img.ncols)
 
 
-def _reduce(rows, order, full=True):
-    """Echelon form of sparse rows (consumed), pivoting over `order`.
-
-    A pivot is the shortest row holding its column, negated if its lead is
-    -1, divided by any other lead but 1 as a `Fraction` (so `int` rows never
-    meet `int / int`), and subtracted only from the rows holding that
-    column. `full` also clears it from earlier pivot rows (reduced form;
-    ranks need only the pivots). Returns the pivot rows and their columns,
-    in pivot order.
-    """
-    done, pivots = [], []
-    for c in order:
-        if not rows:
-            break
-        p = min((r for r in rows if c in r), key=len, default=None)
-        if p is None:
-            continue
-        rows = [r for r in rows if r and r is not p]
-        lead = p.pop(c)
-        if lead == -1:
-            p = {j: -x for j, x in p.items()}
-        elif lead != 1:
-            lead = Fraction(lead)  # int / int would be a float
-            p = {j: x / lead for j, x in p.items()}
-        for r in rows + done if full else rows:
-            if c in r:
-                f = -r.pop(c)
-                for j, x in p.items():
+def _reduce(rows, lead=min, full=True):
+    """Echelon form of sparse rows (consumed), leading at `lead`: min, or max
+    for right to left. Shortest first, `eliminate` clears each row through the
+    pivot table, and what is left becomes the pivot row of its lead, scaled to
+    lead 1 (negated, or divided as a `Fraction`: never `int / int`). `full`
+    then clears the other pivots from each pivot row, from the last lead back.
+    Unique for any row order. Returns pivot rows and leads, in lead order."""
+    table = {}
+    for w in sorted(rows, key=len):
+        w = eliminate(w, lead, table)[0]
+        if w:
+            p = lead(w)
+            x = w.pop(p)
+            if x == -1:
+                w = {j: -y for j, y in w.items()}
+            elif x != 1:
+                x = Fraction(x)  # int / int would be a float
+                w = {j: y / x for j, y in w.items()}
+            w[p] = 1  # an int lead keeps `eliminate` off Fraction arithmetic
+            table[p] = p, w
+    pivots = sorted(table, reverse=lead is max)
+    if full:
+        for p in reversed(pivots):
+            r = table[p][1]
+            for c in [c for c in r if c != p and c in table]:
+                f = -r[c]
+                for j, x in table[c][1].items():
                     r[j] = y = r[j] + f * x if j in r else f * x
                     if not y:
                         del r[j]
-        p[c] = ONE
-        done.append(p)
-        pivots.append(c)
-    return done, pivots
+    for p in pivots:
+        table[p][1][p] = ONE
+    return [table[p][1] for p in pivots], pivots
 
 
 def _kernel(rows, ncols):
@@ -303,7 +303,7 @@ def _kernel(rows, ncols):
     pivoting right to left leaves each free column f the kernel vector
     e_f - sum_p red_p[f] e_p, whose other entries lie right of f. The
     entries are `Fraction`s, also for `int` rows."""
-    red, pivots = _reduce(rows, range(ncols - 1, -1, -1))
+    red, pivots = _reduce(rows, max)
     pivset = set(pivots)
     out = []
     for f in range(ncols):
@@ -374,7 +374,7 @@ def sylvester(phi_w: Matrix, phi_v: Matrix):
 
 def _span(vecs, dim):
     """Canonical basis matrix of the span of sparse vectors (consumed) of Q^dim."""
-    red = _reduce(vecs, range(dim))[0]
+    red = _reduce(vecs)[0]
     return Matrix._of(_transpose(red, dim), len(red))
 
 
@@ -464,10 +464,10 @@ def combine(cols, v):
 
 
 def eliminate(w, pick, table):
-    """Triangular elimination of the sparse vector w (consumed): while the
-    index p = pick(w) has an entry table[p] = (key, v), v nonzero at p,
-    subtract the multiple c of v that clears w[p]. Returns what is left of w
-    and the multiple c taken for each key."""
+    """Triangular elimination of the sparse vector w (consumed), the one
+    forward elimination: while the index p = pick(w) has an entry
+    table[p] = (key, v), v nonzero at p, subtract the multiple c of v that
+    clears w[p]. Returns what is left of w and the multiple c for each key."""
     used = {}
     while w:
         p = pick(w)
@@ -499,7 +499,7 @@ class Quotient:
         self.sub = d
         # a column of z is a representative when it is outside the span of d
         # and the columns before it: a pivot column of [d | z]
-        pivots = _reduce(_beside(d, z), range(d.ncols + z.ncols), full=False)[1]
+        pivots = _reduce(_beside(d, z), full=False)[1]
         picked = {p - d.ncols: k for k, p in enumerate(p for p in pivots if p >= d.ncols)}
         self.dim = len(picked)
         self.reps = Matrix._of(({picked[t]: x for t, x in r.items() if t in picked}
@@ -513,7 +513,7 @@ class Quotient:
         s = self._solver
         if images.nrows != s.nrows:
             raise InputError("ambient dimension mismatch")
-        red, pivots = _reduce(_beside(s, images), range(s.ncols + images.ncols))
+        red, pivots = _reduce(_beside(s, images))
         if pivots and pivots[-1] >= s.ncols:
             raise InputError("vector not in the total space of the quotient")
         # the representatives are pivots of [D | reps]; the image part of

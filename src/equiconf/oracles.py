@@ -414,7 +414,7 @@ def subspace_intersection(a: Matrix, b: Matrix):
     # the reduced rows whose left half vanishes are (0 | basis of A cap B)
     dim = a.nrows
     rows = [r | {dim + i: x for i, x in r.items()} for r in a.sparse_columns()]
-    red, pivots = _reduce(rows + b.sparse_columns(), range(2 * dim))
+    red, pivots = _reduce(rows + b.sparse_columns())
     cap = [{i - dim: x for i, x in r.items()} for r, p in zip(red, pivots) if p >= dim]
     return Matrix._of(_transpose(cap, dim), len(cap))
 

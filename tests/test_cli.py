@@ -460,6 +460,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
         main(list(argv))
         assert f"bound {BASIS_BOUND}" in capsys.readouterr().err
     assert exit_code("equi", "basis", "--points", "3", "--halfdim", "64", "--degree", "4") == 0
+    # no q-monomial has an odd degree at halfdim 1, so no edge word is enumerated
+    empty = ("equi", "basis", "--points", "18", "--halfdim", "1", "--degree", "9")
+    assert exit_code(*empty) == 0
+    main(list(empty))
+    assert capsys.readouterr().out == "(empty)\n"
     # a --max-degree or --degree past DEGREE_BOUND: the model commands walk
     # every degree up to it, however small each one is
     for argv in (("equi", "hilbert", "--points", "3", "--halfdim", "1", "--max-degree", "100000"),

@@ -268,15 +268,20 @@ def int_battery(seed, count=60):
 def test_int_rows_match_the_fraction_route():
     # rank, kernel and solve of int rows agree with the same rows of
     # Fractions and with the dense oracle; the eliminations hold ints and
-    # Fractions only, and every answer holds Fractions only
-    rng = random.Random(31)
+    # Fractions only, and every answer holds Fractions only. Each reduction
+    # and its pivots are the same for a shuffle of the rows.
+    rng, shuffle = random.Random(31), random.Random(32).shuffle
     for rows, ncols in int_battery(31):
         m = Matrix._of([dict(r) for r in rows], ncols)
         f = Matrix._of([{j: Q(x) for j, x in r.items()} for r in rows], ncols)
-        for order in (range(ncols), range(ncols - 1, -1, -1)):
-            red, pivots = _reduce([dict(r) for r in rows], order)
+        for lead in (min, max):
+            red, pivots = _reduce([dict(r) for r in rows], lead)
             assert all(type(x) in (int, Q) for r in red for x in r.values())
-            assert (red, pivots) == _reduce([dict(r) for r in f.sparse_rows], order)
+            assert (red, pivots) == _reduce([dict(r) for r in f.sparse_rows], lead)
+            shuffled = [dict(r) for r in rows]
+            shuffle(shuffled)
+            assert (red, pivots) == _reduce([dict(r) for r in shuffled], lead)
+            assert pivots == _reduce(shuffled, lead, full=False)[1]
         rank = m.rank()
         assert type(rank) is int and rank == f.rank() == len(dense_rref(f.rows, ncols)[1])
         kernel = m.kernel_basis()
@@ -502,7 +507,7 @@ def test_rank_of_distinct_leads_matches_dense_oracle():
                   Matrix._of([{j: Q(x, 2) for j, x in r.items()} for r in rows], nc)):
             want = len(dense_rref(m.rows, nc)[1])
             assert m.rank() == want == len(_reduce([dict(r) for r in m.sparse_rows],
-                                                   range(nc), full=False)[1])
+                                                   full=False)[1])
             assert type(m.rank()) is int
         leads = [min(r) for r in rows if r]
         distinct += len(set(leads)) == len(leads)
