@@ -9,6 +9,9 @@ with i < k rewrites, in canonical sorted words, to
     x_ij x_kj  =  x_ik x_kj - x_ik x_ij
 
 which holds for both parities of n once Koszul signs are tracked by the sort.
+`word_counts` is the one rewrite loop of the package: with `pair` it also
+reduces the odd graph calculus of `equiodd`, these rules with a p_n term
+added to the square and three-term rules.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ def check_edges(k, edges):
 
 def koszul_sort(edges, n):
     """Sort edges by (max, min); returns (sign, tuple). Sign is Koszul."""
+    if n % 2:  # generators of even degree n-1 commute
+        return 1, tuple(sorted(edges, key=edge_key))
     edges = list(edges)
     sign = 1
-    odd_degree = n % 2 == 0  # generators have degree n-1
     for i in range(1, len(edges)):
         # insertion sort: shift the larger edges before b up by one each
         b = edges[i]
@@ -60,17 +64,23 @@ def koszul_sort(edges, n):
         j = i
         while j > 0 and (edges[j - 1][1], edges[j - 1][0]) > key:
             edges[j] = edges[j - 1]
-            if odd_degree:
-                sign = -sign
+            sign = -sign
             j -= 1
         edges[j] = b
     return sign, tuple(edges)
 
 
-def word_counts(k, n, word, rng=None):
+def word_counts(k, n, word, rng=None, pair=False):
     """Normal form of a single word of canonical edges, with integer
     multiplicities: a dict mapping admissible sorted edge tuples to nonzero
     ints. Every rewrite has coefficients +-1, so no fraction is needed.
+
+    With `pair`, the rules are those of the odd graph calculus, where a
+    square is a pair class p_n instead of zero: a square rewrites to the
+    word without both edges, and each three-term rewrite gains the word
+    without its redex. A word g then stands for p_n^m g, with
+    m = (len(word) - len(g)) / 2, and at p_n = 0 (the terms of full length)
+    the rules are those without `pair`.
 
     When `rng` is given, the redex processed at each step is chosen at
     random instead of leftmost; the result must not depend on this choice
@@ -86,10 +96,10 @@ def word_counts(k, n, word, rng=None):
         dead = False
         for t in range(len(edges) - 1):
             a, b = edges[t], edges[t + 1]
-            if a == b:
-                dead = True  # x^2 = 0
-                break
             if a[1] == b[1]:
+                if a == b and not pair:
+                    dead = True  # x^2 = 0
+                    break
                 redexes.append(t)
         if dead:
             continue
@@ -102,14 +112,18 @@ def word_counts(k, n, word, rng=None):
             continue
         t = redexes[0] if rng is None else rng.choice(redexes)
         (i, j), (kk, _) = edges[t], edges[t + 1]
+        if i == kk:  # a square, reached only with `pair`: y^2 = p_n
+            stack.append((edges[:t] + edges[t + 2:], c))
+            continue
         # x_ij x_kj = x_ik x_kj - x_ik x_ij  (i < k < j): both words stay
         # sorted but for x_ik, which moves left past the head edges after it
         p = bisect_right(edges, (kk, i), 0, t, key=edge_key)
-        if odd_degree and (t - p) % 2:
-            c = -c
+        s = -c if odd_degree and (t - p) % 2 else c
         head = edges[:p] + ((i, kk),) + edges[p:t]
-        stack.append((head + edges[t + 1:], c))
-        stack.append((head + (edges[t],) + edges[t + 2:], -c))
+        stack.append((head + edges[t + 1:], s))
+        stack.append((head + (edges[t],) + edges[t + 2:], -s))
+        if pair:  # + p_n times the word without the redex
+            stack.append((edges[:t] + edges[t + 2:], c))
     return out
 
 
@@ -133,14 +147,15 @@ class EdgeCombination:
     (`FIELDS`, as (name, JSON converter) pairs, also the constructor's
     leading arguments; every header has `points`, and a polynomial ring has
     `halfdim` generators), the ambient dimension (an edge has degree
-    ambient - 1), the print letter and the reducer hook `counts`.
+    ambient - 1) and the print letter.
 
-    `counts(word, rng)` is the normal form of one sorted edge word with
-    integer multiplicities and no coefficients, {admissible word g: int}.
-    Where a rewrite may trade two edges for the monomial of exponents
-    `pair_exps` (p_n in the odd graph calculus), g stands for that monomial
-    to the power (len(word) - len(g)) / 2 times g. Products and
-    `_from_words` apply each coefficient once to these multiplicities.
+    `counts(word, rng)` is the `word_counts` of one edge word in the
+    element's ring: its normal form with integer multiplicities and no
+    coefficients, {admissible word g: int}. `pair_exps` selects the pair
+    rule: where it is set (p_n in the odd graph calculus), a square is the
+    monomial of those exponents, and g stands for that monomial to the power
+    (len(word) - len(g)) / 2 times g. Products and `_from_words` apply each
+    coefficient once to these multiplicities.
     """
 
     __slots__ = ("terms",)
@@ -161,8 +176,8 @@ class EdgeCombination:
         cls.header = property(attrgetter(*(name for name, _ in cls.FIELDS)))
 
     def counts(self, word, rng=None):
-        """The normal form of a sorted edge word with integer multiplicities."""
-        raise NotImplementedError
+        """The `word_counts` of an edge word in this element's ring."""
+        return word_counts(self.points, self.ambient, word, rng, self.pair_exps is not None)
 
     def _new(self, terms):
         return type(self)(*self.header, terms)
@@ -386,9 +401,6 @@ class ConfElement(EdgeCombination):
     @property
     def ambient(self):
         return self.dim
-
-    def counts(self, word, rng=None):
-        return word_counts(self.points, self.dim, word, rng)
 
 
 def unit(k, n):

@@ -122,9 +122,6 @@ class PageElement(confring.EdgeCombination):
     def ring(self):
         return page_ring(self.group, self.halfdim)
 
-    def counts(self, word, rng=None):
-        return confring.word_counts(self.points, self.ambient, word, rng)
-
 
 def zero(group, ell, n):
     """The zero page element; the "o" page is the fixed part of the "so" page."""

@@ -8,10 +8,13 @@ p_n = (q_1...q_n)^2) and, for a repeated maximum i < k < j,
 
     y_ij y_kj = y_ik y_kj - y_ik y_ij + p_n * (residual graph).
 
-Both rules have coefficients +-1 and trade two edges for each p_n, so
-`graph_counts` reduces a word with integer multiplicities and no polynomial
-at all: an output graph that lost 2k edges carries p_n^k. `reduce_graph`
-and the products of `EquiElement` apply each coefficient once to these
+This is the presentation of `confring` (degree 2n is even, so edges
+commute) with a p_n term added to its square and three-term rules, and
+`confring.word_counts` with `pair` reduces it. Both rules have coefficients
++-1 and trade two edges for each p_n, so a word reduces with integer
+multiplicities and no polynomial at all: an output graph that lost 2k edges
+carries p_n^k. `EquiElement` selects the pair rule by its `pair_exps`;
+`reduce_graph` and its products apply each coefficient once to these
 counts, with p_n^k an exponent shift by (2k, ..., 2k).
 
 Weyl elements act on the q-coefficients through their signed permutation and
@@ -22,7 +25,6 @@ reflection, matching the two-pole geometry of the 2-point Borel construction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -48,49 +50,10 @@ def normalize_edge(ell, i, j):
     return ((i, j), 1) if i < j else ((j, i), -1)
 
 
-def graph_counts(ell, edges, rng=None):
-    """Normal form of a single multigraph with integer multiplicities: a
-    dict mapping admissible sorted edge tuples to nonzero ints. Every
-    rewrite has coefficients +-1, and each p_n it brings in replaces two
-    edges, so a word g stands for p_n^k g with k = (len(edges) - len(g)) / 2,
-    and neither polynomials nor n are needed.
-
-    When `rng` is given, the redex processed at each step is chosen at
-    random instead of leftmost; the result must not depend on this choice
-    (confluence), which the verification suites exercise.
-    """
-    out = {}
-    stack = [(tuple(sorted(edges, key=confring.edge_key)), 1)]
-    while stack:
-        word, c = stack.pop()
-        redexes = [t for t in range(len(word) - 1) if word[t][1] == word[t + 1][1]]
-        if not redexes:
-            v = out.get(word, 0) + c
-            if v:
-                out[word] = v
-            else:
-                out.pop(word, None)
-            continue
-        t = redexes[0] if rng is None else rng.choice(redexes)
-        (i, j), (k, _) = word[t], word[t + 1]
-        head, tail = word[:t], word[t + 2:]
-        if i == k:
-            # double edge: remove both, multiply by p_n
-            stack.append((head + tail, c))
-            continue
-        # both words stay sorted but for y_ik, which moves left into the head
-        p = bisect_right(head, (k, i), key=confring.edge_key)
-        moved = head[:p] + ((i, k),) + head[p:]
-        stack.append((moved + word[t + 1:], c))
-        stack.append((moved + (word[t],) + tail, -c))
-        stack.append((head + tail, c))
-    return out
-
-
 def reduce_graph(ell, n, edges, coeff, rng=None):
     """Normal-form terms of a single multigraph with a polynomial coefficient:
-    {admissible edge tuple: Polynomial}, the `graph_counts` (with the same
-    `rng`) times coeff, p_n^k shifting its exponents by (2k, ..., 2k)."""
+    {admissible edge tuple: Polynomial}, the pair-rule `word_counts` (with
+    the same `rng`) times coeff, p_n^k shifting its exponents by (2k, ..., 2k)."""
     edges = confring.check_edges(ell, edges)
     if coeff.ring != qring(n):
         raise InputError("polynomials from different rings")
@@ -146,9 +109,6 @@ class EquiElement(confring.EdgeCombination):
     @property
     def pair_exps(self):
         return (2,) * self.halfdim  # p_n
-
-    def counts(self, word, rng=None):
-        return graph_counts(self.points, word, rng)
 
     def to_dot(self):
         """One DOT graph per monomial; the coefficient is the graph label."""

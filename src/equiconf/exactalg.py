@@ -439,13 +439,14 @@ def flag_spans(level, basis, dim, count):
     basis of Q^dim, the inverse of `flag_basis`: level t is the `col_space`
     of the elements basis[k] (sparse vectors) with level[k] <= t, where
     level[k] never decreases. A run of levels of one dimension shares one
-    Matrix."""
+    Matrix, and levels with no element share the empty span."""
     out, k = [], 0
     for t in range(count):
         start = k
         while k < len(basis) and level[k] <= t:
             k += 1
-        out.append(out[-1] if out and k == start else col_space(basis[:k], dim=dim))
+        out.append(out[-1] if out and k == start else
+                   col_space(basis[:k], dim=dim) if k else Matrix.zero(dim, 0))
     return tuple(out)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -168,6 +169,33 @@ def test_confluence_random_rewrite_order():
                 reference = confring.reduce_word(k, n, canonical)
                 shuffled = confring.reduce_word(k, n, canonical, rng=rng)
                 assert reference == shuffled
+
+
+def test_word_counts_keep_their_redex_order():
+    # one loop reduces both calculi: over seeded conf words (n = 2..5) and
+    # graph words with a repeated edge (the pair rule), the results, their
+    # insertion order and the rng stream after each seeded call hash to the
+    # digest taken when the two calculi had a rewrite loop each
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+
+    def feed(counts):
+        digest.update(repr(list(counts.items())).encode())
+
+    shapes = [(k, n, False) for n in (2, 3, 4, 5) for k in (4, 6, 8)]
+    shapes += [(ell, 2 * n + 1, True) for n in (1, 2) for ell in (3, 4, 6)]
+    for k, n, pair in shapes:
+        pool = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
+        for length in range(2, 7):
+            word = [rng.choice(pool) for _ in range(length - pair)]
+            if pair:
+                word.append(rng.choice(word))
+            feed(confring.word_counts(k, n, word, pair=pair))
+            for _ in range(2):
+                feed(confring.word_counts(k, n, word, rng, pair))
+                digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() == \
+        "8eb7a3bc5cf2006241e0407bac672a1e4449a4c238f9344f397a61006c769f5b"
 
 
 def test_reduce_word_matches_the_ideal_span_oracle():

@@ -63,10 +63,11 @@ def test_engine_matches_oracle_on_random_products():
         assert rebuilt == prod
 
 
-def test_graph_counts_match_oracle_at_higher_powers():
+def test_pair_rule_counts_match_oracle_at_higher_powers():
     """Seeded 3- and 4-edge words with a repeated edge, whose normal forms
     carry p_n^k with k >= 2, against the ideal-span oracle, and the counts
-    against random redex orders."""
+    against random redex orders. At p_n = 0 (the terms of full length) the
+    pair rule is the plain presentation of Conf_l(R^(2n+1))."""
     rng = random.Random(2026)
     top = 0
     shapes = ((3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 4), (3, 3, 3), (4, 1, 3), (4, 2, 3))
@@ -74,9 +75,13 @@ def test_graph_counts_match_oracle_at_higher_powers():
         pool = [(i, j) for j in range(2, ell + 1) for i in range(1, j)]
         word = [rng.choice(pool) for _ in range(length - 1)]
         word.append(rng.choice(word))
-        counts = equiodd.graph_counts(ell, word)
+        for w in (word[:-1], word):
+            full = {g: m for g, m in confring.word_counts(ell, 2 * n + 1, w, pair=True).items()
+                    if len(g) == len(w)}
+            assert full == confring.word_counts(ell, 2 * n + 1, w)
+        counts = confring.word_counts(ell, 2 * n + 1, word, pair=True)
         for _ in range(3):
-            assert equiodd.graph_counts(ell, word, rng) == counts
+            assert confring.word_counts(ell, 2 * n + 1, word, rng, pair=True) == counts
         admissible = [(m.edges, m.q_exps)
                       for m in equiodd.torus_basis(ell, n, 2 * n * length)]
         oracle = oracles.graph_reduce(ell, n, word, admissible)

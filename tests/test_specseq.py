@@ -762,8 +762,9 @@ def test_complexes_built_unchecked_store_their_flags():
 
 def test_decalage_spans_each_distinct_level_once(monkeypatch):
     # a decalage, and the decalage of a decalage, build their flags by one
-    # triangular pass (no `flag_basis`) and then span each distinct level
-    # once, off the flags
+    # triangular pass (no `flag_basis`) and then span each distinct
+    # nonempty level once, off the flags; an empty level is the canonical
+    # empty span with no elimination
     spans, calls = [], []
     fn = exactalg.col_space
     monkeypatch.setattr(exactalg, "col_space", lambda *a, **k:
@@ -780,7 +781,12 @@ def test_decalage_spans_each_distinct_level_once(monkeypatch):
             A = ss.decalage(A)
             assert calls == []
             distinct = {id(lvl): lvl for levels in A.filtration.values() for lvl in levels}
-            assert sorted(map(id, spans)) == sorted(distinct)
+            assert sorted(map(id, spans)) == sorted(i for i, lvl in distinct.items() if lvl.ncols)
+            for lvl in distinct.values():
+                if not lvl.ncols:
+                    empty = fn([], dim=lvl.nrows)
+                    assert lvl == empty and lvl.columns() == empty.columns()
+                    assert fn(lvl) is lvl
 
 
 def test_json_read_parses_each_literal_once(monkeypatch):
