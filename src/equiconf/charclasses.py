@@ -181,7 +181,9 @@ def char_ring(spec: GroupSpec):
 
 
 def weyl_action(w: WeylElement, f: Polynomial):
-    """q_i -> eps_i q_{sigma(i)}, extended as a ring map; eta acts trivially."""
+    """q_i -> eps_i q_{sigma(i)}, extended as a ring map; eta acts trivially.
+    A signed permutation of the exponents is injective, so each term has its
+    own image and nothing cancels."""
     n = len(w.sigma)
     ring = f.ring
     if ring != torus_ring(n):
@@ -192,15 +194,10 @@ def weyl_action(w: WeylElement, f: Polynomial):
         sign = 1
         for i, e in enumerate(exps):
             if e:
-                new[w.sigma[i] - 1] += e
+                new[w.sigma[i] - 1] = e
                 if w.eps[i] == -1 and e % 2 == 1:
                     sign = -sign
-        key = tuple(new)
-        v = out.get(key, Q(0)) + sign * c
-        if v == 0:
-            out.pop(key, None)
-        else:
-            out[key] = v
+        out[tuple(new)] = c if sign == 1 else -c
     return Polynomial(ring, out)
 
 

@@ -23,8 +23,8 @@ from operator import attrgetter, itemgetter
 
 from .charclasses import POINT_BOUND
 from .errors import CapacityError, InputError
-from .exactalg import (PolyRing, Polynomial, mul_terms, poly_from_json, rat, shift_terms,
-                       signed_sum)
+from .exactalg import (PolyRing, Polynomial, accumulate, mul_terms, poly_from_json, rat,
+                       shift_terms, signed_sum)
 
 Edge = tuple  # (i, j) with i < j
 
@@ -182,17 +182,6 @@ class EdgeCombination:
     def _new(self, terms):
         return type(self)(*self.header, terms)
 
-    @staticmethod
-    def _accumulate(out, terms):
-        """Add {word: coefficient} into `out`, dropping zero sums."""
-        for e, c in terms.items():
-            prev = out.get(e)
-            total = c if prev is None else prev + c
-            if total:
-                out[e] = total
-            else:
-                out.pop(e, None)
-
     def _check(self, other):
         if type(other) is not type(self) or self.header != other.header:
             raise InputError("elements from different rings")
@@ -210,7 +199,7 @@ class EdgeCombination:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        self._accumulate(out, other.terms)
+        accumulate(out, other.terms)
         return self._new(out)
 
     def __sub__(self, other):
@@ -346,25 +335,6 @@ class EdgeCombination:
             return elem._from_words(words)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed {cls.__name__}: {exc}") from exc
-
-    def coordinates(self, index):
-        """Sparse coordinates {position: coefficient} of the element in a
-        basis, given as the map `index` from each basis key to its position.
-
-        A key is an edge word for rational coefficients, and an (edge word,
-        exponent tuple) pair for polynomial ones.
-        """
-        vec = {}
-        if self.ring is None:
-            monomials = self.terms.items()
-        else:
-            monomials = [((edges, exps), v) for edges, c in self.terms.items()
-                         for exps, v in c.terms.items()]
-        for key, v in monomials:
-            if key not in index:
-                raise InputError("element does not lie in the span of the given basis")
-            vec[index[key]] = v
-        return vec
 
     def from_coordinates(self, keys, vec):
         """The element of this element's ring with the given coordinates."""

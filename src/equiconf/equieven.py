@@ -68,7 +68,7 @@ from operator import add
 from . import charclasses, confring
 from .charclasses import GroupSpec, WeylElement, char_ring, orbit_rows, torus_ring, weyl_group
 from .errors import InputError
-from .exactalg import ONE, Matrix, PolyRing, Polynomial, rat, shift_terms
+from .exactalg import ONE, Matrix, PolyRing, Polynomial, accumulate, rat, shift_terms
 
 
 def page_ring(group, n):
@@ -146,7 +146,7 @@ def d2n(a: PageElement):
     for edges, c in a.terms.items():
         c = Polynomial(ring, shift_terms(c.terms, shift))
         for t in range(len(edges)):
-            a._accumulate(terms, {edges[:t] + edges[t + 1:]: -c if t % 2 else c})
+            accumulate(terms, {edges[:t] + edges[t + 1:]: -c if t % 2 else c})
     return a._new(terms)
 
 

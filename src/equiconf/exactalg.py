@@ -8,10 +8,13 @@ operations work on these rows directly and skip the zeros that fill most
 matrices here. The dense `rows` and `columns()` are derived, read-only
 views for printing, JSON and tests. Subspaces are canonical reduced
 column-echelon spans, so equal subspaces have equal representations and every
-output is reproducible across runs. All forward elimination is `eliminate`
-through a pivot table: in `_reduce` for ranks, kernels, solves, spans and
-quotients, in `specseq` for the barcode, décalage and validation. The tests
-check this kernel against `oracles.dense_rref`, a separate dense elimination.
+output is reproducible across runs. Four primitives work on sparse dicts:
+`accumulate`, the one in-place sum that drops zeros; `combine`, a linear
+combination of sparse vectors; `eliminate`, the one forward elimination
+through a pivot table (in `_reduce` for ranks, kernels, solves, spans and
+quotients, in `specseq` for the barcode, décalage and validation); and
+`_transpose`. The tests check this kernel against `oracles.dense_rref`, a
+separate dense elimination.
 """
 
 from __future__ import annotations
@@ -148,10 +151,7 @@ class Matrix:
         for r, s in zip(self.sparse_rows, other.sparse_rows):
             if r and s:
                 r = dict(r)
-                for j, x in s.items():
-                    y = r.pop(j, ZERO) + x
-                    if y:
-                        r[j] = y
+                accumulate(r, s)
                 out.append(r)
             else:
                 out.append(r or s)
@@ -204,9 +204,25 @@ class Matrix:
         return len(_reduce([dict(r) for r in rows], full=False)[1])
 
     def kernel_basis(self):
-        """Canonical basis matrix of ker(self), like `col_space`'s."""
-        vecs = _kernel([dict(r) for r in self.sparse_rows], self.ncols)
-        return Matrix._of(_transpose(vecs, self.ncols), len(vecs))
+        """Canonical basis matrix of ker(self), like `col_space`'s, written
+        row by row off one right-to-left reduction: the t-th free column f
+        has the kernel vector e_f - sum_p red_p[f] e_p, so row f is {t: 1},
+        and pivot p's row holds -red_p[f] at t for each free f of its
+        reduced row, all left of p. The entries are `Fraction`s, also for
+        `int` rows."""
+        red, pivots = _reduce([dict(r) for r in self.sparse_rows], max)
+        by_pivot = dict(zip(pivots, red))
+        place, out = {}, []
+        for j in range(self.ncols):
+            r = by_pivot.get(j)
+            if r is None:
+                place[j] = t = len(place)
+                out.append({t: ONE})
+            else:
+                del r[j]
+                out.append({place[f]: -x if type(x) is Fraction else Fraction(-x)
+                            for f, x in r.items()})
+        return Matrix._of(out, len(place))
 
     def solve(self, b):
         """Some x with self*x = b, or None when the system is inconsistent."""
@@ -296,25 +312,6 @@ def _reduce(rows, lead=min, full=True):
     for p in pivots:
         table[p][1][p] = ONE
     return [table[p][1] for p in pivots], pivots
-
-
-def _kernel(rows, ncols):
-    """Reduced echelon basis of the kernel of sparse rows, as sparse vectors:
-    pivoting right to left leaves each free column f the kernel vector
-    e_f - sum_p red_p[f] e_p, whose other entries lie right of f. The
-    entries are `Fraction`s, also for `int` rows."""
-    red, pivots = _reduce(rows, max)
-    pivset = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f not in pivset:
-            v = {f: ONE}
-            for r, p in zip(red, pivots):
-                if f in r:
-                    x = -r[f]
-                    v[p] = x if type(x) is Fraction else Fraction(x)
-            out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +445,18 @@ def flag_spans(level, basis, dim, count):
         out.append(out[-1] if out and k == start else
                    col_space(basis[:k], dim=dim) if k else Matrix.zero(dim, 0))
     return tuple(out)
+
+
+def accumulate(out, terms):
+    """Add the sparse {key: value} dict `terms` into `out` in place, the one
+    zero-dropping sum: a key whose sum is zero leaves `out`."""
+    for e, c in terms.items():
+        prev = out.get(e)
+        total = c if prev is None else prev + c
+        if total:
+            out[e] = total
+        else:
+            out.pop(e, None)
 
 
 def combine(cols, v):
@@ -640,12 +649,7 @@ class Polynomial:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Q(0)) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
+        accumulate(out, other.terms)
         return Polynomial(self.ring, out)
 
     def __sub__(self, other):

@@ -360,12 +360,32 @@ def page_cohomology_by_elimination(group, ell, n, max_degree):
     return dims
 
 
+def coordinates(elem, index):
+    """Sparse coordinates {position: coefficient} of an element in a basis,
+    given as the map `index` from each basis key to its position.
+
+    A key is an edge word for rational coefficients, and an (edge word,
+    exponent tuple) pair for polynomial ones.
+    """
+    vec = {}
+    if elem.ring is None:
+        monomials = elem.terms.items()
+    else:
+        monomials = [((edges, exps), v) for edges, c in elem.terms.items()
+                     for exps, v in c.terms.items()]
+    for key, v in monomials:
+        if key not in index:
+            raise InputError("element does not lie in the span of the given basis")
+        vec[index[key]] = v
+    return vec
+
+
 def differential_matrix_by_elements(group, ell, n, degree, src, dst):
     """`equieven.differential_matrix` column by column: d2n of the page
     element of each basis key of `src`, in the coordinates of `dst`."""
     index = {key: t for t, key in enumerate(dst)}
-    cols = [equieven.d2n(equieven.zero(group, ell, n).from_coordinates([key], [Q(1)]))
-            .coordinates(index) for key in src]
+    cols = [coordinates(equieven.d2n(equieven.zero(group, ell, n)
+                                     .from_coordinates([key], [Q(1)])), index) for key in src]
     return Matrix.from_columns(cols, nrows=len(dst))
 
 
@@ -394,7 +414,7 @@ def averaged_fixed_basis(group, basis, act):
         total = x.scale(0)
         for w in group:
             total = total + act(w, x)
-        coords = total.scale(Q(1, len(group))).coordinates(index)
+        coords = coordinates(total.scale(Q(1, len(group))), index)
         if coords:
             rows.append([coords.get(t, Q(0)) for t in range(len(keys))])
     red, pivots = dense_rref(rows, len(keys))

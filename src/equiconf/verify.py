@@ -36,9 +36,6 @@ from .errors import InputError
 from .exactalg import Matrix, col_space, sylvester
 from .specseq import WeightSpec, canonical_filtration
 
-SUITE_NAMES = ("arnold", "leray-hirsch", "weyl", "even-page", "decalage", "purity")
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -649,6 +646,7 @@ SUITES = {
     "decalage": suite_decalage,
     "purity": suite_purity,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name, seed=0):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -73,6 +74,30 @@ def test_weyl_action_is_group_action():
             exps = tuple(rng.randint(0, 2) for _ in range(3))
             f = f + ring.monomial(exps, rng.randint(-2, 2))
         assert cc.weyl_action(w1 * w2, f) == cc.weyl_action(w1, cc.weyl_action(w2, f))
+
+
+def test_weyl_action_is_the_substitution():
+    # every element of every family's Weyl group at ranks 1-3, under both
+    # conventions, acts as the ring map q_i -> eps_i q_sigma(i), rebuilt by
+    # `substitute`; its image keeps one term per term (it is injective)
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        ring = cc.torus_ring(n)
+        monomials = list(itertools.product(range(6 if n == 1 else 4), repeat=n))
+        polys = [Polynomial(ring, {exps: Q(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 3))
+                                   for exps in rng.sample(monomials, 4)})
+                 for _ in range(4)]
+        exponents = {e for f in polys for exps in f.terms for e in exps}
+        assert {1, 2, 3} <= exponents
+        for family in cc.FAMILIES:
+            for convention in cc.CONVENTIONS:
+                for w in cc.weyl_group(cc.GroupSpec(family, n), convention):
+                    images = {f"q{i}": ring.gen(f"q{s}").scale(e)
+                              for i, (s, e) in enumerate(zip(w.sigma, w.eps), start=1)}
+                    for f in polys:
+                        image = cc.weyl_action(w, f)
+                        assert image == f.substitute(ring, images), (family, convention, w)
+                        assert len(image.terms) == len(f.terms) == 4
 
 
 def test_invariant_basis_examples():

@@ -71,10 +71,12 @@ def test_kernel_examples():
     # same span as the alternative representatives {x12 - x13, x13 - x23}
     keys = confring.basis_keys(3, 4, 3)
     index = {key: t for t, key in enumerate(keys)}
-    span = Matrix([b.coordinates(index) for b in summary.basis[3]], ncols=len(keys))
+    span = Matrix([oracles.coordinates(b, index) for b in summary.basis[3]], ncols=len(keys))
     alt = Matrix([
-        (confring.generator(3, 4, 1, 2) - confring.generator(3, 4, 1, 3)).coordinates(index),
-        (confring.generator(3, 4, 1, 3) - confring.generator(3, 4, 2, 3)).coordinates(index)],
+        oracles.coordinates(confring.generator(3, 4, 1, 2) - confring.generator(3, 4, 1, 3),
+                            index),
+        oracles.coordinates(confring.generator(3, 4, 1, 3) - confring.generator(3, 4, 2, 3),
+                            index)],
         ncols=len(keys))
     assert col_space(list(span.rows), dim=span.ncols) == col_space(list(alt.rows), dim=alt.ncols)
     assert ev.kernel_K(1, 2, 8).dims == {0: 1}
@@ -614,7 +616,7 @@ def fixed_page_dims_by_elements(family, ell, n, max_degree, convention):
     ranks = [0]
     for d, elems in enumerate(fixed):
         index = {key: t for t, key in enumerate(ev.page_basis("torus", ell, n, d + 1))}
-        cols = [ev.d2n(e).coordinates(index) for e in elems]
+        cols = [oracles.coordinates(ev.d2n(e), index) for e in elems]
         ranks.append(Matrix.from_columns(cols, nrows=len(index)).rank() if cols else 0)
     return {d: len(fixed[d]) - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}
 

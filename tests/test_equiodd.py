@@ -233,12 +233,12 @@ def test_so_fixed_points_match_y_p_span():
                         for u, e in enumerate(pexp, start=1):
                             coeff = coeff * images[f"p{u}"] ** e
                         elem = equiodd.EquiElement(ell, n, {edges: coeff})
-                        span_rows.append(elem.coordinates(index))
+                        span_rows.append(oracles.coordinates(elem, index))
                 m += 1
             span_dim = Matrix(span_rows, ncols=len(basis)).rank()
             assert span_dim == len(fixed), (ell, n, degree)
             if fixed:
-                fixed_rows = [e.coordinates(index) for e in fixed]
+                fixed_rows = [oracles.coordinates(e, index) for e in fixed]
                 both = Matrix(span_rows + fixed_rows, ncols=len(basis)).rank()
                 assert both == span_dim  # containment in both directions
 

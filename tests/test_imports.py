@@ -53,18 +53,27 @@ def referenced_names(path):
 
 def test_no_api_is_used_only_by_tests():
     # every module-level function and class of the package but the test
-    # oracles is referenced by the package, the benchmark or the demos,
-    # not by tests alone; a name matches any load of it, so this catches
-    # a definition whose name no such file mentions
+    # oracles, and every public method of those classes, is referenced by
+    # the package, the benchmark or the demos, not by tests alone; a name
+    # matches any load of it, so this catches a definition whose name no
+    # such file mentions
     root = SRC.parent.parent
     users = [path for path in (*SRC.glob("*.py"), *root.glob("bench/*.py"),
                                *root.glob("demos/*.py"))
              if path.stem != "oracles" and not path.stem.startswith("test_")]
     used = {name for path in users for name in referenced_names(path)}
     assert len(users) > 10
-    defined = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
-               if path.stem != "oracles"
-               for node in ast.parse(path.read_text(), filename=str(path)).body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    assert len(defined) > 100
-    assert sorted(item for item in defined if item[1] not in used) == []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, methods = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "oracles":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, defs):
+                defined.add((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                methods |= {(path.stem, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, defs) and not item.name.startswith("_")}
+    assert len(defined) > 100 and len(methods) > 50
+    assert sorted(item for item in defined | methods
+                  if item[1].rpartition(".")[2] not in used) == []
