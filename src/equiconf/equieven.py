@@ -298,7 +298,7 @@ def kernel_K(ell, n, max_degree):
         if w and (kern := matrix.kernel_basis()).ncols:
             dims[fiber * w] = kern.ncols
             basis[fiber * w] = [make(ell, 2 * n, {words[p]: c for p, c in v.items()})
-                                for v in kern.sparse_columns()]
+                                for v in kern.sparse_columns]
     return KernelSummary(ell, n, max_degree, dims, basis)
 
 

@@ -2,18 +2,22 @@
 
 Exact rationals; no floating point anywhere. The d_2n eliminations run on
 `int` rows, and every `Matrix` that leaves the kernel holds `Fraction`s. A
-`Matrix` stores sparse rows, one `{column: Fraction}` dict of the nonzero
-entries of each row, and no zeros. Eliminations, products and the subspace
-operations work on these rows directly and skip the zeros that fill most
-matrices here. The dense `rows` and `columns()` are derived, read-only
-views for printing, JSON and tests. Subspaces are canonical reduced
-column-echelon spans, so equal subspaces have equal representations and every
-output is reproducible across runs. Four primitives work on sparse dicts:
-`accumulate`, the one in-place sum that drops zeros; `combine`, a linear
-combination of sparse vectors; `eliminate`, the one forward elimination
-through a pivot table (in `_reduce` for ranks, kernels, solves, spans and
-quotients, in `specseq` for the barcode, décalage and validation); and
-`_transpose`. The tests check this kernel against `oracles.dense_rref`, a
+`Matrix` stores sparse columns, one `{row: Fraction}` dict of the nonzero
+entries of each column, and no zeros; the dicts are never mutated, so
+matrices share them. Products, sums and the subspace operations work on
+these columns directly (column j of A * B combines the columns of A) and
+skip the zeros that fill most matrices here; the routines that eliminate
+rows (`rank`, `kernel_basis`, `solve`, `sylvester` and `Quotient`) read the
+one transposition, `sparse_rows()`. The dense `rows` and `columns()` are
+derived, read-only views for printing, JSON and tests. Subspaces are
+canonical reduced column-echelon spans, so equal subspaces have equal
+representations and every output is reproducible across runs. Four
+primitives work on sparse dicts: `accumulate`, the one in-place sum that
+drops zeros; `combine`, a linear combination of sparse vectors;
+`eliminate`, the one forward elimination through a pivot table (in
+`_reduce` for ranks, kernels, solves, spans and quotients, in `specseq` for
+the barcode, décalage and validation); and `_transpose`, which no other
+module uses. The tests check this kernel against `oracles.dense_rref`, a
 separate dense elimination.
 """
 
@@ -62,24 +66,25 @@ def _entries(v, n, what):
     return {i: x for i, x in enumerate(v) if x}
 
 
-def _transpose(rows, n):
-    """Sparse rows of the transpose of a matrix with sparse rows `rows` and
-    n columns, in O(nnz + n) (Gustavson's permuted transposition)."""
+def _transpose(vecs, n):
+    """Sparse columns of the matrix with sparse rows `vecs` and n columns,
+    or sparse rows of the one with sparse columns `vecs` and n rows, in
+    O(nnz + n) (Gustavson's permuted transposition)."""
     out = [{} for _ in range(n)]
-    for i, r in enumerate(rows):
+    for i, r in enumerate(vecs):
         for j, x in r.items():
             out[j][i] = x
     return out
 
 
 class Matrix:
-    """Immutable matrix over Q. `sparse_rows[i]` maps each column of a
-    nonzero entry of row i to that entry; these dicts are never mutated.
-    Built by `_of` or `_of_columns`, the entries may be `int`s: such a
-    matrix serves `rank`, `kernel_basis` and `solve`, whose answers are
-    counts and `Fraction`s."""
+    """Immutable matrix over Q. `sparse_columns[j]` maps each row of a
+    nonzero entry of column j to that entry; these dicts are never mutated,
+    so matrices share them. Built by `_of_columns`, the entries may be
+    `int`s: such a matrix serves `rank`, `kernel_basis` and `solve`, whose
+    answers are counts and `Fraction`s."""
 
-    __slots__ = ("sparse_rows", "nrows", "ncols")
+    __slots__ = ("sparse_columns", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
         """Rows are dense sequences or {column: value} dicts. `ncols`
@@ -87,27 +92,24 @@ class Matrix:
         rows = list(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        self.sparse_rows = tuple(_entries(r, ncols, "ragged matrix") for r in rows)
+        self.sparse_columns = tuple(_transpose(
+            [_entries(r, ncols, "ragged matrix") for r in rows], ncols))
         self.nrows, self.ncols = len(rows), ncols
 
     @classmethod
-    def _of(cls, rows, ncols):  # rows: sparse rows without zeros, unchecked
+    def _of_columns(cls, cols, nrows):  # cols: sparse columns without zeros, unchecked
         m = object.__new__(cls)
-        m.sparse_rows = rows if type(rows) is tuple else tuple(rows)
-        m.nrows, m.ncols = len(m.sparse_rows), ncols
+        m.sparse_columns = cols if type(cols) is tuple else tuple(cols)
+        m.nrows, m.ncols = nrows, len(m.sparse_columns)
         return m
 
     @classmethod
-    def _of_columns(cls, cols, nrows):  # cols: sparse columns without zeros, unchecked
-        return cls._of(_transpose(cols, nrows), len(cols))
-
-    @classmethod
     def zero(cls, nrows, ncols):
-        return cls._of(({},) * nrows, ncols)
+        return cls._of_columns(({},) * ncols, nrows)
 
     @classmethod
     def identity(cls, n):
-        return cls._of(({i: ONE} for i in range(n)), n)
+        return cls._of_columns(({i: ONE} for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
@@ -117,28 +119,28 @@ class Matrix:
             if not cols:
                 raise InputError("from_columns with no columns needs nrows")
             nrows = len(cols[0])
-        return cls._of(_transpose([_entries(c, nrows, "ragged columns") for c in cols],
-                                  nrows), len(cols))
+        return cls._of_columns([_entries(c, nrows, "ragged columns") for c in cols], nrows)
 
-    def sparse_columns(self):
-        """New {row: value} dicts of the nonzero entries of each column."""
-        return _transpose(self.sparse_rows, self.ncols)
+    def sparse_rows(self):
+        """New {column: value} dicts of the nonzero entries of each row, the
+        one transposition, for the routines that eliminate rows."""
+        return _transpose(self.sparse_columns, self.nrows)
 
     @property
     def rows(self):
         """Dense view: a tuple of row tuples."""
-        cols = range(self.ncols)
-        return tuple(tuple(r.get(j, ZERO) for j in cols) for r in self.sparse_rows)
+        return tuple(zip(*self.columns())) if self.ncols else ((),) * self.nrows
 
     def columns(self):
-        return list(zip(*self.rows)) if self.nrows else [()] * self.ncols
+        rows = range(self.nrows)
+        return [tuple(c.get(i, ZERO) for i in rows) for c in self.sparse_columns]
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.sparse_rows == other.sparse_rows \
+        return isinstance(other, Matrix) and self.sparse_columns == other.sparse_columns \
             and self.nrows == other.nrows and self.ncols == other.ncols
 
     def __hash__(self):
-        return hash((tuple(frozenset(r.items()) for r in self.sparse_rows),
+        return hash((tuple(frozenset(c.items()) for c in self.sparse_columns),
                      self.nrows, self.ncols))
 
     def __repr__(self):
@@ -148,88 +150,84 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("shape mismatch in matrix addition")
         out = []
-        for r, s in zip(self.sparse_rows, other.sparse_rows):
-            if r and s:
-                r = dict(r)
-                accumulate(r, s)
-                out.append(r)
+        for c, s in zip(self.sparse_columns, other.sparse_columns):
+            if c and s:
+                c = dict(c)
+                accumulate(c, s)
+                out.append(c)
             else:
-                out.append(r or s)
-        return Matrix._of(out, self.ncols)
+                out.append(c or s)
+        return Matrix._of_columns(out, self.nrows)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._of(({j: -x for j, x in r.items()} for r in self.sparse_rows), self.ncols)
+        return Matrix._of_columns(({i: -x for i, x in c.items()} for c in self.sparse_columns),
+                                  self.nrows)
 
     def scale(self, c):
         c = rat(c)
         if not c:
             return Matrix.zero(self.nrows, self.ncols)
-        return Matrix._of(({j: c * x for j, x in r.items()} for r in self.sparse_rows),
-                          self.ncols)
+        return Matrix._of_columns(({i: c * x for i, x in v.items()} for v in self.sparse_columns),
+                                  self.nrows)
 
     def __mul__(self, other):
-        """Row-wise sparse product: row i of the result sums x * (row k of
-        other) over the entries x at (i, k) of self."""
+        """Column-wise sparse product: column j of the result combines the
+        columns of self with the entries of column j of other."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.ncols != other.nrows:
             raise InputError("shape mismatch in matrix product")
-        rows = other.sparse_rows
-        out = []
-        for r in self.sparse_rows:
-            acc = {}
-            for k, x in r.items():
-                for j, y in rows[k].items():
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-            out.append({j: z for j, z in acc.items() if z})
-        return Matrix._of(out, other.ncols)
+        cols = self.sparse_columns
+        return Matrix._of_columns([combine(cols, v) for v in other.sparse_columns], self.nrows)
 
     def is_zero(self):
-        return not any(self.sparse_rows)
+        return not any(self.sparse_columns)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise InputError("trace of non-square matrix")
-        return sum((r.get(i, ZERO) for i, r in enumerate(self.sparse_rows)), ZERO)
+        return sum((c.get(j, ZERO) for j, c in enumerate(self.sparse_columns)), ZERO)
 
     def rank(self):
         """The rank: the count of nonzero rows when their leads are distinct
-        (an echelon form up to order; no copy, no elimination), else by `_reduce`."""
-        rows = [r for r in self.sparse_rows if r]
+        (an echelon form up to order; no elimination), else by `_reduce` of
+        the rows. Row leads, not column leads: the `_boundaries` matrices of
+        `equieven` meet this shortcut by rows."""
+        rows = [r for r in self.sparse_rows() if r]
         if len({min(r) for r in rows}) == len(rows):
             return len(rows)
-        return len(_reduce([dict(r) for r in rows], full=False)[1])
+        return len(_reduce(rows, full=False)[1])
 
     def kernel_basis(self):
         """Canonical basis matrix of ker(self), like `col_space`'s, written
-        row by row off one right-to-left reduction: the t-th free column f
-        has the kernel vector e_f - sum_p red_p[f] e_p, so row f is {t: 1},
-        and pivot p's row holds -red_p[f] at t for each free f of its
-        reduced row, all left of p. The entries are `Fraction`s, also for
-        `int` rows."""
-        red, pivots = _reduce([dict(r) for r in self.sparse_rows], max)
+        column by column off one right-to-left reduction of the rows: the
+        t-th free column f has the kernel vector e_f - sum_p red_p[f] e_p,
+        over the pivots p whose reduced row holds f, all right of f. Each
+        column is written in ascending row order, and its entries are
+        `Fraction`s, also for `int` rows."""
+        red, pivots = _reduce(self.sparse_rows(), max)
         by_pivot = dict(zip(pivots, red))
-        place, out = {}, []
+        cols = {}
         for j in range(self.ncols):
             r = by_pivot.get(j)
             if r is None:
-                place[j] = t = len(place)
-                out.append({t: ONE})
-            else:
-                del r[j]
-                out.append({place[f]: -x if type(x) is Fraction else Fraction(-x)
-                            for f, x in r.items()})
-        return Matrix._of(out, len(place))
+                cols[j] = {j: ONE}
+                continue
+            del r[j]
+            for f, x in r.items():
+                cols[f][j] = -x if type(x) is Fraction else Fraction(-x)
+        return Matrix._of_columns(cols.values(), self.ncols)
 
     def solve(self, b):
         """Some x with self*x = b, or None when the system is inconsistent."""
         b = _entries(b, self.nrows, "shape mismatch in solve")
-        n = self.ncols
-        red, pivots = _reduce([r | {n: b[i]} if i in b else dict(r)
-                               for i, r in enumerate(self.sparse_rows)])
+        n, rows = self.ncols, self.sparse_rows()
+        for i, x in b.items():
+            rows[i][n] = x
+        red, pivots = _reduce(rows)
         if n in pivots:
             return None
         x = [ZERO] * n
@@ -264,19 +262,20 @@ class Matrix:
         if self.ncols != n:
             raise InputError("off_eigenvalue of non-square matrix")
         shifted = []
-        for i, r in enumerate(self.sparse_rows):
-            r = dict(r)
-            if y := r.pop(i, ZERO) - lam:
-                r[i] = y
-            shifted.append(r)
-        power, k = Matrix._of(shifted, n), 1
+        for j, c in enumerate(self.sparse_columns):
+            c = dict(c)
+            if y := c.pop(j, ZERO) - lam:
+                c[j] = y
+            shifted.append(c)
+        power, k = Matrix._of_columns(shifted, n), 1
         while k < n and not power.is_zero():
             power, k = power * power, 2 * k
         if power.is_zero():
             return Matrix.identity(0)
         img = col_space(power)
-        rows = (self * img).sparse_rows
-        return Matrix._of([rows[min(c)] for c in img.sparse_columns()], img.ncols)
+        leads = {min(c): t for t, c in enumerate(img.sparse_columns)}
+        return Matrix._of_columns([{leads[i]: x for i, x in c.items() if i in leads}
+                                   for c in (self * img).sparse_columns], img.ncols)
 
 
 def _reduce(rows, lead=min, full=True):
@@ -351,34 +350,22 @@ def sylvester(phi_w: Matrix, phi_v: Matrix):
     nv, nw = phi_v.nrows, phi_w.nrows
     if phi_v.ncols != nv or phi_w.ncols != nw:
         raise InputError("automorphism matrices must be square")
-    v_cols = phi_v.sparse_columns()
-    rows = []
-    for a in range(nw):
-        for b in range(nv):
-            # row (a, b): phi_w[a, c] at X[c, b], minus phi_v[c, b] at X[a, c]
-            row = {c * nv + b: x for c, x in phi_w.sparse_rows[a].items()}
-            for c, x in v_cols[b].items():
-                y = row.pop(a * nv + c, ZERO) - x
+    v_rows = phi_v.sparse_rows()
+    cols = []
+    for c in range(nw):
+        for d in range(nv):
+            # column (c, d): phi_w[a, c] at row (a, d), minus phi_v[d, b] at row (c, b)
+            col = {a * nv + d: x for a, x in phi_w.sparse_columns[c].items()}
+            for b, x in v_rows[d].items():
+                y = col.pop(c * nv + b, ZERO) - x
                 if y:
-                    row[a * nv + c] = y
-            rows.append(row)
-    return Matrix._of(rows, nw * nv)
+                    col[c * nv + b] = y
+            cols.append(col)
+    return Matrix._of_columns(cols, nw * nv)
 
 
 # ---------------------------------------------------------------------------
 # subspaces as canonical column spans
-
-
-def _span(vecs, dim):
-    """Canonical basis matrix of the span of sparse vectors (consumed) of Q^dim."""
-    red = _reduce(vecs)[0]
-    return Matrix._of(_transpose(red, dim), len(red))
-
-
-def _beside(a: Matrix, b: Matrix):
-    """New sparse rows of the block matrix [a | b]."""
-    n = a.ncols
-    return [r | {n + j: x for j, x in t.items()} for r, t in zip(a.sparse_rows, b.sparse_rows)]
 
 
 def col_space(columns, dim=None):
@@ -386,29 +373,29 @@ def col_space(columns, dim=None):
     columns of a Matrix, or of a list of vectors of Q^dim: dense, or
     {index: value} dicts. `dim` defaults to the length of the first one.
     A Matrix that is its own canonical basis is returned as it is; the
-    check reads each sparse row once: column c leads at a row {c: 1}, the
-    columns lead in order, and no other row holds a column that has not led
-    yet."""
+    check reads its sparse columns: each leads (has its first entry) with
+    a 1, below the lead of the column before it, and no column holds
+    another column's lead."""
     if isinstance(columns, Matrix):
-        seen = 0  # the columns that have led so far
-        for r in columns.sparse_rows:
-            if seen in r:
-                if len(r) > 1 or r[seen] != 1:
-                    break
-                seen += 1
-            elif r and max(r) >= seen:
+        cols, leads, last = columns.sparse_columns, set(), -1
+        for c in cols:
+            if not c or (p := min(c)) <= last or c[p] != 1:
                 break
+            leads.add(p)
+            last = p
         else:
-            if seen == columns.ncols:
+            if all(len(leads.intersection(c)) == 1 for c in cols):
                 return columns
-        return _span(columns.sparse_columns(), columns.nrows)
-    columns = list(columns)
-    if dim is None:
-        if not columns:
-            raise InputError("empty span needs an ambient dimension")
-        dim = len(columns[0])
-    return _span([_entries(c, dim, f"a vector of the span does not lie in Q^{dim}")
-                  for c in columns], dim)
+        vecs, dim = [dict(c) for c in cols], columns.nrows
+    else:
+        columns = list(columns)
+        if dim is None:
+            if not columns:
+                raise InputError("empty span needs an ambient dimension")
+            dim = len(columns[0])
+        vecs = [_entries(c, dim, f"a vector of the span does not lie in Q^{dim}")
+                for c in columns]
+    return Matrix._of_columns(_reduce(vecs)[0], dim)
 
 
 def flag_basis(spans):
@@ -423,7 +410,7 @@ def flag_basis(spans):
     level, basis, lead = [], [], {}
     for t, span in enumerate(spans):
         if span.ncols > len(basis):
-            for v in span.sparse_columns():
+            for v in span.sparse_columns:
                 if (p := min(v)) not in lead:
                     lead[p] = len(basis), v
                     level.append(t)
@@ -509,12 +496,13 @@ class Quotient:
         self.sub = d
         # a column of z is a representative when it is outside the span of d
         # and the columns before it: a pivot column of [d | z]
-        pivots = _reduce(_beside(d, z), full=False)[1]
-        picked = {p - d.ncols: k for k, p in enumerate(p for p in pivots if p >= d.ncols)}
-        self.dim = len(picked)
-        self.reps = Matrix._of(({picked[t]: x for t, x in r.items() if t in picked}
-                                for r in z.sparse_rows), self.dim)
-        self._solver = Matrix._of(_beside(d, self.reps), d.ncols + self.dim)
+        n = d.ncols
+        pivots = _reduce(_transpose(d.sparse_columns + z.sparse_columns, d.nrows),
+                         full=False)[1]
+        self.reps = Matrix._of_columns([z.sparse_columns[p - n] for p in pivots if p >= n],
+                                       z.nrows)
+        self.dim = self.reps.ncols
+        self._solver = Matrix._of_columns(d.sparse_columns + self.reps.sparse_columns, d.nrows)
 
     def matrix_of(self, images: Matrix):
         """Quotient coordinates of the classes of the columns of `images`
@@ -523,14 +511,16 @@ class Quotient:
         s = self._solver
         if images.nrows != s.nrows:
             raise InputError("ambient dimension mismatch")
-        red, pivots = _reduce(_beside(s, images))
-        if pivots and pivots[-1] >= s.ncols:
+        n = s.ncols
+        red, pivots = _reduce(_transpose(s.sparse_columns + images.sparse_columns, s.nrows))
+        if pivots and pivots[-1] >= n:
             raise InputError("vector not in the total space of the quotient")
         # the representatives are pivots of [D | reps]; the image part of
         # their reduced rows holds the coordinates
         by_pivot = dict(zip(pivots, red))
-        return Matrix._of(({k - s.ncols: x for k, x in by_pivot[p].items() if k >= s.ncols}
-                           for p in range(self.sub.ncols, s.ncols)), images.ncols)
+        return Matrix._of_columns(_transpose(
+            [{k - n: x for k, x in by_pivot[p].items() if k >= n}
+             for p in range(self.sub.ncols, n)], images.ncols), self.dim)
 
 
 # ---------------------------------------------------------------------------

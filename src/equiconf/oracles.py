@@ -42,7 +42,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .charclasses import weyl_action
 from .errors import InputError, PurityViolation, WitnessError
-from .exactalg import Matrix, PolyRing, Quotient, _reduce, _transpose, col_space, rat
+from .exactalg import Matrix, PolyRing, Quotient, _reduce, col_space, rat
 from .specseq import (FilteredComplex, SpectralPage, WeightSpec, canonical_filtration,
                       certified_witness, cohomology_quotient, purity_check)
 from . import confring, equieven
@@ -433,17 +433,17 @@ def subspace_intersection(a: Matrix, b: Matrix):
     # Zassenhaus: reduce the rows (x | x) for x in A and (y | 0) for y in B;
     # the reduced rows whose left half vanishes are (0 | basis of A cap B)
     dim = a.nrows
-    rows = [r | {dim + i: x for i, x in r.items()} for r in a.sparse_columns()]
-    red, pivots = _reduce(rows + b.sparse_columns())
-    cap = [{i - dim: x for i, x in r.items()} for r, p in zip(red, pivots) if p >= dim]
-    return Matrix._of(_transpose(cap, dim), len(cap))
+    rows = [r | {dim + i: x for i, x in r.items()} for r in a.sparse_columns]
+    red, pivots = _reduce(rows + [dict(r) for r in b.sparse_columns])
+    return Matrix._of_columns([{i - dim: x for i, x in r.items()}
+                               for r, p in zip(red, pivots) if p >= dim], dim)
 
 
 def subspace_sum(a: Matrix, b: Matrix):
     """Canonical basis of span(a) + span(b)."""
     if a.nrows != b.nrows:
         raise InputError("ambient dimension mismatch")
-    return col_space(a.sparse_columns() + b.sparse_columns(), dim=a.nrows)
+    return col_space(a.sparse_columns + b.sparse_columns, dim=a.nrows)
 
 
 def subspace_leq(a: Matrix, b: Matrix):
@@ -461,10 +461,9 @@ def subspace_preimage(d: Matrix, s: Matrix):
     # pairs (x, y) with d x + s y = 0; the reduced kernel vectors that lead
     # inside x restrict to the reduced basis of the preimage
     n = d.ncols
-    both = Matrix([r | {n + j: x for j, x in t.items()}
-                   for r, t in zip(d.sparse_rows, s.sparse_rows)], ncols=n + s.ncols)
+    both = Matrix._of_columns(d.sparse_columns + s.sparse_columns, d.nrows)
     return Matrix.from_columns([{i: x for i, x in v.items() if i < n}
-                                for v in both.kernel_basis().sparse_columns() if min(v) < n],
+                                for v in both.kernel_basis().sparse_columns if min(v) < n],
                                nrows=n)
 
 
@@ -613,13 +612,13 @@ def solve_equivariant_section(z_lam: Matrix, quo: Quotient, phi_n: Matrix,
     if zc == 0:
         return None
     # unknown X[c, k] is c * h + k; first coords(S) = id, then phi S = S phi_bar
-    coords = quo.matrix_of(z_lam).sparse_rows
+    coords = quo.matrix_of(z_lam).sparse_rows()
     rows = [{c * h + k: x for c, x in coords[t].items()} for k in range(h) for t in range(h)]
     rhs = [Q(1) if t == k else Q(0) for k in range(h) for t in range(h)]
-    phi_z = (phi_n * z_lam).sparse_rows
-    bar_cols = phi_bar.sparse_columns()
+    phi_z, z_rows = (phi_n * z_lam).sparse_rows(), z_lam.sparse_rows()
+    bar_cols = phi_bar.sparse_columns
     for k in range(h):
-        for a, z_row in enumerate(z_lam.sparse_rows):
+        for a, z_row in enumerate(z_rows):
             row = {c * h + k: x for c, x in phi_z[a].items()}
             for t, coeff in bar_cols[k].items():
                 for c, x in z_row.items():

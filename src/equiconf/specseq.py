@@ -256,7 +256,7 @@ class FilteredComplex:
             if levels[-1].ncols != self.dim(n):
                 raise InputError(f"filtration not exhaustive at degree {n}")
             level, basis, _ = flags[n]
-            dcols = mat.sparse_columns()
+            dcols = mat.sparse_columns
             t = _escape([combine(dcols, b) for b in basis], level,
                         self.filtration.get(n + 1, ())[:len(levels)], flags.get(n + 1))
             if t is not None:
@@ -267,9 +267,9 @@ class FilteredComplex:
                     raise InputError(f"automorphism shape mismatch at degree {n}")
                 if aut.rank() != self.dim(n):
                     raise InputError(f"automorphism not invertible at degree {n}")
-                if not (self.diff(n) * aut == self.aut(n + 1) * self.diff(n)):
+                if not (mat * aut == self.aut(n + 1) * mat):
                     raise InputError(f"automorphism does not commute with d at {n}")
-                cols = aut.sparse_columns()
+                cols = aut.sparse_columns
                 t = _escape([combine(cols, b) for b in basis], level, levels, flags[n])
                 if t is not None:
                     raise InputError(f"automorphism does not preserve W_{t} at degree {n}")
@@ -318,7 +318,7 @@ def _nested(levels):
                 return False
         elif lo.ncols:
             lead = flag_basis((hi,))[2]
-            if any(eliminate(v, min, lead)[0] for v in lo.sparse_columns()):
+            if any(eliminate(dict(v), min, lead)[0] for v in lo.sparse_columns):
                 return False
     return True
 
@@ -567,7 +567,7 @@ def _barcode(A: FilteredComplex):
     bars, cleared = {}, {}
     for n in A.degrees():
         level, basis, lead = A.flags[n]
-        nxt, dcols = A.flags.get(n + 1), A.diff(n).sparse_columns()
+        nxt, d = A.flags.get(n + 1), A.d.get(n)
         cols, low, gap, table, targets = [], {}, {}, {}, {}
         for k, b in enumerate(basis):
             if k in cleared:  # d x for a source x of degree n - 1: a cycle
@@ -577,7 +577,7 @@ def _barcode(A: FilteredComplex):
             # d b in the adapted basis of degree n + 1, beside the entry ~k
             # (negative) for b; clear its last entry while an earlier column
             # ends there
-            w = eliminate(combine(dcols, b), min, nxt[2])[1] if nxt else {}
+            w = eliminate(combine(d.sparse_columns, b), min, nxt[2])[1] if nxt and d else {}
             w[~k] = ONE
             w = eliminate(w, max, table)[0]
             cols.append({~j: x for j, x in w.items() if j < 0})
@@ -596,7 +596,7 @@ def _phi_solver(A: FilteredComplex, n):
     basis and then at the last entries of the barcode columns. Read it
     through `A.barcode_phi`, which keeps each element's coordinates."""
     _, basis, lead, cols, *_ = A.barcode[n]
-    aut, upper = A.aut(n).sparse_columns(), {j: (j, c) for j, c in enumerate(cols)}
+    aut, upper = A.aut(n).sparse_columns, {j: (j, c) for j, c in enumerate(cols)}
     return lambda k: eliminate(eliminate(combine(aut, combine(basis, cols[k])), min, lead)[1],
                                max, upper)[1]
 

@@ -589,7 +589,7 @@ def test_differential_matrix_matches_the_element_oracle():
                     got = ev.differential_matrix(group, ell, n, d, bases[d], bases[d + 1])
                     assert got == oracles.differential_matrix_by_elements(
                         group, ell, n, d, bases[d], bases[d + 1])
-                    assert all(type(x) is Q for r in got.sparse_rows for x in r.values())
+                    assert all(type(x) is Q for c in got.sparse_columns for x in c.values())
                     if not got.is_zero():
                         nonzero.add(group)
     assert nonzero == {"torus", "so", "o", "u"}

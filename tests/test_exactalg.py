@@ -10,8 +10,11 @@ from equiconf.exactalg import (
     PolyRing,
     Quotient,
     _reduce,
+    _transpose,
     col_space,
     elementary_symmetric,
+    flag_basis,
+    flag_spans,
     poly_from_json,
     rat,
     sylvester,
@@ -167,7 +170,7 @@ def dense_det(rows):
 
 
 def stores_no_zeros(*mats):
-    return all(x for m in mats for r in m.sparse_rows for x in r.values())
+    return all(x for m in mats for c in m.sparse_columns for x in c.values())
 
 
 def dense_intersection(a, b):
@@ -203,7 +206,7 @@ def test_kernel_matches_dense_oracle():
         red = col_space(list(m.rows), dim=m.ncols)
         ref, ref_pivots = dense_rref(m.rows, m.ncols)
         assert red.columns() == ref[:len(ref_pivots)]
-        assert tuple(min(c) for c in red.sparse_columns()) == ref_pivots
+        assert tuple(min(c) for c in red.sparse_columns) == ref_pivots
         assert m.rank() == len(ref_pivots)
         kernel = m.kernel_basis()
         assert kernel.columns() == dense_kernel(m)
@@ -272,12 +275,13 @@ def test_int_rows_match_the_fraction_route():
     # and its pivots are the same for a shuffle of the rows.
     rng, shuffle = random.Random(31), random.Random(32).shuffle
     for rows, ncols in int_battery(31):
-        m = Matrix._of([dict(r) for r in rows], ncols)
-        f = Matrix._of([{j: Q(x) for j, x in r.items()} for r in rows], ncols)
+        m = Matrix._of_columns(_transpose(rows, ncols), len(rows))
+        f = Matrix._of_columns(_transpose([{j: Q(x) for j, x in r.items()} for r in rows],
+                                          ncols), len(rows))
         for lead in (min, max):
             red, pivots = _reduce([dict(r) for r in rows], lead)
             assert all(type(x) in (int, Q) for r in red for x in r.values())
-            assert (red, pivots) == _reduce([dict(r) for r in f.sparse_rows], lead)
+            assert (red, pivots) == _reduce(f.sparse_rows(), lead)
             shuffled = [dict(r) for r in rows]
             shuffle(shuffled)
             assert (red, pivots) == _reduce([dict(r) for r in shuffled], lead)
@@ -366,6 +370,96 @@ def test_quotient_coordinates_match_dense_oracle():
                     q.matrix_of(Matrix.from_columns(vs + outside[:1], nrows=m.nrows))
 
 
+def test_col_space_respans_each_near_canonical_matrix():
+    # only a Matrix that is its own canonical basis is returned as it is;
+    # one defect makes col_space span it afresh: a lead of 2, a column that
+    # holds another column's lead, leads out of order, an empty column and a
+    # repeated column, first by hand and then in canonical bases of battery
+    canonical = [{0: Q(1), 3: Q(2)}, {1: Q(1), 3: Q(-1)}, {2: Q(1)}]
+    cases = [(columns, 4) for columns in (
+        [{0: Q(2), 3: Q(2)}, {1: Q(1), 3: Q(-1)}, {2: Q(1)}],
+        [{0: Q(1), 1: Q(3)}, {1: Q(1), 3: Q(-1)}, {2: Q(1)}],
+        [{1: Q(1), 3: Q(-1)}, {0: Q(1), 3: Q(2)}, {2: Q(1)}],
+        [{0: Q(1), 3: Q(2)}, {}, {2: Q(1)}],
+        [{0: Q(1), 3: Q(2)}, {0: Q(1), 3: Q(2)}, {2: Q(1)}])]
+    rng = random.Random(25)
+    for m in battery(25):
+        cols = list(col_space(m).sparse_columns)
+        if not cols:
+            continue
+        k = rng.randrange(len(cols))
+        lead, twice = min(cols[k]), dict(cols[k])
+        twice[lead] = Q(2)
+        near = [cols[:k] + [twice] + cols[k + 1:], cols[:k] + [{}] + cols[k:],
+                cols[:k] + [cols[k]] + cols[k:]]
+        if len(cols) > 1:
+            j = rng.choice([j for j in range(len(cols)) if j != k])
+            swapped = list(cols)
+            swapped[j], swapped[k] = cols[k], cols[j]
+            near += [cols[:j] + [cols[j] | {lead: Q(3)}] + cols[j + 1:], swapped]
+        cases += [(columns, m.nrows) for columns in near]
+    m = Matrix.from_columns(canonical, nrows=4)
+    assert col_space(m) is m
+    for columns, dim in cases:
+        m = Matrix.from_columns(columns, nrows=dim)
+        got = col_space(m)
+        assert got is not m
+        assert got == col_space(columns, dim)
+        assert got.columns() == dense_span(m.columns(), dim)
+        assert col_space(got) is got
+
+
+def stored(*mats):
+    """A deep copy of the stored columns of each matrix, in entry order."""
+    return [[list(c.items()) for c in m.sparse_columns] for m in mats]
+
+
+def test_operations_leave_stored_columns_unchanged():
+    # matrices share their column dicts instead of copying them, so no
+    # operation may write into a column it reads: every matrix met here, the
+    # operands and the results read by later operations, is snapshotted when
+    # made and compared after all of them have been used
+    rng = random.Random(26)
+    made = []
+
+    def kept(m):
+        made.append((m, stored(m)))
+        return m
+
+    ints = [kept(Matrix._of_columns(_transpose(rows, nc), len(rows)))
+            for rows, nc in int_battery(26, 20)]
+    for m in ints:
+        m.rank()
+        kept(m.kernel_basis())
+        m.solve([rng.randint(-2, 2) for _ in range(m.nrows)])
+    mats = [kept(m) for m in battery(26, 40)]
+    for m in mats:
+        dim = m.nrows
+        o = rng.choice([o for o in mats if o.nrows == dim])
+        n = rng.choice([n for n in mats if n.nrows == m.ncols] or [Matrix.identity(m.ncols)])
+        m.sparse_rows(), m.rows, m.columns(), hash(m), m == o, m.is_zero(), m.rank()
+        for x in (m + o if o.ncols == m.ncols else m, m - m, -m, m.scale(Q(3, 2)),
+                  m.scale(0), m * n, m.kernel_basis()):
+            kept(x)
+        m.solve(times(m, [Q(rng.randint(-3, 3)) for _ in range(m.ncols)]))
+        square = kept(m * kept(Matrix(m.columns(), ncols=dim)))
+        square.trace(), square.charpoly()
+        kept(square.off_eigenvalue(rng.choice((0, 1, square.trace()))))
+        kept(sylvester(square, kept(Matrix.identity(2).scale(3))))
+        a, b = kept(col_space(m)), kept(col_space(o))
+        col_space(a)
+        cap, total = kept(subspace_intersection(a, b)), kept(subspace_sum(m, o))
+        kept(subspace_preimage(m, b))
+        subspace_leq(m, o), subspace_leq(cap, a)
+        level, basis, _ = flag_basis((cap, a, total))
+        for x in flag_spans(level, basis, dim, 3):
+            kept(x)
+        for z, d in ((a, cap), (m, o), (total, kept(Matrix.zero(dim, 0)))):
+            q = Quotient(z, d)
+            kept(q.reps), kept(q.matrix_of(z))
+    assert [stored(m) for m, _ in made] == [before for _, before in made]
+
+
 def test_charpoly_diagonal():
     m = Matrix([[2, 0], [0, 3]])
     # (t-2)(t-3) = t^2 - 5t + 6
@@ -446,8 +540,8 @@ def squared_off_eigenvalue(m, lam):
     while k < n:
         power, k = power * power, 2 * k
     img = col_space(power)
-    rows = (m * img).sparse_rows
-    return Matrix._of([rows[min(c)] for c in img.sparse_columns()], img.ncols)
+    rows = (m * img).sparse_rows()
+    return Matrix([rows[min(c)] for c in img.sparse_columns], img.ncols)
 
 
 def test_off_eigenvalue_matches_the_squaring_definition():
@@ -503,11 +597,11 @@ def test_rank_of_distinct_leads_matches_dense_oracle():
         if t % 3 == 0 and rows:  # repeat a lead
             rows.append(dict(rng.choice(rows)) if t % 2 else
                         {min(rows[0] or {0: 1}): 1, nc - 1: 5})
-        for m in (Matrix._of([dict(r) for r in rows], nc),
-                  Matrix._of([{j: Q(x, 2) for j, x in r.items()} for r in rows], nc)):
+        for m in (Matrix._of_columns(_transpose(rows, nc), len(rows)),
+                  Matrix._of_columns(_transpose([{j: Q(x, 2) for j, x in r.items()}
+                                                 for r in rows], nc), len(rows))):
             want = len(dense_rref(m.rows, nc)[1])
-            assert m.rank() == want == len(_reduce([dict(r) for r in m.sparse_rows],
-                                                   full=False)[1])
+            assert m.rank() == want == len(_reduce(m.sparse_rows(), full=False)[1])
             assert type(m.rank()) is int
         leads = [min(r) for r in rows if r]
         distinct += len(set(leads)) == len(leads)

@@ -51,6 +51,20 @@ def referenced_names(path):
             yield node.attr
 
 
+def test_only_exactalg_transposes():
+    # `Matrix` stores sparse columns and `exactalg` alone turns them into
+    # rows: no other module imports or references `_transpose`, so the
+    # storage orientation stays one module's decision
+    users = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        if "_transpose" in imported | set(referenced_names(path)):
+            users.add(path.stem)
+    assert users == {"exactalg"}
+
+
 def test_no_api_is_used_only_by_tests():
     # every module-level function and class of the package but the test
     # oracles, and every public method of those classes, is referenced by

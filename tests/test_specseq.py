@@ -536,6 +536,54 @@ def seeded_battery(seed, count):
     return out
 
 
+def stored(*mats):
+    """A deep copy of the stored columns of each matrix, in entry order."""
+    return [[list(c.items()) for c in m.sparse_columns] for m in mats]
+
+
+def test_reading_a_complex_leaves_its_matrices_unchanged():
+    # matrices share their column dicts, and a complex shares its levels'
+    # columns with its flags and its d and phi with its truncation and its
+    # decalage: validating it and reading its pages, decalage, purity checks
+    # and witnesses write into none of them, nor into a matrix they return
+    made, witnesses = [], 0
+
+    def kept(*mats):
+        made.extend((m, stored(m)) for m in mats)
+
+    def matrices(A):
+        return [*A.d.values(), *(A.phi or {}).values(),
+                *(lvl for levels in A.filtration.values() for lvl in levels)]
+
+    for A in seeded_battery(43, 6):
+        kept(*matrices(A))
+        A.validate()
+        dec = ss.decalage(A)
+        kept(*matrices(dec))
+        assert dec.validate()
+        for B in (A, dec):
+            for r in range(B.top_level + 2):
+                pg = ss.page(B, r)
+                kept(*pg.differentials.values())
+                if B.phi is not None:
+                    kept(*(pg.aut(i, n) for i, n in pg.spots))
+        if A.phi is None:
+            continue
+        T = ss.canonical_filtration(A.spaces, A.d, A.phi)
+        kept(*matrices(T))
+        for xi, alpha in ((Q(2), Q(1)), (Q(3), Q(2)), (Q(-2), Q(1, 2)), (Q(3), Q(1))):
+            ss.purity_check(A, ss.WeightSpec(xi, alpha, A.top_level))
+            for B in (A, T):
+                try:
+                    w = ss.formality_witness(B, ss.WeightSpec(xi, alpha, 0))
+                except (PurityViolation, WitnessError):
+                    continue
+                kept(*w.inclusions.values(), *w.induced.values())
+                witnesses += 1
+    assert witnesses
+    assert [stored(m) for m, _ in made] == [before for _, before in made]
+
+
 def test_page_builds_no_matrix_until_read(monkeypatch):
     # a page counts its spots: no matrix and no adapted basis is built until
     # d_r or phi_r is read
@@ -827,7 +875,7 @@ def outcome(check, A):
 
 def perturbed(m, rng):
     """m with one seeded entry changed by a nonzero integer."""
-    rows = [dict(r) for r in m.sparse_rows]
+    rows = m.sparse_rows()
     i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
     rows[i][j] = rows[i].get(j, 0) + rng.choice((-2, -1, 1, 2))
     return Matrix(rows, ncols=m.ncols)
@@ -845,7 +893,7 @@ def mutated(A, rng, defects):
         levels = filtration[n]
         if kind == "drop":
             t = rng.choice([t for t, lvl in enumerate(levels) if lvl.ncols] or [0])
-            cols = levels[t].sparse_columns()
+            cols = list(levels[t].sparse_columns)
             if cols:
                 del cols[rng.randrange(len(cols))]
             levels[t] = Matrix.from_columns(cols, nrows=A.dim(n))
@@ -858,7 +906,7 @@ def mutated(A, rng, defects):
         elif kind == "phi":
             phi[n] = perturbed(phi[n], rng)
         else:  # the images of two basis vectors made equal
-            cols = phi[n].sparse_columns()
+            cols = list(phi[n].sparse_columns)
             cols[rng.randrange(len(cols))] = cols[rng.randrange(len(cols))]
             phi[n] = Matrix.from_columns(cols, nrows=A.dim(n))
     return ss.FilteredComplex(A.spaces, d, filtration, phi, validate=False)
