@@ -25,7 +25,6 @@ model, is refused before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product as iter_product
 from operator import itemgetter
@@ -50,7 +49,6 @@ BASIS_BOUND = 100_000
 # the most monomials an `equieven` page model has in a degree it builds
 MODEL_BOUND = 10_000
 CONVENTIONS = ("standard", "paper")
-ONE, MINUS_ONE = Q(1), Q(-1)
 
 
 def check_basis_size(size, degree, bound=BASIS_BOUND):
@@ -211,7 +209,7 @@ def orbit_rows(group, slices, odd_sign=None):
     a monomial is its signed orbit sum, or zero when two elements send it to
     one image with opposite signs. Disjoint orbits make the nonzero sums, led
     by 1 at their first vector, the reduced echelon basis. Returns one list
-    of rows {exponents: Fraction(+-1)} per slice, in the order of first vectors.
+    of rows {exponents: +-1} per slice, in the order of first vectors.
 
     The sign is -1 when the masks of the vector (bit i: e_i odd; bit n: odd
     word) and of w (bit i: eps_i = -1; bit n: odd_sign(w) = -1) share an odd
@@ -240,7 +238,7 @@ def orbit_rows(group, slices, odd_sign=None):
             if len(bits) > 1:
                 seen.update(bits)
             if not vanishes:
-                rows.append({e: MINUS_ONE if bit else ONE for e, bit in bits.items()})
+                rows.append({e: -1 if bit else 1 for e, bit in bits.items()})
         out.append(rows)
     return out
 

@@ -17,7 +17,6 @@ added to the square and three-term rules.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction as Q
 from itertools import product
 from operator import attrgetter, itemgetter
 
@@ -33,7 +32,10 @@ edge_key = itemgetter(1, 0)  # edges sort by (max, min); read at C speed
 
 
 def normalize_generator(k, i, j, n):
-    """Canonical (edge, sign) for a raw generator x_ij, any index order."""
+    """Canonical (edge, sign) for a raw generator x_ij, any index order;
+    InputError unless i and j are distinct ints in 1..k (bools are refused)."""
+    if type(i) is not int or type(j) is not int:
+        raise InputError(f"generator index is not an int: ({i}, {j})")
     if not (1 <= i <= k and 1 <= j <= k) or i == j:
         raise InputError(f"generator index out of range: ({i}, {j}) with {k} points")
     if i < j:
@@ -127,10 +129,11 @@ def word_counts(k, n, word, rng=None, pair=False):
     return out
 
 
-def reduce_word(k, n, word, coeff=Q(1), rng=None):
+def reduce_word(k, n, word, coeff=1, rng=None):
     """Normal-form terms of coeff times a single word of canonical edges:
-    a dict mapping admissible sorted edge tuples to Fraction coefficients,
-    the `word_counts` (with the same `rng`) scaled by coeff."""
+    a dict mapping admissible sorted edge tuples to rational coefficients
+    (`int` where coeff is integral), the `word_counts` (with the same `rng`)
+    scaled by coeff."""
     word = check_edges(k, word)
     coeff = rat(coeff)
     if not coeff:
@@ -141,8 +144,9 @@ def reduce_word(k, n, word, coeff=Q(1), rng=None):
 class EdgeCombination:
     """Sparse linear combination of admissible edge words.
 
-    `terms` maps sorted edge tuples to nonzero coefficients: Fractions when
-    `ring` is None, Polynomials of `ring` otherwise. The coefficient ring
+    `terms` maps sorted edge tuples to nonzero coefficients: rationals, each
+    an `int` or a `Fraction` as `rat` gives them, when `ring` is None,
+    Polynomials of `ring` otherwise. The coefficient ring
     also selects the print format. Subclasses declare their header fields
     (`FIELDS`, as (name, JSON converter) pairs, also the constructor's
     leading arguments; every header has `points`, and a polynomial ring has
@@ -374,7 +378,7 @@ class ConfElement(EdgeCombination):
 
 
 def unit(k, n):
-    return ConfElement(k, n, {(): Q(1)})
+    return ConfElement(k, n, {(): 1})
 
 
 def zero(k, n):
@@ -383,10 +387,10 @@ def zero(k, n):
 
 def generator(k, n, i, j):
     edge, sign = normalize_generator(k, i, j, n)
-    return ConfElement(k, n, {(edge,): Q(sign)})
+    return ConfElement(k, n, {(edge,): sign})
 
 
-def normal_form(k, n, word, coeff=Q(1)):
+def normal_form(k, n, word, coeff=1):
     """Normal form of a raw product of generators, given as index pairs."""
     word, sign = zero(k, n)._canonical(word)
     return ConfElement(k, n, reduce_word(k, n, word, rat(coeff) * sign))
@@ -451,7 +455,7 @@ def poincare_formula(k, n):
     monomials; `oracles.poincare_polynomial` counts them as a cross-check."""
     check_args(k, n)
     return Polynomial(PolyRing([("t", 1)]),
-                      {(m * (n - 1),): Q(c) for m, c in enumerate(edge_word_counts(k))})
+                      {(m * (n - 1),): c for m, c in enumerate(edge_word_counts(k))})
 
 
 def label_action(sigma, a: EdgeCombination):

@@ -24,7 +24,7 @@ normal form of each sub-word. Every matrix of d_2n (`differential_matrix`)
 or of the boundary alone (`kernel_K`, the page cohomology counts) is built
 from these integer columns, d_2n shifting the coefficient exponents by E's;
 the ranks and kernels eliminate them as `int` rows, and
-`differential_matrix` alone returns them, as a `Fraction` matrix. `d2n` and
+`differential_matrix` returns them as they are, an `int` matrix. `d2n` and
 `PageElement` are the element algebra, and `oracles` builds the matrices
 through them as the reference. The page is a tensor product, words (x)
 coefficient monomials, and so is its Weyl-fixed torus part, words (x) orbit
@@ -68,7 +68,7 @@ from operator import add
 from . import charclasses, confring
 from .charclasses import GroupSpec, WeylElement, char_ring, orbit_rows, torus_ring, weyl_group
 from .errors import InputError
-from .exactalg import ONE, Matrix, PolyRing, Polynomial, accumulate, rat, shift_terms
+from .exactalg import Matrix, PolyRing, Polynomial, accumulate, rat, shift_terms
 
 
 def page_ring(group, n):
@@ -249,7 +249,7 @@ def _monomial_columns(group, ell, n, src, dst):
 def differential_matrix(group, ell, n, degree, src, dst):
     """Matrix of d_2n from the degree slice to the next one; `src` and `dst`
     are the page bases of the two degrees."""
-    return Matrix.from_columns(_monomial_columns(group, ell, n, src, dst), nrows=len(dst))
+    return Matrix._of_columns(_monomial_columns(group, ell, n, src, dst), len(dst))
 
 
 def page_cohomology_dims(group, ell, n, max_degree):
@@ -347,7 +347,7 @@ def equivariant_cohomology_even(group, ell, n, max_degree):
         for d in range(max_degree + 1):
             items = []
             for key in page_basis(group, ell, n, d):
-                elem = zero(group, ell, n).from_coordinates([key], [ONE])
+                elem = zero(group, ell, n).from_coordinates([key], [1])
                 items.append((str(elem), elem))
             if items:
                 dims[d] = len(items)
@@ -470,7 +470,7 @@ def as_filtered_complex(group, ell, n, max_degree, xi=None):
             continue
         # W_i holds the words of length at most i // fiber: one Matrix per
         # length, repeated as the same object for the constructor to share
-        levels = [Matrix._of_columns([{t: ONE} for t, (edges, _) in enumerate(basis)
+        levels = [Matrix._of_columns([{t: 1} for t, (edges, _) in enumerate(basis)
                                       if len(edges) <= m], len(basis))
                   for m in range(top_level // fiber + 1)]
         filtration[d] = [levels[i // fiber] for i in range(top_level + 1)]

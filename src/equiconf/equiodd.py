@@ -26,7 +26,6 @@ reflection, matching the two-pole geometry of the 2-point Borel construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from . import charclasses, confring
 from .charclasses import GroupSpec, WeylElement, orbit_rows, torus_ring, weyl_action, weyl_group
@@ -214,7 +213,7 @@ def nonequivariant_restriction(a: EquiElement):
     for edges, c in a.terms.items():
         const = c.coefficient(zero_exps)
         if const != 0:
-            terms[edges] = const * Q(2) ** len(edges)
+            terms[edges] = const * 2 ** len(edges)
     return confring.ConfElement(ell, 2 * n + 1, terms)
 
 

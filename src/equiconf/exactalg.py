@@ -1,15 +1,18 @@
 """Exact linear and polynomial algebra over Q.
 
-Exact rationals; no floating point anywhere. The d_2n eliminations run on
-`int` rows, and every `Matrix` that leaves the kernel holds `Fraction`s. A
-`Matrix` stores sparse columns, one `{row: Fraction}` dict of the nonzero
-entries of each column, and no zeros; the dicts are never mutated, so
-matrices share them. Products, sums and the subspace operations work on
-these columns directly (column j of A * B combines the columns of A) and
-skip the zeros that fill most matrices here; the routines that eliminate
-rows (`rank`, `kernel_basis`, `solve`, `sylvester` and `Quotient`) read the
-one transposition, `sparse_rows()`. The dense `rows` and `columns()` are
-derived, read-only views for printing, JSON and tests. Subspaces are
+Exact rationals; no floating point anywhere. A number is an `int` when it
+is integral and a `Fraction` otherwise, as `rat` reads it, and every
+division goes through `div`, which never divides two `int`s to a float: the
+0/+-1 differentials, integral powers of xi and rewrite multiplicities stay
+on `int` arithmetic. A `Matrix` stores sparse columns, one `{row: value}`
+dict of the nonzero entries of each column, and no zeros; the dicts are
+never mutated, so matrices share them. Products, sums and the subspace
+operations work on these columns directly (column j of A * B combines the
+columns of A) and skip the zeros that fill most matrices here; the
+routines that eliminate rows (`rank`, `kernel_basis`, `solve`, `sylvester`
+and `Quotient`) read the one transposition, `sparse_rows()`. The dense
+`rows` and `columns()` are derived, read-only views for printing, JSON and
+tests. Subspaces are
 canonical reduced column-echelon spans, so equal subspaces have equal
 representations and every output is reproducible across runs. Four
 primitives work on sparse dicts: `accumulate`, the one in-place sum that
@@ -28,31 +31,37 @@ from operator import add
 
 from .errors import InputError
 
-Q = Fraction
 
-
-def rat(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
+def rat(x):
+    """An int, Fraction or 'p/q' string as an exact rational: an `int` when
+    it is integral (a bool reads as 0 or 1), else a `Fraction`."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}") from exc
-    raise InputError(f"not a rational: {x!r}")
+    elif not isinstance(x, Fraction):
+        raise InputError(f"not a rational: {x!r}")
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b):
+    """a / b, exact: the one division of the package. Two `int`s divide to
+    an `int` when b divides a, else to a `Fraction`, never to a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
-ZERO, ONE = Q(0), Q(1)
-
 
 def _entries(v, n, what):
-    """The nonzero entries {index: Fraction} of a vector of length n, given
+    """The nonzero entries {index: `rat`} of a vector of length n, given
     as a dense sequence or as an {index: value} dict; InputError(what) if
     it does not fit."""
     if isinstance(v, dict):
@@ -79,10 +88,8 @@ def _transpose(vecs, n):
 
 class Matrix:
     """Immutable matrix over Q. `sparse_columns[j]` maps each row of a
-    nonzero entry of column j to that entry; these dicts are never mutated,
-    so matrices share them. Built by `_of_columns`, the entries may be
-    `int`s: such a matrix serves `rank`, `kernel_basis` and `solve`, whose
-    answers are counts and `Fraction`s."""
+    nonzero entry of column j to that entry, an `int` or a `Fraction`; these
+    dicts are never mutated, so matrices share them."""
 
     __slots__ = ("sparse_columns", "nrows", "ncols")
 
@@ -109,17 +116,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._of_columns(({i: ONE} for i in range(n)), n)
-
-    @classmethod
-    def from_columns(cls, cols, nrows=None):
-        """The matrix with the given columns: dense, or {row: value} dicts."""
-        cols = list(cols)
-        if nrows is None:
-            if not cols:
-                raise InputError("from_columns with no columns needs nrows")
-            nrows = len(cols[0])
-        return cls._of_columns([_entries(c, nrows, "ragged columns") for c in cols], nrows)
+        return cls._of_columns(({i: 1} for i in range(n)), n)
 
     def sparse_rows(self):
         """New {column: value} dicts of the nonzero entries of each row, the
@@ -133,7 +130,7 @@ class Matrix:
 
     def columns(self):
         rows = range(self.nrows)
-        return [tuple(c.get(i, ZERO) for i in rows) for c in self.sparse_columns]
+        return [tuple(c.get(i, 0) for i in rows) for c in self.sparse_columns]
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.sparse_columns == other.sparse_columns \
@@ -189,7 +186,7 @@ class Matrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise InputError("trace of non-square matrix")
-        return sum((c.get(j, ZERO) for j, c in enumerate(self.sparse_columns)), ZERO)
+        return sum(c.get(j, 0) for j, c in enumerate(self.sparse_columns))
 
     def rank(self):
         """The rank: the count of nonzero rows when their leads are distinct
@@ -206,19 +203,18 @@ class Matrix:
         column by column off one right-to-left reduction of the rows: the
         t-th free column f has the kernel vector e_f - sum_p red_p[f] e_p,
         over the pivots p whose reduced row holds f, all right of f. Each
-        column is written in ascending row order, and its entries are
-        `Fraction`s, also for `int` rows."""
+        column is written in ascending row order."""
         red, pivots = _reduce(self.sparse_rows(), max)
         by_pivot = dict(zip(pivots, red))
         cols = {}
         for j in range(self.ncols):
             r = by_pivot.get(j)
             if r is None:
-                cols[j] = {j: ONE}
+                cols[j] = {j: 1}
                 continue
             del r[j]
             for f, x in r.items():
-                cols[f][j] = -x if type(x) is Fraction else Fraction(-x)
+                cols[f][j] = -x
         return Matrix._of_columns(cols.values(), self.ncols)
 
     def solve(self, b):
@@ -230,9 +226,9 @@ class Matrix:
         red, pivots = _reduce(rows)
         if n in pivots:
             return None
-        x = [ZERO] * n
+        x = [0] * n
         for r, p in zip(red, pivots):
-            x[p] = r.get(n, ZERO)
+            x[p] = r.get(n, 0)
         return tuple(x)
 
     def charpoly(self):
@@ -241,12 +237,12 @@ class Matrix:
             raise InputError("charpoly of non-square matrix")
         n = self.nrows
         # Faddeev-LeVerrier; exact over Q
-        coeffs = [Q(0)] * (n + 1)
-        coeffs[n] = Q(1)
+        coeffs = [0] * (n + 1)
+        coeffs[n] = 1
         m = Matrix.identity(n)
         for k in range(1, n + 1):
             m = self * m
-            c = -m.trace() / k
+            c = div(-m.trace(), k)
             coeffs[n - k] = c
             m = m + Matrix.identity(n).scale(c)
         return tuple(coeffs)
@@ -264,7 +260,7 @@ class Matrix:
         shifted = []
         for j, c in enumerate(self.sparse_columns):
             c = dict(c)
-            if y := c.pop(j, ZERO) - lam:
+            if y := c.pop(j, 0) - lam:
                 c[j] = y
             shifted.append(c)
         power, k = Matrix._of_columns(shifted, n), 1
@@ -282,8 +278,8 @@ def _reduce(rows, lead=min, full=True):
     """Echelon form of sparse rows (consumed), leading at `lead`: min, or max
     for right to left. Shortest first, `eliminate` clears each row through the
     pivot table, and what is left becomes the pivot row of its lead, scaled to
-    lead 1 (negated, or divided as a `Fraction`: never `int / int`). `full`
-    then clears the other pivots from each pivot row, from the last lead back.
+    lead 1 (negated, or divided through `div`). `full` then clears the other
+    pivots from each pivot row, from the last lead back.
     Unique for any row order. Returns pivot rows and leads, in lead order."""
     table = {}
     for w in sorted(rows, key=len):
@@ -294,9 +290,8 @@ def _reduce(rows, lead=min, full=True):
             if x == -1:
                 w = {j: -y for j, y in w.items()}
             elif x != 1:
-                x = Fraction(x)  # int / int would be a float
-                w = {j: y / x for j, y in w.items()}
-            w[p] = 1  # an int lead keeps `eliminate` off Fraction arithmetic
+                w = {j: div(y, x) for j, y in w.items()}
+            w[p] = 1
             table[p] = p, w
     pivots = sorted(table, reverse=lead is max)
     if full:
@@ -308,13 +303,11 @@ def _reduce(rows, lead=min, full=True):
                     r[j] = y = r[j] + f * x if j in r else f * x
                     if not y:
                         del r[j]
-    for p in pivots:
-        table[p][1][p] = ONE
     return [table[p][1] for p in pivots], pivots
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials, as tuples of Fractions, lowest degree first
+# characteristic polynomials, as tuples of rationals, lowest degree first
 
 
 def signed_sum(terms):
@@ -357,7 +350,7 @@ def sylvester(phi_w: Matrix, phi_v: Matrix):
             # column (c, d): phi_w[a, c] at row (a, d), minus phi_v[d, b] at row (c, b)
             col = {a * nv + d: x for a, x in phi_w.sparse_columns[c].items()}
             for b, x in v_rows[d].items():
-                y = col.pop(c * nv + b, ZERO) - x
+                y = col.pop(c * nv + b, 0) - x
                 if y:
                     col[c * nv + b] = y
             cols.append(col)
@@ -471,7 +464,7 @@ def eliminate(w, pick, table):
         if p not in table:
             break
         key, v = table[p]
-        c = used[key] = w[p] if v[p] == 1 else w[p] / v[p]
+        c = used[key] = w[p] if v[p] == 1 else div(w[p], v[p])
         if len(v) == 1:
             del w[p]
             continue
@@ -571,7 +564,7 @@ class PolyRing:
             raise InputError(f"unknown generator {name!r}")
         exps = [0] * len(self.names)
         exps[self._index[name]] = 1
-        return Polynomial(self, {tuple(exps): Q(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def gens(self):
         return [self.gen(n) for n in self.names]
@@ -678,7 +671,7 @@ class Polynomial:
         return sum(e * d for e, d in zip(exps, self.ring.degrees))
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Q(0))
+        return self.terms.get(tuple(exps), 0)
 
     def substitute(self, target_ring, images):
         """Ring map sending generator name -> images[name] (a Polynomial)."""

@@ -48,6 +48,14 @@ from .specseq import (FilteredComplex, SpectralPage, WeightSpec, canonical_filtr
 from . import confring, equieven
 
 
+def from_columns(cols, nrows=None):
+    """The Matrix with the given columns, dense or {row: value} dicts, and
+    `nrows` rows (by default the length of the first): the transpose of the
+    Matrix with them as its rows."""
+    m = Matrix(cols, ncols=nrows)
+    return Matrix._of_columns(m.sparse_rows(), m.ncols)
+
+
 def dense_rref(rows, ncols):
     """Reduced row echelon form of dense Fraction rows: (rows, pivot columns)."""
     m = [list(r) for r in rows]
@@ -59,7 +67,7 @@ def dense_rref(rows, ncols):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
+        inv = Q(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nr):
             if i != r and m[i][c] != 0:
@@ -386,7 +394,7 @@ def differential_matrix_by_elements(group, ell, n, degree, src, dst):
     index = {key: t for t, key in enumerate(dst)}
     cols = [coordinates(equieven.d2n(equieven.zero(group, ell, n)
                                      .from_coordinates([key], [Q(1)])), index) for key in src]
-    return Matrix.from_columns(cols, nrows=len(dst))
+    return from_columns(cols, nrows=len(dst))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +470,8 @@ def subspace_preimage(d: Matrix, s: Matrix):
     # inside x restrict to the reduced basis of the preimage
     n = d.ncols
     both = Matrix._of_columns(d.sparse_columns + s.sparse_columns, d.nrows)
-    return Matrix.from_columns([{i: x for i, x in v.items() if i < n}
-                                for v in both.kernel_basis().sparse_columns if min(v) < n],
-                               nrows=n)
+    return from_columns([{i: x for i, x in v.items() if i < n}
+                         for v in both.kernel_basis().sparse_columns if min(v) < n], nrows=n)
 
 
 def cycles(A, r, i, n):

@@ -69,7 +69,6 @@ from fractions import Fraction as Q
 from .charclasses import DEGREE_BOUND
 from .errors import InputError, PurityViolation, WitnessError
 from .exactalg import (
-    ONE,
     Matrix,
     Quotient,
     col_space,
@@ -533,7 +532,7 @@ class SpectralPage:
                     target = self._elements(n + 1)[i - r]
                     row = {k: t for t, k in enumerate(target)}
                     diffs[(i, n)] = Matrix._of_columns(
-                        [{row[low[k]]: ONE} if k in low and gap[k] == r else {}
+                        [{row[low[k]]: 1} if k in low and gap[k] == r else {}
                          for k in self._elements(n)[i]], len(target))
             self._differentials = diffs
         return self._differentials
@@ -578,7 +577,7 @@ def _barcode(A: FilteredComplex):
             # (negative) for b; clear its last entry while an earlier column
             # ends there
             w = eliminate(combine(d.sparse_columns, b), min, nxt[2])[1] if nxt and d else {}
-            w[~k] = ONE
+            w[~k] = 1
             w = eliminate(w, max, table)[0]
             cols.append({~j: x for j, x in w.items() if j < 0})
             if (end := max(w)) >= 0:
@@ -674,8 +673,9 @@ class WeightSpec:
     page: int
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", rat(self.xi))
-        object.__setattr__(self, "alpha", rat(self.alpha))
+        # Fractions, so that xi ** w is exact for a negative weight w too
+        object.__setattr__(self, "xi", Q(rat(self.xi)))
+        object.__setattr__(self, "alpha", Q(rat(self.alpha)))
         if self.xi in (0, 1, -1):
             raise InputError("xi must avoid 0, 1 and -1")
         if self.alpha == 0:
@@ -819,7 +819,7 @@ def formality_witness(A: FilteredComplex, spec: WeightSpec):
                 f"no phi-equivariant section exists in degree {n}: phi has a "
                 f"Jordan block linking the boundaries to the cohomology")
         inclusions[n] = Matrix._of_columns(
-            [combine(vecs, {d: ONE} | {h + c: y[c * h + d] for c in range(t)})
+            [combine(vecs, {d: 1} | {h + c: y[c * h + d] for c in range(t)})
              for d in range(h)], base.dim(n))
         induced[n] = phi_bar
     return certified_witness(base, inclusions, induced)

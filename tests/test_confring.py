@@ -49,18 +49,23 @@ def test_index_out_of_range():
         confring.normal_form(3, 3, [(1, 4)])
     with pytest.raises(InputError):
         confring.normal_form(3, 3, [(2, 2)])
-    # the refusals of normal_form: a bad generator, then a bad coefficient,
-    # then an index that is no int, also at coefficient 0
+    # the refusals of normal_form: each generator in turn (an index that is
+    # no int, bools too, or out of range), then a bad coefficient, also at
+    # coefficient 0
     for word, coeff, message in (
             ([(2, 2)], 1, "generator index out of range: (2, 2) with 3 points"),
-            ([(1.0, 2), (0, 1)], 1, "generator index out of range: (0, 1) with 3 points"),
+            ([(1.0, 2), (0, 1)], 1, "generator index is not an int: (1.0, 2)"),
             ([(1, 2), (1, 4)], 0, "generator index out of range: (1, 4) with 3 points"),
-            ([(1.0, 2)], 1.5, "not a rational: 1.5"),
-            ([(2, 1), (1.0, 3)], 1, "edge (1.0, 3) is not (i, j) with 1 <= i < j <= 3"),
-            ([(True, 2)], 0, "edge (True, 2) is not (i, j) with 1 <= i < j <= 3")):
-        with pytest.raises(InputError) as exc:
-            confring.normal_form(3, 3, word, coeff)
-        assert str(exc.value) == message
+            ([(1, 2)], 1.5, "not a rational: 1.5"),
+            ([(1.0, 2)], 1.5, "generator index is not an int: (1.0, 2)"),
+            ([(2, 1), (1.0, 3)], 1, "generator index is not an int: (1.0, 3)"),
+            ([(True, 2)], 0, "generator index is not an int: (True, 2)")):
+        for n in (2, 3):
+            with pytest.raises(InputError) as exc:
+                confring.normal_form(3, n, word, coeff)
+            assert str(exc.value) == message
+    with pytest.raises(InputError, match="not an int"):
+        confring.generator(3, 2, True, 2)
     assert confring.normal_form(3, 3, [(1, 3), (2, 3)], 0).is_zero()
     assert confring.normal_form(3, 3, [(3, 1)], "0").terms == {}
     # reduce_word takes canonical edges, (i, j) with 1 <= i < j <= points
@@ -146,6 +151,36 @@ def test_graded_commutativity_randomized():
         assert a * b == (b * a).scale(sign)
 
 
+def test_products_of_int_elements_have_int_coefficients():
+    # integral coefficients stay ints through normal forms, sums, products
+    # and relabelings, in both calculi; a Fraction coefficient gives exact
+    # rationals only
+    rng = random.Random(17)
+    for _ in range(20):
+        k, n = rng.randint(3, 5), rng.randint(2, 5)
+
+        def conf(coeff):
+            word = [tuple(rng.sample(range(1, k + 1), 2)) for _ in range(rng.randint(1, 2))]
+            return confring.normal_form(k, n, word, coeff)
+
+        a = conf(rng.choice((1, -2, "3", Q(4, 2)))) + conf(rng.randint(-3, 3))
+        b = conf(rng.choice((1, -1, 5)))
+        sigma = rng.sample(range(1, k + 1), k)
+        for elem in (a * b, b * a * b, confring.label_action(sigma, a * b)):
+            assert all(type(c) is int for c in elem.terms.values())
+        assert all(type(c) in (int, Q) for c in (a * conf(Q(1, 2))).terms.values())
+        h = rng.randint(1, 2)
+        y = lambda i, j: equiodd.generator(k, h, i, j)  # noqa: E731
+        q = equiodd.qring(h).gen("q1")
+        c = y(1, 2).scale_poly(q) + y(2, 3).scale(-3) - y(1, 3)
+        d = y(1, 3) + y(2, 3).scale_poly(q * q).scale(2)
+        for elem in (c * d, d * c * c, confring.label_action(sigma, c * d),
+                     equiodd.nonequivariant_restriction(c * d)):
+            coeffs = [x for v in elem.terms.values()
+                      for x in (v.terms.values() if elem.ring else (v,))]
+            assert coeffs and all(type(x) is int for x in coeffs)
+
+
 def test_arnold_relation_vanishes_all_triples():
     for k in range(3, 6):
         for n in (3, 4):
@@ -201,7 +236,8 @@ def test_word_counts_keep_their_redex_order():
 def test_reduce_word_matches_the_ideal_span_oracle():
     # `reduce_word` scales the integer `word_counts`; with any redex order
     # and coefficient it must equal the oracle's normal form times the
-    # coefficient, with Fraction values, and nothing for a zero coefficient
+    # coefficient, with int values for an integral coefficient and Fraction
+    # values otherwise, and nothing for a zero coefficient
     rng = random.Random(41)
     seen = set()
     for _ in range(150):
@@ -222,7 +258,8 @@ def test_reduce_word_matches_the_ideal_span_oracle():
             redex = rng if rng.random() < 0.5 else None
             got = confring.reduce_word(k, n, canonical, coeff * sign, redex)
             assert got == {e: coeff * c for e, c in want.items() if coeff}
-            assert all(type(c) is Q for c in got.values())
+            assert all(type(c) is (Q if coeff.denominator > 1 else int)
+                       for c in got.values())
             if not coeff:
                 assert got == {}
         seen.add(len(want))

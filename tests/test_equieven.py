@@ -12,6 +12,7 @@ from equiconf.charclasses import BASIS_BOUND, MODEL_BOUND, GroupSpec
 from equiconf.cli import main
 from equiconf.errors import CapacityError, InputError
 from equiconf.exactalg import Matrix, col_space
+from equiconf.oracles import from_columns
 
 
 def test_d_of_generator_is_euler_image():
@@ -282,12 +283,13 @@ def test_fixed_bases_check_their_header_once():
     assert equiodd.fixed_point_basis(so_odd, 65, 3) == []
 
 
-def test_kernel_coefficients_are_fractions():
-    # the boundary matrices are eliminated as ints; K's basis is not
+def test_kernel_coefficients_are_exact_rationals():
+    # the boundary matrices are eliminated as ints; each coefficient of K's
+    # basis is exactly an int or a Fraction, never a float or a bool
     for ell in range(6):
         for n in (1, 2, 3):
             for elems in ev.kernel_K(ell, n, 12).basis.values():
-                assert all(type(c) is Q for e in elems for c in e.terms.values())
+                assert all(type(c) in (int, Q) for e in elems for c in e.terms.values())
 
 
 # bad headers: an unknown group, n = 0, a negative point count, and past
@@ -589,7 +591,7 @@ def test_differential_matrix_matches_the_element_oracle():
                     got = ev.differential_matrix(group, ell, n, d, bases[d], bases[d + 1])
                     assert got == oracles.differential_matrix_by_elements(
                         group, ell, n, d, bases[d], bases[d + 1])
-                    assert all(type(x) is Q for c in got.sparse_columns for x in c.values())
+                    assert all(type(x) is int for c in got.sparse_columns for x in c.values())
                     if not got.is_zero():
                         nonzero.add(group)
     assert nonzero == {"torus", "so", "o", "u"}
@@ -617,7 +619,7 @@ def fixed_page_dims_by_elements(family, ell, n, max_degree, convention):
     for d, elems in enumerate(fixed):
         index = {key: t for t, key in enumerate(ev.page_basis("torus", ell, n, d + 1))}
         cols = [oracles.coordinates(ev.d2n(e), index) for e in elems]
-        ranks.append(Matrix.from_columns(cols, nrows=len(index)).rank() if cols else 0)
+        ranks.append(from_columns(cols, nrows=len(index)).rank() if cols else 0)
     return {d: len(fixed[d]) - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)}
 
 

@@ -12,6 +12,7 @@ from equiconf.exactalg import (
     _reduce,
     _transpose,
     col_space,
+    div,
     elementary_symmetric,
     flag_basis,
     flag_spans,
@@ -25,6 +26,7 @@ from equiconf.oracles import (
     dense_rref,
     dense_solve,
     eigen_projector,
+    from_columns,
     subspace_intersection,
     subspace_leq,
     subspace_preimage,
@@ -41,10 +43,26 @@ def test_rat_parsing():
     assert rat("3/4") == Q(3, 4)
     assert rat("-7") == Q(-7)
     assert rat(Q(1, 2)) == Q(1, 2)
+    # integral values are ints, a bool reads as 0 or 1, the rest Fractions
+    for x, want in ((True, 1), (False, 0), (Q(4, 2), 2), ("4/2", 2), ("-7", -7), (5, 5),
+                    (Q(-3), -3), ("1/2", Q(1, 2)), (Q(-2, 6), Q(-1, 3))):
+        got = rat(x)
+        assert got == want and type(got) is type(want)
+    for x in (1.0, 0.5, None, [1]):
+        with pytest.raises(InputError, match="not a rational"):
+            rat(x)
     with pytest.raises(InputError):
         rat("1/0")
     with pytest.raises(InputError):
         rat("x")
+
+
+def test_div_never_gives_a_float():
+    # two ints divide to an int when the division is exact, else to a Fraction
+    for a, b, want in ((4, 2, 2), (-6, 3, -2), (1, 2, Q(1, 2)), (-3, 6, Q(-1, 2)),
+                       (Q(1, 2), 2, Q(1, 4)), (3, Q(3, 2), Q(2)), (Q(4), Q(2), Q(2))):
+        got = div(a, b)
+        assert got == want and type(got) is type(want)
 
 
 def test_kernel_identity_is_trivial():
@@ -78,7 +96,7 @@ def test_rank_nullity_randomized():
 
 def times(m, x):
     """m x as a tuple, by the product with a one-column matrix."""
-    return (m * Matrix.from_columns([x], nrows=m.ncols)).columns()[0]
+    return (m * from_columns([x], nrows=m.ncols)).columns()[0]
 
 
 def test_solve_found_solutions_are_exact():
@@ -164,7 +182,7 @@ def dense_det(rows):
             a[c], a[p], det = a[p], a[c], -det
         det *= a[c][c]
         for r in range(c + 1, len(a)):
-            f = a[r][c] / a[c][c]
+            f = Q(a[r][c]) / a[c][c]
             a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return det
 
@@ -186,15 +204,18 @@ def dense_preimage(d, s):
     return dense_span([v[:d.ncols] for v in dense_kernel(stacked)], d.ncols)
 
 
-def only_fractions(*values):
-    """Every number in nested tuples, lists and matrices is a Fraction."""
+def exact_numbers(*values):
+    """Every number in nested tuples, lists, dicts and matrices is exactly
+    an int or a Fraction: never a float, and never a bool."""
     for v in values:
         if isinstance(v, Matrix):
             v = v.rows
+        elif isinstance(v, dict):
+            v = tuple(v.values())
         if isinstance(v, (tuple, list)):
-            if not only_fractions(*v):
+            if not exact_numbers(*v):
                 return False
-        elif type(v) is not Q:
+        elif type(v) not in (int, Q):
             return False
     return True
 
@@ -219,7 +240,7 @@ def test_kernel_matches_dense_oracle():
             assert sol is None or times(m, sol) == tuple(b)
         assert times(m, x) == dense_matvec(m, x)
         # arithmetic against dense references computed from `.rows`
-        mt = Matrix.from_columns(list(m.rows), nrows=m.ncols)
+        mt = from_columns(list(m.rows), nrows=m.ncols)
         o = Matrix([[Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m.ncols)]
                     for _ in range(m.nrows)], ncols=m.ncols)
         c = Q(rng.randint(-3, 3), rng.randint(1, 3))
@@ -245,13 +266,13 @@ def test_kernel_matches_dense_oracle():
             assert z == zero and hash(z) == hash(zero) and z.is_zero()
         assert stores_no_zeros(red, kernel, mt, o, *got.values())
         # every way of building the same matrix compares and hashes equal
-        rebuilt = Matrix.from_columns(m.columns(), nrows=m.nrows)
+        rebuilt = from_columns(m.columns(), nrows=m.nrows)
         for twin in (Matrix(m.rows, ncols=m.ncols), rebuilt, -(-m),
                      Matrix.identity(m.nrows) * m, m * Matrix.identity(m.ncols)):
             assert twin == m and hash(twin) == hash(m)
         assert rebuilt * mt == square and hash(rebuilt * mt) == hash(square)
-        assert only_fractions(red, kernel, m.solve(times(m, x)), times(m, x), p,
-                              *got.values())
+        assert exact_numbers(red, kernel, m.solve(times(m, x)), times(m, x), p,
+                             *got.values())
 
 
 def int_battery(seed, count=60):
@@ -270,9 +291,9 @@ def int_battery(seed, count=60):
 
 def test_int_rows_match_the_fraction_route():
     # rank, kernel and solve of int rows agree with the same rows of
-    # Fractions and with the dense oracle; the eliminations hold ints and
-    # Fractions only, and every answer holds Fractions only. Each reduction
-    # and its pivots are the same for a shuffle of the rows.
+    # Fractions and with the dense oracle; the eliminations and every answer
+    # hold ints and Fractions only. Each reduction and its pivots are the
+    # same for a shuffle of the rows.
     rng, shuffle = random.Random(31), random.Random(32).shuffle
     for rows, ncols in int_battery(31):
         m = Matrix._of_columns(_transpose(rows, ncols), len(rows))
@@ -280,7 +301,7 @@ def test_int_rows_match_the_fraction_route():
                                           ncols), len(rows))
         for lead in (min, max):
             red, pivots = _reduce([dict(r) for r in rows], lead)
-            assert all(type(x) in (int, Q) for r in red for x in r.values())
+            assert exact_numbers(*red)
             assert (red, pivots) == _reduce(f.sparse_rows(), lead)
             shuffled = [dict(r) for r in rows]
             shuffle(shuffled)
@@ -294,12 +315,12 @@ def test_int_rows_match_the_fraction_route():
         for b in (times(f, x), [Q(rng.randint(-2, 2)) for _ in rows]):
             sol = m.solve(b)
             assert sol == f.solve(b) == dense_solve(f.columns(), b)
-            assert only_fractions(sol or ())
+            assert exact_numbers(sol or ())
         # the transpose, built from int columns
         cols = Matrix._of_columns([dict(r) for r in rows], ncols)
         assert cols.rank() == rank
-        assert cols.kernel_basis() == Matrix.from_columns(rows, nrows=ncols).kernel_basis()
-        assert only_fractions(kernel, cols.kernel_basis())
+        assert cols.kernel_basis() == from_columns(rows, nrows=ncols).kernel_basis()
+        assert exact_numbers(kernel, cols.kernel_basis())
 
 
 def test_subspaces_match_dense_oracle():
@@ -325,17 +346,17 @@ def test_subspaces_match_dense_oracle():
                 for s, t in ((x, y), (y, x), (total, x), (x, total)):
                     outcomes.append(subspace_leq(s, t))
                     assert outcomes[-1] == dense_leq(s, t)
-                assert only_fractions(cap, total)
+                assert exact_numbers(cap, total)
             for s in (b, o, Matrix.zero(dim, 0)):
                 for d in (m, o):
                     pre = subspace_preimage(d, s)
                     assert pre.nrows == d.ncols
                     assert pre.columns() == dense_preimage(d, s)
                     assert subspace_leq(d * pre, s)
-                    assert only_fractions(pre)
+                    assert exact_numbers(pre)
         # single columns, inside and outside the span
         for c in m.columns():
-            one = Matrix.from_columns([c], nrows=dim)
+            one = from_columns([c], nrows=dim)
             outcomes.append(subspace_leq(one, b))
             assert outcomes[-1] == dense_leq(one, b)
     assert set(outcomes) == {True, False}
@@ -358,16 +379,16 @@ def test_quotient_coordinates_match_dense_oracle():
             assert q.reps.columns() == reps and q.dim == len(reps)
             vs = [dense_matvec(total, [Q(rng.randint(-3, 3)) for _ in range(total.ncols)])
                   for _ in range(3)]
-            coords = q.matrix_of(Matrix.from_columns(vs, nrows=m.nrows))
+            coords = q.matrix_of(from_columns(vs, nrows=m.nrows))
             assert coords.nrows == q.dim and coords.ncols == 3
             for v, got in zip(vs, coords.columns()):
                 assert got == dense_solve(list(d.columns()) + reps, v)[d.ncols:]
-            assert only_fractions(q.reps, coords)
+            assert exact_numbers(q.reps, coords)
             outside = [c for c in Matrix.identity(m.nrows).columns()
                        if dense_solve(list(d.columns()) + reps, c) is None]
             if outside:
                 with pytest.raises(InputError):
-                    q.matrix_of(Matrix.from_columns(vs + outside[:1], nrows=m.nrows))
+                    q.matrix_of(from_columns(vs + outside[:1], nrows=m.nrows))
 
 
 def test_col_space_respans_each_near_canonical_matrix():
@@ -398,10 +419,10 @@ def test_col_space_respans_each_near_canonical_matrix():
             swapped[j], swapped[k] = cols[k], cols[j]
             near += [cols[:j] + [cols[j] | {lead: Q(3)}] + cols[j + 1:], swapped]
         cases += [(columns, m.nrows) for columns in near]
-    m = Matrix.from_columns(canonical, nrows=4)
+    m = from_columns(canonical, nrows=4)
     assert col_space(m) is m
     for columns, dim in cases:
-        m = Matrix.from_columns(columns, nrows=dim)
+        m = from_columns(columns, nrows=dim)
         got = col_space(m)
         assert got is not m
         assert got == col_space(columns, dim)
@@ -634,7 +655,7 @@ def test_projector_identities_randomized():
                 break
         ginv_cols = [g.solve([Q(1) if i == j else Q(0) for i in range(n)])
                      for j in range(n)]
-        ginv = Matrix.from_columns(ginv_cols, nrows=n)
+        ginv = from_columns(ginv_cols, nrows=n)
         m = g * m * ginv
         projs = [eigen_projector(m, lam) for lam in eigs]
         total = Matrix.zero(n, n)
@@ -656,8 +677,8 @@ def test_subspace_operations():
     tot = subspace_sum(a, b)
     assert tot.ncols == 3
     assert subspace_leq(a, tot)
-    assert subspace_leq(Matrix.from_columns([[2, -5, 0]]), a)
-    assert not subspace_leq(Matrix.from_columns([[0, 0, 1]]), a)
+    assert subspace_leq(from_columns([[2, -5, 0]]), a)
+    assert not subspace_leq(from_columns([[0, 0, 1]]), a)
 
 
 def test_subspace_preimage():
@@ -674,7 +695,7 @@ def test_quotient_coordinates():
     d = col_space([[1, 0, 0]], dim=3)
     q = Quotient(z, d)
     assert q.dim == 1
-    assert q.matrix_of(Matrix.from_columns([[5, 7, 0]])).columns() == [(7,)]
+    assert q.matrix_of(from_columns([[5, 7, 0]])).columns() == [(7,)]
 
 
 def test_eigen_projector_without_full_splitting():

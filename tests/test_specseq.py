@@ -13,6 +13,7 @@ from equiconf import verify
 from equiconf.cli import main
 from equiconf.errors import InputError, PurityViolation, WitnessError
 from equiconf.exactalg import Matrix, col_space
+from equiconf.oracles import from_columns
 
 
 def two_term(levels_e, levels_f):
@@ -140,7 +141,7 @@ def test_matrix_levels_are_canonicalized():
     assert A.W(0, 0) == Matrix([[1], [1]])
     assert A.W(0, 1) == ID2
     # a level already in reduced column echelon form is kept as it is
-    units = Matrix.from_columns([{0: 1}, {2: 1}], nrows=3)
+    units = from_columns([{0: 1}, {2: 1}], nrows=3)
     assert ss.FilteredComplex({0: 3}, {}, {0: [units, Matrix.identity(3)]}).W(0, 0) is units
     with pytest.raises(InputError, match="^filtration level shape mismatch at degree 0$"):
         ss.FilteredComplex({0: 2}, {}, {0: [Matrix.identity(3)]}, validate=False)
@@ -512,9 +513,9 @@ def test_large_torus_pages_match_the_subquotient_oracle():
 def test_pages_of_raw_level_spans_match_the_subquotient_oracle():
     # levels given as spanning Matrices that are not canonical: a scaled
     # line, and a full level whose columns lead at the same index
-    line, full = Matrix.from_columns([[2, 2]]), Matrix.from_columns([[1, 1], [1, 0]])
+    line, full = from_columns([[2, 2]]), from_columns([[1, 1], [1, 0]])
     A = ss.FilteredComplex({0: 2, 1: 2}, {0: Matrix([[1, 1], [0, 0]])},
-                           {0: [line, full], 1: [Matrix.from_columns([[3, 0]]), full]},
+                           {0: [line, full], 1: [from_columns([[3, 0]]), full]},
                            {0: Matrix([[2, 0], [0, 2]]), 1: Matrix([[2, 0], [0, 5]])})
     assert_pages_match_oracle(A, range(4))
     assert ss.page(A, 0).differentials[0, 0] == Matrix([[1]])
@@ -534,6 +535,81 @@ def seeded_battery(seed, count):
                                            impure=t % 4 == 1)[0],
                 verify.random_staircase_complex(rng, xi, Q(1), 1 + t % 3)]
     return out
+
+
+def reachable_numbers(value, seen):
+    """Every number reachable from value: the entries of matrices (a bool
+    among them too), the coefficients of polynomials, the items of
+    containers and the attributes of result objects, bool flags aside."""
+    if isinstance(value, (bool, str)) or value is None or callable(value):
+        return
+    if isinstance(value, (int, float, Q)):
+        yield value
+        return
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, Matrix):
+        yield from (x for c in value.sparse_columns for x in c.values())
+        return
+    if isinstance(value, exactalg.Polynomial):
+        items = value.terms.values()
+    elif isinstance(value, dict):
+        items = [*value, *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = value
+    else:
+        items = [getattr(value, name, None) for cls in type(value).__mro__
+                 for name in getattr(cls, "__slots__", ())]
+        items += list(getattr(value, "__dict__", {}).values())
+    for v in items:
+        yield from reachable_numbers(v, seen)
+
+
+def test_no_float_reaches_any_result():
+    # integral numbers are ints and the rest Fractions: through pages,
+    # decalage, purity, witnesses, charpoly, off_eigenvalue, solve, Quotient
+    # and the dense oracles, on int and Fraction xi and alpha = +-1/3, +-2,
+    # every number of every result is exactly an int or a Fraction
+    rng = random.Random(53)
+    xis, alphas = (2, Q(1, 2), -3, Q(5, 3)), (Q(1, 3), Q(-1, 3), 2, -2)
+    complexes = [(A, rng.choice(xis)) for A in seeded_battery(53, 4)]
+    complexes += [(equieven.as_filtered_complex(group, ell, n, top, xi=xi), xi)
+                  for (group, ell, n, top), xi in zip(PAGE_MODELS[::3], xis)]
+    complexes += [(verify.random_pure_complex(rng, xi, alpha)[0], xi)
+                  for xi, alpha in zip(xis, alphas)]
+    results, witnesses = [], 0
+    for A, xi in complexes:
+        results += [A, ss.decalage(A)]
+        for r in range(3):
+            pg = ss.page(A, r)
+            results += [pg.dims(), pg.differentials, ss.page_cohomology_dims(pg)]
+            if A.phi is not None:
+                results.append([pg.aut(i, n) for i, n in pg.spots])
+        for alpha in alphas if A.phi is not None else ():
+            spec = ss.WeightSpec(xi, alpha, 1)
+            results.append(ss.purity_check(A, spec))
+            try:
+                results.append(ss.formality_witness(A, ss.WeightSpec(xi, alpha, 0)))
+                witnesses += 1
+            except (PurityViolation, WitnessError) as exc:
+                results.append(exc.args)
+        for n in A.degrees():
+            d = A.diff(n)
+            if A.phi is not None:
+                phi = A.aut(n)
+                results += [phi.charpoly(), phi.off_eigenvalue(xi),
+                            phi.off_eigenvalue(Q(xi) ** -2)]
+            x = [rng.choice((1, -2, Q(1, 3))) for _ in range(d.ncols)]
+            for b in ((d * from_columns([x], nrows=d.ncols)).columns()[0],
+                      [rng.randint(-2, 2) for _ in range(d.nrows)]):
+                results += [d.solve(b), oracles.dense_solve(d.columns(), b)]
+            results.append(oracles.dense_rref(d.rows, d.ncols))
+            z, quo = ss.cohomology_quotient(A, n)
+            results += [z, quo, quo.matrix_of(z)]
+    numbers = list(reachable_numbers(results, set()))
+    assert {type(x) for x in numbers} == {int, Q}
+    assert witnesses
 
 
 def stored(*mats):
@@ -645,7 +721,7 @@ def test_repeated_levels_are_canonicalized_once(monkeypatch):
     calls = []
     fn = ss.col_space
     monkeypatch.setattr(ss, "col_space", lambda *a, **k: calls.append(a[0]) or fn(*a, **k))
-    line, full = Matrix.from_columns([[2, 0]]), Matrix.identity(2)
+    line, full = from_columns([[2, 0]]), Matrix.identity(2)
     A = ss.FilteredComplex({0: 2}, {}, {0: [line, line, full, full, full]})
     assert calls == [line, full]
     levels = A.filtration[0]
@@ -671,7 +747,7 @@ def test_repeated_levels_are_canonicalized_once(monkeypatch):
 def test_equal_levels_share_one_matrix_and_unfit_levels_are_refused(tmp_path, capsys):
     # equal levels that are separate objects share one canonical Matrix
     full = Matrix.identity(2)
-    for first, second in ((Matrix.from_columns([[2, 0]]), Matrix.from_columns([[2, 0]])),
+    for first, second in ((from_columns([[2, 0]]), from_columns([[2, 0]])),
                           ([[1, 1]], [[1, 1]])):
         levels = ss.FilteredComplex({0: 2}, {}, {0: [first, second, full]}).filtration[0]
         assert levels[0] is levels[1] and levels[2] is full
@@ -896,7 +972,7 @@ def mutated(A, rng, defects):
             cols = list(levels[t].sparse_columns)
             if cols:
                 del cols[rng.randrange(len(cols))]
-            levels[t] = Matrix.from_columns(cols, nrows=A.dim(n))
+            levels[t] = from_columns(cols, nrows=A.dim(n))
         elif kind == "swap":
             s, t = rng.randrange(len(levels)), rng.randrange(len(levels))
             levels[s], levels[t] = levels[t], levels[s]
@@ -908,7 +984,7 @@ def mutated(A, rng, defects):
         else:  # the images of two basis vectors made equal
             cols = list(phi[n].sparse_columns)
             cols[rng.randrange(len(cols))] = cols[rng.randrange(len(cols))]
-            phi[n] = Matrix.from_columns(cols, nrows=A.dim(n))
+            phi[n] = from_columns(cols, nrows=A.dim(n))
     return ss.FilteredComplex(A.spaces, d, filtration, phi, validate=False)
 
 
@@ -1119,7 +1195,7 @@ def assert_witnesses_agree(A, got, want):
         n = int(key)
         phi_bar = read_matrix(got["cohomology_automorphism"][key])
         b = col_space(A.diff(n - 1))
-        phi_b = Matrix.from_columns([oracles.dense_solve(b.columns(), v)
+        phi_b = from_columns([oracles.dense_solve(b.columns(), v)
                                      for v in (A.aut(n) * b).columns()], nrows=b.ncols)
         if verify.equivariant_hom_dims(phi_bar, phi_b)[0] == 0:
             assert got["inclusions"][key] == inc
